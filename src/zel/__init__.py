@@ -8,8 +8,7 @@ asymptotics, and exceedance-measure tail predictions.
 """
 
 from .special_fn import bessel_i0, log_bessel_i0, g_constant, a_constant, kappa
-from .prime_poly import (PolySpec, PrimeTable, TGrid, cached_table,
-                         lambda_sum, approximation_defect, max_spacing,
+from .prime_poly import (PolySpec, PrimeTable, TGrid, lambda_sum, max_spacing,
                          poly_eval, poly_eval_batch, sieve, von_mangoldt_table)
 from .zeta_core import (BranchedLog, NearZeroOnPath, QuadratureConfig,
                         ZetaAccuracyWarning, ZetaPoleError, b_constant,
@@ -27,9 +26,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "bessel_i0", "log_bessel_i0", "g_constant", "a_constant", "kappa",
-    "PolySpec", "PrimeTable", "TGrid", "cached_table", "lambda_sum",
-    "approximation_defect", "max_spacing", "poly_eval", "poly_eval_batch",
-    "sieve", "von_mangoldt_table",
+    "PolySpec", "PrimeTable", "TGrid", "lambda_sum", "max_spacing",
+    "poly_eval", "poly_eval_batch", "sieve", "von_mangoldt_table",
     "BranchedLog", "NearZeroOnPath", "QuadratureConfig",
     "ZetaAccuracyWarning", "ZetaPoleError", "b_constant", "c_constant",
     "eta_tilde", "log_zeta_branched", "s_m", "zeta",

@@ -36,7 +36,7 @@ from .moments import (
     exact_moment,
     exp_moment_trimmed,
 )
-from .prime_poly import PolySpec, TGrid, cached_table, lambda_sum
+from .prime_poly import PolySpec, PrimeTable, TGrid, lambda_sum
 from .special_fn import a_constant, g_constant
 from .tails import measure_exceedance_poly_multi, solve_saddle_critical, \
     solve_saddle_strip
@@ -75,22 +75,22 @@ def _tol(tolerances: dict | None, name: str, default: float) -> float:
 # criteria
 
 
-def criterion_1(tolerances=None, cache_dir=None) -> CriterionResult:
+def criterion_1(tolerances=None) -> CriterionResult:
     """Moment triple agreement at sigma=1/2, m=1, X=31, T=1e6."""
     t0 = time.perf_counter()
     pair_tol = _tol(tolerances, "c1_pair_rel", 1e-10)
     emp_low = _tol(tolerances, "c1_emp_low", 0.02)
     emp_k6 = _tol(tolerances, "c1_emp_k6", 0.05)
-    table = cached_table(31, cache_dir)
+    table = PrimeTable.build(31)
     grid = TGrid.for_span(1e6, 31.0)
     lines, ok = [], True
     worst_pair = worst_emp = 0.0
     for theta in (0.0, 0.7):
         spec = PolySpec(m=1, sigma=0.5, theta=theta, X=31.0)
-        for k in (2, 4, 6):
+        for res in empirical_moment(spec, table, grid, (2, 4, 6)):
+            k, em = res.k, res.value
             ex = exact_moment(spec, k).value
             co = contour_moment(spec, k, table).value
-            em = empirical_moment(spec, table, grid, k).value
             pair = abs(co - ex) / abs(ex)
             emp = abs(em - ex) / abs(ex)
             bound = emp_k6 if k == 6 else emp_low
@@ -108,13 +108,13 @@ def criterion_1(tolerances=None, cache_dir=None) -> CriterionResult:
                            lines, elapsed)
 
 
-def criterion_2(tolerances=None, cache_dir=None) -> CriterionResult:
+def criterion_2(tolerances=None) -> CriterionResult:
     """Odd moments vanish: analytic routes to 1e-12 scale, empirical k=1."""
     t0 = time.perf_counter()
     scale_tol = _tol(tolerances, "c2_scale", 1e-12)
     emp_tol = _tol(tolerances, "c2_emp", 1e-2)
     spec = PolySpec(m=1, sigma=0.5, theta=0.7, X=31.0)
-    table = cached_table(31, cache_dir)
+    table = PrimeTable.build(31)
     scale = exact_moment(spec, 2).value
     lines, ok = [], True
     for k in (1, 3, 5):
@@ -124,7 +124,7 @@ def criterion_2(tolerances=None, cache_dir=None) -> CriterionResult:
         lines.append(f"k={k}: exact {ex:.1e}, contour {abs(co):.2e}"
                      f" (<= {scale_tol * scale:.2e})")
     grid = TGrid.for_span(1e6, 31.0)
-    em1 = empirical_moment(spec, table, grid, 1).value
+    em1 = empirical_moment(spec, table, grid, (1,))[0].value
     bound = emp_tol * math.sqrt(scale)
     ok &= abs(em1) <= bound
     lines.append(f"empirical k=1: {em1:.2e} (<= {bound:.2e})")
@@ -134,7 +134,7 @@ def criterion_2(tolerances=None, cache_dir=None) -> CriterionResult:
                            lines, time.perf_counter() - t0)
 
 
-def criterion_3(tolerances=None, cache_dir=None) -> CriterionResult:
+def criterion_3(tolerances=None) -> CriterionResult:
     """pi s_1(t) equals Re of the m=1 iterated integral on the half line."""
     t0 = time.perf_counter()
     tol = _tol(tolerances, "c3_abs", 1e-6)
@@ -153,11 +153,11 @@ def criterion_3(tolerances=None, cache_dir=None) -> CriterionResult:
                            f"max residual {worst:.3e}", lines, elapsed)
 
 
-def criterion_4(tolerances=None, cache_dir=None) -> CriterionResult:
+def criterion_4(tolerances=None) -> CriterionResult:
     """sigma=2 series oracle: integral route vs truncated Lambda sum."""
     t0 = time.perf_counter()
     tol = _tol(tolerances, "c4_abs", 1e-8)
-    table = cached_table(100_000, cache_dir)
+    table = PrimeTable.build(100_000)
     lines, ok = [], True
     worst = 0.0
     for m in (1, 2):
@@ -176,11 +176,11 @@ def criterion_4(tolerances=None, cache_dir=None) -> CriterionResult:
                            lines, time.perf_counter() - t0)
 
 
-def criterion_5(tolerances=None, cache_dir=None) -> CriterionResult:
+def criterion_5(tolerances=None) -> CriterionResult:
     """Bessel-product vs main-term windows, X = x^3 ladder."""
     t0 = time.perf_counter()
     mult = _tol(tolerances, "c5_window_mult", 10.0)
-    table = cached_table(1_000_000, cache_dir)
+    table = PrimeTable.build(1_000_000)
     lines, ok = [], True
 
     def ladder(label, mk_spec, main_of):
@@ -221,16 +221,14 @@ def criterion_5(tolerances=None, cache_dir=None) -> CriterionResult:
                            lines, time.perf_counter() - t0)
 
 
-def criterion_6(tolerances=None, cache_dir=None) -> CriterionResult:
+def criterion_6(tolerances=None) -> CriterionResult:
     """Trimmed exp-moment matches the log Bessel product at x=2, W=20."""
     t0 = time.perf_counter()
     rel = _tol(tolerances, "c6_rel", 0.05)
     spec = PolySpec(m=1, sigma=0.5, theta=0.0, X=31.0)
-    table = cached_table(31, cache_dir)
+    table = PrimeTable.build(31)
     grid = TGrid.for_span(1e6, 31.0)
-    half = TGrid.for_span(1e6, 31.0, refine=2)
-    etm = exp_moment_trimmed(spec, table, grid, 2.0, 20.0)
-    etm_half = exp_moment_trimmed(spec, table, half, 2.0, 20.0)
+    etm, etm_half = exp_moment_trimmed(spec, table, grid, 2.0, 20.0)
     lbp = bessel_product(spec, table, 2.0)
     delta = abs(etm_half - etm)
     gap = abs(etm - lbp)
@@ -244,13 +242,13 @@ def criterion_6(tolerances=None, cache_dir=None) -> CriterionResult:
                            lines, time.perf_counter() - t0)
 
 
-def criterion_7(tolerances=None, cache_dir=None) -> CriterionResult:
+def criterion_7(tolerances=None) -> CriterionResult:
     """Tail trend at sigma=0.8, X=1e5, T=1e7: log-ratio band, monotonicity,
     theta invariance."""
     t0 = time.perf_counter()
     lo = _tol(tolerances, "c7_ratio_lo", 0.3)
     hi = _tol(tolerances, "c7_ratio_hi", 3.0)
-    table = cached_table(100_000, cache_dir)
+    table = PrimeTable.build(100_000)
     grid = TGrid.for_span(1e7, 1e5)
     thetas = (0.0, math.pi / 4, math.pi / 2)
     specs = [PolySpec(m=0, sigma=0.8, theta=th, X=1e5) for th in thetas]
@@ -324,7 +322,7 @@ def _strip_display(x, sigma, m):
         * x ** (1.0 / sigma - 1.0) / (sigma * math.log(x) ** (m / sigma + 1.0))
 
 
-def criterion_8(tolerances=None, cache_dir=None) -> CriterionResult:
+def criterion_8(tolerances=None) -> CriterionResult:
     """Saddle residual matrix plus the closed-form windows at V=1e3, 1e6."""
     t0 = time.perf_counter()
     resid_mult = _tol(tolerances, "c8_resid_mult", 1e-12)
@@ -378,7 +376,7 @@ def criterion_8(tolerances=None, cache_dir=None) -> CriterionResult:
                            lines, time.perf_counter() - t0)
 
 
-def criterion_9(tolerances=None, cache_dir=None) -> CriterionResult:
+def criterion_9(tolerances=None) -> CriterionResult:
     """Rerunning identical configs yields byte-identical CSV/JSON files."""
     from . import cli              # deferred: cli imports this module
 
@@ -398,9 +396,7 @@ def criterion_9(tolerances=None, cache_dir=None) -> CriterionResult:
                 pair = []
                 for rep in ("a", "b"):
                     path = os.path.join(tmp, f"{i}{rep}.{fmt}")
-                    code = cli.main(args + ["--format", fmt, "--out", path]
-                                    + (["--cache-dir", cache_dir]
-                                       if cache_dir else []))
+                    code = cli.main(args + ["--format", fmt, "--out", path])
                     if code != 0:
                         raise RuntimeError(f"cli exited {code} for {args}")
                     with open(path, "rb") as fh:
@@ -421,14 +417,14 @@ CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 QUICK_SKIP = {7}
 
 
-def run_all(quick: bool = False, tolerances: dict | None = None,
-            cache_dir: str | None = None) -> list[CriterionResult]:
+def run_all(quick: bool = False,
+            tolerances: dict | None = None) -> list[CriterionResult]:
     results = []
     for fn, number in zip(CRITERIA, range(1, 10)):
         if quick and number in QUICK_SKIP:
             results.append(CriterionResult(
                 number, "tail trend", None,
-                "skipped under --quick (T=1e7 sweep, ~75s)"))
+                "skipped under --quick (T=1e7 sweep, ~51s)"))
             continue
-        results.append(fn(tolerances=tolerances, cache_dir=cache_dir))
+        results.append(fn(tolerances=tolerances))
     return results

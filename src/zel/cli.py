@@ -22,17 +22,17 @@ from dataclasses import dataclass, field
 from . import __version__
 from .emit import NonFiniteOutput, flags_cell, write_csv, write_json
 from .moments import contour_moment, empirical_moment, exact_moment
-from .prime_poly import PolySpec, TGrid, cached_table
+from .prime_poly import PolySpec, PrimeTable, TGrid, dyadic_floor
 from .tails import (
     AdvisoryConstants,
     FAMILIES,
+    MAX_ETA_GRID,
     measure_exceedance_eta,
     measure_exceedance_poly,
     predict_tail,
 )
 from .zeta_core import NearZeroOnPath, eta_tilde, log_zeta_branched
 
-MAX_ETA_POINTS = 100_000
 METHOD_ORDER = ("exact", "contour", "empirical")
 
 
@@ -62,16 +62,6 @@ def parse_kv(pairs: list[str]) -> dict[str, float]:
     return out
 
 
-def dyadic_floor(dmax: float) -> float:
-    """Largest dyadic n/2^k <= dmax with a 12-bit numerator (grid spacing)."""
-    if not dmax > 0:
-        raise ValueError("spacing must be positive")
-    k = 0
-    while math.floor(dmax * 2.0 ** k) < 2 ** 11:
-        k += 1
-    return math.floor(dmax * 2.0 ** k) / 2.0 ** k
-
-
 @dataclass
 class RunConfig:
     """Resolved parameters of one CLI invocation."""
@@ -90,19 +80,17 @@ class RunConfig:
     route: str = "poly"
     refine: int = 1
     count: int = 1024
-    seed: int = 0
     quick: bool = False
     constants: dict = field(default_factory=dict)
     tolerances: dict = field(default_factory=dict)
     out: str | None = None
     format: str = "csv"
-    cache_dir: str | None = None
 
     def resolved(self) -> dict:
-        # out and cache_dir steer no computation; keeping them out lets two
-        # runs into different files compare byte-identical
+        # out steers no computation; keeping it out lets two runs into
+        # different files compare byte-identical
         cfg = {k: v for k, v in self.__dict__.items()
-               if v not in (None, ()) and k not in ("out", "cache_dir")}
+               if v not in (None, ()) and k != "out"}
         cfg["version"] = __version__
         return cfg
 
@@ -153,12 +141,13 @@ def cmd_predict(cfg: RunConfig) -> int:
 
 def cmd_moments(cfg: RunConfig) -> int:
     spec = PolySpec(m=cfg.m, sigma=cfg.sigma, theta=cfg.theta, X=cfg.X)
-    table = cached_table(int(math.ceil(cfg.X)), cfg.cache_dir)
-    grid = None
+    table = PrimeTable.build(int(math.ceil(cfg.X)))
+    empirical = {}
     if "empirical" in cfg.methods:
         if cfg.T is None:
             raise ValueError("empirical moments need --T")
         grid = TGrid.for_span(cfg.T, cfg.X)
+        empirical = dict(zip(cfg.k, empirical_moment(spec, table, grid, cfg.k)))
     rows = []
     for k in cfg.k:
         results = {}
@@ -167,7 +156,7 @@ def cmd_moments(cfg: RunConfig) -> int:
         if "contour" in cfg.methods:
             results["contour"] = contour_moment(spec, k, table)
         if "empirical" in cfg.methods:
-            results["empirical"] = empirical_moment(spec, table, grid, k)
+            results["empirical"] = empirical[k]
         values = [r.value for r in results.values()]
         scale = max(abs(v) for v in values)
         agreement = (max(values) - min(values)) / scale if scale > 0 else 0.0
@@ -209,7 +198,7 @@ def cmd_tail(cfg: RunConfig) -> int:
         if cfg.T is None or cfg.X is None:
             raise ValueError("poly route needs --T and --X")
         spec = PolySpec(m=cfg.m, sigma=cfg.sigma, theta=cfg.theta, X=cfg.X)
-        table = cached_table(int(math.ceil(cfg.X)), cfg.cache_dir)
+        table = PrimeTable.build(int(math.ceil(cfg.X)))
         grid = TGrid.for_span(cfg.T, cfg.X, refine=cfg.refine)
         curve = measure_exceedance_poly(spec, table, grid, list(cfg.V))
         family = "critical_poly" if cfg.sigma == 0.5 else "strip_poly"
@@ -218,9 +207,6 @@ def cmd_tail(cfg: RunConfig) -> int:
     else:
         if cfg.T is None:
             raise ValueError("eta route needs --T")
-        if cfg.count > MAX_ETA_POINTS:
-            raise ValueError(f"--count {cfg.count} exceeds the eta cap "
-                             f"{MAX_ETA_POINTS}")
         delta = dyadic_floor(cfg.T / cfg.count)
         grid = TGrid(t0=float(cfg.T), count=cfg.count, delta=delta)
         curve = measure_exceedance_eta(cfg.m, cfg.sigma, cfg.theta, grid,
@@ -235,9 +221,8 @@ def cmd_tail(cfg: RunConfig) -> int:
 
 
 def cmd_eta(cfg: RunConfig) -> int:
-    if len(cfg.t) > MAX_ETA_POINTS:
-        raise ValueError(f"t grid has {len(cfg.t)} points; cap is "
-                         f"{MAX_ETA_POINTS}")
+    if len(cfg.t) > MAX_ETA_GRID:
+        raise ValueError(f"t grid has {len(cfg.t)} points; cap is {MAX_ETA_GRID}")
     ct, st = math.cos(cfg.theta), math.sin(cfg.theta)
     rows = []
     for t in cfg.t:
@@ -257,8 +242,7 @@ def cmd_eta(cfg: RunConfig) -> int:
 def cmd_selfcheck(cfg: RunConfig) -> int:
     from . import acceptance       # deferred: pulls in every module
 
-    report = acceptance.run_all(quick=cfg.quick, tolerances=cfg.tolerances,
-                                cache_dir=cfg.cache_dir)
+    report = acceptance.run_all(quick=cfg.quick, tolerances=cfg.tolerances)
     stream = sys.stdout
     for res in report:
         stream.write(res.headline() + "\n")
@@ -279,10 +263,6 @@ def cmd_selfcheck(cfg: RunConfig) -> int:
 def _common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--seed", type=int, default=0,
-                   help="recorded in output; all kernels are deterministic")
-    p.add_argument("--cache-dir",
-                   help="prime/zeta cache directory (default $ZEL_CACHE_DIR)")
     p.add_argument("--const", action="append", default=[], metavar="NAME=VAL",
                    help="advisory constant override, e.g. a2=0.1 (repeatable)")
     p.add_argument("--tol", action="append", default=[], metavar="NAME=VAL",
@@ -350,7 +330,7 @@ def _parser() -> argparse.ArgumentParser:
 def _config_from(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
     for name in ("sigma", "m", "theta", "T", "X", "family", "route", "refine",
-                 "count", "seed", "quick", "out", "format", "cache_dir"):
+                 "count", "quick", "out", "format"):
         if hasattr(args, name):
             setattr(cfg, name, getattr(args, name))
     if getattr(args, "V", None):

@@ -25,13 +25,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 from scipy import special as sc
 
 from .prime_poly import PolySpec, PrimeTable, TGrid, _spec_arrays, iter_poly_blocks, sieve
 from .quadrature import integrate_adaptive
-from .special_fn import log_bessel_i0
+from .special_fn import _i0_series, log_bessel_i0
 
 __all__ = [
     "MultiplicativeWeights",
@@ -176,26 +177,6 @@ def exact_moment(spec: PolySpec, k: int) -> MomentResult:
 # contour integration
 
 
-def _log_i0_complex(z: np.ndarray) -> np.ndarray:
-    """log I0(z) for complex z by the power series (I0 is entire).
-
-    Desk-scale contours keep |z| small enough that the series is cheap and
-    the alternating loss near the imaginary axis stays below ~e^{|z|} eps.
-    """
-    q = 0.25 * z * z
-    acc = np.ones_like(q)
-    term = np.ones_like(q)
-    scale = max(1.0, float(np.max(np.abs(q))))
-    for n in range(1, 400):
-        term = term * q / (n * n)
-        acc = acc + term
-        if float(np.max(np.abs(term))) < 1e-18 * scale:
-            break
-    else:
-        raise RuntimeError("I0 series did not converge; contour radius too large")
-    return np.log(acc)
-
-
 def _saddle_radius(c: np.ndarray, k: int) -> tuple[float, bool]:
     """Solve R L'(R) = k, L(R) = sum_p log I0(R c_p), by bisection.
 
@@ -227,7 +208,7 @@ def _contour_sum(c: np.ndarray, k: int, radius: float, n_nodes: int) -> complex:
     for j0 in range(0, n_nodes, node_chunk):
         phi = phis[j0:j0 + node_chunk]
         z = (radius * np.exp(1j * phi))[:, None] * c[None, :]
-        log_f = np.sum(_log_i0_complex(z), axis=1)
+        log_f = np.sum(np.log(_i0_series(z)), axis=1)
         total += complex(np.sum(np.exp(log_f - 1j * k * phi)))
     return math.factorial(k) * total / (n_nodes * radius ** k)
 
@@ -274,36 +255,62 @@ def contour_moment(spec: PolySpec, k: int, table: PrimeTable) -> MomentResult:
 # empirical grid averages
 
 
-def _grid_mean_power(spec: PolySpec, table: PrimeTable, grid: TGrid,
-                     k: int) -> float:
-    ct, st = math.cos(spec.theta), math.sin(spec.theta)
-    block_sums = [float(np.sum((ct * z.real + st * z.imag) ** k))
-                  for _, z in iter_poly_blocks(spec, table, grid)]
-    return math.fsum(block_sums) / grid.count
+def _half_spacing_blocks(spec: PolySpec, table: PrimeTable,
+                         grid: TGrid) -> Iterator[tuple[int, np.ndarray]]:
+    """Stream (first, Z) blocks of the half-spacing refinement of grid.
+
+    Refined point i is t0 + i delta/2, so base point j is refined point
+    2j + 2 offset and Z[first::2] are a block's base points; first
+    follows the global index, since blocks may start at odd indices.
+    """
+    half = TGrid(t0=grid.t0, count=2 * grid.count, delta=grid.delta / 2)
+    parity = int(2 * grid.offset)
+    for j0, z in iter_poly_blocks(spec, table, half):
+        yield (parity - j0) % 2, z
+
+
+def _add_power_sums(sums: dict, first: int, p: np.ndarray) -> None:
+    """Append sum p^k over p[first::2] and over p to sums[k], every k.
+    One in-place multiply chain, whose arrays die before the next block."""
+    power = np.ones_like(p)
+    for k in range(1, max(sums) + 1):
+        power *= p
+        if k in sums:
+            sums[k][0].append(float(np.sum(power[first::2])))
+            sums[k][1].append(float(np.sum(power)))
 
 
 def empirical_moment(spec: PolySpec, table: PrimeTable, grid: TGrid,
-                     k: int) -> MomentResult:
-    """Grid average of P(t)^k over the TGrid span.
+                     ks) -> list[MomentResult]:
+    """Grid averages of P(t)^k over the TGrid span, one result per k in ks.
 
+    One kernel pass over the half-spacing refinement feeds every power sum
+    of both grids; powers come from one multiply chain per block.
     err_estimate = |half-spacing refinement delta| + X^{2k}/T.  The second
     term is the standard main-term error shape with constant 1; it is a
     reporting convention, not a certified bound.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    ks = tuple(ks)
+    if not ks or min(ks) < 1:
+        raise ValueError(f"ks must be a nonempty list of orders >= 1, got {ks}")
     span = grid.count * grid.delta
-    log_shape = 2 * k * math.log(spec.X) - math.log(span)
-    if log_shape > 700.0:
+    log_shapes = {k: 2 * k * math.log(spec.X) - math.log(span) for k in ks}
+    if log_shapes[max(ks)] > 700.0:
         raise OverflowError(
-            f"error shape X^(2k)/T overflows for k={k}, X={spec.X}")
-    value = _grid_mean_power(spec, table, grid, k)
-    half = TGrid(t0=grid.t0, count=2 * grid.count, delta=grid.delta / 2,
-                 offset=grid.offset)
-    refined = _grid_mean_power(spec, table, half, k)
-    err = abs(refined - value) + math.exp(log_shape)
-    return MomentResult(k=k, value=value, method=METHOD_EMPIRICAL,
-                        err_estimate=err)
+            f"error shape X^(2k)/T overflows for k={max(ks)}, X={spec.X}")
+    ct, st = math.cos(spec.theta), math.sin(spec.theta)
+    # per k: block sums over the base grid and over the refinement
+    sums = {k: ([], []) for k in ks}
+    for first, z in _half_spacing_blocks(spec, table, grid):
+        _add_power_sums(sums, first, ct * z.real + st * z.imag)
+    out = []
+    for k in ks:
+        value = math.fsum(sums[k][0]) / grid.count
+        refined = math.fsum(sums[k][1]) / (2 * grid.count)
+        err = abs(refined - value) + math.exp(log_shapes[k])
+        out.append(MomentResult(k=k, value=value, method=METHOD_EMPIRICAL,
+                                err_estimate=err))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -354,34 +361,41 @@ def bessel_product(spec: PolySpec, table: PrimeTable, x: float) -> float:
     return head
 
 
+def _add_log_sum_exp(parts: tuple, first: int, scaled: np.ndarray) -> None:
+    """Append (max, sum exp(scaled - max)) over scaled[first::2] to parts[0]
+    and over scaled to parts[1], skipping all-trimmed (-inf) blocks."""
+    for acc, vals in zip(parts, (scaled[first::2], scaled)):
+        top = float(vals.max())
+        if top > -math.inf:
+            acc.append((top, float(np.sum(np.exp(vals - top)))))
+
+
 def exp_moment_trimmed(spec: PolySpec, table: PrimeTable, grid: TGrid,
-                       x: float, W: float) -> float:
+                       x: float, W: float) -> tuple[float, float]:
     """log of (1/count) sum over {|Z(t_j)| <= W} of exp(x P(t_j)).
 
-    The normalizer is the FULL grid count, mirroring the (1/T) integral
-    over the trimmed set: at x = 0 this is exactly the log measure
-    fraction of the trimmed set, and the un-logged quantity is monotone
-    nondecreasing in W by set inclusion.  Streaming log-sum-exp, so large
-    x W never overflows.
+    Returns (grid value, half-spacing refinement value) from one kernel
+    pass over the refinement.  Each normalizer is its grid's FULL count,
+    mirroring the (1/T) integral over the trimmed set: at x = 0 this is
+    exactly the log measure fraction of the trimmed set, and the un-logged
+    quantity is monotone nondecreasing in W by set inclusion.  Per-block
+    log-sum-exp, so large x W never overflows.
     """
     if not x >= 0.0:
         raise ValueError(f"x must be >= 0, got {x}")
     if not W > 0.0:
         raise ValueError(f"W must be positive, got {W}")
     ct, st = math.cos(spec.theta), math.sin(spec.theta)
-    run_max = -math.inf
-    run_sum = 0.0
-    kept = 0
-    for _, z in iter_poly_blocks(spec, table, grid):
-        scaled = x * (ct * z.real + st * z.imag)[np.abs(z) <= W]
-        if scaled.size == 0:
-            continue
-        block_max = float(scaled.max())
-        if block_max > run_max:
-            run_sum *= math.exp(run_max - block_max) if kept else 0.0
-            run_max = block_max
-        run_sum += float(np.sum(np.exp(scaled - run_max)))
-        kept += scaled.size
-    if kept == 0:
-        raise ValueError(f"trimmed set is empty at W={W}")
-    return run_max + math.log(run_sum) - math.log(grid.count)
+    # per grid: (block max, block sum of exp(scaled - block max))
+    parts = ([], [])
+    for first, z in _half_spacing_blocks(spec, table, grid):
+        _add_log_sum_exp(parts, first, np.where(
+            np.abs(z) <= W, x * (ct * z.real + st * z.imag), -math.inf))
+    out = []
+    for acc, count in zip(parts, (grid.count, 2 * grid.count)):
+        if not acc:
+            raise ValueError(f"trimmed set is empty at W={W}")
+        top = max(m for m, _ in acc)
+        total = math.fsum(s * math.exp(m - top) for m, s in acc)
+        out.append(top + math.log(total) - math.log(count))
+    return out[0], out[1]

@@ -23,8 +23,6 @@ the 1e-12-per-window budget).
 from __future__ import annotations
 
 import math
-import os
-import struct
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -158,48 +156,6 @@ class PrimeTable:
         return w
 
 
-# PTAB1 prime cache: magic, limit, count, then the int64 prime list, all LE.
-_PTAB_MAGIC = b"PTAB1"
-
-
-def save_prime_cache(path: str | os.PathLike, table: PrimeTable) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_PTAB_MAGIC)
-        fh.write(struct.pack("<QQ", table.limit, table.count()))
-        fh.write(table.primes.astype("<i8").tobytes())
-
-
-def load_prime_cache(path: str | os.PathLike, limit: int) -> PrimeTable | None:
-    """Load if the file matches `limit`; None means rebuild (and resave)."""
-    try:
-        with open(path, "rb") as fh:
-            if fh.read(5) != _PTAB_MAGIC:
-                return None
-            cached_limit, count = struct.unpack("<QQ", fh.read(16))
-            if cached_limit != limit:
-                return None
-            ps = np.frombuffer(fh.read(8 * count), dtype="<i8").astype(np.int64)
-            if ps.size != count:
-                return None
-    except (OSError, struct.error):
-        return None
-    return PrimeTable(limit=int(limit), primes=ps, logs=np.log(ps.astype(float)))
-
-
-def cached_table(limit: int, cache_dir: str | None = None) -> PrimeTable:
-    """PrimeTable via the PTAB1 cache in cache_dir (or $ZEL_CACHE_DIR)."""
-    cache_dir = cache_dir or os.environ.get("ZEL_CACHE_DIR")
-    if not cache_dir:
-        return PrimeTable.build(limit)
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"ptab_{int(limit)}.bin")
-    table = load_prime_cache(path, int(limit))
-    if table is None:
-        table = PrimeTable.build(limit)
-        save_prime_cache(path, table)
-    return table
-
-
 # ---------------------------------------------------------------------------
 # specs and grids
 
@@ -227,6 +183,16 @@ class PolySpec:
 def max_spacing(X: float) -> float:
     """Grid-resolution rule: delta <= 2 pi / (3 log X)."""
     return _TWO_PI / (3.0 * math.log(X))
+
+
+def dyadic_floor(dmax: float) -> float:
+    """Largest dyadic n/2^k <= dmax with a 12-bit numerator (grid spacing)."""
+    if not dmax > 0:
+        raise ValueError("spacing must be positive")
+    k = 0
+    while math.floor(dmax * 2.0 ** k) < 2 ** 11:
+        k += 1
+    return math.floor(dmax * 2.0 ** k) / 2.0 ** k
 
 
 @dataclass(frozen=True)
@@ -264,16 +230,12 @@ class TGrid:
                  refine: int = 1) -> "TGrid":
         """Cover [T, 2T] at the spacing rule for X (refine halves delta).
 
-        delta is the largest dyadic n/2^k <= 2 pi/(3 log X) with a 12-bit
-        numerator; count*delta - T < delta.
+        delta is dyadic_floor(2 pi/(3 log X) / refine), so refine=2 halves
+        delta exactly; count*delta - T < delta.
         """
         if not T > 0:
             raise ValueError("T must be positive")
-        dmax = max_spacing(X) / refine
-        k = 0
-        while math.floor(dmax * 2.0 ** k) < 2 ** 11:
-            k += 1
-        delta = math.floor(dmax * 2.0 ** k) / 2.0 ** k
+        delta = dyadic_floor(max_spacing(X) / refine)
         count = math.ceil(T / delta)
         return cls(t0=float(T), count=count, delta=delta, offset=offset)
 
@@ -393,19 +355,3 @@ def lambda_sum(m: int, sigma: float, X: float, t: float,
             acc += complex(np.dot(amp, np.exp(-1j * phase_mod_two_pi(t, k * lg))))
         k += 1
     return acc
-
-
-def approximation_defect(m: int, sigma: float, X: float, t: float,
-                         cfg=None, table: PrimeTable | None = None) -> float:
-    """|eta_tilde_m(sigma + it) - lambda_sum(m, sigma, X, t)|.
-
-    The short-sum approximation error of the von Mangoldt partial sum
-    against the true iterated integral.  No closed form off the sigma > 1
-    half-plane; callers sample it over t and report quantiles.
-    """
-    from .zeta_core import eta_tilde  # deferred: zeta_core imports this module
-
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    exact = eta_tilde(m, sigma, t, cfg=cfg)
-    return abs(exact - lambda_sum(m, sigma, X, t, table=table))

@@ -77,12 +77,6 @@ class AdvisoryConstants:
     a4: float = 0.01
     a5: float = 0.01
     a6: float = 0.01
-    b1: float = 0.01
-    b2: float = 0.01
-    b3: float = 0.01
-    b4: float = 0.01
-    b5: float = 0.01
-    b6: float = 0.01
 
 
 @dataclass(frozen=True)

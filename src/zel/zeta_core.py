@@ -28,8 +28,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
-import struct
 import threading
 import warnings
 from dataclasses import dataclass
@@ -230,38 +228,6 @@ def zeta_memo_size() -> int:
         return len(_memo)
 
 
-# ZGRD1 cache: magic, then records of 4 little-endian f64 (sigma, t, Re, Im)
-_ZGRD_MAGIC = b"ZGRD1"
-
-
-def dump_zeta_cache(path: str | os.PathLike) -> int:
-    with _memo_lock:
-        items = sorted(_memo.items())
-    with open(path, "wb") as fh:
-        fh.write(_ZGRD_MAGIC)
-        for (sg, t), z in items:
-            fh.write(struct.pack("<4d", sg, t, z.real, z.imag))
-    return len(items)
-
-
-def warm_zeta_cache(path: str | os.PathLike) -> int:
-    """Load a ZGRD1 file into the evaluation memo; returns records read."""
-    with open(path, "rb") as fh:
-        if fh.read(5) != _ZGRD_MAGIC:
-            raise ValueError(f"{path}: not a ZGRD1 cache")
-        blob = fh.read()
-    n = len(blob) // 32
-    count = 0
-    with _memo_lock:
-        for i in range(n):
-            sg, t, re, im = struct.unpack_from("<4d", blob, 32 * i)
-            if len(_memo) >= _MEMO_CAP:
-                break
-            _memo[(sg, t)] = complex(re, im)
-            count += 1
-    return count
-
-
 # ---------------------------------------------------------------------------
 # branch continuation
 
@@ -269,7 +235,6 @@ def warm_zeta_cache(path: str | os.PathLike) -> int:
 @dataclass(frozen=True)
 class BranchedLog:
     value: complex
-    path_origin_sigma: float
     unwind_count: int
 
 
@@ -293,7 +258,7 @@ _DEFAULT_CFG = QuadratureConfig()
 class BranchTracker:
     """One branch walk at fixed t, queryable at any alpha it has covered.
 
-    The walk descends from origin = max(10, requested sigma), accepting a
+    The walk descends from alpha = 10 to any requested sigma, accepting a
     step only when the principal log-increment log(z_next/z_prev) has
     |Im| < pi/2 (halving otherwise), so no winding slips through.  Points
     where the path crosses the negative real axis of zeta are bisected to
@@ -305,11 +270,9 @@ class BranchTracker:
     def __init__(self, t: float, cfg: QuadratureConfig = _DEFAULT_CFG):
         self.t = t
         self.cfg = cfg
-        self.origin = 10.0
         self._lock = threading.Lock()
-        z = self._zeta_at(self.origin)
-        self._low = self.origin
-        self._z_low = z
+        self._low = 10.0
+        self._z_low = z = self._zeta_at(self._low)
         self._val_low = cmath.log(z)      # |log zeta(10+it)| < 2^-9: principal
         self._wraps: list[tuple[float, int]] = []   # (alpha, +-1), descending
 
@@ -385,9 +348,6 @@ class BranchTracker:
                         alpha, self.t, f"walk/winding mismatch {drift:.2e}")
             return val
 
-    def unwind_count(self, alpha: float) -> int:
-        return self.winding(alpha)
-
 
 @lru_cache(maxsize=64)
 def _tracker(t: float, cfg: QuadratureConfig) -> BranchTracker:
@@ -400,8 +360,7 @@ def log_zeta_branched(sigma: float, t: float,
     tr = _tracker(float(t), cfg)
     tr.extend(sigma)
     val = tr.log_at(sigma)
-    return BranchedLog(value=val, path_origin_sigma=tr.origin,
-                       unwind_count=tr.winding(sigma))
+    return BranchedLog(value=val, unwind_count=tr.winding(sigma))
 
 
 # ---------------------------------------------------------------------------

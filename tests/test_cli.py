@@ -54,28 +54,6 @@ class TestParseKv:
             cli.parse_kv(["a1"])
 
 
-class TestDyadicFloor:
-    def test_below_and_close(self):
-        d = cli.dyadic_floor(0.3)
-        assert d <= 0.3
-        assert 0.3 - d < 0.3 / 2048
-
-    def test_exact_dyadic_kept(self):
-        assert cli.dyadic_floor(1.0) == 1.0
-        assert cli.dyadic_floor(0.25) == 0.25
-
-    def test_numerator_width(self):
-        d = cli.dyadic_floor(0.3)
-        k = 0
-        while d * 2.0 ** k != math.floor(d * 2.0 ** k):
-            k += 1
-        assert d * 2.0 ** k < 2 ** 12
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            cli.dyadic_floor(0.0)
-
-
 # ---------------------------------------------------------------------------
 # output layer
 
@@ -187,6 +165,16 @@ class TestMoments:
         k1_exact = [r for r in rows
                     if r[0] == "1" and r[1].startswith("exact")][0]
         assert float(k1_exact[2]) == 0.0       # odd moments vanish exactly
+
+    def test_one_pass_rows_match_single_k_runs(self, tmp_path):
+        base = ["moments", "--sigma", "0.5", "--m", "1", "--theta", "0.7",
+                "--X", "31", "--T", "1e4", "--methods", "empirical"]
+        lines = run_lines(base + ["--k", "2,4,6"], tmp_path)
+        singles = [run_lines(base + ["--k", k], tmp_path)
+                   for k in ("2", "4", "6")]
+        assert all(len(s) == 2 for s in singles)
+        assert lines[0] == singles[0][0]
+        assert lines[1:] == [s[1] for s in singles]
 
     def test_empirical_needs_t(self, capsys):
         rc = cli.main(["moments", "--sigma", "0.5", "--m", "1", "--X", "31",

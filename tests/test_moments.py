@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from zel import moments, prime_poly
 from zel.moments import (
     MomentResult,
     MultiplicativeWeights,
@@ -18,7 +19,7 @@ from zel.moments import (
     f_value,
     _saddle_radius,
 )
-from zel.prime_poly import PolySpec, PrimeTable, TGrid
+from zel.prime_poly import PolySpec, PrimeTable, TGrid, iter_poly_blocks
 from zel.special_fn import g_constant
 
 SPEC31 = PolySpec(m=1, sigma=0.5, theta=0.0, X=31.0)
@@ -177,25 +178,24 @@ class TestContourMoment:
 
 class TestEmpiricalMoment:
     def test_k1_near_zero(self, table31, grid1e5):
-        got = empirical_moment(SPEC31, table31, grid1e5, 1)
+        got, = empirical_moment(SPEC31, table31, grid1e5, (1,))
         assert abs(got.value) <= 5 * 31.0 ** 2 / 1e5
         assert got.err_estimate >= 31.0 ** 2 / 1e5
 
     def test_k2_matches_exact(self, table31, grid1e5):
         want = exact_moment(SPEC31, 2).value
-        got = empirical_moment(SPEC31, table31, grid1e5, 2)
+        got, = empirical_moment(SPEC31, table31, grid1e5, (2,))
         assert got.value == pytest.approx(want, rel=1e-4)
 
     def test_k4_k6_match_exact(self, table31, grid1e5):
-        for k, rel in ((4, 1e-3), (6, 1e-3)):
-            want = exact_moment(SPEC31, k).value
-            got = empirical_moment(SPEC31, table31, grid1e5, k)
-            assert got.value == pytest.approx(want, rel=rel)
+        for got in empirical_moment(SPEC31, table31, grid1e5, (4, 6)):
+            want = exact_moment(SPEC31, got.k).value
+            assert got.value == pytest.approx(want, rel=1e-3)
 
     def test_theta_invariance(self, table31, grid1e5):
         vals = [empirical_moment(
             PolySpec(m=1, sigma=0.5, theta=th, X=31.0), table31, grid1e5,
-            2).value for th in (0.0, 0.7, math.pi / 2)]
+            (2,))[0].value for th in (0.0, 0.7, math.pi / 2)]
         for a, b in itertools.combinations(vals, 2):
             assert a == pytest.approx(b, rel=1e-3)
 
@@ -205,18 +205,20 @@ class TestEmpiricalMoment:
         table = PrimeTable(limit=3, primes=np.array([2], dtype=np.int64),
                            logs=np.log(np.array([2.0])))
         spec = PolySpec(m=1, sigma=0.5, theta=0.3, X=3.0)
-        got = empirical_moment(spec, table, TGrid.for_span(1e4, 3.0), 2)
+        got, = empirical_moment(spec, table, TGrid.for_span(1e4, 3.0), (2,))
         want = 0.5 * 2.0 ** -1.0 * math.log(2.0) ** -2.0
         assert got.value == pytest.approx(want, abs=1e-3)
 
     def test_overflow_guard(self, table31, grid1e5):
         huge_x = PolySpec(m=1, sigma=0.5, theta=0.0, X=1e15)
         with pytest.raises(OverflowError):
-            empirical_moment(huge_x, table31, grid1e5, 12)
+            empirical_moment(huge_x, table31, grid1e5, (2, 12))
 
     def test_validation(self, table31, grid1e5):
         with pytest.raises(ValueError):
-            empirical_moment(SPEC31, table31, grid1e5, 0)
+            empirical_moment(SPEC31, table31, grid1e5, (2, 0))
+        with pytest.raises(ValueError):
+            empirical_moment(SPEC31, table31, grid1e5, ())
 
 
 class TestBesselProduct:
@@ -268,10 +270,10 @@ class TestExpMomentTrimmed:
     def test_x_zero_full_window_is_log_one(self, table31, grid1e5):
         w_sum = float(table31.weights(1, 0.5, 31.0).sum())
         assert exp_moment_trimmed(SPEC31, table31, grid1e5, 0.0,
-                                  w_sum + 1.0) == 0.0
+                                  w_sum + 1.0) == (0.0, 0.0)
 
     def test_x_zero_is_log_measure_fraction(self, table31, grid1e5):
-        val = exp_moment_trimmed(SPEC31, table31, grid1e5, 0.0, 2.0)
+        val, _ = exp_moment_trimmed(SPEC31, table31, grid1e5, 0.0, 2.0)
         # independent count of the trimmed fraction
         from zel.prime_poly import iter_poly_blocks
         kept = sum(int(np.count_nonzero(np.abs(z) <= 2.0))
@@ -282,13 +284,13 @@ class TestExpMomentTrimmed:
     def test_identity_with_bessel_product(self, table31, grid1e5):
         # W far above the polynomial's sup: nothing trimmed, the average
         # reproduces the I0 product at desk accuracy
-        got = exp_moment_trimmed(SPEC31, table31, grid1e5, 2.0, 20.0)
+        got, _ = exp_moment_trimmed(SPEC31, table31, grid1e5, 2.0, 20.0)
         want = bessel_product(SPEC31, table31, 2.0)
         assert got == pytest.approx(want, rel=1e-4)
 
     def test_integral_monotone_in_w(self, table31, grid1e5):
         # same normalizer, so the logged value is monotone with the sum
-        vals = [exp_moment_trimmed(SPEC31, table31, grid1e5, 2.0, W)
+        vals = [exp_moment_trimmed(SPEC31, table31, grid1e5, 2.0, W)[0]
                 for W in (1.0, 2.0, 3.0, 20.0)]
         assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
 
@@ -301,3 +303,66 @@ class TestExpMomentTrimmed:
             exp_moment_trimmed(SPEC31, table31, grid1e5, -1.0, 2.0)
         with pytest.raises(ValueError):
             exp_moment_trimmed(SPEC31, table31, grid1e5, 1.0, 0.0)
+
+
+class TestOnePassAgainstTwoPasses:
+    """The one-pass reducers against plain passes over both grids.
+
+    BLOCK_ROWS = 7 with 3-column chunks makes 21-point blocks, so half of
+    them start at an odd index of the half-spacing grid; the base points
+    must still be picked by their global index.
+    """
+
+    KS = (1, 2, 3, 4, 6)
+
+    @staticmethod
+    def _values(spec, table, grid):
+        ct, st = math.cos(spec.theta), math.sin(spec.theta)
+        z = np.concatenate([z for _, z in iter_poly_blocks(spec, table, grid)])
+        return ct * z.real + st * z.imag, np.abs(z)
+
+    @pytest.fixture
+    def odd_blocks(self, monkeypatch):
+        starts = []
+
+        def blocks(spec, table, grid):
+            for j0, z in iter_poly_blocks(spec, table, grid, chunk_cols=3):
+                starts.append(j0)
+                yield j0, z
+
+        monkeypatch.setattr(prime_poly, "BLOCK_ROWS", 7)
+        monkeypatch.setattr(moments, "iter_poly_blocks", blocks)
+        return starts
+
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_empirical_moment(self, table31, odd_blocks, theta):
+        spec = PolySpec(m=1, sigma=0.5, theta=theta, X=31.0)
+        grid = TGrid.for_span(1e3, 31.0)
+        half = TGrid(t0=grid.t0, count=2 * grid.count, delta=grid.delta / 2)
+        p_base, _ = self._values(spec, table31, grid)
+        p_half, _ = self._values(spec, table31, half)
+
+        got = empirical_moment(spec, table31, grid, self.KS)
+        assert any(j0 % 2 for j0 in odd_blocks)
+        for res, k in zip(got, self.KS):
+            value = math.fsum(p_base ** k) / grid.count
+            refined = math.fsum(p_half ** k) / half.count
+            err = abs(refined - value) + 31.0 ** (2 * k) / (grid.count * grid.delta)
+            scale = float(np.mean(np.abs(p_base) ** k))
+            assert res.k == k
+            assert abs(res.value - value) <= 1e-12 * max(abs(value), scale)
+            assert res.err_estimate == pytest.approx(err, rel=1e-12)
+
+    @pytest.mark.parametrize("W", [2.0, 20.0])
+    def test_exp_moment_trimmed(self, table31, odd_blocks, W):
+        grid = TGrid.for_span(1e3, 31.0)
+        half = TGrid(t0=grid.t0, count=2 * grid.count, delta=grid.delta / 2)
+        want = []
+        for g in (grid, half):
+            p, mod = self._values(SPEC31, table31, g)
+            want.append(math.log(math.fsum(np.exp(2.0 * p[mod <= W]))
+                                 / g.count))
+
+        got = exp_moment_trimmed(SPEC31, table31, grid, 2.0, W)
+        assert any(j0 % 2 for j0 in odd_blocks)
+        assert got == pytest.approx(tuple(want), rel=1e-12)

@@ -6,7 +6,6 @@ reduction against a Fraction-arithmetic reference.
 """
 
 import math
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -17,16 +16,14 @@ from zel.prime_poly import (
     PolySpec,
     PrimeTable,
     TGrid,
-    cached_table,
+    dyadic_floor,
     iter_poly_blocks,
     lambda_sum,
-    load_prime_cache,
     max_spacing,
     phase_mod_two_pi,
     poly_eval,
     poly_eval_batch,
     poly_eval_complex,
-    save_prime_cache,
     sieve,
     von_mangoldt_table,
 )
@@ -124,31 +121,27 @@ class TestPrimeTable:
         with pytest.raises(ValueError):
             PrimeTable.build(2)
 
-    def test_cache_roundtrip(self, tmp_path):
-        t = PrimeTable.build(1000)
-        path = tmp_path / "ptab.bin"
-        save_prime_cache(path, t)
-        back = load_prime_cache(path, 1000)
-        assert back is not None
-        assert np.array_equal(back.primes, t.primes)
 
-    def test_cache_limit_mismatch(self, tmp_path):
-        t = PrimeTable.build(1000)
-        path = tmp_path / "ptab.bin"
-        save_prime_cache(path, t)
-        assert load_prime_cache(path, 2000) is None
+class TestDyadicFloor:
+    def test_below_and_close(self):
+        d = dyadic_floor(0.3)
+        assert d <= 0.3
+        assert 0.3 - d < 0.3 / 2048
 
-    def test_cache_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOTPT" + b"\0" * 32)
-        assert load_prime_cache(path, 1000) is None
+    def test_exact_dyadic_kept(self):
+        assert dyadic_floor(1.0) == 1.0
+        assert dyadic_floor(0.25) == 0.25
 
-    def test_cached_table_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ZEL_CACHE_DIR", str(tmp_path))
-        t1 = cached_table(500)
-        assert os.path.exists(tmp_path / "ptab_500.bin")
-        t2 = cached_table(500)
-        assert np.array_equal(t1.primes, t2.primes)
+    def test_numerator_width(self):
+        d = dyadic_floor(0.3)
+        k = 0
+        while d * 2.0 ** k != math.floor(d * 2.0 ** k):
+            k += 1
+        assert d * 2.0 ** k < 2 ** 12
+
+    def test_nonpositive_rejected(self):
+        with pytest.raises(ValueError):
+            dyadic_floor(0.0)
 
 
 class TestTGrid:
@@ -160,6 +153,11 @@ class TestTGrid:
         assert 2 ** 11 <= num or den <= 2 ** 11  # 12-bit dyadic numerator
         assert g.count * g.delta >= g.t0
         assert g.count * g.delta - g.t0 < g.delta
+
+    @pytest.mark.parametrize("X", [3.0, 31.0, 1e3, 1e5, 1e7, 1e15])
+    def test_refine_halves_delta(self, X):
+        assert TGrid.for_span(1e6, X, refine=2).delta == \
+            TGrid.for_span(1e6, X).delta / 2
 
     def test_grid_times_exact(self):
         g = TGrid.for_span(1e7, 1e4, offset=0.5)

@@ -27,11 +27,9 @@ from zel.zeta_core import (
     ZetaPoleError,
     b_constant,
     c_constant,
-    dump_zeta_cache,
     eta_tilde,
     log_zeta_branched,
     s_m,
-    warm_zeta_cache,
     zeta,
     zeta_memo_size,
 )
@@ -81,26 +79,12 @@ class TestZeta:
         z = zeta(complex(0.5, 14.134725141734693))
         assert abs(z) < 1e-6
 
-    def test_memo_and_cache_file(self, tmp_path):
-        zeta(0.75 + 5.125j)
-        assert zeta_memo_size() > 0
-        path = tmp_path / "grid.bin"
-        n = dump_zeta_cache(path)
-        assert n == zeta_memo_size()
-        assert warm_zeta_cache(path) == n
-        # a planted record must short-circuit evaluation
-        with open(path, "wb") as fh:
-            fh.write(b"ZGRD1")
-            import struct
-            fh.write(struct.pack("<4d", 0.123456, 789.0123, 42.0, -7.0))
-        warm_zeta_cache(path)
-        assert zeta(complex(0.123456, 789.0123)) == complex(42.0, -7.0)
-
-    def test_cache_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"XXXXX" + b"\0" * 64)
-        with pytest.raises(ValueError):
-            warm_zeta_cache(path)
+    def test_memo(self):
+        first = zeta(0.75 + 5.125j)
+        n = zeta_memo_size()
+        assert n > 0
+        assert zeta(0.75 + 5.125j) == first
+        assert zeta_memo_size() == n
 
 
 class TestBranchedLog:
@@ -110,7 +94,6 @@ class TestBranchedLog:
         assert bl.value.real == pytest.approx(
             math.log(zeta(3 + 0j).real), abs=1e-13)
         assert bl.unwind_count == 0
-        assert bl.path_origin_sigma >= 10.0
 
     def test_exp_consistency_sample(self):
         """exp(branched log) reproduces zeta at random points; flagged
