@@ -8,7 +8,8 @@ info, fixed column orders, 17-digit floats.
 
 V grids use start:stop:step with both endpoints included (50:200:10 is
 16 values), a comma list, or a single number.  Exit codes: 0 success,
-1 selfcheck criteria failed, 2 invalid parameters, 3 nonfinite output.
+1 selfcheck criteria failed, 2 invalid parameters, 3 nonfinite output,
+4 a numerical routine did not converge (RuntimeError).
 """
 
 from __future__ import annotations
@@ -371,6 +372,9 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

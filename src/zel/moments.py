@@ -49,6 +49,7 @@ __all__ = [
 MAX_EXACT_PRIMES = 30
 MAX_EXACT_K = 12
 MAX_CONTOUR_PRIMES = 100_000
+MAX_CONTOUR_K = 170                 # 171! > 1.8e308 overflows a double
 
 METHOD_EMPIRICAL = "empirical"
 METHOD_EXACT = "exact_multiplicative"
@@ -223,6 +224,10 @@ def contour_moment(spec: PolySpec, k: int, table: PrimeTable) -> MomentResult:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if k > MAX_CONTOUR_K:
+        raise ValueError(
+            f"contour moments need k <= {MAX_CONTOUR_K} (k! must fit in a "
+            f"double), got k={k}")
     _, c = _spec_arrays(spec, table)
     if c.size > MAX_CONTOUR_PRIMES:
         raise ValueError(

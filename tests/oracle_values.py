@@ -48,6 +48,8 @@ ZETA_VALUES = {
     (1.1, 1000.0): (0.95210775165264450379, -0.0058258833963388817666),
     (0.5, 10000.0): (-0.33937380263883445757, -0.037091505973206031474),
     (4.0, 0.0):    (1.0823232337111381915, 0.0),
+    (0.75, 15000.3): (0.17733723075834631404, 0.67581953747014800835),
+    (0.5, 19999.9): (1.3757673304338338291, -1.6988814053405356458),
 }
 
 # --- first zero ordinate and the argument function ---------------------------
@@ -107,6 +109,12 @@ def main():
     mp.mp.dps = 30
     for (sig, t) in [("0.5", "14.134725141734693"), ("0.5", "50"), ("2", "10"),
                      ("1.1", "1000"), ("0.5", "10000"), ("4", "0")]:
+        z = mp.zeta(mp.mpc(mp.mpf(sig), mp.mpf(t)))
+        print(f"zeta({sig}+{t}i) = {mp.nstr(z.real, 20)} + {mp.nstr(z.imag, 20)}i")
+    # above t = 1e4 the oracle takes t as the double the test passes: the
+    # decimal 19999.9 differs from it by ~1e-12 relative, which moves zeta
+    # by ~1e-11
+    for (sig, t) in [(0.75, 15000.3), (0.5, 19999.9)]:
         z = mp.zeta(mp.mpc(mp.mpf(sig), mp.mpf(t)))
         print(f"zeta({sig}+{t}i) = {mp.nstr(z.real, 20)} + {mp.nstr(z.imag, 20)}i")
 

@@ -176,6 +176,12 @@ class TestMoments:
         assert lines[0] == singles[0][0]
         assert lines[1:] == [s[1] for s in singles]
 
+    def test_contour_order_limit(self, capsys):
+        rc = cli.main(["moments", "--sigma", "0.5", "--m", "1", "--X", "3",
+                       "--T", "1e4", "--k", "600", "--methods", "contour"])
+        assert rc == 2
+        assert "k <= 170" in capsys.readouterr().err
+
     def test_empirical_needs_t(self, capsys):
         rc = cli.main(["moments", "--sigma", "0.5", "--m", "1", "--X", "31",
                        "--k", "2", "--methods", "empirical"])
@@ -272,6 +278,15 @@ class TestDeterminismAndErrors:
                        "--m", "0", "--V", "10"])
         assert rc == 3
         assert "non-finite" in capsys.readouterr().err
+
+    def test_runtime_error_exit_code(self, monkeypatch, capsys):
+        def stalled(spec, k, table):
+            raise RuntimeError("I0 series did not converge; |x| too large")
+
+        monkeypatch.setattr(cli, "contour_moment", stalled)
+        assert cli.main(self.ARGS) == 4
+        err = capsys.readouterr().err
+        assert err == "error: I0 series did not converge; |x| too large\n"
 
     def test_stdout_default(self, capsys):
         rc = cli.main(["predict", "--family", "strip_eta", "--sigma", "0.75",

@@ -20,8 +20,11 @@ from oracle_values import (
     ZERO_ORDINATES_BELOW_55,
     ZETA_VALUES,
 )
-from zel.prime_poly import lambda_sum, von_mangoldt_table
+from zel.prime_poly import (lambda_sum, phase_mod_two_pi_dd,
+                            von_mangoldt_table)
 from zel.zeta_core import (
+    _prime_dd_logs,
+    _unit_powers,
     NearZeroOnPath,
     QuadratureConfig,
     ZetaPoleError,
@@ -85,6 +88,43 @@ class TestZeta:
         assert n > 0
         assert zeta(0.75 + 5.125j) == first
         assert zeta_memo_size() == n
+
+
+def _scalar_unit_powers(N, t):
+    """Reference n^{-it}: composites one at a time, u[n // p] * u[p] with
+    p the smallest prime factor, as numpy complex scalars."""
+    spf = list(range(N))
+    for p in range(2, math.isqrt(N - 1) + 1):
+        if spf[p] == p:
+            for n in range(p * p, N, p):
+                if spf[n] == n:
+                    spf[n] = p
+    u = np.empty(N, dtype=complex)
+    u[0] = 0.0
+    u[1] = 1.0
+    primes, lhi, llo = _prime_dd_logs(N)
+    u[primes] = np.exp(-1j * phase_mod_two_pi_dd(t, lhi, llo))
+    for n in range(4, N):
+        p = spf[n]
+        if p != n:
+            u[n] = u[n // p] * u[p]
+    return u
+
+
+class TestUnitPowers:
+    # descending t, so the first call grows the composite-layer cache and
+    # the smaller N read slices of it
+    TS = (1e5, 19999.9, 1e4, 1234.5678, 14.134725141734693, 0.5)
+
+    def test_bit_identical_to_scalar_loop(self):
+        for t in self.TS:
+            N = int(0.57 * t) + 25
+            got = _unit_powers(N, t)
+            want = _scalar_unit_powers(N, t)
+            assert np.array_equal(got.view(np.float64),
+                                  want.view(np.float64)), t
+            with pytest.raises(ValueError):
+                got[N - 1] = 1.0
 
 
 class TestBranchedLog:
