@@ -199,8 +199,8 @@ def cmd_tail(cfg: RunConfig) -> int:
         if cfg.T is None or cfg.X is None:
             raise ValueError("poly route needs --T and --X")
         spec = PolySpec(m=cfg.m, sigma=cfg.sigma, theta=cfg.theta, X=cfg.X)
-        table = PrimeTable.build(int(math.ceil(cfg.X)))
         grid = TGrid.for_span(cfg.T, cfg.X, refine=cfg.refine)
+        table = PrimeTable.build(int(math.ceil(cfg.X)))
         curve = measure_exceedance_poly(spec, table, grid, list(cfg.V))
         family = "critical_poly" if cfg.sigma == 0.5 else "strip_poly"
         if cfg.sigma == 0.5 and cfg.m == 0:

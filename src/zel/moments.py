@@ -22,17 +22,17 @@ moment that ties the product to a time average over {|Z(t)| <= W}.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
-from scipy import special as sc
 
 from .prime_poly import PolySpec, PrimeTable, TGrid, _spec_arrays, iter_poly_blocks, sieve
 from .quadrature import integrate_adaptive
-from .special_fn import _i0_series, log_bessel_i0
+from .special_fn import _i0_series, log_bessel_i0, log_i0_slope
 
 __all__ = [
     "MultiplicativeWeights",
@@ -179,26 +179,39 @@ def exact_moment(spec: PolySpec, k: int) -> MomentResult:
 
 
 def _saddle_radius(c: np.ndarray, k: int) -> tuple[float, bool]:
-    """Solve R L'(R) = k, L(R) = sum_p log I0(R c_p), by bisection.
+    """Solve R L'(R) = k, L(R) = sum_p log I0(R c_p), by Newton in s = log R.
 
-    L' through the exponentially scaled ratio I1/I0 = i1e/i0e.  Returns
-    (radius, fallback_flag); no sign change on [1e-3, 1e6] falls back to
-    R = k.
+    With x_p = R c_p and g(x) = x I1(x)/I0(x) (log_i0_slope), the excess
+    f(s) = sum_p g(x_p) - k has f'(s) = sum_p (x_p^2 - g_p^2) > 0, from
+    I1' = I0 - I1/x.  Each iterate tightens the bracket [1e-3, 1e6] in R,
+    and a Newton step that would leave it is replaced by bisection.  The
+    start R0 = max(k / sum c, sqrt(2k / sum c^2)) is below the root,
+    because g(x) <= min(x, x^2/2).  Returns (radius, fallback_flag); no
+    sign change on the bracket falls back to R = k.
     """
-    def excess(r: float) -> float:
-        x = r * c
-        return r * float(np.dot(c, sc.i1e(x) / sc.i0e(x))) - k
+    def excess(s: float) -> tuple[float, float]:
+        x = math.exp(s) * c
+        g = log_i0_slope(x)
+        return float(np.sum(g)) - k, float(np.dot(x - g, x + g))
 
-    lo, hi = 1e-3, 1e6
-    if excess(lo) > 0.0 or excess(hi) < 0.0:
+    lo, hi = math.log(1e-3), math.log(1e6)
+    if excess(lo)[0] > 0.0 or excess(hi)[0] < 0.0:
         return float(k), True
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            hi = mid
+    r0 = max(k / float(np.sum(c)), math.sqrt(2.0 * k / float(np.dot(c, c))))
+    s = min(max(math.log(r0), lo), hi)
+    for _ in range(100):            # bisection alone needs ~55 steps here
+        f, slope = excess(s)
+        if f == 0.0:
+            return math.exp(s), False
+        if f > 0.0:
+            hi = s
         else:
-            lo = mid
-    return 0.5 * (lo + hi), False
+            lo = s
+        step = s - f / slope
+        if abs(step - s) <= 1e-12:  # converging quadratically: R exact to roundoff
+            return math.exp(step), False
+        s = step if lo < step < hi else 0.5 * (lo + hi)
+    raise RuntimeError(f"contour saddle solve for k={k} stalled near R={math.exp(s)}")
 
 
 def _contour_sum(c: np.ndarray, k: int, radius: float, n_nodes: int) -> complex:
@@ -211,7 +224,12 @@ def _contour_sum(c: np.ndarray, k: int, radius: float, n_nodes: int) -> complex:
         z = (radius * np.exp(1j * phi))[:, None] * c[None, :]
         log_f = np.sum(np.log(_i0_series(z)), axis=1)
         total += complex(np.sum(np.exp(log_f - 1j * k * phi)))
-    return math.factorial(k) * total / (n_nodes * radius ** k)
+    # k!/R^k exactly rounded: k! and R^k alone overflow past k ~ 150 at X = 31
+    try:
+        scale = float(Fraction(math.factorial(k)) / Fraction(radius) ** k)
+    except OverflowError:           # the moment itself is past the double range
+        scale = math.inf
+    return scale * total / n_nodes
 
 
 def contour_moment(spec: PolySpec, k: int, table: PrimeTable) -> MomentResult:
@@ -220,7 +238,9 @@ def contour_moment(spec: PolySpec, k: int, table: PrimeTable) -> MomentResult:
     The radius solves the saddle condition R L'(R) = k (flagged fallback
     R = k when bracketing fails); periodic trapezoid nodes double from
     max(64, 8k) until successive values agree to 1e-12 relative.  Odd k
-    comes out at roundoff scale because the integrand is even in w.
+    comes out at roundoff scale because the integrand is even in w.  A
+    non-finite doubled sum (a moment past the double range) raises
+    RuntimeError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -245,6 +265,10 @@ def contour_moment(spec: PolySpec, k: int, table: PrimeTable) -> MomentResult:
     while True:
         n_nodes *= 2
         cur = _contour_sum(c, k, radius, n_nodes)
+        if not cmath.isfinite(cur):
+            raise RuntimeError(
+                f"contour sum for k={k}, X={spec.X:g} is not finite at "
+                f"{n_nodes} nodes")
         delta = abs(cur - prev)
         if delta <= 1e-12 * abs(cur) or delta <= floor:
             break

@@ -39,6 +39,8 @@ _CW_1 = float.fromhex("0x1.921fb40000000p+2")
 _CW_2 = float.fromhex("0x1.4442d00000000p-22")
 _CW_3 = float.fromhex("0x1.8469898cc5170p-46")
 _SPLITTER = 134217729.0         # 2^27 + 1, Veltkamp
+# k * _CW_1 is exact only while k fits in 28 bits (_CW_1 carries 25)
+PHASE_TURNS = 2 ** 28
 
 
 def _two_product(a, b):
@@ -54,6 +56,14 @@ def _two_product(a, b):
     return p, err
 
 
+def _turns(phase):
+    """Whole turns round(phase / 2 pi), checked against PHASE_TURNS."""
+    k = np.round(phase * (1.0 / _TWO_PI))
+    if np.max(np.abs(k), initial=0.0) >= PHASE_TURNS:
+        raise ValueError("phase t*omega too large for exact reduction (>= 2^28 * 2 pi)")
+    return k
+
+
 def phase_mod_two_pi(t, omega):
     """t*omega reduced mod 2 pi to ~1e-15 rad, for |t*omega| < ~1e15.
 
@@ -62,10 +72,7 @@ def phase_mod_two_pi(t, omega):
     agree to 1e-10 on long grids.
     """
     hi, lo = _two_product(np.asarray(t, dtype=float), np.asarray(omega, dtype=float))
-    k = np.round(hi * (1.0 / _TWO_PI))
-    # k * C1 is exact only while k fits in 28 bits (C1 carries 25)
-    if np.max(np.abs(k), initial=0.0) >= 2 ** 28:
-        raise ValueError("phase t*omega too large for exact reduction (>= 2^28 * 2 pi)")
+    k = _turns(hi)
     return ((hi - k * _CW_1) - k * _CW_2) + (lo - k * _CW_3)
 
 
@@ -78,9 +85,7 @@ def phase_mod_two_pi_dd(t, omega_hi, omega_lo):
     """
     hi, lo = _two_product(np.asarray(t, dtype=float),
                           np.asarray(omega_hi, dtype=float))
-    k = np.round(hi * (1.0 / _TWO_PI))
-    if np.max(np.abs(k), initial=0.0) >= 2 ** 28:
-        raise ValueError("phase t*omega too large for exact reduction (>= 2^28 * 2 pi)")
+    k = _turns(hi)
     tail = lo + np.asarray(t, dtype=float) * np.asarray(omega_lo, dtype=float)
     return ((hi - k * _CW_1) - k * _CW_2) + (tail - k * _CW_3)
 
@@ -231,11 +236,19 @@ class TGrid:
         """Cover [T, 2T] at the spacing rule for X (refine halves delta).
 
         delta is dyadic_floor(2 pi/(3 log X) / refine), so refine=2 halves
-        delta exactly; count*delta - T < delta.
+        delta exactly; count*delta - T < delta.  Every phase t log p on the
+        grid stays below (2T + delta) log X, and must round to fewer than
+        PHASE_TURNS turns; a span past that is rejected here, before any
+        prime table or kernel block is built.
         """
         if not T > 0:
             raise ValueError("T must be positive")
         delta = dyadic_floor(max_spacing(X) / refine)
+        top, limit = (2.0 * T + delta) * math.log(X), (PHASE_TURNS - 1) * _TWO_PI
+        if top >= limit:
+            raise ValueError(
+                f"T={T:g}, X={X:g}: phases up to (2T + delta) log X = {top:.4g} "
+                f"pass the exact-reduction limit (2^28 - 1) * 2 pi = {limit:.4g}")
         count = math.ceil(T / delta)
         return cls(t0=float(T), count=count, delta=delta, offset=offset)
 

@@ -13,12 +13,15 @@ explicitly instead of hoping a generic quadrature notices.
 I0 evaluation switches from the power series to the large-x asymptotic
 expansion at x = 20; the two branches overlap to ~1e-12 relative there
 (checked in tests).  log_bessel_i0 never forms e^x, so it is safe far
-beyond the overflow point of I0 itself.
+beyond the overflow point of I0 itself.  log_i0_slope, x I1(x)/I0(x),
+is the derivative of both branches term by term; the contour moments
+solve their saddle condition with it.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -37,71 +40,105 @@ _ASYMP_COEF = np.empty(_ASYMP_TERMS)
 _ASYMP_COEF[0] = 1.0
 for _k in range(1, _ASYMP_TERMS):
     _ASYMP_COEF[_k] = _ASYMP_COEF[_k - 1] * (2 * _k - 1) ** 2 / (8.0 * _k)
+_ASYMP_KCOEF = np.arange(_ASYMP_TERMS) * _ASYMP_COEF       # k a_k
 
 
-def _i0_series(x: np.ndarray) -> np.ndarray:
-    """Power series for real or complex x (I0 is entire).
+def _i0_terms(q: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (n, q^n/(n!)^2) for n = 1, 2, ..., real or complex q = (x/2)^2.
 
-    Stops once every term is below 1e-18 max(1, |x/2|^2), far under one
-    ulp of the sum for real x <= I0_SWITCH.  Along the imaginary axis the
+    Stops once every term is below 1e-18 max(1, |q|), far under one ulp
+    of the I0 sum for real x <= I0_SWITCH.  Along the imaginary axis the
     alternating terms lose ~e^{|x|} eps; the contour moments keep |x|
     small.  RuntimeError when _SERIES_TERMS terms do not converge.
     """
-    q = 0.25 * x * x          # (x/2)^2
     term = np.ones_like(q)
-    acc = np.ones_like(q)
     # every |term| is at most q_max^n / (n!)^2, the term at the largest |q|
     q_max = float(np.max(np.abs(q), initial=0.0))
     bound, tol = 1.0, 1e-18 * max(1.0, q_max)
     for n in range(1, _SERIES_TERMS + 1):
         term = term * q / (n * n)
-        acc += term
+        yield n, term
         bound *= q_max / (n * n)
         if bound < tol:
-            return acc
+            return
     raise RuntimeError("I0 series did not converge; |x| too large")
 
 
-def _i0_asymp_factor(x: np.ndarray) -> np.ndarray:
-    """sum_k a_k x^-k for x >= 20 (Horner, 10 terms)."""
-    inv = 1.0 / x
-    acc = np.full_like(inv, _ASYMP_COEF[-1])
-    for k in range(_ASYMP_TERMS - 2, -1, -1):
-        acc = acc * inv + _ASYMP_COEF[k]
+def _i0_series(x: np.ndarray) -> np.ndarray:
+    """Power series for real or complex x (I0 is entire)."""
+    q = 0.25 * x * x
+    acc = np.ones_like(q)
+    for _, term in _i0_terms(q):
+        acc += term
     return acc
 
 
-def bessel_i0(x):
-    """I0(x) for real x >= 0; scalar in, scalar out.  Overflows to inf past ~713."""
+def _i0_asymp_factor(x: np.ndarray, coef: np.ndarray = _ASYMP_COEF) -> np.ndarray:
+    """sum_k coef_k x^-k for x >= I0_SWITCH (Horner, _ASYMP_TERMS terms)."""
+    inv = 1.0 / x
+    acc = np.full_like(inv, coef[-1])
+    for k in range(coef.size - 2, -1, -1):
+        acc = acc * inv + coef[k]
+    return acc
+
+
+def _by_branch(x, name: str, series, asymp):
+    """series(x) below I0_SWITCH, asymp(x) from it on; x finite and >= 0.
+
+    Vectorized over ndarray input; scalar in, scalar out.
+    """
     scalar = np.isscalar(x)
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0.0) or not np.all(np.isfinite(xa)):
-        raise ValueError("bessel_i0 wants finite x >= 0")
+        raise ValueError(f"{name} wants finite x >= 0")
     small = xa < I0_SWITCH
     out = np.empty_like(xa)
     if np.any(small):
-        out[small] = _i0_series(xa[small])
+        out[small] = series(xa[small])
     if np.any(~small):
-        xl = xa[~small]
-        with np.errstate(over="ignore"):
-            out[~small] = np.exp(xl) / np.sqrt(2.0 * math.pi * xl) * _i0_asymp_factor(xl)
+        out[~small] = asymp(xa[~small])
     return float(out) if scalar else out
+
+
+def _i0_asymp(x: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        return np.exp(x) / np.sqrt(2.0 * math.pi * x) * _i0_asymp_factor(x)
+
+
+def bessel_i0(x):
+    """I0(x) for real x >= 0.  Overflows to inf past ~713."""
+    return _by_branch(x, "bessel_i0", _i0_series, _i0_asymp)
+
+
+def _log_i0_asymp(x: np.ndarray) -> np.ndarray:
+    return x - 0.5 * np.log(2.0 * math.pi * x) + np.log(_i0_asymp_factor(x))
 
 
 def log_bessel_i0(x):
-    """log I0(x), overflow-free; vectorized over ndarray input."""
-    scalar = np.isscalar(x)
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0) or not np.all(np.isfinite(xa)):
-        raise ValueError("log_bessel_i0 wants finite x >= 0")
-    small = xa < I0_SWITCH
-    out = np.empty_like(xa)
-    if np.any(small):
-        out[small] = np.log(_i0_series(xa[small]))
-    if np.any(~small):
-        xl = xa[~small]
-        out[~small] = xl - 0.5 * np.log(2.0 * math.pi * xl) + np.log(_i0_asymp_factor(xl))
-    return float(out) if scalar else out
+    """log I0(x), overflow-free."""
+    return _by_branch(x, "log_bessel_i0", lambda xs: np.log(_i0_series(xs)),
+                      _log_i0_asymp)
+
+
+def _slope_series(x: np.ndarray) -> np.ndarray:
+    # x I1(x) = sum 2n q^n/(n!)^2, I0(x) = sum q^n/(n!)^2
+    q = 0.25 * x * x
+    num = np.zeros_like(q)
+    den = np.ones_like(q)
+    for n, term in _i0_terms(q):
+        num += n * term
+        den += term
+    return 2.0 * num / den
+
+
+def _slope_asymp(x: np.ndarray) -> np.ndarray:
+    # x d/dx log(e^x x^-1/2 sum a_k x^-k)
+    return x - 0.5 - _i0_asymp_factor(x, _ASYMP_KCOEF) / _i0_asymp_factor(x)
+
+
+def log_i0_slope(x):
+    """x I1(x)/I0(x) = x d/dx log I0(x) for real x >= 0, overflow-free."""
+    return _by_branch(x, "log_i0_slope", _slope_series, _slope_asymp)
 
 
 def _log_i0_taylor_coeffs(n_terms: int) -> np.ndarray:

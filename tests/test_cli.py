@@ -3,11 +3,16 @@
 import json
 import math
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from zel import cli
+from zel.prime_poly import PrimeTable, sieve
 from zel.emit import (NonFiniteOutput, flags_cell, fmt_cell, fmt_float,
                       write_csv, write_json)
 
@@ -182,6 +187,38 @@ class TestMoments:
         assert rc == 2
         assert "k <= 170" in capsys.readouterr().err
 
+    @staticmethod
+    def _series_moment(k):
+        """k! [w^k] prod_{p<=31} I0(w c_p) at m=1, sigma=1/2, multiplied
+        out from each factor's Taylor coefficients.  Every coefficient is
+        positive, so nothing cancels."""
+        coef = np.zeros(k + 1)
+        coef[0] = 1.0
+        for p in sieve(31).tolist():
+            c = p ** -0.5 / math.log(p)
+            factor = np.zeros(k + 1)
+            factor[0::2] = [(0.5 * c) ** (2 * n) / math.factorial(n) ** 2
+                            for n in range(k // 2 + 1)]
+            coef = np.convolve(coef, factor)[:k + 1]
+        return math.factorial(k) * coef[k]
+
+    @pytest.mark.parametrize("k", [150, 170])
+    def test_contour_large_k(self, tmp_path, k):
+        # k! times the raw node sum (k = 150) and R^k (k = 170) overflow a double
+        lines = run_lines(["moments", "--sigma", "0.5", "--m", "1", "--X", "31",
+                           "--k", str(k), "--methods", "contour"], tmp_path)
+        row = lines[1].split(",")
+        assert row[1] == "contour" and row[5] == ""
+        assert float(row[2]) == pytest.approx(self._series_moment(k), rel=1e-11)
+
+    def test_contour_past_double_range_exit_code(self, capsys):
+        # c_2 = 2^-1/2 (log 2)^-20 ~ 1.1e3, so E P^170 ~ 1e517
+        rc = cli.main(["moments", "--sigma", "0.5", "--m", "20", "--X", "3",
+                       "--k", "170", "--methods", "contour"])
+        assert rc == 4
+        assert capsys.readouterr().err == (
+            "error: contour sum for k=170, X=3 is not finite at 2720 nodes\n")
+
     def test_empirical_needs_t(self, capsys):
         rc = cli.main(["moments", "--sigma", "0.5", "--m", "1", "--X", "31",
                        "--k", "2", "--methods", "empirical"])
@@ -213,6 +250,17 @@ class TestTail:
                        "--V", "1"])
         assert rc == 2
         assert "--X" in capsys.readouterr().err
+
+    def test_phase_cap_before_prime_table(self, monkeypatch, capsys):
+        def no_table(limit):
+            raise AssertionError("prime table built before the phase check")
+
+        monkeypatch.setattr(PrimeTable, "build", no_table)
+        rc = cli.main(["tail", "--route", "poly", "--sigma", "0.8", "--m", "0",
+                       "--X", "1e5", "--T", "2e8", "--V", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "T=2e+08, X=100000" in err and "(2^28 - 1) * 2 pi" in err
 
     def test_eta_route(self, tmp_path):
         lines = run_lines(["tail", "--route", "eta", "--sigma", "0.75",
@@ -287,6 +335,15 @@ class TestDeterminismAndErrors:
         assert cli.main(self.ARGS) == 4
         err = capsys.readouterr().err
         assert err == "error: I0 series did not converge; |x| too large\n"
+
+    def test_import_leaves_scipy_out(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, zel.cli; print('scipy' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert out == "False\n"
 
     def test_stdout_default(self, capsys):
         rc = cli.main(["predict", "--family", "strip_eta", "--sigma", "0.75",

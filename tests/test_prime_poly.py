@@ -169,6 +169,17 @@ class TestTGrid:
         arr = g.t_array(g.count - 3, g.count)
         assert arr[-1] == g.t(g.count - 1)
 
+    def test_phase_cap(self):
+        with pytest.raises(ValueError, match=r"T=2e\+08, X=100000.*2\^28"):
+            TGrid.for_span(2e8, 1e5)
+        # just inside the limit, the grid's last phase still reduces
+        edge = (2 ** 28 - 1) * math.pi / math.log(1e5)
+        with pytest.raises(ValueError, match="exact-reduction limit"):
+            TGrid.for_span(math.ceil(edge), 1e5)
+        g = TGrid.for_span(math.floor(0.9999 * edge), 1e5)
+        top = g.t(g.count - 1)
+        assert abs(phase_mod_two_pi(top, math.log(99991))) <= math.pi
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TGrid(t0=1e4, count=10, delta=0.1)  # 0.1 is not dyadic

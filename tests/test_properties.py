@@ -1,0 +1,81 @@
+"""Property tests: phase reduction, exceedance monotonicity, chunking.
+
+Hypothesis runs derandomized with a bounded example count, so every run
+draws the same cases and the suite stays deterministic.
+"""
+
+import functools
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from zel import tails
+from zel.prime_poly import (PolySpec, PrimeTable, TGrid, dyadic_floor,
+                            iter_poly_blocks, max_spacing, phase_mod_two_pi,
+                            poly_eval_batch, sieve)
+from zel.tails import measure_exceedance_poly
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=40)
+PRIMES = sieve(100_000).tolist()
+TABLE = PrimeTable.build(100)
+
+
+@PROPERTY
+@given(num=st.integers(0, 10 ** 7 * 4096), p=st.sampled_from(PRIMES))
+def test_phase_matches_mpmath(num, p):
+    t = num / 4096.0                 # dyadic lattice, exact in double
+    omega = math.log(p)
+    with mpmath.workdps(50):
+        x = mpmath.mpf(t) * mpmath.mpf(omega)
+        two_pi = 2 * mpmath.pi
+        ref = float(x - two_pi * mpmath.nint(x / two_pi))
+    diff = abs(float(phase_mod_two_pi(t, omega)) - ref)
+    # both land in [-pi, pi]; wrap-adjacent values may differ by a turn
+    assert min(diff, abs(diff - 2.0 * math.pi)) < 5e-15
+
+
+@PROPERTY
+@given(sigma=st.sampled_from([0.5, 0.6, 0.8]),
+       theta=st.floats(0.0, 2.0 * math.pi),
+       vs=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=8, unique=True))
+def test_exceedance_counts_nonincreasing_in_v(sigma, theta, vs):
+    spec = PolySpec(m=0, sigma=sigma, theta=theta, X=31.0)
+    grid = TGrid.for_span(1e3, 31.0)
+    v = sorted(vs)
+    counts = measure_exceedance_poly(spec, TABLE, grid, v).exceed_counts
+    assert np.all(np.diff(counts) <= 0)
+    values = poly_eval_batch(spec, TABLE, grid)
+    assert counts.tolist() == [int(np.sum(values > x)) for x in v]
+
+
+def _chunked(spec, grid, v, chunk_cols):
+    """(Z over the grid, exceedance counts at v) with chunk_cols columns."""
+    blocks = functools.partial(iter_poly_blocks, chunk_cols=chunk_cols)
+    z = np.concatenate([b for _, b in blocks(spec, TABLE, grid)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tails, "iter_poly_blocks", blocks)
+        counts = measure_exceedance_poly(spec, TABLE, grid, v).exceed_counts
+    return z, counts
+
+
+@settings(PROPERTY, max_examples=15)
+@given(t0=st.integers(1, 10 ** 7), count=st.integers(1, 40_000),
+       X=st.sampled_from([3.0, 31.0, 100.0]),
+       theta=st.floats(0.0, 2.0 * math.pi),
+       vs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5, unique=True))
+@example(t0=10 ** 7, count=40_000, X=100.0, theta=0.7, vs=[-0.5, 1.0])
+def test_blocks_independent_of_chunk_cols(t0, count, X, theta, vs):
+    # the pinned example spans 40 columns of BLOCK_ROWS rows, past the
+    # CHAIN_RENORM rebuild at column 32
+    spec = PolySpec(m=1, sigma=0.5, theta=theta, X=X)
+    grid = TGrid(t0=float(t0), count=count, delta=dyadic_floor(max_spacing(X)))
+    v = sorted(vs)
+    z_ref, counts_ref = _chunked(spec, grid, v, 256)
+    for chunk_cols in (1, 3):
+        z, counts = _chunked(spec, grid, v, chunk_cols)
+        assert np.max(np.abs(z - z_ref)) <= 1e-10
+        assert counts.tolist() == counts_ref.tolist()

@@ -5,7 +5,8 @@ import pytest
 import scipy.special as sp
 
 from zel.special_fn import (I0_SWITCH, a_constant, bessel_i0, g_constant,
-                            kappa, log_bessel_i0, _i0_asymp_factor, _i0_series)
+                            kappa, log_bessel_i0, log_i0_slope,
+                            _i0_asymp_factor, _i0_series)
 
 import oracle_values as ov
 
@@ -68,6 +69,27 @@ def test_log_i0_asymptotic_window():
     for x, tol in ((1e3, 1e-2), (1e5, 1e-4)):
         gap = log_bessel_i0(x) - (x - 0.5 * math.log(2 * math.pi * x))
         assert 0.0 < gap < tol
+
+
+def test_log_i0_slope_against_scipy():
+    # x I1/I0 from the exponentially scaled pair, on both sides of the switch
+    below = np.concatenate((np.geomspace(1e-6, 1.0, 200),
+                            np.linspace(1.0, I0_SWITCH, 2001)[:-1]))
+    above = np.concatenate((np.linspace(I0_SWITCH, 60.0, 2001),
+                            np.geomspace(60.0, 1e6, 200)))
+    for xs in (below, above):
+        want = xs * sp.i1e(xs) / sp.i0e(xs)
+        rel = np.abs(log_i0_slope(xs) - want) / want
+        assert rel.max() < 1e-13
+
+
+def test_log_i0_slope_edges():
+    assert log_i0_slope(0.0) == 0.0
+    assert isinstance(log_i0_slope(3.0), float)
+    # x I1/I0 -> x - 1/2 - 1/(8x) far out, with no overflow
+    assert log_i0_slope(1e300) == 1e300
+    with pytest.raises(ValueError):
+        log_i0_slope(-1.0)
 
 
 def test_g_frozen_values():
