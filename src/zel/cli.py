@@ -229,7 +229,7 @@ def cmd_eta(cfg: RunConfig) -> int:
     for t in cfg.t:
         try:
             if cfg.m == 0:
-                val = log_zeta_branched(cfg.sigma, t).value
+                val = log_zeta_branched(cfg.sigma, t)
             else:
                 val = eta_tilde(cfg.m, cfg.sigma, t)
         except NearZeroOnPath:

@@ -178,38 +178,36 @@ def exact_moment(spec: PolySpec, k: int) -> MomentResult:
 # contour integration
 
 
-def _saddle_radius(c: np.ndarray, k: int) -> tuple[float, bool]:
+def _saddle_radius(c: np.ndarray, k: int) -> float:
     """Solve R L'(R) = k, L(R) = sum_p log I0(R c_p), by Newton in s = log R.
 
     With x_p = R c_p and g(x) = x I1(x)/I0(x) (log_i0_slope), the excess
     f(s) = sum_p g(x_p) - k has f'(s) = sum_p (x_p^2 - g_p^2) > 0, from
-    I1' = I0 - I1/x.  Each iterate tightens the bracket [1e-3, 1e6] in R,
-    and a Newton step that would leave it is replaced by bisection.  The
-    start R0 = max(k / sum c, sqrt(2k / sum c^2)) is below the root,
-    because g(x) <= min(x, x^2/2).  Returns (radius, fallback_flag); no
-    sign change on the bracket falls back to R = k.
+    I1' = I0 - I1/x, and grows without bound.  R0 = max(k / sum c,
+    sqrt(2k / sum c^2)) is below the root, as g(x) <= min(x, x^2/2), so
+    it opens the bracket at any weight scale and the first iterate with
+    f > 0 closes it; a Newton step leaving the bracket is replaced by
+    bisection.
     """
     def excess(s: float) -> tuple[float, float]:
         x = math.exp(s) * c
         g = log_i0_slope(x)
         return float(np.sum(g)) - k, float(np.dot(x - g, x + g))
 
-    lo, hi = math.log(1e-3), math.log(1e6)
-    if excess(lo)[0] > 0.0 or excess(hi)[0] < 0.0:
-        return float(k), True
-    r0 = max(k / float(np.sum(c)), math.sqrt(2.0 * k / float(np.dot(c, c))))
-    s = min(max(math.log(r0), lo), hi)
-    for _ in range(100):            # bisection alone needs ~55 steps here
+    s = lo = math.log(max(k / float(np.sum(c)),
+                          math.sqrt(2.0 * k / float(np.dot(c, c)))))
+    hi = math.inf
+    for _ in range(100):            # 6-9 steps from R0 in practice
         f, slope = excess(s)
         if f == 0.0:
-            return math.exp(s), False
+            return math.exp(s)
         if f > 0.0:
             hi = s
         else:
             lo = s
         step = s - f / slope
         if abs(step - s) <= 1e-12:  # converging quadratically: R exact to roundoff
-            return math.exp(step), False
+            return math.exp(step)
         s = step if lo < step < hi else 0.5 * (lo + hi)
     raise RuntimeError(f"contour saddle solve for k={k} stalled near R={math.exp(s)}")
 
@@ -235,12 +233,11 @@ def _contour_sum(c: np.ndarray, k: int, radius: float, n_nodes: int) -> complex:
 def contour_moment(spec: PolySpec, k: int, table: PrimeTable) -> MomentResult:
     """Moment via the circle integral of the I0 generating product.
 
-    The radius solves the saddle condition R L'(R) = k (flagged fallback
-    R = k when bracketing fails); periodic trapezoid nodes double from
-    max(64, 8k) until successive values agree to 1e-12 relative.  Odd k
-    comes out at roundoff scale because the integrand is even in w.  A
-    non-finite doubled sum (a moment past the double range) raises
-    RuntimeError.
+    The radius solves the saddle condition R L'(R) = k; periodic
+    trapezoid nodes double from max(64, 8k) until successive values agree
+    to 1e-12 relative.  Odd k comes out at roundoff scale because the
+    integrand is even in w.  A non-finite doubled sum (a moment past the
+    double range) raises RuntimeError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -249,16 +246,19 @@ def contour_moment(spec: PolySpec, k: int, table: PrimeTable) -> MomentResult:
             f"contour moments need k <= {MAX_CONTOUR_K} (k! must fit in a "
             f"double), got k={k}")
     _, c = _spec_arrays(spec, table)
+    if not np.isfinite(c).all():
+        raise ValueError(
+            f"weights p^-sigma (log p)^-m overflow a double at m={spec.m}")
     if c.size > MAX_CONTOUR_PRIMES:
         raise ValueError(
             f"{c.size} primes <= X exceeds the contour budget {MAX_CONTOUR_PRIMES}")
-    radius, fell_back = _saddle_radius(c, k)
-    flags = ("radius_fallback",) if fell_back else ()
+    radius = _saddle_radius(c, k)
+    flags = ()
 
-    # roundoff floor of the quadrature sum, for the odd-k cancellation case
-    peak = math.factorial(k) * math.exp(
-        float(np.sum(log_bessel_i0(radius * c))) - k * math.log(radius))
-    floor = 1e-15 * peak
+    # roundoff floor of the quadrature sum, for the odd-k cancellation
+    # case, in log form: the peak k! e^L(R) / R^k may pass the double range
+    log_floor = (math.lgamma(k + 1) - k * math.log(radius) + math.log(1e-15)
+                 + float(np.sum(log_bessel_i0(radius * c))))
 
     n_nodes = max(64, 8 * k)
     prev = _contour_sum(c, k, radius, n_nodes)
@@ -268,9 +268,10 @@ def contour_moment(spec: PolySpec, k: int, table: PrimeTable) -> MomentResult:
         if not cmath.isfinite(cur):
             raise RuntimeError(
                 f"contour sum for k={k}, X={spec.X:g} is not finite at "
-                f"{n_nodes} nodes")
+                f"{n_nodes} nodes: the moment passes the double range "
+                "(max 1.798e+308)")
         delta = abs(cur - prev)
-        if delta <= 1e-12 * abs(cur) or delta <= floor:
+        if delta <= 1e-12 * abs(cur) or math.log(delta) <= log_floor:
             break
         if n_nodes >= 1 << 17:
             flags = flags + ("node_limit",)

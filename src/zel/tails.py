@@ -204,7 +204,7 @@ def measure_exceedance_eta(m: int, sigma: float, theta: float, grid: TGrid,
         t = grid.t(j)
         try:
             if m == 0:
-                e = log_zeta_branched(sigma, t, cfg=cfg).value
+                e = log_zeta_branched(sigma, t)
             else:
                 e = eta_tilde(m, sigma, t, cfg=cfg)
         except NearZeroOnPath:

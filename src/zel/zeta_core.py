@@ -1,10 +1,13 @@
 """Branch-tracked log zeta and its iterated integrals.
 
-zeta(s) is evaluated by Euler-Maclaurin summation.  log zeta carries the
-branch fixed by horizontal continuation from the far right half-plane,
-where the Dirichlet series pins log zeta near 0: the value at sigma + it
-is reached by walking alpha from max(10, sigma) down to sigma at fixed t,
-unwinding the imaginary part by continuity.  On top of that sit
+zeta(s) is evaluated by Euler-Maclaurin summation over n < 0.57|t| + 25,
+with n^{-it} built per t from one grow-only table of the primes, their
+double-double logs and the composites grouped by Omega(n).  log zeta
+carries the branch fixed by horizontal continuation from the far right
+half-plane, where the Dirichlet series pins log zeta near 0: the value
+at sigma + it is reached by walking alpha from max(10, sigma) down to
+sigma at fixed t, unwinding the imaginary part by continuity.  On top
+of that sit
 
     eta_tilde(m, sigma, t) = (1/(m-1)!) Int_sigma^inf (a-sigma)^{m-1}
                               log zeta(a+it) da,
@@ -15,7 +18,14 @@ Im c_m(1/2)/pi, and the iterated argument integrals
     s_m(t) = Int_0^t s_{m-1}(u) du + b_m,    s_0 = arg zeta(1/2+it)/pi,
 
 whose m=1 case obeys the unconditional identity pi s_1(t) =
-Re eta_tilde(1, 1/2, t).
+Re eta_tilde(1, 1/2, t).  As d/dt i^m eta_tilde(m, 1/2, t) =
+i^{m-1} eta_tilde(m-1, 1/2, t), it extends to every m >= 1 as
+
+    pi s_m(t) = Im(i^m eta_tilde(m, 1/2, t)) - sum_{k=1..m} d_k t^{m-k}/(m-k)!,
+    d_k = -sgn(t) pi 2^{-k}/k! Im(i^{k+1}),
+
+with d_k from the branch Im log zeta(a +- i0) = -+pi on (1/2, 1).  s_m
+uses it for m >= 2; m = 1 stays a quadrature of s_0, an independent check.
 
 The horizontal integral splits at alpha_split: Gauss-Legendre panels on
 the left (one zeta evaluation per node against a cached branch walk),
@@ -38,7 +48,7 @@ import numpy as np
 
 from decimal import Decimal, localcontext
 
-from .prime_poly import (phase_mod_two_pi, phase_mod_two_pi_dd, sieve,
+from .prime_poly import (phase_mod_two_pi, phase_mod_two_pi_dd,
                          von_mangoldt_table)
 from .quadrature import integrate_adaptive
 
@@ -93,96 +103,91 @@ _B2K = _bernoulli_over_factorial(30)
 _ZETA_FLOOR = 1e-12                 # |zeta| below this on a walk => flagged
 _MEMO_CAP = 1 << 20
 
-_layer_cache: tuple[int, list[np.ndarray]] = (2, [])
-_layer_lock = threading.Lock()
 
-
-def _spf_table(size: int) -> np.ndarray:
-    """Smallest prime factor of every n < size (spf[0] = 0, spf[1] = 1)."""
-    spf = np.arange(size, dtype=np.int64)
-    for p in range(2, math.isqrt(size - 1) + 1):
-        if spf[p] == p:
-            sl = spf[p * p:: p]
-            sl[sl == np.arange(p * p, size, p)] = p
-    return spf
-
-
-def _composite_layers(n: int) -> list[np.ndarray]:
-    """Composites below (at least) n grouped by Omega, grow-only cache.
-
-    Entry k - 2 is a (3, count) int array of (c, c // spf(c), spf(c))
-    over the composites c with Omega(c) = k, ascending in c.  Every
-    cofactor has Omega = k - 1, so it is prime or sits in the entry
-    before.  Omega comes from repeated division by the smallest prime
-    factor, one vectorised round per prime factor (at most log2 n).
-    """
-    global _layer_cache
-    with _layer_lock:
-        limit, layers = _layer_cache
-        if limit < n:
-            limit = max(n, 2 * limit)
-            spf = _spf_table(limit)
-            ns = np.arange(2, limit)
-            comp = ns[spf[2:] != ns]
-            p = spf[comp]
-            omega = np.zeros(comp.size, dtype=np.int64)
-            rest = comp.copy()
-            while (live := rest > 1).any():
-                omega += live
-                rest //= spf[rest]
-            layers = []
-            for k in range(2, int(omega.max(initial=1)) + 1):
-                sel = omega == k
-                c, q = comp[sel], p[sel]
-                layers.append(np.stack((c, c // q, q)))
-            _layer_cache = (limit, layers)
-        return layers
-
-
-@lru_cache(maxsize=1 << 16)
-def _dd_log(n: int) -> tuple[float, float]:
-    """log n as a double-double (hi + lo), 40 decimal digits upstream."""
+def _decimal_log(p: int) -> tuple[float, float]:
+    """log p as a double-double (hi + lo), 40 decimal digits upstream."""
     with localcontext() as ctx:
         ctx.prec = 40
-        d = Decimal(n).ln()
+        d = Decimal(p).ln()
         hi = float(d)
         lo = float(d - Decimal(hi))
     return hi, lo
 
 
-@lru_cache(maxsize=64)
-def _prime_dd_logs(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Primes < N with their double-double logs."""
-    ps = sieve(N - 1)
-    hi = np.empty(ps.size)
-    lo = np.empty(ps.size)
-    for i, p in enumerate(ps.tolist()):
-        hi[i], lo[i] = _dd_log(p)
-    return ps, hi, lo
+class _FactorTable:
+    """Grow-only primes, their double-double logs and Omega layers.
+
+    Layer k - 2 is a (3, count) int array of (c, c // spf(c), spf(c))
+    over the composites c with Omega(c) = k, ascending in c; each cofactor
+    is prime or sits in the layer before.  The sieve limit doubles on
+    growth (under 0.1 us per n), but a prime is logged only once it falls
+    below a requested n: a Decimal log costs about 70 us, and t often
+    spans a narrow range.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._limit = 2
+        self._primes = np.empty(0, dtype=np.int64)
+        self._logs = np.empty((2, 0))
+        self._layers: list[np.ndarray] = []
+
+    def _sieve_to(self, limit: int) -> None:
+        spf = np.arange(limit, dtype=np.int64)
+        for d in range(math.isqrt(limit - 1), 1, -1):   # least divisor last
+            spf[d * d:: d] = d
+        cof = np.arange(limit) // np.maximum(spf, 1)
+        # Omega(n) = Omega(n // spf(n)) + 1, and n // spf(n) < lo for
+        # every n in [lo, 2 lo), so each dyadic block is one gather
+        omega = np.zeros(limit, dtype=np.int8)
+        lo = 2
+        while lo < limit:
+            omega[lo:2 * lo] = omega[cof[lo:2 * lo]] + 1
+            lo *= 2
+        self._primes = np.flatnonzero(omega == 1)
+        self._layers = []
+        for k in range(2, int(omega.max()) + 1):
+            c = np.flatnonzero(omega == k)
+            self._layers.append(np.stack((c, cof[c], spf[c])))
+        self._limit = limit
+
+    def below(self, n: int):
+        """(primes < n, their logs as (hi, lo) rows, layers covering n)."""
+        with self._lock:
+            if self._limit < n:
+                self._sieve_to(max(n, 2 * self._limit))
+            count = int(np.searchsorted(self._primes, n))
+            new = self._primes[self._logs.shape[1]:count].tolist()
+            if new:
+                logs = np.array([_decimal_log(p) for p in new]).T
+                self._logs = np.concatenate((self._logs, logs), axis=1)
+            return self._primes[:count], self._logs[:, :count], self._layers
+
+
+_factor_table = _FactorTable()
 
 
 @lru_cache(maxsize=1)
 def _unit_powers(N: int, t: float) -> np.ndarray:
     """u[n] = n^{-it} for n = 1..N-1 (u[0] = 0), read-only, phase-exact.
 
-    Primes get reduced phases from double-double logs.  Composites are
-    filled one Omega layer at a time (`_composite_layers`): each layer
-    is one gather, multiply and scatter of u[c // p] * u[p], so phase
-    error stays at rounding level instead of growing like t * ulp(log n).
-    The multiply is written out over the real and imaginary parts, the
-    same operations in the same order as a scalar complex multiply;
-    numpy's vectorised complex multiply may round differently.  All
-    zeta calls of one branch walk share t, hence the one-entry cache.
+    Primes get reduced phases from their double-double logs; composites
+    are filled one Omega layer at a time, each one gather, multiply and
+    scatter of u[c // p] * u[p], so phase error stays at rounding level
+    instead of growing like t * ulp(log n).  The multiply is written out
+    over real and imaginary parts, rounding like a scalar complex
+    multiply (numpy's vectorised one may not).  All zeta calls of one
+    branch walk share t, hence the one-entry cache.
     """
     u = np.empty(N, dtype=complex)
     u[0] = 0.0
     u[1] = 1.0
     if N > 2:
-        primes, lhi, llo = _prime_dd_logs(N)
+        primes, (lhi, llo), layers = _factor_table.below(N)
         u[primes] = np.exp(-1j * phase_mod_two_pi_dd(t, lhi, llo))
         parts = u.view(np.float64)
         re, im = parts[0::2], parts[1::2]
-        for layer in _composite_layers(N):
+        for layer in layers:
             c, cof, p = layer[:, :np.searchsorted(layer[0], N)]
             ar, ai, br, bi = re[cof], im[cof], re[p], im[p]
             re[c] = ar * br - ai * bi
@@ -200,9 +205,9 @@ def _em_zeta(sigma: float, t: float) -> complex:
         main = complex(math.fsum(amps.tolist()))
         unit_n = 1.0 + 0j
     else:
-        main = complex(np.dot(amps, _unit_powers(N, t)[1:]))
-        nhi, nlo = _dd_log(N)
-        unit_n = cmath.exp(-1j * float(phase_mod_two_pi_dd(t, nhi, nlo)))
+        u = _unit_powers(N + 1, t)
+        main = complex(np.dot(amps, u[1:N]))
+        unit_n = complex(u[N])
     npow = N ** (-sigma) * unit_n                   # N^{-s}
     acc = main + npow * N / (s - 1) + 0.5 * npow
 
@@ -268,18 +273,14 @@ def zeta_memo_size() -> int:
 # branch continuation
 
 
-@dataclass(frozen=True)
-class BranchedLog:
-    value: complex
-    unwind_count: int
+_PANEL_REL_TOL = 1e-10
+_MAX_SUBDIVISIONS = 40              # step halvings before a walk gives up
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    panel_rel_tol: float = 1e-10
     alpha_split: float = 3.0
     tail_terms: int = 100
-    max_subdivisions: int = 40
 
     def __post_init__(self):
         if not self.alpha_split >= 2:
@@ -303,9 +304,8 @@ class BranchTracker:
     evaluation per query.
     """
 
-    def __init__(self, t: float, cfg: QuadratureConfig = _DEFAULT_CFG):
+    def __init__(self, t: float):
         self.t = t
-        self.cfg = cfg
         self._lock = threading.Lock()
         self._low = 10.0
         self._z_low = z = self._zeta_at(self._low)
@@ -354,7 +354,7 @@ class BranchTracker:
                     break
                 sub *= 0.5
                 depth += 1
-                if depth > self.cfg.max_subdivisions:
+                if depth > _MAX_SUBDIVISIONS:
                     raise NearZeroOnPath(a_next, self.t, "step collapse")
             w = round((cmath.phase(self._z_low) + inc.imag
                        - cmath.phase(z_next)) / _TWO_PI)
@@ -386,17 +386,15 @@ class BranchTracker:
 
 
 @lru_cache(maxsize=64)
-def _tracker(t: float, cfg: QuadratureConfig) -> BranchTracker:
-    return BranchTracker(t, cfg)
+def _tracker(t: float) -> BranchTracker:
+    return BranchTracker(t)
 
 
-def log_zeta_branched(sigma: float, t: float,
-                      cfg: QuadratureConfig = _DEFAULT_CFG) -> BranchedLog:
+def log_zeta_branched(sigma: float, t: float) -> complex:
     """log zeta(sigma + it) on the continuation branch from the right."""
-    tr = _tracker(float(t), cfg)
+    tr = _tracker(float(t))
     tr.extend(sigma)
-    val = tr.log_at(sigma)
-    return BranchedLog(value=val, unwind_count=tr.winding(sigma))
+    return tr.log_at(sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +438,7 @@ def eta_tilde(m: int, sigma: float, t: float,
     tail = _lambda_tail(m, sigma, t, split, cfg.tail_terms)
     if split <= sigma:
         return tail
-    tr = _tracker(float(t), cfg)
+    tr = _tracker(float(t))
     tr.extend(sigma)
     fac = 1.0 / math.factorial(m - 1)
 
@@ -450,8 +448,7 @@ def eta_tilde(m: int, sigma: float, t: float,
 
     head = integrate_adaptive(
         integrand, sigma, split,
-        rel_tol=cfg.panel_rel_tol, abs_tol=1e-14,
-        max_panels=2000)
+        rel_tol=_PANEL_REL_TOL, abs_tol=1e-14, max_panels=2000)
     return head + tail
 
 
@@ -494,7 +491,7 @@ def _j_constant(m: int, sigma: float, cfg: QuadratureConfig) -> float:
 
     head = integrate_adaptive(
         lambda alphas: np.array([smooth_one(float(a)) for a in alphas]),
-        sigma, split, rel_tol=cfg.panel_rel_tol, abs_tol=1e-14,
+        sigma, split, rel_tol=_PANEL_REL_TOL, abs_tol=1e-14,
         breakpoints=(1.0,) if sigma < 1.0 < split else (),
         max_panels=2000)
     pole_part = fac * _power_log_integral(m, 1.0 - sigma, split - sigma)
@@ -525,8 +522,8 @@ def b_constant(m: int, cfg: QuadratureConfig | None = None) -> float:
 # argument integrals s_m
 
 
-def _s0(t: float, cfg: QuadratureConfig) -> float:
-    return log_zeta_branched(0.5, t, cfg).value.imag / math.pi
+def _s0(t: float) -> float:
+    return log_zeta_branched(0.5, t).imag / math.pi
 
 
 _JUMP_SCAN_STEP = 0.02
@@ -534,7 +531,7 @@ _JUMP_THRESHOLD = 0.5
 _JUMP_WIDTH = 1e-9
 
 
-def _locate_jumps(t_hi: float, cfg: QuadratureConfig) -> list[tuple[float, float]]:
+def _locate_jumps(t_hi: float) -> list[tuple[float, float]]:
     """(lo, hi) brackets of width <= 1e-9 around each S_0 jump in (0, t_hi).
 
     Scan at step 0.02, flag |delta S_0| > 0.5 (a unit jump plus smooth
@@ -549,14 +546,14 @@ def _locate_jumps(t_hi: float, cfg: QuadratureConfig) -> list[tuple[float, float
     us = [_JUMP_SCAN_STEP * k for k in range(1, n + 1)]
     if us[-1] < t_hi:
         us.append(t_hi)
-    vals = [_s0(u, cfg) for u in us]
+    vals = [_s0(u) for u in us]
     for i in range(len(us) - 1):
         if abs(vals[i + 1] - vals[i]) <= _JUMP_THRESHOLD:
             continue
         a, fa, b, fb = us[i], vals[i], us[i + 1], vals[i + 1]
         while b - a > _JUMP_WIDTH:
             mmid = 0.5 * (a + b)
-            fm = _s0(mmid, cfg)
+            fm = _s0(mmid)
             if abs(fm - fa) >= abs(fb - fm):
                 b, fb = mmid, fm
             else:
@@ -569,9 +566,10 @@ def s_m(m: int, t: float, cfg: QuadratureConfig | None = None) -> float:
     """Iterated argument integral; s_0 is arg zeta(1/2+it)/pi on the
     continuation branch, s_m = Int_0^t s_{m-1} + b_m for m >= 1.
 
-    The m=1 integrand jumps by +-1 at zero ordinates; jumps are located
-    and the quadrature panels split there, with each sub-1e-9 bracket
-    contributing its midpoint-rule sliver.
+    m >= 2 comes from the eta identity (module docstring).  m = 1
+    integrates s_0, whose jumps of +-1 at zero ordinates are located and
+    split out of the quadrature panels, each sub-1e-9 bracket adding its
+    midpoint-rule sliver.
     """
     cfg = cfg or _DEFAULT_CFG
     if m < 0:
@@ -579,26 +577,26 @@ def s_m(m: int, t: float, cfg: QuadratureConfig | None = None) -> float:
     if m == 0:
         if t == 0.0:
             raise NearZeroOnPath(1.0, 0.0, "pole on the t=0 path")
-        return _s0(t, cfg)
-    b = b_constant(m, cfg)
+        return _s0(t)
     if t == 0.0:
-        return b
+        return b_constant(m, cfg)
     if m == 1:
-        brackets = _locate_jumps(t, cfg)
+        brackets = _locate_jumps(t)
         total = 0.0
         edges = [0.0]
         for (a, bb) in brackets:
-            total += (bb - a) * 0.5 * (_s0(a, cfg) + _s0(bb, cfg))
+            total += (bb - a) * 0.5 * (_s0(a) + _s0(bb))
             edges.extend((a, bb))
         edges.append(t)
         for lo, hi in zip(edges[::2], edges[1::2]):
             if hi - lo <= 0:
                 continue
             total += integrate_adaptive(
-                lambda us: np.array([_s0(float(u), cfg) for u in us]), lo, hi,
-                rel_tol=cfg.panel_rel_tol, abs_tol=1e-10, max_panels=2000)
-        return total + b
-    val = integrate_adaptive(
-        lambda us: np.array([s_m(m - 1, float(u), cfg) for u in us]), 0.0, t,
-        rel_tol=max(cfg.panel_rel_tol, 1e-8), abs_tol=1e-8, max_panels=200)
-    return val + b
+                lambda us: np.array([_s0(float(u)) for u in us]), lo, hi,
+                rel_tol=_PANEL_REL_TOL, abs_tol=1e-10, max_panels=2000)
+        return total + b_constant(1, cfg)
+    poly = sum(-math.copysign(math.pi, t) * 0.5 ** k / math.factorial(k)
+               * _I_POW[(k + 1) % 4].imag * t ** (m - k)
+               / math.factorial(m - k) for k in range(1, m + 1))
+    eta = _I_POW[m % 4] * eta_tilde(m, 0.5, t, cfg)
+    return (eta.imag - poly) / math.pi

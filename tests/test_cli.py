@@ -211,13 +211,29 @@ class TestMoments:
         assert row[1] == "contour" and row[5] == ""
         assert float(row[2]) == pytest.approx(self._series_moment(k), rel=1e-11)
 
+    def test_contour_huge_weights_match_exact(self, tmp_path):
+        # c_2 = 2^-1/2 (log 2)^-500 ~ 2.7e79 puts the saddle at R ~ 1e-79
+        lines = run_lines(["moments", "--sigma", "0.5", "--m", "500", "--X", "3",
+                           "--k", "2", "--methods", "exact,contour"], tmp_path)
+        exact, contour = (float(ln.split(",")[2]) for ln in lines[1:])
+        assert exact == pytest.approx(3.7366202540771686e158, rel=1e-15)
+        assert contour == pytest.approx(exact, rel=1e-10)
+
+    def test_contour_infinite_weights_rejected(self, capsys):
+        # (log 2)^-2000 ~ 1e318 is past the double range
+        rc = cli.main(["moments", "--sigma", "0.5", "--m", "2000", "--X", "3",
+                       "--k", "2", "--methods", "contour"])
+        assert rc == 2
+        assert "overflow a double at m=2000" in capsys.readouterr().err
+
     def test_contour_past_double_range_exit_code(self, capsys):
         # c_2 = 2^-1/2 (log 2)^-20 ~ 1.1e3, so E P^170 ~ 1e517
         rc = cli.main(["moments", "--sigma", "0.5", "--m", "20", "--X", "3",
                        "--k", "170", "--methods", "contour"])
         assert rc == 4
         assert capsys.readouterr().err == (
-            "error: contour sum for k=170, X=3 is not finite at 2720 nodes\n")
+            "error: contour sum for k=170, X=3 is not finite at 2720 nodes: "
+            "the moment passes the double range (max 1.798e+308)\n")
 
     def test_empirical_needs_t(self, capsys):
         rc = cli.main(["moments", "--sigma", "0.5", "--m", "1", "--X", "31",

@@ -160,17 +160,14 @@ class TestContourMoment:
         assert (contour_moment(rot, 4, table31).value
                 == contour_moment(SPEC31, 4, table31).value)
 
-    def test_radius_fallback_flag(self):
-        # vanishing weights push the saddle past the bracket: flagged R = k
-        radius, fell_back = _saddle_radius(np.array([1e-9]), 5)
-        assert fell_back and radius == 5.0
-
     def test_saddle_residual(self, table31):
         from scipy import special as sc
-        c = table31.weights(1, 0.5, 31.0)
-        for k in (2, 6, 12):
-            r, fb = _saddle_radius(c, k)
-            assert not fb
+        # X = 31 weights, plus weights whose saddle lies far outside any
+        # fixed bracket: R ~ 5e9 for c = 1e-9, R ~ 1e-79 at m = 500, X = 3
+        cases = [(table31.weights(1, 0.5, 31.0), k) for k in (2, 6, 12)]
+        cases += [(np.array([1e-9]), 5), (table31.weights(500, 0.5, 3.0), 2)]
+        for c, k in cases:
+            r = _saddle_radius(c, k)
             x = r * c
             assert r * float(np.dot(c, sc.i1e(x) / sc.i0e(x))) == pytest.approx(
                 k, rel=1e-12)

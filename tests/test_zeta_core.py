@@ -8,6 +8,7 @@ test.
 
 import cmath
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -20,10 +21,11 @@ from oracle_values import (
     ZERO_ORDINATES_BELOW_55,
     ZETA_VALUES,
 )
+from zel import zeta_core
 from zel.prime_poly import (lambda_sum, phase_mod_two_pi_dd,
                             von_mangoldt_table)
+from zel.quadrature import integrate_adaptive
 from zel.zeta_core import (
-    _prime_dd_logs,
     _unit_powers,
     NearZeroOnPath,
     QuadratureConfig,
@@ -90,50 +92,93 @@ class TestZeta:
         assert zeta_memo_size() == n
 
 
-def _scalar_unit_powers(N, t):
-    """Reference n^{-it}: composites one at a time, u[n // p] * u[p] with
-    p the smallest prime factor, as numpy complex scalars."""
+def _scalar_primes_and_logs(N):
+    """Smallest prime factors below N by a scalar sieve, and the primes'
+    logs as double-doubles from 40-digit Decimal logs."""
     spf = list(range(N))
     for p in range(2, math.isqrt(N - 1) + 1):
         if spf[p] == p:
             for n in range(p * p, N, p):
                 if spf[n] == n:
                     spf[n] = p
+    primes = [p for p in range(2, N) if spf[p] == p]
+    logs = []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for p in primes:
+            d = Decimal(p).ln()
+            logs.append((float(d), float(d - Decimal(float(d)))))
+    return spf, np.array(primes), np.array(logs).reshape(-1, 2).T
+
+
+def _scalar_unit_powers(N, t):
+    """Reference n^{-it}: composites one at a time, u[n // p] * u[p] with
+    p the smallest prime factor, as numpy complex scalars; returned with
+    the primes and logs it used."""
+    spf, primes, logs = _scalar_primes_and_logs(N)
+    lhi, llo = logs
     u = np.empty(N, dtype=complex)
     u[0] = 0.0
     u[1] = 1.0
-    primes, lhi, llo = _prime_dd_logs(N)
     u[primes] = np.exp(-1j * phase_mod_two_pi_dd(t, lhi, llo))
     for n in range(4, N):
         p = spf[n]
         if p != n:
             u[n] = u[n // p] * u[p]
-    return u
+    return u, primes, logs
 
 
 class TestUnitPowers:
-    # descending t, so the first call grows the composite-layer cache and
-    # the smaller N read slices of it
     TS = (1e5, 19999.9, 1e4, 1234.5678, 14.134725141734693, 0.5)
 
-    def test_bit_identical_to_scalar_loop(self):
-        for t in self.TS:
-            N = int(0.57 * t) + 25
-            got = _unit_powers(N, t)
-            want = _scalar_unit_powers(N, t)
-            assert np.array_equal(got.view(np.float64),
-                                  want.view(np.float64)), t
-            with pytest.raises(ValueError):
-                got[N - 1] = 1.0
+    def test_bit_identical_to_scalar_loop(self, monkeypatch):
+        """From an empty table: descending N grows it once and the rest
+        read slices of it; ascending N grows it at every step."""
+        for ts in (self.TS, self.TS[::-1]):
+            monkeypatch.setattr(zeta_core, "_factor_table",
+                                zeta_core._FactorTable())
+            _unit_powers.cache_clear()
+            for t in ts:
+                N = int(0.57 * t) + 25
+                got = _unit_powers(N, t)
+                want, want_primes, want_logs = _scalar_unit_powers(N, t)
+                assert np.array_equal(got.view(np.float64),
+                                      want.view(np.float64)), t
+                with pytest.raises(ValueError):
+                    got[N - 1] = 1.0
+                primes, logs, _ = zeta_core._factor_table.below(N)
+                assert np.array_equal(primes, want_primes)
+                assert np.array_equal(logs.view(np.int64),
+                                      want_logs.view(np.int64))
+
+    def test_prime_logs_grow_only(self, monkeypatch):
+        """Each prime's Decimal log is taken once, only once it falls
+        below a requested n, and a smaller n takes none."""
+        logged = []
+        real = zeta_core._decimal_log
+
+        def counting(p):
+            logged.append(p)
+            return real(p)
+
+        monkeypatch.setattr(zeta_core, "_decimal_log", counting)
+        monkeypatch.setattr(zeta_core, "_factor_table",
+                            zeta_core._FactorTable())
+        _unit_powers.cache_clear()
+        # the sieve limit goes 500 -> 1000 -> 1000 -> 2000
+        for n, t, logged_below in ((500, 800.0, 500), (600, 1000.0, 600),
+                                   (300, 480.0, 600), (1500, 2600.0, 1500)):
+            _unit_powers(n, t)
+            want = _scalar_primes_and_logs(logged_below)[1].tolist()
+            assert logged == want, n
 
 
 class TestBranchedLog:
     def test_real_axis_sigma_three(self):
-        bl = log_zeta_branched(3.0, 0.0)
-        assert bl.value.imag == pytest.approx(0.0, abs=1e-14)
-        assert bl.value.real == pytest.approx(
+        val = log_zeta_branched(3.0, 0.0)
+        assert val.imag == pytest.approx(0.0, abs=1e-14)
+        assert val.real == pytest.approx(
             math.log(zeta(3 + 0j).real), abs=1e-13)
-        assert bl.unwind_count == 0
 
     def test_exp_consistency_sample(self):
         """exp(branched log) reproduces zeta at random points; flagged
@@ -145,12 +190,12 @@ class TestBranchedLog:
             sg = rng.uniform(0.5, 3.0)
             t = rng.uniform(1.0, 200.0)
             try:
-                bl = log_zeta_branched(sg, t)
+                val = log_zeta_branched(sg, t)
             except NearZeroOnPath:
                 flagged += 1
                 continue
             z = zeta(complex(sg, t))
-            assert abs(cmath.exp(bl.value) - z) <= 1e-10 * abs(z), (sg, t)
+            assert abs(cmath.exp(val) - z) <= 1e-10 * abs(z), (sg, t)
             checked += 1
         assert checked >= 90
         assert flagged < 10
@@ -158,7 +203,7 @@ class TestBranchedLog:
     def test_sigma_two_lambda_series(self):
         """sigma=2, t=100 against the absolutely convergent series; the
         oracle's own truncation tail bounds the allowed gap."""
-        bl = log_zeta_branched(2.0, 100.0)
+        val = log_zeta_branched(2.0, 100.0)
         N = 10 ** 5
         vm = von_mangoldt_table(N)
         ns = np.flatnonzero(vm[2:]) + 2
@@ -166,12 +211,12 @@ class TestBranchedLog:
         series = complex(np.dot(vm[ns] / lg * ns ** -2.0,
                                 np.exp(-1j * 100.0 * lg)))
         tail_bound = 1.0 / (N * math.log(N)) * 1.1
-        assert abs(bl.value - series) <= tail_bound + 1e-10
+        assert abs(val - series) <= tail_bound + 1e-10
 
     def test_s0_frozen(self):
         for t, want in S0_VALUES.items():
-            bl = log_zeta_branched(0.5, float(t))
-            assert bl.value.imag / math.pi == pytest.approx(want, abs=1e-12)
+            val = log_zeta_branched(0.5, float(t))
+            assert val.imag / math.pi == pytest.approx(want, abs=1e-12)
 
     def test_near_zero_flagged_at_ordinate(self):
         with pytest.raises(NearZeroOnPath):
@@ -281,3 +326,25 @@ class TestSm:
         simpson = h / 3 * (s1[0] + 4 * sum(s1[1:-1:2]) + 2 * sum(s1[2:-2:2])
                            + s1[-1])
         assert v == pytest.approx(simpson + b_constant(2, TIGHT), abs=5e-4)
+
+    @staticmethod
+    def _nested_s2(t):
+        """The m = 2 route before the eta identity: s_1 integrated."""
+        return integrate_adaptive(
+            lambda us: np.array([s_m(1, float(u), TIGHT) for u in us]),
+            0.0, t, rel_tol=1e-8, abs_tol=1e-8, max_panels=200
+        ) + b_constant(2, TIGHT)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("t", [1.5, 5.0])
+    def test_s2_identity_matches_nested_route(self, t):
+        assert abs(s_m(2, t, TIGHT) - self._nested_s2(t)) <= 1e-12
+
+    def test_s3_derivative_is_s2(self):
+        h = 1e-3
+        slope = (s_m(3, 5.0 + h, TIGHT) - s_m(3, 5.0 - h, TIGHT)) / (2 * h)
+        assert slope == pytest.approx(s_m(2, 5.0, TIGHT), abs=1e-6)
+
+    def test_s3_past_first_zero(self):
+        # the nested route bisected onto the zero at t = 14.1347 and raised
+        assert math.isfinite(s_m(3, 20.0))
