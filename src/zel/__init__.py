@@ -13,9 +13,8 @@ from .prime_poly import (PolySpec, PrimeTable, TGrid, lambda_sum, max_spacing,
 from .zeta_core import (NearZeroOnPath, QuadratureConfig, ZetaAccuracyWarning,
                         ZetaPoleError, b_constant, c_constant, eta_tilde,
                         log_zeta_branched, s_m, zeta)
-from .moments import (MomentResult, MultiplicativeWeights, bessel_product,
-                      contour_moment, empirical_moment, exact_moment,
-                      exp_moment_trimmed)
+from .moments import (MomentResult, bessel_product, contour_moment,
+                      empirical_moment, exact_moment, exp_moment_trimmed)
 from .tails import (AdvisoryConstants, ExceedanceCurve, FAMILIES,
                     TailPrediction, default_trim_w, measure_exceedance_eta,
                     measure_exceedance_poly, measure_exceedance_poly_multi,
@@ -31,7 +30,7 @@ __all__ = [
     "NearZeroOnPath", "QuadratureConfig",
     "ZetaAccuracyWarning", "ZetaPoleError", "b_constant", "c_constant",
     "eta_tilde", "log_zeta_branched", "s_m", "zeta",
-    "MomentResult", "MultiplicativeWeights", "bessel_product",
+    "MomentResult", "bessel_product",
     "contour_moment", "empirical_moment", "exact_moment",
     "exp_moment_trimmed",
     "AdvisoryConstants", "ExceedanceCurve", "FAMILIES", "TailPrediction",

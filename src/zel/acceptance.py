@@ -254,7 +254,7 @@ def criterion_7(tolerances=None) -> CriterionResult:
     specs = [PolySpec(m=0, sigma=0.8, theta=th, X=1e5) for th in thetas]
     v_grid = np.arange(1.2, 2.01, 0.2)
     curves = measure_exceedance_poly_multi(specs, table, grid, v_grid)
-    a08 = a_constant(0, 0.8, g_value=g_constant(0.8))
+    a08 = a_constant(0, 0.8)
     lines, ok = [], True
 
     base = curves[0]
@@ -361,7 +361,7 @@ def criterion_8(tolerances=None) -> CriterionResult:
     for V, sigma in ((1e3, 0.6), (1e6, 0.6), (1e3, 0.75)):
         m = 0
         x = solve_saddle_strip(V, sigma, m)
-        a = a_constant(m, sigma, g_value=g_constant(sigma))
+        a = a_constant(m, sigma)
         closed = a / (1.0 - sigma) * V ** (sigma / (1.0 - sigma)) \
             * math.log(V) ** ((m + sigma) / (1.0 - sigma))
         dev = abs(x / closed - 1.0)

@@ -9,7 +9,8 @@ info, fixed column orders, 17-digit floats.
 V grids use start:stop:step with both endpoints included (50:200:10 is
 16 values), a comma list, or a single number.  Exit codes: 0 success,
 1 selfcheck criteria failed, 2 invalid parameters, 3 nonfinite output,
-4 a numerical routine did not converge (RuntimeError).
+4 a numerical routine did not converge or a moment passed the double
+range (RuntimeError).
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from .prime_poly import PolySpec, PrimeTable, TGrid, dyadic_floor
 from .tails import (
     AdvisoryConstants,
     FAMILIES,
-    MAX_ETA_GRID,
+    eta_values,
     measure_exceedance_eta,
     measure_exceedance_poly,
     predict_tail,
 )
-from .zeta_core import NearZeroOnPath, eta_tilde, log_zeta_branched
 
 METHOD_ORDER = ("exact", "contour", "empirical")
 
@@ -176,7 +176,7 @@ def _curve_rows(curve, family: str | None, params: dict, constants):
     for v, frac, count in zip(curve.V_grid, curve.measure_fraction,
                               curve.exceed_counts):
         exponent = log_ratio = None
-        flags = ""
+        validity = ()
         if family is not None and v >= 3.0:
             try:
                 p = predict_tail(family, float(v), params, constants=constants)
@@ -184,11 +184,12 @@ def _curve_rows(curve, family: str | None, params: dict, constants):
                 p = None
             if p is not None:
                 exponent = p.exponent
-                flags = flags_cell(p.validity)
+                validity = p.validity
                 if frac > 0.0:
                     log_ratio = math.log(frac) / -p.exponent
+        # the curve's own flags (eta exclusions) ride on every row
         rows.append((float(v), int(count), float(frac), exponent, log_ratio,
-                     flags))
+                     flags_cell(validity + curve.flags)))
     return rows
 
 
@@ -222,17 +223,10 @@ def cmd_tail(cfg: RunConfig) -> int:
 
 
 def cmd_eta(cfg: RunConfig) -> int:
-    if len(cfg.t) > MAX_ETA_GRID:
-        raise ValueError(f"t grid has {len(cfg.t)} points; cap is {MAX_ETA_GRID}")
     ct, st = math.cos(cfg.theta), math.sin(cfg.theta)
     rows = []
-    for t in cfg.t:
-        try:
-            if cfg.m == 0:
-                val = log_zeta_branched(cfg.sigma, t)
-            else:
-                val = eta_tilde(cfg.m, cfg.sigma, t)
-        except NearZeroOnPath:
+    for t, val in zip(cfg.t, eta_values(cfg.m, cfg.sigma, cfg.t)):
+        if val is None:
             rows.append((t, None, None, None, "near_zero_excluded"))
             continue
         rows.append((t, val.real, val.imag, ct * val.real + st * val.imag, ""))

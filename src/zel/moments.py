@@ -6,14 +6,17 @@ moment (1/T) int_T^{2T} P(t)^k dt has a closed main term
     k! sum_{Omega(n)=k} f(n) g_X(n) n^{-sigma},
 
 where f is the cosine-product mean (multiplicative, f(p^a) = 2^-a C(a, a/2),
-zero on odd exponents) and g_X(p^a) = 1/(a! (log p)^{am}).  This module
-computes that sum exactly by enumeration, re-derives it as a contour
-integral of the Bessel generating product
+zero on odd exponents) and g_X(p^a) = 1/(a! (log p)^{am}).  The sum is
+k! times the w^k Taylor coefficient of the Bessel generating product
+prod_{p<=X} I0(w p^-sigma (log p)^-m).  This module computes it exactly
+from that product's I0 series cut at degree k, re-derives it as the
+contour integral
 
     (k!/2 pi i) oint w^{-k-1} prod_{p<=X} I0(w p^-sigma (log p)^-m) dw,
 
 and measures it empirically on a TGrid.  The three routes share no code
-path past the prime table, so their agreement is a genuine cross-check.
+path past the prime table's weights (the exact route builds its own
+series terms), so their agreement is a genuine cross-check.
 
 Also here: the generating product itself in log form (with an analytic
 prime-density tail for X past the sieve limit) and the trimmed exponential
@@ -30,14 +33,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .prime_poly import PolySpec, PrimeTable, TGrid, _spec_arrays, iter_poly_blocks, sieve
+from .prime_poly import PolySpec, PrimeTable, TGrid, _spec_arrays, iter_poly_blocks
 from .quadrature import integrate_adaptive
 from .special_fn import _i0_series, log_bessel_i0, log_i0_slope
 
 __all__ = [
-    "MultiplicativeWeights",
     "MomentResult",
-    "f_value",
     "exact_moment",
     "contour_moment",
     "empirical_moment",
@@ -45,7 +46,7 @@ __all__ = [
     "exp_moment_trimmed",
 ]
 
-# enumeration budget for exact_moment; contour relaxes the prime bound
+# exact_moment limits; contour relaxes the prime bound
 MAX_EXACT_PRIMES = 30
 MAX_EXACT_K = 12
 MAX_CONTOUR_PRIMES = 100_000
@@ -54,56 +55,6 @@ MAX_CONTOUR_K = 170                 # 171! > 1.8e308 overflows a double
 METHOD_EMPIRICAL = "empirical"
 METHOD_EXACT = "exact_multiplicative"
 METHOD_CONTOUR = "contour"
-
-
-@dataclass(frozen=True)
-class MultiplicativeWeights:
-    """The two prime-power weights behind the exact moment formula."""
-
-    m: int
-    X: float
-
-    def f_prime_power(self, alpha: int) -> Fraction:
-        """f(p^alpha) = 2^-alpha C(alpha, alpha/2), zero for odd alpha."""
-        if alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if alpha % 2:
-            return Fraction(0)
-        return Fraction(math.comb(alpha, alpha // 2), 2 ** alpha)
-
-    def g_prime_power(self, p: int, alpha: int) -> float:
-        """g_X(p^alpha) = 1/(alpha! (log p)^{alpha m}) for p <= X, else 0."""
-        if alpha < 0:
-            raise ValueError("alpha must be >= 0")
-        if p > self.X:
-            return 0.0
-        return 1.0 / (math.factorial(alpha) * math.log(p) ** (alpha * self.m))
-
-
-def f_value(n: int) -> Fraction:
-    """Multiplicative extension of f(p^alpha) = 2^-alpha C(alpha, alpha/2).
-
-    Vanishes whenever any prime divides n to an odd power, so it is
-    supported on the squarefull-with-even-exponents integers.
-    """
-    if n < 1:
-        raise ValueError(f"f_value wants n >= 1, got {n}")
-    out = Fraction(1)
-    rest = n
-    d = 2
-    while d * d <= rest:
-        if rest % d == 0:
-            alpha = 0
-            while rest % d == 0:
-                rest //= d
-                alpha += 1
-            if alpha % 2:
-                return Fraction(0)
-            out *= Fraction(math.comb(alpha, alpha // 2), 2 ** alpha)
-        d += 1 if d == 2 else 2
-    if rest > 1:
-        return Fraction(0)          # leftover prime appears to the first power
-    return out
 
 
 @dataclass(frozen=True)
@@ -124,53 +75,47 @@ class MomentResult:
 
 
 # ---------------------------------------------------------------------------
-# exact enumeration
-
-
-def _even_exponent_terms(factors: list[dict[int, float]], i: int, budget: int,
-                         prod: float, out: list[float]) -> None:
-    # factors[i] maps even exponent a >= 2 to the full per-prime factor
-    if budget == 0:
-        out.append(prod)
-        return
-    if i == len(factors):
-        return
-    _even_exponent_terms(factors, i + 1, budget, prod, out)
-    for a, fac in factors[i].items():
-        if a <= budget:
-            _even_exponent_terms(factors, i + 1, budget - a, prod * fac, out)
+# exact sum
 
 
 def exact_moment(spec: PolySpec, k: int) -> MomentResult:
-    """k! sum_{Omega(n)=k} f(n) g_X(n) n^{-sigma} by even-exponent enumeration.
+    """k! sum_{Omega(n)=k} f(n) g_X(n) n^{-sigma} as a Taylor coefficient.
 
-    Only exponent vectors with every entry even survive f, which cuts the
-    search to compositions of k/2; odd k is exactly zero.  err_estimate is 0
-    (the arithmetic is exact up to final float rounding).  Independent of
-    spec.theta by construction.
+    For even a, f(p^a) g_X(p^a) p^{-sigma a} = (w_p/2)^a / ((a/2)!)^2 with
+    w_p = p^-sigma (log p)^-m, the x^a coefficient of I0(x w_p); odd a
+    gives 0 on both sides.  So the sum is k! times the x^k coefficient of
+    prod_p I0(x w_p), formed here as one product of the I0 series cut at
+    degree k/2 in y = x^2.  Odd k is exactly zero.  err_estimate is 0
+    (exact up to float rounding), independent of spec.theta by
+    construction; a moment past the double range raises RuntimeError.
     """
     if not 1 <= k <= MAX_EXACT_K:
         raise ValueError(f"k must be in [1, {MAX_EXACT_K}], got {k}")
-    primes = sieve(int(spec.X))
-    if primes.size > MAX_EXACT_PRIMES:
+    table = PrimeTable.build(int(spec.X))
+    if table.primes.size > MAX_EXACT_PRIMES:
         raise ValueError(
-            f"{primes.size} primes <= X exceeds the enumeration budget "
+            f"{table.primes.size} primes <= X exceeds the exact budget "
             f"{MAX_EXACT_PRIMES}")
     if k % 2:
         return MomentResult(k=k, value=0.0, method=METHOD_EXACT, err_estimate=0.0)
 
-    wts = MultiplicativeWeights(m=spec.m, X=spec.X)
-    factors: list[dict[int, float]] = []
-    for p in primes.tolist():
-        per_a = {}
-        for a in range(2, k + 1, 2):
-            per_a[a] = (float(wts.f_prime_power(a)) * wts.g_prime_power(p, a)
-                        * p ** (-spec.sigma * a))
-        factors.append(per_a)
-
-    terms: list[float] = []
-    _even_exponent_terms(factors, 0, k, 1.0, terms)
-    value = math.factorial(k) * math.fsum(terms)
+    half = k // 2
+    w = table.weights(spec.m, spec.sigma)
+    coef = np.zeros(half + 1)
+    coef[0] = 1.0
+    # inf or nan (0 * inf) past the double range is caught below
+    with np.errstate(over="ignore", invalid="ignore"):
+        # row p: (w_p/2)^{2j} / (j!)^2 for j = 0..k/2
+        series = np.ones((w.size, half + 1))
+        j = np.arange(1, half + 1)
+        series[:, 1:] = np.cumprod(np.outer(0.25 * w * w, 1.0 / (j * j)), axis=1)
+        for row in series:
+            coef = np.convolve(coef, row)[:half + 1]
+    value = math.factorial(k) * float(coef[half])
+    if not math.isfinite(value):
+        raise RuntimeError(
+            f"exact moment for k={k}, X={spec.X:g} is not finite: the moment "
+            "passes the double range (max 1.798e+308)")
     return MomentResult(k=k, value=value, method=METHOD_EXACT, err_estimate=0.0)
 
 
@@ -194,8 +139,9 @@ def _saddle_radius(c: np.ndarray, k: int) -> float:
         g = log_i0_slope(x)
         return float(np.sum(g)) - k, float(np.dot(x - g, x + g))
 
-    s = lo = math.log(max(k / float(np.sum(c)),
-                          math.sqrt(2.0 * k / float(np.dot(c, c)))))
+    with np.errstate(over="ignore"):    # sum c^2 = inf still bounds: R0 >= 0
+        s = lo = math.log(max(k / float(np.sum(c)),
+                              math.sqrt(2.0 * k / float(np.dot(c, c)))))
     hi = math.inf
     for _ in range(100):            # 6-9 steps from R0 in practice
         f, slope = excess(s)
@@ -246,9 +192,6 @@ def contour_moment(spec: PolySpec, k: int, table: PrimeTable) -> MomentResult:
             f"contour moments need k <= {MAX_CONTOUR_K} (k! must fit in a "
             f"double), got k={k}")
     _, c = _spec_arrays(spec, table)
-    if not np.isfinite(c).all():
-        raise ValueError(
-            f"weights p^-sigma (log p)^-m overflow a double at m={spec.m}")
     if c.size > MAX_CONTOUR_PRIMES:
         raise ValueError(
             f"{c.size} primes <= X exceeds the contour budget {MAX_CONTOUR_PRIMES}")
@@ -290,13 +233,12 @@ def _half_spacing_blocks(spec: PolySpec, table: PrimeTable,
     """Stream (first, Z) blocks of the half-spacing refinement of grid.
 
     Refined point i is t0 + i delta/2, so base point j is refined point
-    2j + 2 offset and Z[first::2] are a block's base points; first
-    follows the global index, since blocks may start at odd indices.
+    2j and Z[first::2] are a block's base points; first follows the
+    global index, since blocks may start at odd indices.
     """
     half = TGrid(t0=grid.t0, count=2 * grid.count, delta=grid.delta / 2)
-    parity = int(2 * grid.offset)
     for j0, z in iter_poly_blocks(spec, table, half):
-        yield (parity - j0) % 2, z
+        yield j0 % 2, z
 
 
 def _add_power_sums(sums: dict, first: int, p: np.ndarray) -> None:

@@ -23,7 +23,7 @@ the 1e-12-per-window budget).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -128,12 +128,11 @@ def von_mangoldt_table(limit: int) -> np.ndarray:
 
 @dataclass
 class PrimeTable:
-    """Sieved primes with cached logs and per-(m, sigma) weight vectors."""
+    """Sieved primes with their logs; the one source of the weights w_p."""
 
     limit: int
     primes: np.ndarray
     logs: np.ndarray
-    _weights: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, limit: int) -> "PrimeTable":
@@ -142,22 +141,22 @@ class PrimeTable:
         ps = sieve(limit)
         return cls(limit=int(limit), primes=ps, logs=np.log(ps.astype(float)))
 
-    def count(self) -> int:
-        return int(self.primes.size)
-
     def upto(self, x: float) -> int:
         """Index bound: primes[:upto(x)] are the primes <= x."""
         return int(np.searchsorted(self.primes, math.floor(x), side="right"))
 
     def weights(self, m: int, sigma: float, x: float | None = None) -> np.ndarray:
-        """p^-sigma (log p)^-m for p <= x (default: the whole table)."""
-        n = self.count() if x is None else self.upto(x)
-        key = (int(m), float(sigma), n)
-        w = self._weights.get(key)
-        if w is None:
-            lg = self.logs[:n]
+        """p^-sigma (log p)^-m for p <= x (default: the whole table).
+
+        ValueError when a weight passes the double range ((log 2)^-m at
+        large m), without a RuntimeWarning on the way.
+        """
+        lg = self.logs if x is None else self.logs[:self.upto(x)]
+        with np.errstate(over="ignore"):
             w = np.exp(-float(sigma) * lg) * lg ** (-float(m))
-            self._weights[key] = w
+        if not np.isfinite(w).all():
+            raise ValueError(
+                f"weights p^-sigma (log p)^-m overflow a double at m={m}")
         return w
 
 
@@ -202,37 +201,31 @@ def dyadic_floor(dmax: float) -> float:
 
 @dataclass(frozen=True)
 class TGrid:
-    """Uniform grid t_j = t0 + (j + offset) * delta, j = 0..count-1.
+    """Uniform grid t_j = t0 + j * delta, j = 0..count-1.
 
     delta is a dyadic rational and t0 sits on the same dyadic lattice, so
     every t_j is exact in double precision (see module docstring).
-    offset is 0 or 1/2 (midpoint sampling).
     """
 
     t0: float
     count: int
     delta: float
-    offset: float = 0.0
 
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
         if not self.delta > 0:
             raise ValueError("delta must be positive")
-        if self.offset not in (0.0, 0.5):
-            raise ValueError("offset must be 0 or 1/2")
         num, den = float(self.delta).as_integer_ratio()
         if num >= 2 ** 24 or den > 2 ** 24:
             raise ValueError(f"delta {self.delta} is not a short dyadic rational")
-        scale = 2 * den      # the lattice including offset 1/2
-        if self.t0 * scale != round(self.t0 * scale):
+        if self.t0 * den != round(self.t0 * den):
             raise ValueError(f"t0 {self.t0} not on the delta lattice")
-        if (self.t0 + self.count * self.delta) * scale >= 2 ** 53:
+        if (self.t0 + self.count * self.delta) * den >= 2 ** 53:
             raise ValueError("grid exceeds exact-double dyadic range")
 
     @classmethod
-    def for_span(cls, T: float, X: float, *, offset: float = 0.0,
-                 refine: int = 1) -> "TGrid":
+    def for_span(cls, T: float, X: float, *, refine: int = 1) -> "TGrid":
         """Cover [T, 2T] at the spacing rule for X (refine halves delta).
 
         delta is dyadic_floor(2 pi/(3 log X) / refine), so refine=2 halves
@@ -250,14 +243,14 @@ class TGrid:
                 f"T={T:g}, X={X:g}: phases up to (2T + delta) log X = {top:.4g} "
                 f"pass the exact-reduction limit (2^28 - 1) * 2 pi = {limit:.4g}")
         count = math.ceil(T / delta)
-        return cls(t0=float(T), count=count, delta=delta, offset=offset)
+        return cls(t0=float(T), count=count, delta=delta)
 
     def t(self, j: int) -> float:
-        return self.t0 + (j + self.offset) * self.delta
+        return self.t0 + j * self.delta
 
     def t_array(self, j0: int = 0, j1: int | None = None) -> np.ndarray:
         j1 = self.count if j1 is None else j1
-        return self.t0 + (np.arange(j0, j1, dtype=float) + self.offset) * self.delta
+        return self.t0 + np.arange(j0, j1, dtype=float) * self.delta
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +294,8 @@ def iter_poly_blocks(spec: PolySpec, table: PrimeTable, grid: TGrid, *,
     chunk_cols = min(chunk_cols, budget)
     n_cols = -(-grid.count // rows)
 
-    # V: (rows, P); row phases (j0 + offset)*delta*omega, weights folded in
-    row_t = (np.arange(rows, dtype=float) + grid.offset) * grid.delta
+    # V: (rows, P); row phases j0*delta*omega, weights folded in
+    row_t = np.arange(rows, dtype=float) * grid.delta
     vmat = w[None, :] * np.exp(-1j * phase_mod_two_pi(row_t[:, None], omegas[None, :]))
 
     # chained per-column rotation over col*rows*delta, rebuilt exactly

@@ -20,6 +20,7 @@ solve their saddle condition with it.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator
 
@@ -160,8 +161,12 @@ def _log_i0_taylor_coeffs(n_terms: int) -> np.ndarray:
     return c[1:]
 
 
-def g_constant(sigma: float, *, rel_tol: float = 1e-10, nodes: int = 16) -> float:
+@functools.lru_cache(maxsize=64)
+def g_constant(sigma: float, *, nodes: int = 16) -> float:
     """G(sigma) for 1/2 < sigma < 1, relative accuracy ~1e-10 (contract: 1e-8).
+
+    Cached per (sigma, nodes): the strip saddle, A_m(sigma) and the
+    self-check criteria ask for the same few sigma again and again.
 
     Split at u=1 and u=U=30:
       (0, 1]   termwise-exact integration of the log I0 Taylor series,
@@ -187,7 +192,7 @@ def g_constant(sigma: float, *, rel_tol: float = 1e-10, nodes: int = 16) -> floa
 
     big_u = 30.0
     mid = integrate_adaptive(lambda u: log_bessel_i0(u) * u ** (-1.0 - a),
-                             1.0, big_u, rel_tol=0.01 * rel_tol, nodes=nodes)
+                             1.0, big_u, rel_tol=1e-12, nodes=nodes)
 
     t1 = big_u ** (1.0 - a) / (a - 1.0)
     t2 = (math.log(2.0 * math.pi) / a + math.log(big_u) / a + 1.0 / (a * a)) \
@@ -204,17 +209,13 @@ def g_constant(sigma: float, *, rel_tol: float = 1e-10, nodes: int = 16) -> floa
     return head + mid + tail_main + tail_rho
 
 
-def a_constant(m: int, sigma: float, *, g_value: float | None = None) -> float:
-    """A_m(sigma) for m >= 0, 1/2 < sigma < 1.
-
-    g_value overrides G(sigma) (unit tests pin it to 1 to isolate the
-    algebra).
-    """
+def a_constant(m: int, sigma: float) -> float:
+    """A_m(sigma) for m >= 0, 1/2 < sigma < 1."""
     if m < 0:
         raise ValueError(f"a_constant wants m >= 0, got {m}")
     if not 0.5 < sigma < 1.0:
         raise ValueError(f"a_constant wants 1/2 < sigma < 1, got {sigma}")
-    g = g_constant(sigma) if g_value is None else float(g_value)
+    g = g_constant(sigma)
     if not g > 0.0:
         raise ValueError(f"G(sigma) must be positive, got {g}")
     base = sigma ** (2.0 * sigma) / ((1.0 - sigma) ** (2.0 * sigma - 1.0 + m) * g ** sigma)

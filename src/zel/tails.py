@@ -35,7 +35,7 @@ closed-form approximations describe.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -43,7 +43,7 @@ import numpy as np
 
 from .prime_poly import PolySpec, PrimeTable, TGrid, iter_poly_blocks, max_spacing
 from .special_fn import a_constant, g_constant
-from .zeta_core import NearZeroOnPath, QuadratureConfig, eta_tilde, log_zeta_branched
+from .zeta_core import NearZeroOnPath, eta_tilde, log_zeta_branched
 
 __all__ = [
     "AdvisoryConstants",
@@ -53,6 +53,7 @@ __all__ = [
     "measure_exceedance_poly",
     "measure_exceedance_poly_multi",
     "measure_exceedance_eta",
+    "eta_values",
     "solve_saddle_critical",
     "solve_saddle_strip",
     "predict_tail",
@@ -179,38 +180,46 @@ def measure_exceedance_poly(spec: PolySpec, table: PrimeTable, grid: TGrid,
     return measure_exceedance_poly_multi([spec], table, grid, V_grid)[0]
 
 
+def eta_values(m: int, sigma: float, ts) -> list[complex | None]:
+    """eta_m(sigma + it) for each t in ts; m = 0 is the branched log zeta.
+
+    None marks a t whose continuation path runs too close to a zero.  ts
+    may be any iterable; more than MAX_ETA_GRID values raise ValueError
+    before any is evaluated (each one costs a quadrature).
+    """
+    ts = list(itertools.islice(ts, MAX_ETA_GRID + 1))
+    if len(ts) > MAX_ETA_GRID:
+        raise ValueError(
+            f"more than {MAX_ETA_GRID} t values; the eta grid caps at "
+            f"{MAX_ETA_GRID}")
+    out = []
+    for t in ts:
+        try:
+            out.append(log_zeta_branched(sigma, t) if m == 0
+                       else eta_tilde(m, sigma, t))
+        except NearZeroOnPath:
+            out.append(None)
+    return out
+
+
 def measure_exceedance_eta(m: int, sigma: float, theta: float, grid: TGrid,
-                           V_grid, cfg: QuadratureConfig | None = None
-                           ) -> ExceedanceCurve:
+                           V_grid) -> ExceedanceCurve:
     """Exceedance of Re e^{-i theta} eta_m(sigma + it) on a desk grid.
 
-    m = 0 evaluates the branched log directly.  Points whose continuation
-    path runs too close to a zero are excluded and counted; more than 1%
-    of them flags the whole curve.  Fractions keep the full grid count as
-    denominator so exclusions can only lower the curve.
+    Values come from eta_values.  Points whose continuation path runs too
+    close to a zero are excluded and counted; more than 1% of them flags
+    the whole curve.  Fractions keep the full grid count as denominator
+    so exclusions can only lower the curve.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     if not sigma >= 0.5:
         raise ValueError(f"sigma must be >= 1/2, got {sigma}")
-    if grid.count > MAX_ETA_GRID:
-        raise ValueError(
-            f"grid has {grid.count} points; eta exceedance caps at {MAX_ETA_GRID}")
     v = _check_v_grid(V_grid)
     ct, st = math.cos(theta), math.sin(theta)
-    vals = []
-    excluded = 0
-    for j in range(grid.count):
-        t = grid.t(j)
-        try:
-            if m == 0:
-                e = log_zeta_branched(sigma, t)
-            else:
-                e = eta_tilde(m, sigma, t, cfg=cfg)
-        except NearZeroOnPath:
-            excluded += 1
-            continue
-        vals.append(ct * e.real + st * e.imag)
+    values = eta_values(m, sigma, map(grid.t, range(grid.count)))
+    vals = [ct * e.real + st * e.imag for e in values if e is not None]
+    excluded = len(values) - len(vals)
     counts = _exceed_counts(np.asarray(vals), v)
     flags = ()
     if excluded > 0.01 * grid.count:
@@ -288,11 +297,6 @@ def solve_saddle_critical(V: float, X: float, m: int) -> float:
     return _solve_rising(g, gp, V, "critical")
 
 
-@functools.lru_cache(maxsize=64)
-def _g_cached(sigma: float) -> float:
-    return g_constant(sigma)
-
-
 def solve_saddle_strip(V: float, sigma: float, m: int) -> float:
     """x solving V = sigma^{m/sigma} G(sigma) x^{1/sigma-1}
     / (sigma (log x)^{m/sigma+1}).
@@ -306,7 +310,7 @@ def solve_saddle_strip(V: float, sigma: float, m: int) -> float:
         raise ValueError(f"sigma must be in (1/2, 1), got {sigma}")
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    coef = sigma ** (m / sigma) * _g_cached(sigma) / sigma
+    coef = sigma ** (m / sigma) * g_constant(sigma) / sigma
     growth = 1.0 / sigma - 1.0
     logpow = m / sigma + 1.0
 
@@ -322,11 +326,6 @@ def solve_saddle_strip(V: float, sigma: float, m: int) -> float:
 
 # ---------------------------------------------------------------------------
 # predictions
-
-
-@functools.lru_cache(maxsize=64)
-def _a_cached(m: int, sigma: float) -> float:
-    return a_constant(m, sigma, g_value=_g_cached(sigma))
 
 
 def _require(params: dict, family: str, *names: str) -> list:
@@ -398,7 +397,7 @@ def predict_tail(family: str, V: float, params: dict,
         sigma = float(_require(params, family, "sigma")[0])
         if not 0.5 < sigma < 1.0:
             raise ValueError(f"strip families need sigma in (1/2, 1), got {sigma}")
-        exponent = (_a_cached(m, sigma) * V ** (1.0 / (1.0 - sigma))
+        exponent = (a_constant(m, sigma) * V ** (1.0 / (1.0 - sigma))
                     * lv ** ((m + sigma) / (1.0 - sigma)))
         window = math.sqrt((1.0 + m * llv) / lv)
         if family == "strip_poly":
@@ -408,7 +407,7 @@ def predict_tail(family: str, V: float, params: dict,
             if T is not None:
                 lt = math.log(T)
                 # ceiling: log X <= a6 log T / (V^{1/(1-s)} (log V)^{(m+s)/(1-s)})
-                v_term = exponent / _a_cached(m, sigma)
+                v_term = exponent / a_constant(m, sigma)
                 if math.log(X) > cst.a6 * lt / v_term:
                     flags.append("x_above_a6")
                 if V > cst.a5 * lt ** (1.0 - sigma) / _loglog(T) ** (m + 1):

@@ -581,6 +581,7 @@ def s_m(m: int, t: float, cfg: QuadratureConfig | None = None) -> float:
     if t == 0.0:
         return b_constant(m, cfg)
     if m == 1:
+        t = abs(t)                  # s_0 is odd in t, so s_1 is even
         brackets = _locate_jumps(t)
         total = 0.0
         edges = [0.0]

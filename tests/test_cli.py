@@ -6,15 +6,17 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zel import cli
+from zel import cli, tails
 from zel.prime_poly import PrimeTable, sieve
 from zel.emit import (NonFiniteOutput, flags_cell, fmt_cell, fmt_float,
                       write_csv, write_json)
+from zel.zeta_core import NearZeroOnPath
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +228,37 @@ class TestMoments:
         assert rc == 2
         assert "overflow a double at m=2000" in capsys.readouterr().err
 
+    def test_exact_past_double_range_exit_code(self, capsys):
+        # w_2 = 2^-1/2 (log 2)^-500 ~ 2.7e79, so w_2^6 passes 1e308
+        rc = cli.main(["moments", "--sigma", "0.5", "--m", "500", "--X", "31",
+                       "--k", "6", "--methods", "exact"])
+        assert rc == 4
+        assert capsys.readouterr().err == (
+            "error: exact moment for k=6, X=31 is not finite: the moment "
+            "passes the double range (max 1.798e+308)\n")
+
+    @pytest.mark.parametrize("method", ["exact", "contour"])
+    def test_huge_weights_one_error_line(self, capsys, method):
+        # w_2 ~ 1e159 is finite but w_2^2 is not: exit 4, and no numpy
+        # RuntimeWarning (turned into an exception here) on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["moments", "--sigma", "0.5", "--m", "1000", "--X",
+                           "3", "--k", "2", "--methods", method])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert err.endswith("passes the double range (max 1.798e+308)\n")
+
+    def test_empirical_infinite_weights_rejected(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["moments", "--sigma", "0.5", "--m", "2000", "--X",
+                           "3", "--T", "1e3", "--k", "2", "--methods",
+                           "empirical"])
+        assert rc == 2
+        assert "overflow a double at m=2000" in capsys.readouterr().err
+
     def test_contour_past_double_range_exit_code(self, capsys):
         # c_2 = 2^-1/2 (log 2)^-20 ~ 1.1e3, so E P^170 ~ 1e517
         rc = cli.main(["moments", "--sigma", "0.5", "--m", "20", "--X", "3",
@@ -292,8 +325,33 @@ class TestTail:
         assert rc == 2
         assert "cap" in capsys.readouterr().err
 
+    def test_eta_route_exclusion_flag(self, monkeypatch, tmp_path):
+        # one of 8 points (t = 100) excluded: over 1%, so every row says so
+        real = tails.eta_tilde
+
+        def near_zero_at_100(m, sigma, t):
+            if t == 100.0:
+                raise NearZeroOnPath(sigma, t)
+            return real(m, sigma, t)
+
+        monkeypatch.setattr(tails, "eta_tilde", near_zero_at_100)
+        lines = run_lines(["tail", "--route", "eta", "--sigma", "0.75",
+                           "--m", "1", "--T", "100", "--count", "8",
+                           "--V", "1e-3,3"], tmp_path)
+        assert lines[0] == ("V,count,fraction,predicted_exponent,log_ratio,"
+                            "validity_flags")
+        flags = [ln.split(",")[5] for ln in lines[1:]]
+        assert flags[0] == "exclusions_above_1pct"
+        assert flags[1].split(";")[-1] == "exclusions_above_1pct"
+
 
 class TestEtaCommand:
+    def test_point_cap(self, capsys):
+        rc = cli.main(["eta", "--sigma", "0.75", "--m", "1",
+                       "--t", "0:200000:1"])
+        assert rc == 2
+        assert "caps at 100000" in capsys.readouterr().err
+
     def test_pointwise_rows(self, tmp_path):
         lines = run_lines(["eta", "--sigma", "0.75", "--m", "1",
                            "--t", "100:102:1"], tmp_path)

@@ -1,4 +1,5 @@
-"""Moment route cross-checks: enumeration vs contour vs grid averages."""
+"""Moment route cross-checks: I0 product vs contour vs grid averages, and
+the product against an in-test even-exponent enumeration."""
 
 import itertools
 import math
@@ -10,20 +11,76 @@ import pytest
 from zel import moments, prime_poly
 from zel.moments import (
     MomentResult,
-    MultiplicativeWeights,
     bessel_product,
     contour_moment,
     empirical_moment,
     exact_moment,
     exp_moment_trimmed,
-    f_value,
     _saddle_radius,
 )
-from zel.prime_poly import PolySpec, PrimeTable, TGrid, iter_poly_blocks
+from zel.prime_poly import PolySpec, PrimeTable, TGrid, iter_poly_blocks, sieve
 from zel.special_fn import g_constant
 
 SPEC31 = PolySpec(m=1, sigma=0.5, theta=0.0, X=31.0)
 PRIMES31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+def f_value(n: int) -> Fraction:
+    """Multiplicative extension of f(p^alpha) = 2^-alpha C(alpha, alpha/2).
+
+    Vanishes whenever any prime divides n to an odd power, so it is
+    supported on the squarefull-with-even-exponents integers.
+    """
+    if n < 1:
+        raise ValueError(f"f_value wants n >= 1, got {n}")
+    out = Fraction(1)
+    rest = n
+    d = 2
+    while d * d <= rest:
+        if rest % d == 0:
+            alpha = 0
+            while rest % d == 0:
+                rest //= d
+                alpha += 1
+            if alpha % 2:
+                return Fraction(0)
+            out *= Fraction(math.comb(alpha, alpha // 2), 2 ** alpha)
+        d += 1 if d == 2 else 2
+    if rest > 1:
+        return Fraction(0)          # leftover prime appears to the first power
+    return out
+
+
+def _even_exponent_terms(factors, i, budget, prod, out):
+    # factors[i] maps even exponent a >= 2 to the full per-prime factor
+    if budget == 0:
+        out.append(prod)
+        return
+    if i == len(factors):
+        return
+    _even_exponent_terms(factors, i + 1, budget, prod, out)
+    for a, fac in factors[i].items():
+        if a <= budget:
+            _even_exponent_terms(factors, i + 1, budget - a, prod * fac, out)
+
+
+def enumerated_moment(m, sigma, X, k):
+    """k! sum_{Omega(n)=k} f(n) g_X(n) n^-sigma over every even exponent
+    vector, with f(p^a) = 2^-a C(a, a/2) and g_X(p^a) = 1/(a! (log p)^{am})
+    taken prime power by prime power (the enumeration exact_moment used
+    before it became an I0 product)."""
+    if k % 2:
+        return 0.0
+    factors = []
+    for p in sieve(int(X)).tolist():
+        factors.append({
+            a: (float(Fraction(math.comb(a, a // 2), 2 ** a))
+                * (1.0 / (math.factorial(a) * math.log(p) ** (a * m)))
+                * p ** (-sigma * a))
+            for a in range(2, k + 1, 2)})
+    terms = []
+    _even_exponent_terms(factors, 0, k, 1.0, terms)
+    return math.factorial(k) * math.fsum(terms)
 
 
 @pytest.fixture(scope="module")
@@ -37,22 +94,6 @@ def grid1e5():
 
 
 class TestWeights:
-    def test_f_prime_powers(self):
-        w = MultiplicativeWeights(m=1, X=100.0)
-        assert w.f_prime_power(0) == 1
-        assert w.f_prime_power(1) == 0
-        assert w.f_prime_power(2) == Fraction(1, 2)
-        assert w.f_prime_power(4) == Fraction(3, 8)
-        with pytest.raises(ValueError):
-            w.f_prime_power(-1)
-
-    def test_g_prime_power(self):
-        w = MultiplicativeWeights(m=2, X=10.0)
-        assert w.g_prime_power(3, 2) == pytest.approx(
-            1.0 / (2 * math.log(3) ** 4), rel=1e-15)
-        assert w.g_prime_power(11, 2) == 0.0     # past X
-        assert w.g_prime_power(3, 0) == 1.0
-
     def test_f_value_examples(self):
         assert f_value(1) == 1
         assert f_value(4) == Fraction(1, 2)
@@ -116,6 +157,23 @@ class TestExactMoment:
             total += term
         want = math.factorial(4) * total
         assert exact_moment(spec, 4).value == pytest.approx(want, rel=1e-14)
+
+    def test_product_matches_enumeration(self):
+        # (X, k) = (113, 12) enumerates 1.6M terms (~0.8 s), so that corner
+        # runs at one (m, sigma); the rest of the grid runs in ~0.3 s
+        cases = [(m, sigma, X, k) for m in (0, 1, 2, 5) for sigma in (0.5, 0.75)
+                 for X in (3.0, 31.0, 113.0) for k in (2, 4, 6, 8, 12)
+                 if (X, k) != (113.0, 12)] + [(1, 0.5, 113.0, 12)]
+        for m, sigma, X, k in cases:
+            want = enumerated_moment(m, sigma, X, k)
+            got = exact_moment(PolySpec(m=m, sigma=sigma, theta=0.0, X=X), k)
+            assert got.value == pytest.approx(want, rel=1e-14), (m, sigma, X, k)
+
+    def test_past_double_range_raises(self):
+        # (log 2)^-500 ~ 1e79, so w_2^6 ~ 1e474; at m = 1000, w_2^2 ~ 1e318
+        for m, X, k in ((500, 31.0, 6), (1000, 3.0, 2)):
+            with pytest.raises(RuntimeError, match="passes the double range"):
+                exact_moment(PolySpec(m=m, sigma=0.5, theta=0.0, X=X), k)
 
     def test_theta_free(self):
         a = exact_moment(SPEC31, 4).value

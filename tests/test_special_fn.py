@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from zel import special_fn
 from zel.special_fn import (I0_SWITCH, a_constant, bessel_i0, g_constant,
                             kappa, log_bessel_i0, log_i0_slope,
                             _i0_asymp_factor, _i0_series)
@@ -111,11 +112,23 @@ def test_g_domain():
             g_constant(s)
 
 
-def test_a_closed_form_with_unit_g():
+def test_a_closed_form_with_unit_g(monkeypatch):
     # G pinned to 1 isolates the exponent algebra
+    monkeypatch.setattr(special_fn, "g_constant", lambda sigma: 1.0)
     for m, s in ((0, 0.75), (1, 0.6), (3, 0.9)):
         want = (s ** (2 * s) / (1 - s) ** (2 * s - 1 + m)) ** (1 / (1 - s))
-        assert a_constant(m, s, g_value=1.0) == pytest.approx(want, rel=1e-14)
+        assert a_constant(m, s) == pytest.approx(want, rel=1e-14)
+
+
+def test_g_cached_per_sigma(monkeypatch):
+    calls = []
+    real = special_fn.integrate_adaptive
+    monkeypatch.setattr(special_fn, "integrate_adaptive",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    special_fn.g_constant.cache_clear()
+    first = g_constant(0.65)
+    assert g_constant(0.65) == first and a_constant(2, 0.65) > 0.0
+    assert len(calls) == 1
 
 
 def test_a_frozen_values():

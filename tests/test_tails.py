@@ -13,12 +13,15 @@ import pytest
 
 from zel.prime_poly import PolySpec, PrimeTable, TGrid, iter_poly_blocks, lambda_sum
 from zel.special_fn import a_constant, g_constant
+from zel import tails
 from zel.tails import (
     AdvisoryConstants,
     ExceedanceCurve,
     FAMILIES,
+    MAX_ETA_GRID,
     TailPrediction,
     default_trim_w,
+    eta_values,
     measure_exceedance_eta,
     measure_exceedance_poly,
     measure_exceedance_poly_multi,
@@ -27,7 +30,7 @@ from zel.tails import (
     solve_saddle_strip,
     trim_set_A,
 )
-from zel.zeta_core import eta_tilde
+from zel.zeta_core import NearZeroOnPath, eta_tilde, log_zeta_branched
 
 SPEC08 = PolySpec(m=0, sigma=0.8, theta=0.0, X=31.0)
 
@@ -186,6 +189,45 @@ class TestMeasureEta:
         with pytest.raises(ValueError, match="m must be"):
             measure_exceedance_eta(-1, 0.75, 0.0, grid, [1.0])
 
+    def test_exclusions_counted_and_flagged(self, monkeypatch):
+        real = tails.eta_tilde
+
+        def near_zero_at_100(m, sigma, t):
+            if t == 100.0:
+                raise NearZeroOnPath(sigma, t)
+            return real(m, sigma, t)
+
+        monkeypatch.setattr(tails, "eta_tilde", near_zero_at_100)
+        grid = TGrid(t0=99.0, count=8, delta=0.5)
+        curve = measure_exceedance_eta(1, 0.75, 0.0, grid, [-100.0])
+        assert curve.excluded_count == 1
+        assert curve.exceed_counts[0] == 7
+        assert curve.flags == ("exclusions_above_1pct",)
+
+
+class TestEtaValues:
+    def test_dispatch_on_m(self):
+        got = eta_values(0, 0.75, [50.0, 60.0])
+        assert got == [log_zeta_branched(0.75, 50.0),
+                       log_zeta_branched(0.75, 60.0)]
+        assert eta_values(2, 0.75, (100.0,)) == [eta_tilde(2, 0.75, 100.0)]
+
+    def test_near_zero_is_none(self, monkeypatch):
+        def always_near(sigma, t):
+            raise NearZeroOnPath(sigma, t)
+
+        monkeypatch.setattr(tails, "log_zeta_branched", always_near)
+        assert eta_values(0, 0.5, [14.0, 15.0]) == [None, None]
+
+    def test_cap_before_any_value(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("evaluated past the cap")
+
+        monkeypatch.setattr(tails, "eta_tilde", never)
+        ts = (10.0 + 0.25 * j for j in range(10 ** 9))     # lazy, never built
+        with pytest.raises(ValueError, match=f"caps at {MAX_ETA_GRID}"):
+            eta_values(1, 0.75, ts)
+
 
 # residual checks re-type the displayed saddle equations
 
@@ -254,7 +296,7 @@ class TestSaddleStrip:
         """x ~ (A_m(sigma)/(1-sigma)) V^{sigma/(1-sigma)}
         (log V)^{(m+sigma)/(1-sigma)}, within 5 loglog V/log V relative."""
         x = solve_saddle_strip(V, sigma, m)
-        a = a_constant(m, sigma, g_value=g_constant(sigma))
+        a = a_constant(m, sigma)
         closed = (a / (1.0 - sigma) * V ** (sigma / (1.0 - sigma))
                   * math.log(V) ** ((m + sigma) / (1.0 - sigma)))
         slack = 5.0 * math.log(math.log(V)) / math.log(V)
@@ -313,7 +355,7 @@ class TestPredictTail:
 
     def test_strip_composition(self):
         p = predict_tail("strip_eta", 100.0, {"m": 0, "sigma": 0.75})
-        want = (a_constant(0, 0.75, g_value=g_constant(0.75))
+        want = (a_constant(0, 0.75)
                 * 100.0 ** 4 * math.log(100.0) ** 3)
         assert p.exponent == pytest.approx(want, rel=1e-12)
         assert p.error_window == pytest.approx(

@@ -308,6 +308,13 @@ class TestSm:
         with pytest.raises(ValueError):
             s_m(-1, 10.0)
 
+    def test_s1_even(self):
+        # s_0 is odd in t, so s_1(t) = int_0^t s_0 + b_1 is even
+        assert s_m(1, -5.0) == s_m(1, 5.0)
+        assert s_m(1, -5.0) != b_constant(1)
+        lhs = math.pi * s_m(1, -20.0)
+        assert abs(lhs - eta_tilde(1, 0.5, -20.0).real) <= 1e-5
+
     @pytest.mark.parametrize("t", [20.0, 30.0, 50.0])
     def test_identity_suite(self, t):
         """pi s_1(t) = Re eta_tilde(1, 1/2, t), unconditionally."""
