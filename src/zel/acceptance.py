@@ -424,7 +424,7 @@ def run_all(quick: bool = False,
         if quick and number in QUICK_SKIP:
             results.append(CriterionResult(
                 number, "tail trend", None,
-                "skipped under --quick (T=1e7 sweep, ~51s)"))
+                "skipped under --quick (T=1e7 sweep, ~4s)"))
             continue
         results.append(fn(tolerances=tolerances))
     return results

@@ -26,6 +26,7 @@ from .emit import NonFiniteOutput, flags_cell, write_csv, write_json
 from .moments import contour_moment, empirical_moment, exact_moment
 from .prime_poly import PolySpec, PrimeTable, TGrid, dyadic_floor
 from .tails import (
+    MAX_ETA_GRID,
     AdvisoryConstants,
     FAMILIES,
     eta_values,
@@ -38,15 +39,24 @@ METHOD_ORDER = ("exact", "contour", "empirical")
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
-    """start:stop:step (inclusive), comma list, or single value."""
+    """start:stop:step (inclusive), comma list, or single value.
+
+    A span of more than MAX_ETA_GRID points raises ValueError before any
+    point is built.
+    """
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid {text!r} is not start:stop:step")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
+        if not (step > 0 and stop >= start):
             raise ValueError(f"grid {text!r} needs stop >= start and step > 0")
-        n = int(math.floor((stop - start) / step + 1e-9)) + 1
+        steps = (stop - start) / step + 1e-9
+        if not steps < MAX_ETA_GRID:
+            raise ValueError(
+                f"grid {text!r} has more than {MAX_ETA_GRID} points; a grid "
+                f"caps at {MAX_ETA_GRID}")
+        n = int(math.floor(steps)) + 1
         return tuple(start + i * step for i in range(n))
     if "," in text:
         return tuple(float(p) for p in text.split(",") if p)

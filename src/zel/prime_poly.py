@@ -12,12 +12,34 @@ rationals and grid start times are representable on the same dyadic
 lattice, making every t_j = t0 + j*delta exact in double precision, and
 (b) every phase is reduced mod 2 pi from the exact Dekker two-product of
 t and log p with a three-part Cody-Waite 2 pi (residual ~1e-15 rad).
-The batch kernel factors e^{-i t_j omega} = e^{-i (t0 + col*B*delta) omega}
-* e^{-i row*delta*omega} over j = col*B + row and evaluates each block of
-B columns as one complex GEMM; the chained per-column rotation is rebuilt
-from exact phases every CHAIN_RENORM columns, so no chain applies more
-than CHAIN_RENORM + B incremental multiplies (drift ~ 1e-13 rad, within
-the 1e-12-per-window budget).
+
+The batch kernel has two paths, chosen by prime count alone; both yield
+the same (j_start, Z) stream.
+
+GEMM path (fewer than NUFFT_MIN_PRIMES primes).  It factors
+e^{-i t_j omega} = e^{-i (t0 + col*B*delta) omega} * e^{-i row*delta*omega}
+over j = col*B + row and evaluates each block of B columns as one complex
+GEMM; the chained per-column rotation is rebuilt from exact phases every
+CHAIN_RENORM columns, so no chain applies more than CHAIN_RENORM + B
+incremental multiplies (drift ~ 1e-13 rad, within the 1e-12-per-window
+budget).  Cost O(primes * points).
+
+NUFFT path (the Odlyzko-Schonhage idea as a type-1 nonuniform FFT).  A
+block of up to NUFFT_BLOCK points centred at grid point c has
+Z_{c+k} = sum_p a_p e^{-i k x_p} with a_p = w_p e^{-i t_c omega_p} from an
+exact phase and x_p = delta*omega_p.  Each a_p is spread onto a 2x
+upsampled periodic grid of n = 2 * NUFFT_BLOCK points
+with the exponential-of-semicircle kernel of width ES_WIDTH
+(Barnett-Magland-af Klinteberg, SISC 41, 2019), one numpy FFT follows,
+and each output is divided by the kernel's Fourier transform.  The kernel
+sits at u_p = x_p n/(2 pi) in fine-grid units, formed from the exact
+two-product x_p = hi + lo in double-double arithmetic.  Rounding u_p
+to a double adds up to 2 pi k ulp(u_p)/n to each phase, growing with |k|:
+against the GEMM path that measured 1e-11 for u_p in plain doubles and
+7e-11 for np.mod(-x_p, 2 pi) placement at sum w_p = 70, where the
+double-double placement differs by ~7e-14.  Indices, kernel values and
+deconvolution factors depend only on x_p, so they are built once per pass.
+Cost O(points log NUFFT_BLOCK + primes * ES_WIDTH per block).
 """
 
 from __future__ import annotations
@@ -32,12 +54,20 @@ SIEVE_LIMIT = 100_000_000       # hard cap for prime enumeration
 BLOCK_ROWS = 1024               # j0 range per GEMM block (renormalization window)
 CHUNK_COLS = 256                # GEMM columns per yielded chunk
 CHAIN_RENORM = 32               # exact phase rebuild cadence along the column chain
+NUFFT_MIN_PRIMES = 600          # prime count from which the NUFFT path beats GEMM
+NUFFT_BLOCK = 1 << 16           # grid points per NUFFT block (a power of two)
+ES_WIDTH = 16                   # ES spreading kernel width, fine-grid points
+ES_BETA = 2.30 * ES_WIDTH       # ES shape for 2x upsampling
+ES_NODES = 64                   # Gauss-Legendre nodes for the kernel transform
 
 # three-part Cody-Waite split of 2 pi; k*C1 and k*C2 are exact for k < 2^29
 _TWO_PI = 2.0 * math.pi
 _CW_1 = float.fromhex("0x1.921fb40000000p+2")
 _CW_2 = float.fromhex("0x1.4442d00000000p-22")
 _CW_3 = float.fromhex("0x1.8469898cc5170p-46")
+# 1/(2 pi) as a double-double
+_INV_TWO_PI_HI = float.fromhex("0x1.45f306dc9c883p-3")
+_INV_TWO_PI_LO = float.fromhex("-0x1.6b01ec5417056p-57")
 _SPLITTER = 134217729.0         # 2^27 + 1, Veltkamp
 # k * _CW_1 is exact only while k fits in 28 bits (_CW_1 carries 25)
 PHASE_TURNS = 2 ** 28
@@ -284,14 +314,24 @@ def iter_poly_blocks(spec: PolySpec, table: PrimeTable, grid: TGrid, *,
 
     Blocks arrive in j order and partition the grid.  P(t) for any theta
     is cos(theta)*Z.real + sin(theta)*Z.imag; |Z| feeds the trimmed-set
-    machinery.  Peak memory is O(primes * chunk_cols), never
+    machinery.  From NUFFT_MIN_PRIMES primes on the values come from the
+    NUFFT path, below it from the GEMM path (chunk_cols columns per
+    chunk); see the module docstring.  Peak memory is
+    O(primes * chunk_cols) on the GEMM path and
+    O(primes * ES_WIDTH + NUFFT_BLOCK) on the NUFFT path, never
     O(primes * count).
     """
     omegas, w = _spec_arrays(spec, table)
-    # keep V and the column chunk near 128 MB each when the prime count is huge
-    budget = max(64, (128 << 20) // (16 * omegas.size))
-    rows = min(BLOCK_ROWS, grid.count, budget)
-    chunk_cols = min(chunk_cols, budget)
+    if omegas.size >= NUFFT_MIN_PRIMES:
+        yield from _nufft_blocks(omegas, w, grid)
+    else:
+        yield from _gemm_blocks(omegas, w, grid, chunk_cols)
+
+
+def _gemm_blocks(omegas: np.ndarray, w: np.ndarray, grid: TGrid,
+                 chunk_cols: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The GEMM path of iter_poly_blocks: one complex GEMM per chunk."""
+    rows = min(BLOCK_ROWS, grid.count)
     n_cols = -(-grid.count // rows)
 
     # V: (rows, P); row phases j0*delta*omega, weights folded in
@@ -322,6 +362,73 @@ def iter_poly_blocks(spec: PolySpec, table: PrimeTable, grid: TGrid, *,
         yield emitted, z[:take]
         emitted += take
         col += cc
+
+
+def _es_kernel(z: np.ndarray) -> np.ndarray:
+    """ES kernel exp(beta (sqrt(1 - z^2) - 1)) for |z| <= 1.
+
+    Written as exp(-beta z^2 / (1 + sqrt(1 - z^2))), which has no
+    cancellation near z = 0; rounding can put z a few ulps past 1, where
+    the kernel is ~e^-beta either way.
+    """
+    root = np.sqrt(np.maximum((1.0 - z) * (1.0 + z), 0.0))
+    return np.exp(-ES_BETA * z * z / (1.0 + root))
+
+
+def _nufft_plan(delta: float, omegas: np.ndarray,
+                block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spreading slots, kernel values and deconvolution factors for one pass.
+
+    The per-prime frequencies are x = delta * omegas = x_hi + x_lo
+    exactly; the fine grid has n = 2 * block points.  slots index the
+    fine grid viewed as interleaved (re, im) doubles, so one real
+    bincount spreads complex amplitudes.  The factors divide output k in
+    [-block/2, block/2), stored at k + block/2.
+    """
+    n = 2 * block
+    x_hi, x_lo = _two_product(delta, omegas)
+    # kernel centre u = x n / (2 pi) in fine-grid units, as a double-double;
+    # n is a power of two, so scaling by it is exact
+    p, e = _two_product(x_hi, _INV_TWO_PI_HI)
+    u_hi = n * p
+    u_lo = n * (e + x_hi * _INV_TWO_PI_LO + x_lo * _INV_TWO_PI_HI)
+    base = np.floor(u_hi)
+    frac = (u_hi - base) + u_lo
+    offsets = np.arange(1 - ES_WIDTH // 2, ES_WIDTH // 2 + 1)
+    kern = _es_kernel((offsets - frac[:, None]) * (2.0 / ES_WIDTH))
+    idx = (base.astype(np.int64)[:, None] + offsets) % n
+    slots = (2 * idx[:, :, None] + np.arange(2)).reshape(-1)
+
+    # psi_hat(k/n) = (W/2) int_{-1}^{1} phi(z) cos(pi k W z / n) dz, even in k
+    z, wts = np.polynomial.legendre.leggauss(ES_NODES)
+    k = np.arange(block // 2 + 1)
+    psi_hat = (0.5 * ES_WIDTH) * (
+        np.cos(np.outer(k * (math.pi * ES_WIDTH / n), z)) @ (wts * _es_kernel(z)))
+    inv = 1.0 / psi_hat
+    return slots, kern, np.concatenate((inv[:0:-1], inv[:-1]))
+
+
+def _nufft_blocks(omegas: np.ndarray, w: np.ndarray,
+                  grid: TGrid) -> Iterator[tuple[int, np.ndarray]]:
+    """The NUFFT path of iter_poly_blocks: one type-1 NUFFT per block.
+
+    A block of L <= NUFFT_BLOCK points starting at j0 is centred at grid
+    point c = j0 + L//2, so t_c is exact and
+    Z_{c+k} = sum_p a_p e^{-i k x_p} for k in [-L//2, L - L//2).
+    """
+    block = NUFFT_BLOCK
+    n = 2 * block
+    slots, kern, deconv = _nufft_plan(grid.delta, omegas, block)
+    for j0 in range(0, grid.count, block):
+        size = min(block, grid.count - j0)
+        h = size // 2
+        a = w * np.exp(-1j * phase_mod_two_pi(grid.t(j0 + h), omegas))
+        fine = np.bincount(slots, (a[:, None] * kern).view(float).reshape(-1),
+                           minlength=2 * n).view(complex)
+        coef = np.fft.fft(fine)
+        lo = block // 2 - h
+        yield j0, (np.concatenate((coef[n - h:], coef[:size - h]))
+                   * deconv[lo:lo + size])
 
 
 def poly_eval_batch(spec: PolySpec, table: PrimeTable, grid: TGrid) -> np.ndarray:

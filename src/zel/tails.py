@@ -149,7 +149,7 @@ def measure_exceedance_poly_multi(specs, table: PrimeTable, grid: TGrid,
     """One streaming pass, one curve per spec; specs differ only in theta.
 
     The complex block values serve every rotation, so a theta sweep costs
-    a single GEMM pass.
+    one kernel pass.
     """
     specs = list(specs)
     if not specs:

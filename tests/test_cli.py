@@ -51,6 +51,24 @@ class TestParseGrid:
         with pytest.raises(ValueError):
             cli.parse_grid("1:2:0")
 
+    def test_cap_boundary(self):
+        assert len(cli.parse_grid(f"1:{tails.MAX_ETA_GRID}:1")) == tails.MAX_ETA_GRID
+
+    @pytest.mark.parametrize("span", [f"0:{tails.MAX_ETA_GRID}:1", "0:1e12:1"])
+    def test_oversized_span_rejected_before_building(self, monkeypatch, span):
+        def no_tuple(*args):
+            raise AssertionError("grid points built before the cap check")
+
+        monkeypatch.setattr(cli, "tuple", no_tuple, raising=False)
+        with pytest.raises(ValueError, match=f"caps at {tails.MAX_ETA_GRID}"):
+            cli.parse_grid(span)
+
+    def test_oversized_v_grid_exit_code(self, capsys):
+        rc = cli.main(["predict", "--family", "strip_eta", "--sigma", "0.75",
+                       "--m", "0", "--V", "1:2e5:1"])
+        assert rc == 2
+        assert f"caps at {tails.MAX_ETA_GRID}" in capsys.readouterr().err
+
 
 class TestParseKv:
     def test_basic(self):

@@ -12,8 +12,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from zel import prime_poly
 from zel.prime_poly import (
     BLOCK_ROWS,
+    NUFFT_BLOCK,
     PolySpec,
     PrimeTable,
     TGrid,
@@ -329,6 +331,65 @@ class TestBatch:
             assert abs(s - exact) < 5e-7 * abs(exact)
             sums.append(s)
         assert abs(sums[0] - sums[1]) < 1e-6 * abs(sums[1])
+
+
+# (sigma, X): 430 primes at X = 3000, below the NUFFT crossover; 1229 and
+# 9592 primes above it.  sum w_p reaches 70 at (0.5, 1e5).
+NUFFT_CASES = [(0.5, 3000.0), (0.5, 1e5), (0.8, 3000.0), (0.8, 1e4)]
+
+
+class TestNufft:
+    table = PrimeTable.build(100_000)
+
+    def _forced(self, monkeypatch, path, spec, grid):
+        """Z over the grid with iter_poly_blocks held to one path."""
+        threshold = 1 if path == "nufft" else 10 ** 9
+        monkeypatch.setattr(prime_poly, "NUFFT_MIN_PRIMES", threshold)
+        return self._values(spec, grid)
+
+    def _values(self, spec, grid):
+        starts, parts = zip(*iter_poly_blocks(spec, self.table, grid))
+        assert list(starts) == np.cumsum([0, *map(len, parts[:-1])]).tolist()
+        return np.concatenate(parts)
+
+    # one grid shorter than a block, one that ends part-way into a block
+    @pytest.mark.parametrize("count", [5000, NUFFT_BLOCK + 12345])
+    @pytest.mark.parametrize("sigma,X", NUFFT_CASES)
+    def test_matches_gemm_and_pointwise(self, monkeypatch, sigma, X, count):
+        spec = PolySpec(m=0, sigma=sigma, theta=0.0, X=X)
+        span = TGrid.for_span(1e6, X)
+        grid = TGrid(t0=span.t0, count=count, delta=span.delta)
+        bound = 1e-12 * max(1.0, float(np.sum(self.table.weights(0, sigma, X))))
+        z_nufft = self._forced(monkeypatch, "nufft", spec, grid)
+        z_gemm = self._forced(monkeypatch, "gemm", spec, grid)
+        assert z_nufft.shape == z_gemm.shape == (count,)
+        assert np.max(np.abs(z_nufft - z_gemm)) <= bound
+
+        # block ends and centres, where |k| is largest and smallest
+        edges = [0, 1, count // 2, count - 2, count - 1]
+        if count > NUFFT_BLOCK:
+            edges += [NUFFT_BLOCK // 2, NUFFT_BLOCK - 1, NUFFT_BLOCK]
+        idx = np.unique(np.concatenate(
+            [edges, np.random.default_rng(8).integers(0, count, 30)]))
+        pointwise = [poly_eval_complex(spec, self.table, grid.t(int(j)))
+                     for j in idx]
+        assert np.max(np.abs(z_nufft[idx] - pointwise)) <= bound
+
+        for v in (-1.0, 0.0, 0.5, 1.0, 2.0):
+            assert np.sum(z_nufft.real > v) == np.sum(z_gemm.real > v)
+
+    @pytest.mark.parametrize("X,path", [(31.0, "gemm"), (1e5, "nufft")])
+    def test_dispatch_by_prime_count(self, monkeypatch, X, path):
+        ran = []
+        for name in ("_gemm_blocks", "_nufft_blocks"):
+            def spy(*args, _fn=getattr(prime_poly, name), _name=name):
+                ran.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(prime_poly, name, spy)
+        spec = PolySpec(m=0, sigma=0.8, theta=0.0, X=X)
+        z = self._values(spec, TGrid(t0=1e4, count=100, delta=0.125))
+        assert z.shape == (100,)
+        assert ran == [f"_{path}_blocks"]
 
 
 class TestLambdaSum:

@@ -1,4 +1,5 @@
-"""Property tests: phase reduction, exceedance monotonicity, chunking.
+"""Property tests: phase reduction, exceedance monotonicity, chunking,
+block lengths, grid exactness.
 
 Hypothesis runs derandomized with a bounded example count, so every run
 draws the same cases and the suite stays deterministic.
@@ -6,14 +7,16 @@ draws the same cases and the suite stays deterministic.
 
 import functools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from zel import tails
-from zel.prime_poly import (PolySpec, PrimeTable, TGrid, dyadic_floor,
+from zel import prime_poly, tails
+from zel.prime_poly import (BLOCK_ROWS, NUFFT_BLOCK, PolySpec, PrimeTable,
+                            TGrid, dyadic_floor,
                             iter_poly_blocks, max_spacing, phase_mod_two_pi,
                             poly_eval_batch, sieve)
 from zel.tails import measure_exceedance_poly
@@ -21,7 +24,7 @@ from zel.tails import measure_exceedance_poly
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=40)
 PRIMES = sieve(100_000).tolist()
-TABLE = PrimeTable.build(100)
+TABLE = PrimeTable.build(10_000)
 
 
 @PROPERTY
@@ -79,3 +82,49 @@ def test_blocks_independent_of_chunk_cols(t0, count, X, theta, vs):
         z, counts = _chunked(spec, grid, v, chunk_cols)
         assert np.max(np.abs(z - z_ref)) <= 1e-10
         assert counts.tolist() == counts_ref.tolist()
+
+
+def _with_block_lengths(spec, grid, v, rows, block):
+    """(Z over the grid, exceedance counts at v) at BLOCK_ROWS = rows and
+    NUFFT_BLOCK = block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(prime_poly, "BLOCK_ROWS", rows)
+        mp.setattr(prime_poly, "NUFFT_BLOCK", block)
+        z = np.concatenate([b for _, b in iter_poly_blocks(spec, TABLE, grid)])
+        counts = measure_exceedance_poly(spec, TABLE, grid, v).exceed_counts
+    return z, counts
+
+
+@settings(PROPERTY, max_examples=15)
+@given(t0=st.integers(1, 10 ** 7), count=st.integers(1, 40_000),
+       X=st.sampled_from([31.0, 1e4]),
+       theta=st.floats(0.0, 2.0 * math.pi),
+       vs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5, unique=True))
+@example(t0=10 ** 7, count=40_000, X=1e4, theta=0.7, vs=[-0.5, 1.0])
+def test_blocks_independent_of_block_lengths(t0, count, X, theta, vs):
+    # X = 31 (11 primes) takes the GEMM path, X = 1e4 (1229) the NUFFT path
+    spec = PolySpec(m=1, sigma=0.5, theta=theta, X=X)
+    grid = TGrid(t0=float(t0), count=count, delta=dyadic_floor(max_spacing(X)))
+    v = sorted(vs)
+    z_ref, counts_ref = _with_block_lengths(spec, grid, v, BLOCK_ROWS, NUFFT_BLOCK)
+    for rows, block in ((7, 1 << 8), (100, 1 << 12)):
+        z, counts = _with_block_lengths(spec, grid, v, rows, block)
+        assert np.max(np.abs(z - z_ref)) <= 1e-10
+        assert counts.tolist() == counts_ref.tolist()
+
+
+@PROPERTY
+@given(T=st.integers(1, 10 ** 7), X=st.sampled_from([3.0, 31.0, 1e4, 1e5]),
+       refine=st.integers(1, 8),
+       fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+def test_grid_times_exact_on_dyadic_lattice(T, X, refine, fracs):
+    grid = TGrid.for_span(float(T), X, refine=refine)
+    delta = Fraction(grid.delta)
+    assert delta.denominator & (delta.denominator - 1) == 0     # dyadic
+    js = sorted({0, grid.count - 1, *(int(f * (grid.count - 1)) for f in fracs)})
+    for j in js:
+        assert Fraction(grid.t(j)) == T + j * delta
+    j0 = js[len(js) // 2]
+    part = grid.t_array(j0, min(j0 + 64, grid.count))
+    assert [Fraction(t) for t in part] == [T + (j0 + i) * delta
+                                           for i in range(part.size)]
