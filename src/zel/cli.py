@@ -42,7 +42,7 @@ def parse_grid(text: str) -> tuple[float, ...]:
     """start:stop:step (inclusive), comma list, or single value.
 
     A span of more than MAX_ETA_GRID points raises ValueError before any
-    point is built.
+    point is built; empty text gives an empty tuple.
     """
     if ":" in text:
         parts = text.split(":")
@@ -58,8 +58,8 @@ def parse_grid(text: str) -> tuple[float, ...]:
                 f"caps at {MAX_ETA_GRID}")
         n = int(math.floor(steps)) + 1
         return tuple(start + i * step for i in range(n))
-    if "," in text:
-        return tuple(float(p) for p in text.split(",") if p)
+    if "," in text or not text.strip():
+        return tuple(float(p) for p in text.split(",") if p.strip())
     return (float(text),)
 
 
@@ -219,6 +219,8 @@ def cmd_tail(cfg: RunConfig) -> int:
     else:
         if cfg.T is None:
             raise ValueError("eta route needs --T")
+        if cfg.count < 1:
+            raise ValueError(f"--count must be >= 1, got {cfg.count}")
         delta = dyadic_floor(cfg.T / cfg.count)
         grid = TGrid(t0=float(cfg.T), count=cfg.count, delta=delta)
         curve = measure_exceedance_eta(cfg.m, cfg.sigma, cfg.theta, grid,
@@ -332,21 +334,29 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
+def _listed(flag: str, values) -> tuple:
+    """values as a tuple; ValueError naming flag when there are none."""
+    values = tuple(values)
+    if not values:
+        raise ValueError(f"{flag} lists no values")
+    return values
+
+
 def _config_from(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
     for name in ("sigma", "m", "theta", "T", "X", "family", "route", "refine",
                  "count", "quick", "out", "format"):
         if hasattr(args, name):
             setattr(cfg, name, getattr(args, name))
-    if getattr(args, "V", None):
-        cfg.V = parse_grid(args.V)
-    if getattr(args, "t", None):
-        cfg.t = parse_grid(args.t)
+    if hasattr(args, "V"):
+        cfg.V = _listed("--V", parse_grid(args.V))
+    if hasattr(args, "t"):
+        cfg.t = _listed("--t", parse_grid(args.t))
     if hasattr(args, "k"):
-        cfg.k = tuple(int(p) for p in args.k.split(",") if p)
+        cfg.k = _listed("--k", (int(p) for p in args.k.split(",") if p.strip()))
     if hasattr(args, "methods"):
-        methods = (METHOD_ORDER if args.methods == "all"
-                   else tuple(p.strip() for p in args.methods.split(",") if p))
+        methods = (METHOD_ORDER if args.methods == "all" else _listed(
+            "--methods", (p.strip() for p in args.methods.split(",") if p.strip())))
         unknown = set(methods) - set(METHOD_ORDER)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}")

@@ -18,11 +18,10 @@ the same (j_start, Z) stream.
 
 GEMM path (fewer than NUFFT_MIN_PRIMES primes).  It factors
 e^{-i t_j omega} = e^{-i (t0 + col*B*delta) omega} * e^{-i row*delta*omega}
-over j = col*B + row and evaluates each block of B columns as one complex
-GEMM; the chained per-column rotation is rebuilt from exact phases every
-CHAIN_RENORM columns, so no chain applies more than CHAIN_RENORM + B
-incremental multiplies (drift ~ 1e-13 rad, within the 1e-12-per-window
-budget).  Cost O(primes * points).
+over j = col*B + row and evaluates CHUNK_COLS columns at a time as one
+complex GEMM.  Every column start t0 + col*B*delta is a lattice time, so
+both factors come from exact phases and no error accumulates along the
+grid.  Cost O(primes * points).
 
 NUFFT path (the Odlyzko-Schonhage idea as a type-1 nonuniform FFT).  A
 block of up to NUFFT_BLOCK points centred at grid point c has
@@ -51,10 +50,9 @@ from typing import Iterator
 import numpy as np
 
 SIEVE_LIMIT = 100_000_000       # hard cap for prime enumeration
-BLOCK_ROWS = 1024               # j0 range per GEMM block (renormalization window)
+BLOCK_ROWS = 1024               # rows (consecutive grid points) per GEMM column
 CHUNK_COLS = 256                # GEMM columns per yielded chunk
-CHAIN_RENORM = 32               # exact phase rebuild cadence along the column chain
-NUFFT_MIN_PRIMES = 600          # prime count from which the NUFFT path beats GEMM
+NUFFT_MIN_PRIMES = 450          # prime count from which the NUFFT path beats GEMM
 NUFFT_BLOCK = 1 << 16           # grid points per NUFFT block (a power of two)
 ES_WIDTH = 16                   # ES spreading kernel width, fine-grid points
 ES_BETA = 2.30 * ES_WIDTH       # ES shape for 2x upsampling
@@ -95,10 +93,14 @@ def _turns(phase):
 
 
 def phase_mod_two_pi(t, omega):
-    """t*omega reduced mod 2 pi to ~1e-15 rad, for |t*omega| < ~1e15.
+    """t*omega reduced mod 2 pi to ~1e-15 rad.
 
-    Broadcasts over ndarray inputs.  Both the pointwise evaluator and the
-    batch kernel rebuilds come through here, which is what makes them
+    Exact only while t*omega rounds to fewer than PHASE_TURNS = 2^28 whole
+    turns, |t*omega| < ~1.69e9 rad; from 2^28 turns on it raises
+    ValueError.  phase_mod_two_pi_dd shares the limit.
+
+    Broadcasts over ndarray inputs.  The pointwise evaluators and every
+    phase of the batch kernel come through here, which is what makes them
     agree to 1e-10 on long grids.
     """
     hi, lo = _two_product(np.asarray(t, dtype=float), np.asarray(omega, dtype=float))
@@ -107,7 +109,8 @@ def phase_mod_two_pi(t, omega):
 
 
 def phase_mod_two_pi_dd(t, omega_hi, omega_lo):
-    """Like phase_mod_two_pi but with omega given as a double-double.
+    """Like phase_mod_two_pi (same 2^28-turn limit) but with omega given
+    as a double-double.
 
     Removes the t * ulp(omega) floor of the single-double version; the
     zeta backend feeds extended-precision prime logs through this to hold
@@ -264,6 +267,8 @@ class TGrid:
         PHASE_TURNS turns; a span past that is rejected here, before any
         prime table or kernel block is built.
         """
+        if not refine >= 1:
+            raise ValueError(f"refine must be >= 1, got {refine}")
         if not T > 0:
             raise ValueError("T must be positive")
         delta = dyadic_floor(max_spacing(X) / refine)
@@ -308,16 +313,15 @@ def poly_eval_complex(spec: PolySpec, table: PrimeTable, t: float) -> complex:
     return complex(np.dot(w, np.exp(-1j * phase_mod_two_pi(t, omegas))))
 
 
-def iter_poly_blocks(spec: PolySpec, table: PrimeTable, grid: TGrid, *,
-                     chunk_cols: int = CHUNK_COLS) -> Iterator[tuple[int, np.ndarray]]:
+def iter_poly_blocks(spec: PolySpec, table: PrimeTable,
+                     grid: TGrid) -> Iterator[tuple[int, np.ndarray]]:
     """Stream (j_start, Z) with Z[i] = sum_p w_p e^{-i t_{j_start+i} log p}.
 
     Blocks arrive in j order and partition the grid.  P(t) for any theta
     is cos(theta)*Z.real + sin(theta)*Z.imag; |Z| feeds the trimmed-set
     machinery.  From NUFFT_MIN_PRIMES primes on the values come from the
-    NUFFT path, below it from the GEMM path (chunk_cols columns per
-    chunk); see the module docstring.  Peak memory is
-    O(primes * chunk_cols) on the GEMM path and
+    NUFFT path, below it from the GEMM path; see the module docstring.
+    Peak memory is O(primes * CHUNK_COLS) on the GEMM path and
     O(primes * ES_WIDTH + NUFFT_BLOCK) on the NUFFT path, never
     O(primes * count).
     """
@@ -325,11 +329,11 @@ def iter_poly_blocks(spec: PolySpec, table: PrimeTable, grid: TGrid, *,
     if omegas.size >= NUFFT_MIN_PRIMES:
         yield from _nufft_blocks(omegas, w, grid)
     else:
-        yield from _gemm_blocks(omegas, w, grid, chunk_cols)
+        yield from _gemm_blocks(omegas, w, grid)
 
 
-def _gemm_blocks(omegas: np.ndarray, w: np.ndarray, grid: TGrid,
-                 chunk_cols: int) -> Iterator[tuple[int, np.ndarray]]:
+def _gemm_blocks(omegas: np.ndarray, w: np.ndarray,
+                 grid: TGrid) -> Iterator[tuple[int, np.ndarray]]:
     """The GEMM path of iter_poly_blocks: one complex GEMM per chunk."""
     rows = min(BLOCK_ROWS, grid.count)
     n_cols = -(-grid.count // rows)
@@ -338,30 +342,13 @@ def _gemm_blocks(omegas: np.ndarray, w: np.ndarray, grid: TGrid,
     row_t = np.arange(rows, dtype=float) * grid.delta
     vmat = w[None, :] * np.exp(-1j * phase_mod_two_pi(row_t[:, None], omegas[None, :]))
 
-    # chained per-column rotation over col*rows*delta, rebuilt exactly
-    # every CHAIN_RENORM columns
-    col_step = rows * grid.delta
-    rot = np.exp(-1j * phase_mod_two_pi(col_step, omegas))
-    ucol = np.empty_like(rot)
-    uchunk = np.empty((omegas.size, min(chunk_cols, n_cols)), dtype=complex)
-
-    emitted = 0
-    col = 0
-    while col < n_cols:
-        cc = min(chunk_cols, n_cols - col)
-        for i in range(cc):
-            c = col + i
-            if c % CHAIN_RENORM == 0:
-                t_col = grid.t0 + (c * rows) * grid.delta
-                ucol = np.exp(-1j * phase_mod_two_pi(t_col, omegas))
-            else:
-                ucol = ucol * rot
-            uchunk[:, i] = ucol
-        z = (vmat @ uchunk[:, :cc]).T.reshape(-1)
-        take = min(z.size, grid.count - emitted)
-        yield emitted, z[:take]
-        emitted += take
-        col += cc
+    for col in range(0, n_cols, CHUNK_COLS):
+        # column starts t0 + c*rows*delta, exact on the lattice
+        cols = np.arange(col, min(col + CHUNK_COLS, n_cols), dtype=float)
+        t_cols = grid.t0 + (cols * rows) * grid.delta
+        ucols = np.exp(-1j * phase_mod_two_pi(t_cols[None, :], omegas[:, None]))
+        j0 = col * rows
+        yield j0, (vmat @ ucols).T.reshape(-1)[:grid.count - j0]
 
 
 def _es_kernel(z: np.ndarray) -> np.ndarray:

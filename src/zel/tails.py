@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,7 +102,6 @@ class TailPrediction:
 class ExceedanceCurve:
     """Per-V exceedance fractions on a fixed grid.
 
-    below_resolution marks zero-count entries (estimate under 1/count);
     excluded_count reports grid points dropped by the eta route when the
     continuation path strayed too near a zero.
     """
@@ -111,7 +110,6 @@ class ExceedanceCurve:
     measure_fraction: np.ndarray
     exceed_counts: np.ndarray
     grid: TGrid
-    below_resolution: np.ndarray = field(default=None)
     flags: tuple = ()
     excluded_count: int = 0
 
@@ -126,8 +124,6 @@ class ExceedanceCurve:
             raise ValueError("exceedance must be nonincreasing in V")
         if np.any((self.measure_fraction < 0) | (self.measure_fraction > 1)):
             raise ValueError("fractions must lie in [0, 1]")
-        if self.below_resolution is None:
-            object.__setattr__(self, "below_resolution", self.exceed_counts == 0)
 
 
 def _check_v_grid(V_grid) -> np.ndarray:

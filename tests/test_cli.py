@@ -39,6 +39,16 @@ class TestParseGrid:
     def test_single(self):
         assert cli.parse_grid("42") == (42.0,)
 
+    @pytest.mark.parametrize("text", ["", " ", ",", " , "])
+    def test_empty(self, text):
+        assert cli.parse_grid(text) == ()
+
+    def test_empty_v_grid_exit_code(self, capsys):
+        rc = cli.main(["predict", "--family", "strip_eta", "--sigma", "0.75",
+                       "--m", "0", "--V", ""])
+        assert rc == 2
+        assert capsys.readouterr() == ("", "error: --V lists no values\n")
+
     def test_two_part_span_rejected(self):
         with pytest.raises(ValueError, match="start:stop:step"):
             cli.parse_grid("1:2")
@@ -298,6 +308,16 @@ class TestMoments:
         assert rc == 2
         assert "unknown methods" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,text", [("--k", ""), ("--k", ","),
+                                           ("--methods", ","),
+                                           ("--methods", "")])
+    def test_empty_list_rejected(self, capsys, flag, text):
+        argv = ["moments", "--sigma", "0.5", "--m", "1", "--X", "31",
+                "--k", "2", "--methods", "exact"]
+        argv[argv.index(flag) + 1] = text
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {flag} lists no values\n")
+
 
 class TestTail:
     def test_poly_route(self, tmp_path):
@@ -337,6 +357,22 @@ class TestTail:
         fr = [float(ln.split(",")[2]) for ln in lines[1:]]
         assert fr[0] >= fr[1]                  # nonincreasing in V
 
+    @pytest.mark.parametrize("argv,flag", [
+        (["--route", "eta", "--sigma", "0.75", "--m", "1", "--T", "1e4",
+          "--count", "0"], "--count"),
+        (["--route", "eta", "--sigma", "0.75", "--m", "1", "--T", "1e4",
+          "--count", "-3"], "--count"),
+        (["--sigma", "0.8", "--m", "0", "--X", "31", "--T", "1e3",
+          "--refine", "0"], "refine"),
+        (["--sigma", "0.8", "--m", "0", "--X", "31", "--T", "1e3",
+          "--refine", "-1"], "refine"),
+    ])
+    def test_grid_size_below_one_rejected(self, capsys, argv, flag):
+        assert cli.main(["tail", *argv, "--V", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be >= 1")
+        assert err.count("\n") == 1
+
     def test_eta_count_cap(self, capsys):
         rc = cli.main(["tail", "--route", "eta", "--sigma", "0.75", "--m",
                        "1", "--T", "100", "--count", "200000", "--V", "1"])
@@ -364,6 +400,11 @@ class TestTail:
 
 
 class TestEtaCommand:
+    @pytest.mark.parametrize("text", ["", ",", " , "])
+    def test_empty_t_rejected(self, capsys, text):
+        assert cli.main(["eta", "--sigma", "0.75", "--m", "1", "--t", text]) == 2
+        assert capsys.readouterr() == ("", "error: --t lists no values\n")
+
     def test_point_cap(self, capsys):
         rc = cli.main(["eta", "--sigma", "0.75", "--m", "1",
                        "--t", "0:200000:1"])

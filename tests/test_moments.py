@@ -381,11 +381,12 @@ class TestOnePassAgainstTwoPasses:
         starts = []
 
         def blocks(spec, table, grid):
-            for j0, z in iter_poly_blocks(spec, table, grid, chunk_cols=3):
+            for j0, z in iter_poly_blocks(spec, table, grid):
                 starts.append(j0)
                 yield j0, z
 
         monkeypatch.setattr(prime_poly, "BLOCK_ROWS", 7)
+        monkeypatch.setattr(prime_poly, "CHUNK_COLS", 3)
         monkeypatch.setattr(moments, "iter_poly_blocks", blocks)
         return starts
 

@@ -24,6 +24,7 @@ from zel.prime_poly import (
     lambda_sum,
     max_spacing,
     phase_mod_two_pi,
+    phase_mod_two_pi_dd,
     poly_eval,
     poly_eval_batch,
     poly_eval_complex,
@@ -197,6 +198,8 @@ class TestTGrid:
             TGrid(t0=math.pi, count=10, delta=0.25)  # t0 off the lattice
         with pytest.raises(ValueError):
             TGrid(t0=1e4, count=0, delta=0.25)
+        with pytest.raises(ValueError, match="refine must be >= 1"):
+            TGrid.for_span(1e4, 31, refine=0)
 
 
 class TestPhase:
@@ -223,6 +226,14 @@ class TestPhase:
     def test_range_guard(self):
         with pytest.raises(ValueError):
             phase_mod_two_pi(1e16, 1.0)
+        # the limit is 2^28 whole turns (~1.69e9 rad), for both versions
+        past, inside = 2 ** 28 * 2 * math.pi, (2 ** 28 - 1) * 2 * math.pi
+        for phase in (phase_mod_two_pi,
+                      lambda t, omega: phase_mod_two_pi_dd(t, omega, 0.0)):
+            with pytest.raises(ValueError, match="2\\^28"):
+                phase(past, 1.0)
+            got = float(phase(inside, 1.0))
+            assert abs(got - self._reference(inside, 1.0)) < 1e-15
 
 
 class TestPolyEval:
@@ -297,6 +308,22 @@ class TestBatch:
             [[0, g.count - 1], rng.integers(0, g.count, 100)]))
         for j in idx:
             assert abs(v[j] - poly_eval(spec, self.table, g.t(int(j)))) < 1e-10
+
+    def test_gemm_columns_exact_on_long_grid(self):
+        """Late GEMM columns at T = 1e7 match pointwise to 1e-15 * sum w.
+
+        Columns 31 and 63 are where a chained column rotation drifts
+        furthest from its exact rebuilds (8e-15 there); exact column
+        phases keep every column at the first column's ~1e-15.
+        """
+        spec = PolySpec(m=0, sigma=0.5, theta=0.0, X=31)
+        span = TGrid.for_span(1e7, 31)
+        g = TGrid(t0=span.t0, count=64 * BLOCK_ROWS, delta=span.delta)
+        z = np.concatenate([b for _, b in iter_poly_blocks(spec, self.table, g)])
+        bound = 1e-15 * max(1.0, float(np.sum(self.table.weights(0, 0.5, 31))))
+        for col in (31, 63):
+            for j in range(col * BLOCK_ROWS, (col + 1) * BLOCK_ROWS):
+                assert abs(z[j] - poly_eval_complex(spec, self.table, g.t(j))) <= bound
 
     def test_block_partition(self):
         spec = PolySpec(m=1, sigma=0.6, theta=0.0, X=100)

@@ -5,7 +5,6 @@ Hypothesis runs derandomized with a bounded example count, so every run
 draws the same cases and the suite stays deterministic.
 """
 
-import functools
 import math
 from fractions import Fraction
 
@@ -14,9 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from zel import prime_poly, tails
-from zel.prime_poly import (BLOCK_ROWS, NUFFT_BLOCK, PolySpec, PrimeTable,
-                            TGrid, dyadic_floor,
+from zel import prime_poly
+from zel.prime_poly import (BLOCK_ROWS, CHUNK_COLS, NUFFT_BLOCK, PolySpec,
+                            PrimeTable, TGrid, dyadic_floor,
                             iter_poly_blocks, max_spacing, phase_mod_two_pi,
                             poly_eval_batch, sieve)
 from zel.tails import measure_exceedance_poly
@@ -56,11 +55,10 @@ def test_exceedance_counts_nonincreasing_in_v(sigma, theta, vs):
 
 
 def _chunked(spec, grid, v, chunk_cols):
-    """(Z over the grid, exceedance counts at v) with chunk_cols columns."""
-    blocks = functools.partial(iter_poly_blocks, chunk_cols=chunk_cols)
-    z = np.concatenate([b for _, b in blocks(spec, TABLE, grid)])
+    """(Z over the grid, exceedance counts at v) at CHUNK_COLS = chunk_cols."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tails, "iter_poly_blocks", blocks)
+        mp.setattr(prime_poly, "CHUNK_COLS", chunk_cols)
+        z = np.concatenate([b for _, b in iter_poly_blocks(spec, TABLE, grid)])
         counts = measure_exceedance_poly(spec, TABLE, grid, v).exceed_counts
     return z, counts
 
@@ -72,12 +70,11 @@ def _chunked(spec, grid, v, chunk_cols):
        vs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5, unique=True))
 @example(t0=10 ** 7, count=40_000, X=100.0, theta=0.7, vs=[-0.5, 1.0])
 def test_blocks_independent_of_chunk_cols(t0, count, X, theta, vs):
-    # the pinned example spans 40 columns of BLOCK_ROWS rows, past the
-    # CHAIN_RENORM rebuild at column 32
+    # the pinned example spans 40 columns of BLOCK_ROWS rows
     spec = PolySpec(m=1, sigma=0.5, theta=theta, X=X)
     grid = TGrid(t0=float(t0), count=count, delta=dyadic_floor(max_spacing(X)))
     v = sorted(vs)
-    z_ref, counts_ref = _chunked(spec, grid, v, 256)
+    z_ref, counts_ref = _chunked(spec, grid, v, CHUNK_COLS)
     for chunk_cols in (1, 3):
         z, counts = _chunked(spec, grid, v, chunk_cols)
         assert np.max(np.abs(z - z_ref)) <= 1e-10

@@ -52,12 +52,6 @@ def abs_sum_08(table31):
 
 
 class TestCurveTypes:
-    def test_below_resolution_default(self, grid1e4):
-        c = ExceedanceCurve(V_grid=np.array([1.0, 2.0]),
-                            measure_fraction=np.array([0.5, 0.0]),
-                            exceed_counts=np.array([5, 0]), grid=grid1e4)
-        assert c.below_resolution.tolist() == [False, True]
-
     def test_descending_grid_rejected(self, grid1e4):
         with pytest.raises(ValueError, match="ascending"):
             ExceedanceCurve(V_grid=np.array([2.0, 1.0]),
@@ -98,7 +92,6 @@ class TestMeasurePoly:
                                         [abs_sum_08 + 1.0])
         assert curve.exceed_counts[0] == 0
         assert curve.measure_fraction[0] == 0.0
-        assert bool(curve.below_resolution[0])
 
     def test_monotone_in_v(self, table31, grid1e4, abs_sum_08):
         v = np.linspace(-abs_sum_08 - 1, abs_sum_08 + 1, 17)
