@@ -10,9 +10,9 @@ asymptotics, and exceedance-measure tail predictions.
 from .special_fn import bessel_i0, log_bessel_i0, g_constant, a_constant, kappa
 from .prime_poly import (PolySpec, PrimeTable, TGrid, lambda_sum, max_spacing,
                          poly_eval, poly_eval_batch, sieve, von_mangoldt_table)
-from .zeta_core import (NearZeroOnPath, QuadratureConfig, ZetaAccuracyWarning,
-                        ZetaPoleError, b_constant, c_constant, eta_tilde,
-                        log_zeta_branched, s_m, zeta)
+from .zeta_core import (NearZeroOnPath, ZetaAccuracyWarning, ZetaPoleError,
+                        b_constant, c_constant, eta_tilde, log_zeta_branched,
+                        s_m, zeta)
 from .moments import (MomentResult, bessel_product, contour_moment,
                       empirical_moment, exact_moment, exp_moment_trimmed)
 from .tails import (AdvisoryConstants, ExceedanceCurve, FAMILIES,
@@ -27,8 +27,8 @@ __all__ = [
     "bessel_i0", "log_bessel_i0", "g_constant", "a_constant", "kappa",
     "PolySpec", "PrimeTable", "TGrid", "lambda_sum", "max_spacing",
     "poly_eval", "poly_eval_batch", "sieve", "von_mangoldt_table",
-    "NearZeroOnPath", "QuadratureConfig",
-    "ZetaAccuracyWarning", "ZetaPoleError", "b_constant", "c_constant",
+    "NearZeroOnPath", "ZetaAccuracyWarning", "ZetaPoleError",
+    "b_constant", "c_constant",
     "eta_tilde", "log_zeta_branched", "s_m", "zeta",
     "MomentResult", "bessel_product",
     "contour_moment", "empirical_moment", "exact_moment",

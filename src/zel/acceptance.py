@@ -40,11 +40,7 @@ from .prime_poly import PolySpec, PrimeTable, TGrid, lambda_sum
 from .special_fn import a_constant, g_constant
 from .tails import measure_exceedance_poly_multi, solve_saddle_critical, \
     solve_saddle_strip
-from .zeta_core import QuadratureConfig, eta_tilde, s_m
-
-# alpha_split high enough that the Lambda tail is deep in its convergent
-# range; matches the identity's measured 1e-9..1e-10 residuals
-TIGHT_CFG = QuadratureConfig(alpha_split=6.0, tail_terms=2000)
+from .zeta_core import eta_tilde, s_m
 
 
 @dataclass
@@ -141,8 +137,8 @@ def criterion_3(tolerances=None) -> CriterionResult:
     lines, ok = [], True
     worst = 0.0
     for t in (20.0, 30.0, 50.0):
-        lhs = math.pi * s_m(1, t, cfg=TIGHT_CFG)
-        rhs = eta_tilde(1, 0.5, t, cfg=TIGHT_CFG).real
+        lhs = math.pi * s_m(1, t)
+        rhs = eta_tilde(1, 0.5, t).real
         r = abs(lhs - rhs)
         worst = max(worst, r)
         ok &= r <= tol
@@ -162,9 +158,8 @@ def criterion_4(tolerances=None) -> CriterionResult:
     worst = 0.0
     for m in (1, 2):
         for t in (0.0, 10.0):
-            # tight cfg keeps the integral side's own error well under the
-            # 1e-8 bar, so the check sees the series truncation, not noise
-            d = abs(eta_tilde(m, 2.0, t, cfg=TIGHT_CFG)
+            # the integral side holds ~1e-12: this sees the series' own cut
+            d = abs(eta_tilde(m, 2.0, t)
                     - lambda_sum(m, 2.0, 1e5, t, table=table))
             worst = max(worst, d)
             good = d <= tol

@@ -150,12 +150,12 @@ def von_mangoldt_table(limit: int) -> np.ndarray:
     """Lambda(n) for 0 <= n <= limit (entries 0 and 1 are 0)."""
     limit = int(limit)
     out = np.zeros(limit + 1)
-    for p in sieve(limit):
-        logp = math.log(p)
-        q = p
-        while q <= limit:
-            out[q] = logp
-            q *= p
+    ps = sieve(limit)
+    q = ps
+    while q.size:                   # q = p^k over the p with p^k <= limit
+        out[q] = np.log(ps[:q.size].astype(float))
+        q = q * ps[:q.size]
+        q = q[q <= limit]
     return out
 
 
@@ -386,10 +386,11 @@ def _nufft_plan(delta: float, omegas: np.ndarray,
     idx = (base.astype(np.int64)[:, None] + offsets) % n
     slots = (2 * idx[:, :, None] + np.arange(2)).reshape(-1)
 
-    # psi_hat(k/n) = (W/2) int_{-1}^{1} phi(z) cos(pi k W z / n) dz, even in k
-    z, wts = np.polynomial.legendre.leggauss(ES_NODES)
+    # psi_hat(k/n) = W int_0^1 phi(z) cos(pi k W z / n) dz, even in k; the
+    # integrand is even in z, so only the nonnegative half of the nodes
+    z, wts = (a[ES_NODES // 2:] for a in np.polynomial.legendre.leggauss(ES_NODES))
     k = np.arange(block // 2 + 1)
-    psi_hat = (0.5 * ES_WIDTH) * (
+    psi_hat = ES_WIDTH * (
         np.cos(np.outer(k * (math.pi * ES_WIDTH / n), z)) @ (wts * _es_kernel(z)))
     inv = 1.0 / psi_hat
     return slots, kern, np.concatenate((inv[:0:-1], inv[:-1]))

@@ -180,14 +180,22 @@ def eta_values(m: int, sigma: float, ts) -> list[complex | None]:
     """eta_m(sigma + it) for each t in ts; m = 0 is the branched log zeta.
 
     None marks a t whose continuation path runs too close to a zero.  ts
-    may be any iterable; more than MAX_ETA_GRID values raise ValueError
-    before any is evaluated (each one costs a quadrature).
+    may be any iterable; more than MAX_ETA_GRID values, m < 0, or a
+    non-finite sigma or t raise ValueError before any value is evaluated
+    (each one costs a quadrature).
     """
     ts = list(itertools.islice(ts, MAX_ETA_GRID + 1))
     if len(ts) > MAX_ETA_GRID:
         raise ValueError(
             f"more than {MAX_ETA_GRID} t values; the eta grid caps at "
             f"{MAX_ETA_GRID}")
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
+    for t in ts:
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite, got {t}")
     out = []
     for t in ts:
         try:
@@ -207,8 +215,6 @@ def measure_exceedance_eta(m: int, sigma: float, theta: float, grid: TGrid,
     the whole curve.  Fractions keep the full grid count as denominator
     so exclusions can only lower the curve.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
     if not sigma >= 0.5:
         raise ValueError(f"sigma must be >= 1/2, got {sigma}")
     v = _check_v_grid(V_grid)
@@ -344,8 +350,9 @@ def predict_tail(family: str, V: float, params: dict,
     params carries m plus, per family: X (critical_poly), T (critical_eta;
     optional elsewhere, enabling the T-dependent range flags), sigma (strip
     families).  theta is accepted and ignored: every law here is free of
-    the rotation angle.  Validity flags are advisory range checks against
-    the a_i ceilings; values are always returned.
+    the rotation angle.  A given X must be finite and > 1, a given T
+    finite and > e.  Validity flags are advisory range checks against the
+    a_i ceilings; values are always returned.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -354,6 +361,10 @@ def predict_tail(family: str, V: float, params: dict,
     cst = constants or AdvisoryConstants()
     m = int(_require(params, family, "m")[0])
     T = params.get("T")
+    if params.get("X") is not None and not 1.0 < params["X"] < math.inf:
+        raise ValueError(f"X must be finite and > 1, got {params['X']}")
+    if T is not None and not math.e < T < math.inf:
+        raise ValueError(f"T must be finite and > e, got {T}")
     lv, llv = math.log(V), _loglog(V)
     flags: list[str] = []
 

@@ -185,6 +185,22 @@ class TestPredict:
         assert rc == 2
         assert "unknown constants" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--X", "1"], "X must be finite and > 1, got 1.0"),
+        (["--X", "nan"], "X must be finite and > 1, got nan"),
+        (["--X", "inf"], "X must be finite and > 1, got inf"),
+        (["--X", "1e5", "--T", "1"], "T must be finite and > e, got 1.0"),
+        (["--X", "1e5", "--T", "0.5"], "T must be finite and > e, got 0.5"),
+        (["--X", "1e5", "--T", "2"], "T must be finite and > e, got 2.0"),
+        (["--X", "1e5", "--T", "nan"], "T must be finite and > e, got nan"),
+        (["--X", "1e5", "--T", "inf"], "T must be finite and > e, got inf"),
+    ])
+    def test_x_and_t_validated(self, capsys, argv, message):
+        rc = cli.main(["predict", "--family", "critical_poly", "--m", "1",
+                       "--V", "5", *argv])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestMoments:
     def test_three_method_rows(self, tmp_path):
@@ -410,6 +426,28 @@ class TestEtaCommand:
                        "--t", "0:200000:1"])
         assert rc == 2
         assert "caps at 100000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--m", "1", "--sigma", "nan", "--t", "20"],
+         "sigma must be finite, got nan"),
+        (["--m", "1", "--sigma", "0.5", "--t", "nan"],
+         "t must be finite, got nan"),
+        (["--m", "1", "--sigma", "0.5", "--t", "20,inf"],
+         "t must be finite, got inf"),
+        (["--m", "-1", "--sigma", "0.5", "--t", "20"],
+         "m must be >= 0, got -1"),
+    ])
+    def test_bad_values_rejected_before_evaluation(self, monkeypatch, capsys,
+                                                   argv, message):
+        def boom(*args):
+            raise AssertionError("evaluated before validation")
+
+        monkeypatch.setattr(tails, "eta_tilde", boom)
+        monkeypatch.setattr(tails, "log_zeta_branched", boom)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["eta", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_pointwise_rows(self, tmp_path):
         lines = run_lines(["eta", "--sigma", "0.75", "--m", "1",

@@ -97,6 +97,18 @@ class TestVonMangoldt:
         assert vm[12] == 0.0 and vm[30] == 0.0
         assert vm[31] == pytest.approx(math.log(31), rel=1e-15)
 
+    def test_matches_prime_power_loop(self):
+        """The numpy fill against the one-prime-power-at-a-time loop; np.log
+        may round differently from math.log, so 1 ulp is allowed."""
+        limit = 10 ** 6
+        ref = np.zeros(limit + 1)
+        for p in sieve(limit).tolist():
+            q = p
+            while q <= limit:
+                ref[q] = math.log(p)
+                q *= p
+        np.testing.assert_array_max_ulp(von_mangoldt_table(limit), ref, 1)
+
     def test_chebyshev_psi(self):
         # psi(100) = sum Lambda(n) = 94.045...; compare against direct def
         vm = von_mangoldt_table(100)
