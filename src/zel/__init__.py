@@ -9,24 +9,23 @@ asymptotics, and exceedance-measure tail predictions.
 
 from .special_fn import bessel_i0, log_bessel_i0, g_constant, a_constant, kappa
 from .prime_poly import (PolySpec, PrimeTable, TGrid, lambda_sum, max_spacing,
-                         poly_eval, poly_eval_batch, sieve, von_mangoldt_table)
+                         poly_eval, sieve, von_mangoldt_table)
 from .zeta_core import (NearZeroOnPath, ZetaAccuracyWarning, ZetaPoleError,
                         b_constant, c_constant, eta_tilde, log_zeta_branched,
                         s_m, zeta)
 from .moments import (MomentResult, bessel_product, contour_moment,
                       empirical_moment, exact_moment, exp_moment_trimmed)
 from .tails import (AdvisoryConstants, ExceedanceCurve, FAMILIES,
-                    TailPrediction, default_trim_w, measure_exceedance_eta,
+                    TailPrediction, measure_exceedance_eta,
                     measure_exceedance_poly, measure_exceedance_poly_multi,
-                    predict_tail, solve_saddle_critical, solve_saddle_strip,
-                    trim_set_A)
+                    predict_tail, solve_saddle_critical, solve_saddle_strip)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "bessel_i0", "log_bessel_i0", "g_constant", "a_constant", "kappa",
     "PolySpec", "PrimeTable", "TGrid", "lambda_sum", "max_spacing",
-    "poly_eval", "poly_eval_batch", "sieve", "von_mangoldt_table",
+    "poly_eval", "sieve", "von_mangoldt_table",
     "NearZeroOnPath", "ZetaAccuracyWarning", "ZetaPoleError",
     "b_constant", "c_constant",
     "eta_tilde", "log_zeta_branched", "s_m", "zeta",
@@ -34,7 +33,7 @@ __all__ = [
     "contour_moment", "empirical_moment", "exact_moment",
     "exp_moment_trimmed",
     "AdvisoryConstants", "ExceedanceCurve", "FAMILIES", "TailPrediction",
-    "default_trim_w", "measure_exceedance_eta", "measure_exceedance_poly",
+    "measure_exceedance_eta", "measure_exceedance_poly",
     "measure_exceedance_poly_multi", "predict_tail", "solve_saddle_critical",
-    "solve_saddle_strip", "trim_set_A",
+    "solve_saddle_strip",
 ]

@@ -204,11 +204,13 @@ def _curve_rows(curve, family: str | None, params: dict, constants):
 
 
 def cmd_tail(cfg: RunConfig) -> int:
+    if not 0.0 < cfg.T < math.inf:
+        raise ValueError(f"--T must be finite and > 0, got {cfg.T}")
     constants = cfg.advisory()
     params = {"m": cfg.m, "sigma": cfg.sigma, "X": cfg.X, "T": cfg.T}
     if cfg.route == "poly":
-        if cfg.T is None or cfg.X is None:
-            raise ValueError("poly route needs --T and --X")
+        if cfg.X is None:
+            raise ValueError("poly route needs --X")
         spec = PolySpec(m=cfg.m, sigma=cfg.sigma, theta=cfg.theta, X=cfg.X)
         grid = TGrid.for_span(cfg.T, cfg.X, refine=cfg.refine)
         table = PrimeTable.build(int(math.ceil(cfg.X)))
@@ -217,8 +219,6 @@ def cmd_tail(cfg: RunConfig) -> int:
         if cfg.sigma == 0.5 and cfg.m == 0:
             family = None           # no critical law at m = 0
     else:
-        if cfg.T is None:
-            raise ValueError("eta route needs --T")
         if cfg.count < 1:
             raise ValueError(f"--count must be >= 1, got {cfg.count}")
         delta = dyadic_floor(cfg.T / cfg.count)

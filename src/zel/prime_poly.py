@@ -283,10 +283,6 @@ class TGrid:
     def t(self, j: int) -> float:
         return self.t0 + j * self.delta
 
-    def t_array(self, j0: int = 0, j1: int | None = None) -> np.ndarray:
-        j1 = self.count if j1 is None else j1
-        return self.t0 + np.arange(j0, j1, dtype=float) * self.delta
-
 
 # ---------------------------------------------------------------------------
 # evaluation
@@ -417,15 +413,6 @@ def _nufft_blocks(omegas: np.ndarray, w: np.ndarray,
         lo = block // 2 - h
         yield j0, (np.concatenate((coef[n - h:], coef[:size - h]))
                    * deconv[lo:lo + size])
-
-
-def poly_eval_batch(spec: PolySpec, table: PrimeTable, grid: TGrid) -> np.ndarray:
-    """P(t_j) for the whole grid (float64, length grid.count)."""
-    out = np.empty(grid.count)
-    ct, st = math.cos(spec.theta), math.sin(spec.theta)
-    for j0, z in iter_poly_blocks(spec, table, grid):
-        out[j0:j0 + z.size] = ct * z.real + st * z.imag
-    return out
 
 
 # ---------------------------------------------------------------------------

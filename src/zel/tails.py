@@ -57,8 +57,6 @@ __all__ = [
     "solve_saddle_critical",
     "solve_saddle_strip",
     "predict_tail",
-    "trim_set_A",
-    "default_trim_w",
 ]
 
 FAMILIES = ("critical_poly", "critical_eta", "strip_poly", "strip_eta")
@@ -426,32 +424,3 @@ def predict_tail(family: str, V: float, params: dict,
 
     return TailPrediction(exponent=exponent, family=family,
                           error_window=window, validity=tuple(flags))
-
-
-def default_trim_w(m: int, V: float, k1: float = 1.0) -> float:
-    """The critical-line proof choice W = 8m 4^m K1 V (K1 defaults to 1)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return 8.0 * m * 4.0 ** m * k1 * V
-
-
-def trim_set_A(spec: PolySpec, table: PrimeTable, grid: TGrid,
-               W: float) -> tuple[np.ndarray, float]:
-    """Indices with |Z(t_j)| <= W plus the complement measure fraction.
-
-    The modulus is the full unrotated polynomial's, so one trim serves
-    every theta.  The complement fraction is what the exponential-decay
-    bound exp(-b1 W^{1/(1-sigma)} (log W)^{(m+kappa)/(1-sigma)}) describes.
-    """
-    if (spec.m, spec.sigma) == (0, 0.5):
-        raise ValueError("(m, sigma) = (0, 1/2) is outside the trimmed-set range")
-    if not W >= 0.0:
-        raise ValueError(f"W must be >= 0, got {W}")
-    parts = []
-    for j0, z in iter_poly_blocks(spec, table, grid):
-        sel = np.nonzero(np.abs(z) <= W)[0]
-        if sel.size:
-            parts.append(sel.astype(np.int64) + j0)
-    indices = (np.concatenate(parts) if parts
-               else np.empty(0, dtype=np.int64))
-    return indices, 1.0 - indices.size / grid.count

@@ -4,10 +4,12 @@ zeta(s) is evaluated by Euler-Maclaurin summation over n < 0.57|t| + 25,
 with n^{-it} built per t from one grow-only table of the primes, their
 double-double logs and the composites grouped by Omega(n).  log zeta
 carries the branch fixed by horizontal continuation from the far right
-half-plane, where the Dirichlet series pins log zeta near 0: the value
-at sigma + it is reached by walking alpha from max(10, sigma) down to
-sigma at fixed t, unwinding the imaginary part by continuity.  On top
-of that sit
+half-plane, where the Dirichlet series pins log zeta near 0: a walk at
+fixed t steps alpha down from 10 to sigma, each step small enough that
+arg zeta moves by under pi/2, and keeps every accepted point with the
+whole turns its branch value adds to the principal log.  Any alpha the
+walk covers then reads its branch off the nearest point above it.  On
+top of that sit
 
     eta_tilde(m, sigma, t) = (1/(m-1)!) Int_sigma^inf (a-sigma)^{m-1}
                               log zeta(a+it) da,
@@ -29,15 +31,18 @@ uses it for m >= 2; m = 1 stays a quadrature of s_0, an independent check.
 
 The one accuracy setting splits the horizontal integral at S = max(3,
 sigma): Gauss-Legendre panels on the left (one zeta evaluation per node
-against a cached branch walk), and the von Mangoldt series over the prime
-powers n <= 1e5 on the right, with Int_S^inf (a-sigma)^{m-1} n^-a da =
-e^{-S log n} sum_j (S-sigma)^{m-1-j} (m-1)! / ((m-1-j)! (log n)^{j+1}).
-Against a cut at 2e6 the cut moves the value by at most 3.5e-13, 9.0e-13
-and 1.2e-12 for m = 1, 2, 3 (sigma = 1/2, t = 0: every term positive).
+against the value's own branch walk), and the von Mangoldt series over
+the prime powers n <= 1e5 on the right, with Int_S^inf (a-sigma)^{m-1}
+n^-a da = e^{-S log n} sum_j (S-sigma)^{m-1-j} (m-1)! / ((m-1-j)!
+(log n)^{j+1}).  Against a cut at 2e6 the cut moves the value by at most
+3.5e-13, 9.0e-13 and 1.2e-12 for m = 1, 2, 3 (sigma = 1/2, t = 0: every
+term positive).  The series' phases t log n for n <= 1000 come from the
+double-double prime logs, so they stay exact at any t.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 import threading
@@ -49,8 +54,7 @@ import numpy as np
 
 from decimal import Decimal, localcontext
 
-from .prime_poly import (phase_mod_two_pi, phase_mod_two_pi_dd,
-                         von_mangoldt_table)
+from .prime_poly import _two_product, phase_mod_two_pi_dd, von_mangoldt_table
 from .quadrature import integrate_adaptive
 
 _TWO_PI = 2.0 * math.pi
@@ -188,7 +192,7 @@ def _unit_powers(N: int, t: float) -> np.ndarray:
         u[primes] = np.exp(-1j * phase_mod_two_pi_dd(t, lhi, llo))
         parts = u.view(np.float64)
         re, im = parts[0::2], parts[1::2]
-        for layer in layers:
+        for layer in layers[:(N - 1).bit_length() - 2]:     # starts at 2^Omega
             c, cof, p = layer[:, :np.searchsorted(layer[0], N)]
             ar, ai, br, bi = re[cof], im[cof], re[p], im[p]
             re[c] = ar * br - ai * bi
@@ -278,25 +282,33 @@ _PANEL_REL_TOL = 1e-10
 _MAX_SUBDIVISIONS = 40              # step halvings before a walk gives up
 
 
+def _turns(z_from: complex, z_to: complex) -> tuple[complex, int]:
+    """Principal log(z_to/z_from) and the whole turns it carries: the
+    principal log of z_from plus 2 pi i k, continued by that increment,
+    is the principal log of z_to plus 2 pi i (k + turns)."""
+    inc = cmath.log(z_to / z_from)
+    return inc, round((cmath.phase(z_from) + inc.imag - cmath.phase(z_to))
+                      / _TWO_PI)
+
+
 class BranchTracker:
     """One branch walk at fixed t, queryable at any alpha it has covered.
 
     The walk descends from alpha = 10 to any requested sigma, accepting a
     step only when the principal log-increment log(z_next/z_prev) has
-    |Im| < pi/2 (halving otherwise), so no winding slips through.  Points
-    where the path crosses the negative real axis of zeta are bisected to
-    1e-11 and recorded; after that, the branch value at any covered alpha
-    is principal log + 2 pi i * (crossings above alpha), one zeta
-    evaluation per query.
+    |Im| < pi/2 (halving otherwise), so no winding slips through.  Each
+    accepted point is kept as (alpha, zeta, k), k the whole turns by which
+    the branch there exceeds the principal log.  The branch value at any
+    covered alpha is then principal log + 2 pi i k', where k' adds to k of
+    the walk point at or above alpha the turns of the principal increment
+    from that point: one zeta evaluation per query, none at a walk point.
     """
 
     def __init__(self, t: float):
         self.t = t
-        self._lock = threading.Lock()
-        self._low = 10.0
-        self._z_low = z = self._zeta_at(self._low)
-        self._val_low = cmath.log(z)      # |log zeta(10+it)| < 2^-9: principal
-        self._wraps: list[tuple[float, int]] = []   # (alpha, +-1), descending
+        z = self._zeta_at(10.0)
+        self._walk = [(10.0, z, 0)]     # (alpha, zeta, turns), descending
+        self._val_low = cmath.log(z)    # |log zeta(10+it)| < 2^-9: principal
 
     def _zeta_at(self, alpha: float) -> complex:
         try:
@@ -307,78 +319,52 @@ class BranchTracker:
             raise NearZeroOnPath(alpha, self.t, f"|zeta| = {abs(z):.2e}")
         return z
 
-    def _locate_wraps(self, a_hi, z_hi, a_lo, z_lo, winds, out):
-        """Bisect (a_lo, a_hi) to 1e-11 around each axis crossing."""
-        if a_hi - a_lo < 1e-11:
-            sign = 1 if winds > 0 else -1
-            out.extend((0.5 * (a_hi + a_lo), sign) for _ in range(abs(winds)))
-            return
-        a_mid = 0.5 * (a_hi + a_lo)
-        z_mid = self._zeta_at(a_mid)
-        for (ah, zh, al, zl) in ((a_hi, z_hi, a_mid, z_mid),
-                                 (a_mid, z_mid, a_lo, z_lo)):
-            inc = cmath.log(zl / zh)
-            w = round((cmath.phase(zh) + inc.imag - cmath.phase(zl)) / _TWO_PI)
-            if w:
-                self._locate_wraps(ah, zh, al, zl, w, out)
-
     def extend(self, sigma: float) -> None:
         """Walk the continuation down to sigma (no-op if already there)."""
-        with self._lock:
-            self._extend_locked(sigma)
-
-    def _extend_locked(self, sigma: float) -> None:
+        low, z_low, k = self._walk[-1]
         step = 0.5
-        while self._low > sigma + 1e-15:
-            sub = min(step, self._low - sigma)
+        while low > sigma + 1e-15:
+            sub = min(step, low - sigma)
             depth = 0
             while True:
-                a_next = self._low - sub
+                a_next = low - sub
                 z_next = self._zeta_at(a_next)
-                inc = cmath.log(z_next / self._z_low)
+                inc, turns = _turns(z_low, z_next)
                 if abs(inc.imag) < 0.5 * math.pi:
                     break
                 sub *= 0.5
                 depth += 1
                 if depth > _MAX_SUBDIVISIONS:
                     raise NearZeroOnPath(a_next, self.t, "step collapse")
-            w = round((cmath.phase(self._z_low) + inc.imag
-                       - cmath.phase(z_next)) / _TWO_PI)
-            if w:
-                found: list[tuple[float, int]] = []
-                self._locate_wraps(self._low, self._z_low, a_next, z_next,
-                                   w, found)
-                self._wraps.extend(sorted(found, reverse=True))
             self._val_low += inc
-            self._low, self._z_low = a_next, z_next
+            low, z_low, k = a_next, z_next, k + turns
+            self._walk.append((low, z_low, k))
             step = sub * 2.0 if depth == 0 else sub
 
-    def winding(self, alpha: float) -> int:
-        return sum(w for (aw, w) in self._wraps if aw > alpha)
-
     def log_at(self, alpha: float) -> complex:
-        """Branch value of log zeta(alpha + it); requires prior extend."""
-        with self._lock:
-            if alpha < self._low - 1e-12:
-                self._extend_locked(alpha)
+        """Branch value of log zeta(alpha + it); walks on below the walk."""
+        if alpha < self._walk[-1][0] - 1e-12:
+            self.extend(alpha)
+        # the lowest walk point at or above alpha (the top one above 10)
+        i = bisect.bisect_right(self._walk, -alpha, key=lambda p: -p[0])
+        a_near, z_near, k = self._walk[max(i - 1, 0)]
+        if a_near == alpha:
+            z = z_near
+        else:
             z = self._zeta_at(alpha)
-            val = cmath.log(z) + _TWO_PI * 1j * self.winding(alpha)
-            if alpha <= self._low + 1e-12:
-                drift = abs(self._val_low - val)
-                if drift > 1e-8:
-                    raise NearZeroOnPath(
-                        alpha, self.t, f"walk/winding mismatch {drift:.2e}")
-            return val
-
-
-@lru_cache(maxsize=64)
-def _tracker(t: float) -> BranchTracker:
-    return BranchTracker(t)
+            k += _turns(z_near, z)[1]
+        val = cmath.log(z) + _TWO_PI * 1j * k
+        if alpha <= self._walk[-1][0] + 1e-12:
+            drift = abs(self._val_low - val)
+            if drift > 1e-8:
+                raise NearZeroOnPath(
+                    alpha, self.t, f"walk/turns mismatch {drift:.2e}")
+        return val
 
 
 def log_zeta_branched(sigma: float, t: float) -> complex:
     """log zeta(sigma + it) on the continuation branch from the right."""
-    tr = _tracker(float(t))
+    tr = BranchTracker(float(t))
     tr.extend(sigma)
     return tr.log_at(sigma)
 
@@ -389,15 +375,27 @@ def log_zeta_branched(sigma: float, t: float) -> complex:
 
 _ALPHA_SPLIT = 3.0                  # 6 would take 3.4x the zeta calls
 _TAIL_TERMS = 100_000               # the series runs over prime powers n <= this
+_NEAR_TERMS = 1000                  # phases of n <= this from double-double logs
 
 
 @lru_cache(maxsize=1)
-def _tail_table() -> tuple[np.ndarray, np.ndarray]:
+def _tail_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(Lambda(n), log n) over the prime powers n <= _TAIL_TERMS, ascending
-    in n; 9,700 terms, built on first use rather than at import."""
+    in n, and log n as double-double (hi, lo) rows for the 193 with
+    n <= 1000; 9,700 terms, built on first use rather than at import.
+
+    log p^k = k log p from the factor table's prime logs, k times the high
+    part taken as an exact two-product.
+    """
     vm = von_mangoldt_table(_TAIL_TERMS)
     ns = np.flatnonzero(vm)
-    return vm[ns], np.log(ns.astype(float))
+    primes, (lhi, llo), _ = _factor_table.below(_NEAR_TERMS + 1)
+    # (p^k, k, index of p) over the prime powers p^k <= 1000, ascending
+    _, k, i = np.array(sorted(
+        (p ** k, k, i) for i, p in enumerate(primes.tolist())
+        for k in range(1, _NEAR_TERMS.bit_length()) if p ** k <= _NEAR_TERMS)).T
+    hi, lo = _two_product(k.astype(float), lhi[i])
+    return vm[ns], np.log(ns.astype(float)), np.array((hi, lo + k * llo[i]))
 
 
 def _lambda_tail(m: int, sigma: float, t: float, split: float) -> complex:
@@ -407,7 +405,7 @@ def _lambda_tail(m: int, sigma: float, t: float, split: float) -> complex:
     a >= split >= 3; each term integrates in closed form.  The sum stops
     at n = _TAIL_TERMS, at a cost under 1.2e-12 for m <= 3.
     """
-    lam, lg = _tail_table()
+    lam, lg, near_logs = _tail_table()
     d = split - sigma
     # sum_j d^{m-1-j} / ((m-1-j)! L^{j+2}),  j = 0..m-1
     inner = np.zeros_like(lg)
@@ -417,8 +415,8 @@ def _lambda_tail(m: int, sigma: float, t: float, split: float) -> complex:
     # past n = 1000 the terms carry under 4.1e-8 of sum(amp) for any m and
     # sigma (the most at m = 1), so cos and sin there run 6x faster in
     # float32, each off by under 2.5e-7: under 1e-14 of sum(amp) in all
-    k = np.searchsorted(lg, math.log(1000))
-    near = phase_mod_two_pi(t, lg[:k])
+    k = near_logs.shape[1]
+    near = phase_mod_two_pi_dd(t, *near_logs)
     far = t * lg[k:]
     far = (far - _TWO_PI * np.round(far / _TWO_PI)).astype(np.float32)
     re = amp[:k] @ np.cos(near) + amp[k:] @ np.cos(far)
@@ -439,7 +437,7 @@ def eta_tilde(m: int, sigma: float, t: float) -> complex:
     tail = _lambda_tail(m, sigma, t, split)
     if split <= sigma:
         return tail
-    tr = _tracker(float(t))
+    tr = BranchTracker(float(t))
     tr.extend(sigma)
     fac = 1.0 / math.factorial(m - 1)
 

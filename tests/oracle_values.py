@@ -67,6 +67,8 @@ S0_VALUES = {
     30.0: -0.5648774443614166503,
     50.0: 0.57708557793930145368,
 }
+# a t where the walk to sigma = 1/2 crosses the negative real axis of zeta
+S0_AXIS_CROSSING = (415.5, 1.067687411715478624)
 
 # --- real-axis iterated integrals of log|zeta| -------------------------------
 # J_m = (1/(m-1)!) int_{1/2}^inf (a - 1/2)^{m-1} log|zeta(a)| da
@@ -123,6 +125,9 @@ def main():
     for t in (20, 30, 50):
         n = sum(1 for g in gammas if g < t)
         print(f"S0({t}) =", mp.nstr(n - mp.siegeltheta(t) / mp.pi - 1, 20))
+    t = mp.mpf("415.5")
+    print(f"S0({t}) =",
+          mp.nstr(mp.nzeros(t) - mp.siegeltheta(t) / mp.pi - 1, 20))
 
     f = lambda a: mp.log(abs(mp.zeta(a)))
     j1 = mp.quad(f, [mp.mpf("0.5"), 1, 2, 4, 10, 30]) + mp.quad(f, [30, 60, 120])

@@ -365,6 +365,23 @@ class TestTail:
         err = capsys.readouterr().err
         assert "T=2e+08, X=100000" in err and "(2^28 - 1) * 2 pi" in err
 
+    @pytest.mark.parametrize("route", ["poly", "eta"])
+    @pytest.mark.parametrize("T,shown", [("inf", "inf"), ("nan", "nan"),
+                                         ("-1", "-1.0")])
+    def test_bad_t_rejected_before_grid(self, monkeypatch, capsys, route,
+                                        T, shown):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built before the --T check")
+
+        monkeypatch.setattr(cli, "TGrid", no_grid)
+        monkeypatch.setattr(cli, "dyadic_floor", no_grid)
+        rc = cli.main(["tail", "--route", route, "--sigma", "0.75", "--m",
+                       "1", "--X", "31", "--T", T, "--count", "4",
+                       "--V", "0.5"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: --T must be finite and > 0, got {shown}\n")
+
     def test_eta_route(self, tmp_path):
         lines = run_lines(["tail", "--route", "eta", "--sigma", "0.75",
                            "--m", "1", "--T", "100", "--count", "40",

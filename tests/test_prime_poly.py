@@ -26,11 +26,12 @@ from zel.prime_poly import (
     phase_mod_two_pi,
     phase_mod_two_pi_dd,
     poly_eval,
-    poly_eval_batch,
     poly_eval_complex,
     sieve,
     von_mangoldt_table,
 )
+
+from grid_helpers import poly_eval_batch, t_array
 
 # 2 pi to 60 digits, for the Fraction-based phase reference
 _TWO_PI_EXACT = Fraction(
@@ -189,7 +190,7 @@ class TestTGrid:
         for j in (0, 1, g.count // 3, g.count - 1):
             tj = g.t(j)
             assert tj * den == round(tj * den)  # exactly on the lattice
-        arr = g.t_array(g.count - 3, g.count)
+        arr = t_array(g, g.count - 3, g.count)
         assert arr[-1] == g.t(g.count - 1)
 
     def test_phase_cap(self):

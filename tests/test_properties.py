@@ -17,8 +17,10 @@ from zel import prime_poly
 from zel.prime_poly import (BLOCK_ROWS, CHUNK_COLS, NUFFT_BLOCK, PolySpec,
                             PrimeTable, TGrid, dyadic_floor,
                             iter_poly_blocks, max_spacing, phase_mod_two_pi,
-                            poly_eval_batch, sieve)
+                            sieve)
 from zel.tails import measure_exceedance_poly
+
+from grid_helpers import poly_eval_batch, t_array
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=40)
@@ -122,6 +124,6 @@ def test_grid_times_exact_on_dyadic_lattice(T, X, refine, fracs):
     for j in js:
         assert Fraction(grid.t(j)) == T + j * delta
     j0 = js[len(js) // 2]
-    part = grid.t_array(j0, min(j0 + 64, grid.count))
+    part = t_array(grid, j0, min(j0 + 64, grid.count))
     assert [Fraction(t) for t in part] == [T + (j0 + i) * delta
                                            for i in range(part.size)]

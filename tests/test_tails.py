@@ -11,7 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from zel.prime_poly import PolySpec, PrimeTable, TGrid, iter_poly_blocks, lambda_sum
+from zel.moments import exp_moment_trimmed
+from zel.prime_poly import PolySpec, PrimeTable, TGrid, lambda_sum
 from zel.special_fn import a_constant, g_constant
 from zel import tails
 from zel.tails import (
@@ -20,7 +21,6 @@ from zel.tails import (
     FAMILIES,
     MAX_ETA_GRID,
     TailPrediction,
-    default_trim_w,
     eta_values,
     measure_exceedance_eta,
     measure_exceedance_poly,
@@ -28,7 +28,6 @@ from zel.tails import (
     predict_tail,
     solve_saddle_critical,
     solve_saddle_strip,
-    trim_set_A,
 )
 from zel.zeta_core import NearZeroOnPath, eta_tilde, log_zeta_branched
 
@@ -410,36 +409,22 @@ class TestPredictTail:
 
 
 class TestTrimSet:
+    """The trimmed set {|Z(t_j)| <= W}, through the log of its measure
+    fraction: exp_moment_trimmed at x = 0."""
+
     def test_wide_w_keeps_everything(self, table31, grid1e4, abs_sum_08):
-        idx, frac = trim_set_A(SPEC08, table31, grid1e4, abs_sum_08 + 1.0)
-        assert idx.size == grid1e4.count
-        assert frac == 0.0
+        assert exp_moment_trimmed(SPEC08, table31, grid1e4, 0.0,
+                                  abs_sum_08 + 1.0) == (0.0, 0.0)
 
     def test_zero_w_drops_everything(self, table31, grid1e4):
-        idx, frac = trim_set_A(SPEC08, table31, grid1e4, 0.0)
-        assert idx.size == 0
-        assert frac == 1.0
+        with pytest.raises(ValueError, match="empty"):
+            exp_moment_trimmed(SPEC08, table31, grid1e4, 0.0, 1e-300)
+        with pytest.raises(ValueError, match="positive"):
+            exp_moment_trimmed(SPEC08, table31, grid1e4, 0.0, 0.0)
 
     def test_complement_monotone_in_w(self, table31, grid1e4):
-        fracs = [trim_set_A(SPEC08, table31, grid1e4, w)[1]
+        fracs = [-math.expm1(exp_moment_trimmed(SPEC08, table31, grid1e4,
+                                                0.0, w)[0])
                  for w in (0.5, 1.0, 2.0, 4.0)]
         assert all(a >= b for a, b in zip(fracs, fracs[1:]))
-
-    def test_indices_match_direct_scan(self, table31, grid1e4):
-        idx, _ = trim_set_A(SPEC08, table31, grid1e4, 2.0)
-        found = []
-        for j0, z in iter_poly_blocks(SPEC08, table31, grid1e4):
-            found.append(j0 + np.nonzero(np.abs(z) <= 2.0)[0])
-        assert np.array_equal(idx, np.concatenate(found))
-
-    def test_excluded_corner_rejected(self, table31, grid1e4):
-        corner = PolySpec(m=0, sigma=0.5, theta=0.0, X=31.0)
-        with pytest.raises(ValueError, match="outside"):
-            trim_set_A(corner, table31, grid1e4, 1.0)
-
-    def test_default_w(self):
-        assert default_trim_w(1, 5.0) == 8.0 * 1 * 4 * 5.0
-        assert default_trim_w(2, 3.0) == 8.0 * 2 * 16 * 3.0
-        assert default_trim_w(1, 5.0, k1=2.0) == 2.0 * default_trim_w(1, 5.0)
-        with pytest.raises(ValueError):
-            default_trim_w(0, 5.0)
+        assert fracs[0] > fracs[-1]

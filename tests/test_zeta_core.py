@@ -17,6 +17,7 @@ from oracle_values import (
     B1,
     J1_HALF,
     J2_HALF,
+    S0_AXIS_CROSSING,
     S0_VALUES,
     ZERO_ORDINATES_BELOW_55,
     ZETA_VALUES,
@@ -27,6 +28,7 @@ from zel.prime_poly import (lambda_sum, phase_mod_two_pi,
 from zel.quadrature import integrate_adaptive
 from zel.zeta_core import (
     _unit_powers,
+    BranchTracker,
     NearZeroOnPath,
     ZetaPoleError,
     b_constant,
@@ -215,6 +217,26 @@ class TestBranchedLog:
             val = log_zeta_branched(0.5, float(t))
             assert val.imag / math.pi == pytest.approx(want, abs=1e-12)
 
+    def test_walk_across_negative_real_axis(self):
+        """At t = 415.5 the walk to sigma = 1/2 crosses the negative real
+        axis of zeta, so the branch there is the principal log plus a
+        whole turn.  It matches the N(t) oracle, exp of it is zeta, and
+        it has no 2 pi jump along a fine alpha grid."""
+        t, want = S0_AXIS_CROSSING
+        assert log_zeta_branched(0.5, t).imag / math.pi == pytest.approx(
+            want, abs=1e-12)
+        tracker = BranchTracker(t)
+        tracker.extend(0.5)
+        alphas = np.linspace(0.5, 3.0, 2001)
+        args, turns = [], set()
+        for a in alphas.tolist():
+            val, z = tracker.log_at(a), zeta(complex(a, t))
+            assert abs(cmath.exp(val) - z) <= 1e-10 * abs(z), a
+            args.append(val.imag)
+            turns.add(round((val.imag - cmath.phase(z)) / (2 * math.pi)))
+        assert turns == {0, 1}
+        assert np.max(np.abs(np.diff(args))) < 0.1
+
     def test_near_zero_flagged_at_ordinate(self):
         with pytest.raises(NearZeroOnPath):
             log_zeta_branched(0.5, ZERO_ORDINATES_BELOW_55[0])
@@ -241,15 +263,25 @@ class TestEtaTilde:
         assert abs(got - oracle) <= tail_bound + 1e-10
 
     @pytest.mark.parametrize("m,t", [(1, 0.0), (1, 20.0), (2, 1.5e4),
-                                     (3, 1e5)])
+                                     (3, 1e5), (1, 1e6), (3, 1e6)])
     def test_lambda_tail_against_quadrature(self, m, t):
         """The closed-form tail (float32 cos/sin past n = 1000) against
         the same n <= 1e5 series integrated numerically over [3, 80] in
-        double precision; n^-80 leaves nothing past 80."""
+        double precision; n^-80 leaves nothing past 80.  The oracle's
+        phases t log n for n <= 1000 come from 40-digit logs: from double
+        log n they would be off by t ulp(log n), 4.9e-12 in the sum at
+        t = 1e6."""
+        mpmath = pytest.importorskip("mpmath")
         vm = von_mangoldt_table(10 ** 5)
         ns = np.flatnonzero(vm[2:]) + 2
         lg = np.log(ns.astype(float))
-        coef = vm[ns] / lg * np.exp(-1j * phase_mod_two_pi(t, lg))
+        phase = phase_mod_two_pi(t, lg)
+        with mpmath.workdps(40):
+            two_pi = 2 * mpmath.pi
+            phase[ns <= 1000] = [
+                float(mpmath.fmod(t * mpmath.log(n), two_pi))
+                for n in ns[ns <= 1000].tolist()]
+        coef = vm[ns] / lg * np.exp(-1j * phase)
 
         def integrand(alphas):
             return np.array([(a - 0.5) ** (m - 1) / math.factorial(m - 1)
