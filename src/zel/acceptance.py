@@ -136,8 +136,9 @@ def criterion_3(tolerances=None) -> CriterionResult:
     tol = _tol(tolerances, "c3_abs", 1e-6)
     lines, ok = [], True
     worst = 0.0
-    for t in (20.0, 30.0, 50.0):
-        lhs = math.pi * s_m(1, t)
+    ts = (20.0, 30.0, 50.0)
+    for t, s1 in zip(ts, s_m(1, ts)):
+        lhs = math.pi * s1
         rhs = eta_tilde(1, 0.5, t).real
         r = abs(lhs - rhs)
         worst = max(worst, r)

@@ -157,6 +157,8 @@ def cmd_moments(cfg: RunConfig) -> int:
     if "empirical" in cfg.methods:
         if cfg.T is None:
             raise ValueError("empirical moments need --T")
+        if not 0.0 < cfg.T < math.inf:
+            raise ValueError(f"--T must be finite and > 0, got {cfg.T}")
         grid = TGrid.for_span(cfg.T, cfg.X)
         empirical = dict(zip(cfg.k, empirical_moment(spec, table, grid, cfg.k)))
     rows = []
@@ -206,6 +208,8 @@ def _curve_rows(curve, family: str | None, params: dict, constants):
 def cmd_tail(cfg: RunConfig) -> int:
     if not 0.0 < cfg.T < math.inf:
         raise ValueError(f"--T must be finite and > 0, got {cfg.T}")
+    if cfg.X is not None and not math.isfinite(cfg.X):
+        raise ValueError(f"--X must be finite, got {cfg.X}")
     constants = cfg.advisory()
     params = {"m": cfg.m, "sigma": cfg.sigma, "X": cfg.X, "T": cfg.T}
     if cfg.route == "poly":

@@ -8,8 +8,19 @@ half-plane, where the Dirichlet series pins log zeta near 0: a walk at
 fixed t steps alpha down from 10 to sigma, each step small enough that
 arg zeta moves by under pi/2, and keeps every accepted point with the
 whole turns its branch value adds to the principal log.  Any alpha the
-walk covers then reads its branch off the nearest point above it.  On
-top of that sit
+walk covers then reads its branch off the nearest point above it.
+
+s_0 takes many t at once.  `_zeta_block` runs the same sum over an
+(alpha x t) grid: N from the block's largest |t|, every n^{-it} column
+from the same table, the main sums one real GEMM, the B_2k corrections
+masked per point, and a mask of the points whose certified remainder
+meets the 1e-10 target.  `_s0_block` walks every t down one fixed alpha
+ladder and keeps a t only when it passes the walk's own checks: each
+step moves arg zeta by under pi/2, |zeta| stays at or above the floor,
+and the summed increments agree with the whole turns to 1e-8; its
+remainders must also be met.  Any other t takes the per-t walk, which
+halves steps, warns or raises as it always has.  zeta and the eta route
+stay per point.  On top of that sit
 
     eta_tilde(m, sigma, t) = (1/(m-1)!) Int_sigma^inf (a-sigma)^{m-1}
                               log zeta(a+it) da,
@@ -172,31 +183,41 @@ class _FactorTable:
 _factor_table = _FactorTable()
 
 
-@lru_cache(maxsize=1)
-def _unit_powers(N: int, t: float) -> np.ndarray:
-    """u[n] = n^{-it} for n = 1..N-1 (u[0] = 0), read-only, phase-exact.
+def _unit_power_columns(N: int, ts) -> np.ndarray:
+    """u[n, ...] = n^{-i ts} for n = 1..N-1 (row 0 is 0), phase-exact; a
+    scalar t gives a vector, a 1-D ts one column per t.
 
     Primes get reduced phases from their double-double logs; composites
     are filled one Omega layer at a time, each one gather, multiply and
-    scatter of u[c // p] * u[p], so phase error stays at rounding level
-    instead of growing like t * ulp(log n).  The multiply is written out
-    over real and imaginary parts, rounding like a scalar complex
-    multiply (numpy's vectorised one may not).  All zeta calls of one
-    branch walk share t, hence the one-entry cache.
+    scatter of rows u[c // p] * u[p], so phase error stays at rounding
+    level instead of growing like t * ulp(log n).  The multiply is
+    written out over real and imaginary parts, rounding like a scalar
+    complex multiply (numpy's vectorised one may not).
     """
-    u = np.empty(N, dtype=complex)
+    ts = np.asarray(ts, dtype=float)
+    u = np.empty((N,) + ts.shape, dtype=complex)
     u[0] = 0.0
     u[1] = 1.0
     if N > 2:
         primes, (lhi, llo), layers = _factor_table.below(N)
-        u[primes] = np.exp(-1j * phase_mod_two_pi_dd(t, lhi, llo))
-        parts = u.view(np.float64)
-        re, im = parts[0::2], parts[1::2]
+        col = (-1,) + (1,) * ts.ndim
+        u[primes] = np.exp(-1j * phase_mod_two_pi_dd(
+            ts, lhi.reshape(col), llo.reshape(col)))
+        re, im = u.real, u.imag
         for layer in layers[:(N - 1).bit_length() - 2]:     # starts at 2^Omega
             c, cof, p = layer[:, :np.searchsorted(layer[0], N)]
             ar, ai, br, bi = re[cof], im[cof], re[p], im[p]
             re[c] = ar * br - ai * bi
             im[c] = ar * bi + ai * br
+    return u
+
+
+@lru_cache(maxsize=1)
+def _unit_powers(N: int, t: float) -> np.ndarray:
+    """u[n] = n^{-it} for n = 1..N-1 (u[0] = 0), read-only, phase-exact:
+    `_unit_power_columns` at one t.  All zeta calls of one branch walk
+    share t, hence the one-entry cache."""
+    u = _unit_power_columns(N, t)
     u.flags.writeable = False
     return u
 
@@ -240,6 +261,49 @@ def _em_zeta(sigma: float, t: float) -> complex:
             f"certified remainder {bound:.2e} at s={s:.6g} exceeds target",
             ZetaAccuracyWarning, stacklevel=3)
     return acc
+
+
+def _zeta_block(alphas, ts) -> tuple[np.ndarray, np.ndarray]:
+    """zeta(alpha + it) over the grid alphas x ts, and where the certified
+    remainder meets `_em_zeta`'s 1e-10 target; both (alphas, ts) arrays.
+
+    `_em_zeta` on a whole grid, warning about nothing: N comes from the
+    block's largest |t|, so every point gets at least its own terms, the
+    main sums are one real amplitude matrix times the n^{-it} columns, and
+    the B_2k loop runs masked, each point stopping where `_em_zeta` would.
+    """
+    alphas = np.asarray(alphas, dtype=float)[:, None]
+    ts = np.asarray(ts, dtype=float)
+    N = int(0.57 * float(np.max(np.abs(ts)))) + 25
+    u = _unit_power_columns(N + 1, ts)
+    amps = np.arange(1, N, dtype=float) ** -alphas
+    # real (A x N-1) times complex (N-1 x T) as one real GEMM
+    acc = (amps @ u[1:N].view(np.float64)).view(complex)
+    s = alphas + 1j * ts
+    npow = N ** -alphas * u[N]                      # N^{-s}
+    acc = acc + npow * N / (s - 1) + 0.5 * npow
+
+    poch = s
+    nfac = 1.0 / N
+    prev = np.full(s.shape, math.inf)
+    bound = np.full(s.shape, math.inf)
+    live = np.ones(s.shape, dtype=bool)
+    for k, coef in enumerate(_B2K, start=1):
+        term = coef * poch * npow * nfac
+        mag = np.abs(term)
+        live &= ~(mag > prev)                       # asymptotic tail turned
+        acc = np.where(live, acc + term, acc)
+        prev = mag
+        poch = poch * ((s + 2 * k - 1) * (s + 2 * k))
+        nfac /= N * N
+        if k < len(_B2K):
+            nxt = np.abs(_B2K[k] * poch * npow * nfac)
+            nxt *= np.abs(s + 2 * k + 1) / (alphas + 2 * k + 1)
+            bound = np.where(live, nxt, bound)
+            live &= ~(bound < 1e-17 * np.abs(acc))
+        if not live.any():
+            break
+    return acc, bound <= 1e-10 * np.maximum(np.abs(acc), 1e-300)
 
 
 _memo: dict[tuple[float, float], complex] = {}
@@ -517,77 +581,151 @@ def _s0(t: float) -> float:
     return log_zeta_branched(0.5, t).imag / math.pi
 
 
+# the per-t walk's own first steps from alpha = 10, then finer below 4.5
+_S0_LADDER = (10.0, 9.5, 8.5, 6.5, 4.5, 3.5, 3.0, 2.5, 2.0, 1.75, 1.5,
+              1.25, 1.0, 0.875, 0.75, 0.625, 0.5)
+_BLOCK_CELLS = 1 << 18              # n^{-it} entries per block, 4 MB
+
+
+def _s0_block(ts) -> np.ndarray:
+    """s_0 at every t of a 1-D array, all t down one alpha ladder at once.
+
+    A t takes its ladder value only when it passes the checks of
+    `BranchTracker`: every step moves arg zeta by under pi/2, |zeta|
+    stays at or above the floor, and the summed increments agree with the
+    whole turns to 1e-8; its remainders must also meet their target.  Any
+    other t (t = 0 too) goes to `_s0`, which halves steps, warns or raises
+    as it always has.
+    """
+    ts = np.asarray(ts, dtype=float)
+    out = np.empty(ts.shape)
+    done = ts != 0.0
+    idx = np.flatnonzero(done)
+    if idx.size:
+        # columns per block from the largest N any block can take
+        width = max(1, _BLOCK_CELLS // (int(0.57 * np.max(np.abs(ts))) + 26))
+        for j in range(0, idx.size, width):
+            part = idx[j:j + width]
+            z, ok = _zeta_block(_S0_LADDER, ts[part])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                inc = np.log(z[1:] / z[:-1])
+                phase = np.angle(z)
+                turns = np.round((phase[:-1] + inc.imag - phase[1:])
+                                 / _TWO_PI).sum(axis=0)
+                val = np.log(z[-1]) + _TWO_PI * 1j * turns
+                drift = np.abs(np.log(z[0]) + inc.sum(axis=0) - val)
+                done[part] = ((np.abs(inc.imag) < 0.5 * math.pi).all(axis=0)
+                              & (np.abs(z) >= _ZETA_FLOOR).all(axis=0)
+                              & ok.all(axis=0) & (drift <= 1e-8))
+            out[part] = val.imag / math.pi
+    for i in np.flatnonzero(~done).tolist():
+        out[i] = _s0(float(ts[i]))
+    return out
+
+
 _JUMP_SCAN_STEP = 0.02
 _JUMP_THRESHOLD = 0.5
 _JUMP_WIDTH = 1e-9
 
 
-def _locate_jumps(t_hi: float) -> list[tuple[float, float]]:
-    """(lo, hi) brackets of width <= 1e-9 around each S_0 jump in (0, t_hi).
+def _jump_brackets(t_hi: float) -> tuple[np.ndarray, ...]:
+    """(a, S_0(a), b, S_0(b)), ascending: brackets of width <= 1e-9 around
+    each S_0 jump between 0.02 and t_hi.
 
-    Scan at step 0.02, flag |delta S_0| > 0.5 (a unit jump plus smooth
-    drift always clears this; steep smooth spots may false-positive,
-    which only adds a harmless extra breakpoint), bisect into the larger
-    half until the bracket closes.
+    One scan on the lattice 0.02 k, up to the first point at or past
+    t_hi, flags |delta S_0| > 0.5 (a unit jump plus smooth drift always
+    clears this; steep smooth spots may false-positive, which only adds a
+    harmless extra breakpoint).  All flagged brackets are then bisected
+    together, each into its larger half, one block of s_0 per round.
     """
-    out = []
     n = int(t_hi / _JUMP_SCAN_STEP)
-    if n < 1:
-        return out
-    us = [_JUMP_SCAN_STEP * k for k in range(1, n + 1)]
-    if us[-1] < t_hi:
-        us.append(t_hi)
-    vals = [_s0(u) for u in us]
-    for i in range(len(us) - 1):
-        if abs(vals[i + 1] - vals[i]) <= _JUMP_THRESHOLD:
-            continue
-        a, fa, b, fb = us[i], vals[i], us[i + 1], vals[i + 1]
-        while b - a > _JUMP_WIDTH:
-            mmid = 0.5 * (a + b)
-            fm = _s0(mmid)
-            if abs(fm - fa) >= abs(fb - fm):
-                b, fb = mmid, fm
-            else:
-                a, fa = mmid, fm
-        out.append((a, b))
-    return out
+    if _JUMP_SCAN_STEP * n < t_hi:
+        n += 1
+    us = _JUMP_SCAN_STEP * np.arange(1, n + 1)
+    vals = _s0_block(us)
+    i = np.flatnonzero(np.abs(np.diff(vals)) > _JUMP_THRESHOLD)
+    a, fa, b, fb = us[i], vals[i], us[i + 1], vals[i + 1]
+    while (wide := np.flatnonzero(b - a > _JUMP_WIDTH)).size:
+        mid = 0.5 * (a[wide] + b[wide])
+        fm = _s0_block(mid)
+        left = np.abs(fm - fa[wide]) >= np.abs(fb[wide] - fm)
+        b[wide[left]], fb[wide[left]] = mid[left], fm[left]
+        a[wide[~left]], fa[wide[~left]] = mid[~left], fm[~left]
+    return a, fa, b, fb
 
 
-def s_m(m: int, t: float) -> float:
-    """Iterated argument integral; s_0 is arg zeta(1/2+it)/pi on the
-    continuation branch, s_m = Int_0^t s_{m-1} + b_m for m >= 1.
+def _s0_panels(lo: float, hi: float) -> float:
+    return integrate_adaptive(_s0_block, lo, hi, rel_tol=_PANEL_REL_TOL,
+                              abs_tol=1e-10, max_panels=2000)
 
-    m >= 2 comes from the eta identity (module docstring).  m = 1
-    integrates s_0, whose jumps of +-1 at zero ordinates are located and
-    split out of the quadrature panels, each sub-1e-9 bracket adding its
-    midpoint-rule sliver.
-    """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if m == 0:
-        if t == 0.0:
-            raise NearZeroOnPath(1.0, 0.0, "pole on the t=0 path")
-        return _s0(t)
+
+def _s1(ts: np.ndarray) -> np.ndarray:
+    """s_1 at every t of a 1-D array in one cumulative pass over the
+    sorted |t|: jumps located once, up to the largest, and quadrature
+    panels between the merged bracket edges and the requested |t|.  Each
+    bracket adds its midpoint-rule sliver; a |t| inside one (within 1e-9
+    of a zero) takes the sliver's share up to it."""
+    ts = np.abs(ts)
+    targets = np.unique(ts[ts > 0.0])
+    cum = np.empty(targets.size)
+    if targets.size:
+        a, fa, b, fb = _jump_brackets(float(targets[-1]))
+        total, lo, k = 0.0, 0.0, 0
+        for j, t in enumerate(targets.tolist()):
+            while k < a.size and b[k] <= t:         # brackets wholly below t
+                total += (_s0_panels(lo, a[k])
+                          + (b[k] - a[k]) * 0.5 * (fa[k] + fb[k]))
+                lo = b[k]
+                k += 1
+            inside = k < a.size and a[k] < t
+            edge = a[k] if inside else t
+            total += _s0_panels(lo, edge)
+            lo = edge
+            cum[j] = (total + (t - a[k]) * 0.5 * (fa[k] + fb[k]) if inside
+                      else total)
+    out = np.zeros(ts.shape)
+    out[ts > 0.0] = cum[np.searchsorted(targets, ts[ts > 0.0])]
+    return out + b_constant(1)
+
+
+def _s_eta(m: int, t: float) -> float:
+    """s_m(t) for m >= 2 through the eta identity."""
     if t == 0.0:
         return b_constant(m)
-    if m == 1:
-        t = abs(t)                  # s_0 is odd in t, so s_1 is even
-        brackets = _locate_jumps(t)
-        total = 0.0
-        edges = [0.0]
-        for (a, bb) in brackets:
-            total += (bb - a) * 0.5 * (_s0(a) + _s0(bb))
-            edges.extend((a, bb))
-        edges.append(t)
-        for lo, hi in zip(edges[::2], edges[1::2]):
-            if hi - lo <= 0:
-                continue
-            total += integrate_adaptive(
-                lambda us: np.array([_s0(float(u)) for u in us]), lo, hi,
-                rel_tol=_PANEL_REL_TOL, abs_tol=1e-10, max_panels=2000)
-        return total + b_constant(1)
     poly = sum(-math.copysign(math.pi, t) * 0.5 ** k / math.factorial(k)
                * _I_POW[(k + 1) % 4].imag * t ** (m - k)
                / math.factorial(m - k) for k in range(1, m + 1))
     eta = _I_POW[m % 4] * eta_tilde(m, 0.5, t)
     return (eta.imag - poly) / math.pi
+
+
+def s_m(m: int, t):
+    """Iterated argument integral at t, a scalar (a float back) or a 1-D
+    sequence (an array back); s_0 is arg zeta(1/2+it)/pi on the
+    continuation branch, s_m = Int_0^t s_{m-1} + b_m for m >= 1.
+
+    m = 0 walks every t down one block ladder (`_s0_block`).  m = 1
+    integrates s_0 for all t in one pass (`_s1`): its jumps of +-1 at
+    zero ordinates are located once and split out of the quadrature
+    panels.  m >= 2 comes from the eta identity (module docstring), one
+    t at a time.
+    """
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError(f"t must be a scalar or a 1-D sequence, "
+                         f"got shape {ts.shape}")
+    flat = ts.reshape(-1)
+    if not np.isfinite(flat).all():
+        raise ValueError(
+            f"t must be finite, got {flat[~np.isfinite(flat)][0]}")
+    if m == 0:
+        if (flat == 0.0).any():
+            raise NearZeroOnPath(1.0, 0.0, "pole on the t=0 path")
+        vals = _s0_block(flat)
+    elif m == 1:
+        vals = _s1(flat)
+    else:
+        vals = np.array([_s_eta(m, u) for u in flat.tolist()])
+    return float(vals[0]) if ts.ndim == 0 else vals

@@ -227,6 +227,19 @@ class TestMoments:
         assert lines[0] == singles[0][0]
         assert lines[1:] == [s[1] for s in singles]
 
+    @pytest.mark.parametrize("T,shown", [("inf", "inf"), ("nan", "nan"),
+                                         ("-1", "-1.0")])
+    def test_bad_t_rejected_by_name(self, monkeypatch, capsys, T, shown):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built before the --T check")
+
+        monkeypatch.setattr(cli, "TGrid", no_grid)
+        rc = cli.main(["moments", "--sigma", "0.5", "--m", "1", "--X", "31",
+                       "--T", T, "--k", "2", "--methods", "empirical"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: --T must be finite and > 0, got {shown}\n")
+
     def test_contour_order_limit(self, capsys):
         rc = cli.main(["moments", "--sigma", "0.5", "--m", "1", "--X", "3",
                        "--T", "1e4", "--k", "600", "--methods", "contour"])
@@ -381,6 +394,18 @@ class TestTail:
         assert rc == 2
         assert capsys.readouterr().err == (
             f"error: --T must be finite and > 0, got {shown}\n")
+
+    @pytest.mark.parametrize("X", ["inf", "nan"])
+    def test_bad_x_rejected_by_name(self, monkeypatch, capsys, X):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built before the --X check")
+
+        monkeypatch.setattr(cli, "TGrid", no_grid)
+        rc = cli.main(["tail", "--route", "poly", "--sigma", "0.8", "--m",
+                       "0", "--X", X, "--T", "1e3", "--V", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: --X must be finite, got {X}\n")
 
     def test_eta_route(self, tmp_path):
         lines = run_lines(["tail", "--route", "eta", "--sigma", "0.75",

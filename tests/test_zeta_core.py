@@ -8,6 +8,7 @@ test.
 
 import cmath
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -27,9 +28,11 @@ from zel.prime_poly import (lambda_sum, phase_mod_two_pi,
                             phase_mod_two_pi_dd, von_mangoldt_table)
 from zel.quadrature import integrate_adaptive
 from zel.zeta_core import (
+    _unit_power_columns,
     _unit_powers,
     BranchTracker,
     NearZeroOnPath,
+    ZetaAccuracyWarning,
     ZetaPoleError,
     b_constant,
     c_constant,
@@ -170,6 +173,109 @@ class TestUnitPowers:
             _unit_powers(n, t)
             want = _scalar_primes_and_logs(logged_below)[1].tolist()
             assert logged == want, n
+
+
+class TestZetaBlock:
+    def test_frozen_grid(self):
+        """One block over every frozen (sigma, t): N from t = 19999.9."""
+        sigmas = sorted({sg for sg, _ in ZETA_VALUES})
+        ts = sorted({t for _, t in ZETA_VALUES})
+        z, ok = zeta_core._zeta_block(sigmas, ts)
+        assert ok.all()
+        for (sg, t), (re, im) in ZETA_VALUES.items():
+            got = z[sigmas.index(sg), ts.index(t)]
+            assert abs(got - complex(re, im)) < 1e-13, (sg, t)
+
+    def test_matches_pointwise(self):
+        """Within 1e-14 of `zeta`, against the O(1) terms of the sums (the
+        block takes N from |t| = 49.99 for every column)."""
+        alphas = np.array(zeta_core._S0_LADDER)
+        ts = np.array([-47.3, 0.02, 3.5, 14.1, 49.99])
+        z, ok = zeta_core._zeta_block(alphas, ts)
+        assert ok.all()
+        for i, a in enumerate(alphas.tolist()):
+            for j, t in enumerate(ts.tolist()):
+                want = zeta(complex(a, t))
+                err = abs(z[i, j] - want)
+                assert err <= 1e-14 * max(abs(want), 1.0), (a, t)
+
+    def test_mask_is_where_pointwise_warns(self, monkeypatch):
+        """With the B_2k list cut short, the remainder fails at low alpha;
+        the mask is false exactly where `zeta` warns at the same N."""
+        monkeypatch.setattr(zeta_core, "_B2K", zeta_core._B2K[:4])
+        alphas = [0.5, 1.5, 3.0, 6.0, 10.0]
+        for t in (2.0, 30.0):
+            _, ok = zeta_core._zeta_block(alphas, [t])
+            warned = []
+            for a in alphas:
+                with warnings.catch_warnings(record=True) as rec:
+                    warnings.simplefilter("always")
+                    zeta_core._em_zeta(a, t)
+                warned.append(bool(rec))
+            assert ok[:, 0].tolist() == [not w for w in warned], t
+        assert not ok.all() and ok.any()
+
+    def test_columns_are_unit_powers(self):
+        ts = np.array([1234.5678, -0.5, 19999.9])
+        cols = _unit_power_columns(11426, ts)
+        for j, t in enumerate(ts.tolist()):
+            _unit_powers.cache_clear()
+            assert np.array_equal(cols[:, j].copy().view(np.float64),
+                                  _unit_powers(11426, t).view(np.float64))
+
+
+class TestS0Block:
+    @pytest.fixture
+    def scalar_calls(self, monkeypatch):
+        """The t values `_s0_block` hands to the per-t walk."""
+        calls = []
+        real = zeta_core._s0
+
+        def spy(t):
+            calls.append(t)
+            return real(t)
+
+        monkeypatch.setattr(zeta_core, "_s0", spy)
+        return calls
+
+    def test_lattice_matches_walk(self):
+        us = 0.02 * np.arange(1, 2501)
+        want = np.array([zeta_core._s0(u) for u in us.tolist()])
+        assert np.max(np.abs(zeta_core._s0_block(us) - want)) <= 1e-12
+
+    def test_near_zero_falls_back(self, scalar_calls):
+        t = ZERO_ORDINATES_BELOW_55[0] + 5e-10
+        got = zeta_core._s0_block([20.0, t])
+        assert scalar_calls == [t]
+        assert got[1] == log_zeta_branched(0.5, t).imag / math.pi
+
+    def test_failed_step_falls_back(self, monkeypatch, scalar_calls):
+        """One step from 10 to 1/2 moves arg zeta by pi |S_0|, so it holds
+        at t = 20 (S_0 = -0.378) and fails at t = 30 and 50."""
+        monkeypatch.setattr(zeta_core, "_S0_LADDER", (10.0, 0.5))
+        ts = sorted(S0_VALUES)
+        got = zeta_core._s0_block(ts)
+        assert scalar_calls == [30.0, 50.0]
+        for t, g in zip(ts, got.tolist()):
+            want = log_zeta_branched(0.5, t).imag / math.pi
+            if t == 20.0:
+                assert g == pytest.approx(want, abs=1e-12)
+            else:
+                assert g == want
+
+    def test_failed_remainder_falls_back(self, monkeypatch, scalar_calls):
+        """A remainder over its target sends the t to the walk, which
+        warns as before; a fresh memo keeps full-accuracy values out."""
+        monkeypatch.setattr(zeta_core, "_B2K", zeta_core._B2K[:4])
+        monkeypatch.setattr(zeta_core, "_memo", {})
+        with pytest.warns(ZetaAccuracyWarning):
+            got = zeta_core._s0_block([2.0, 30.0])
+        assert scalar_calls == [30.0]
+        assert got[1] == log_zeta_branched(0.5, 30.0).imag / math.pi
+
+    def test_t_zero_raises(self):
+        with pytest.raises(NearZeroOnPath):
+            zeta_core._s0_block([5.0, 0.0])
 
 
 class TestBranchedLog:
@@ -363,7 +469,7 @@ class TestSm:
         t = 1.5
         v = s_m(2, t)
         us = np.linspace(0.0, t, 9)
-        s1 = [s_m(1, float(u)) for u in us]
+        s1 = s_m(1, us)
         h = us[1] - us[0]
         simpson = h / 3 * (s1[0] + 4 * sum(s1[1:-1:2]) + 2 * sum(s1[2:-2:2])
                            + s1[-1])
@@ -373,9 +479,8 @@ class TestSm:
     def _nested_s2(t):
         """The m = 2 route before the eta identity: s_1 integrated."""
         return integrate_adaptive(
-            lambda us: np.array([s_m(1, float(u)) for u in us]),
-            0.0, t, rel_tol=1e-8, abs_tol=1e-8, max_panels=200
-        ) + b_constant(2)
+            lambda us: s_m(1, us), 0.0, t, rel_tol=1e-8, abs_tol=1e-8,
+            max_panels=200) + b_constant(2)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("t", [1.5, 5.0])
@@ -386,6 +491,35 @@ class TestSm:
         h = 1e-3
         slope = (s_m(3, 5.0 + h) - s_m(3, 5.0 - h)) / (2 * h)
         assert slope == pytest.approx(s_m(2, 5.0), abs=1e-6)
+
+    def test_sequence_matches_scalar(self):
+        ts = [33.3, -20.0, 0.0, 50.0, 7.5, 20.0, -0.01]
+        got = s_m(1, ts)
+        assert isinstance(got, np.ndarray) and got.shape == (len(ts),)
+        for t, g in zip(ts, got.tolist()):
+            one = s_m(1, t)
+            assert isinstance(one, float)
+            assert abs(g - one) <= 1e-14, t
+        assert got[2] == b_constant(1)
+        for m in (0, 2):
+            some = [t for t in ts if t != 0.0][:3]
+            assert s_m(m, some).tolist() == pytest.approx(
+                [s_m(m, t) for t in some], abs=1e-14)
+
+    def test_brackets_hold_each_zero_once(self):
+        a, _, b, _ = zeta_core._jump_brackets(50.0)
+        assert np.all(b - a <= 1e-9)
+        below = [g for g in ZERO_ORDINATES_BELOW_55 if g < 50.0]
+        for g in below:
+            assert np.count_nonzero((a <= g) & (g <= b)) == 1, g
+        assert a.size == len(below)
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf,
+                                   [20.0, math.nan]])
+    def test_non_finite_t_rejected(self, m, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            s_m(m, t)
 
     def test_s3_past_first_zero(self):
         # the nested route bisected onto the zero at t = 14.1347 and raised
