@@ -15,10 +15,10 @@ from .zeta_core import (NearZeroOnPath, ZetaAccuracyWarning, ZetaPoleError,
                         s_m, zeta)
 from .moments import (MomentResult, bessel_product, contour_moment,
                       empirical_moment, exact_moment, exp_moment_trimmed)
-from .tails import (AdvisoryConstants, ExceedanceCurve, FAMILIES,
-                    TailPrediction, measure_exceedance_eta,
-                    measure_exceedance_poly, measure_exceedance_poly_multi,
-                    predict_tail, solve_saddle_critical, solve_saddle_strip)
+from .tails import (ExceedanceCurve, FAMILIES, TailPrediction,
+                    measure_exceedance_eta, measure_exceedance_poly,
+                    measure_exceedance_poly_multi, predict_tail,
+                    solve_saddle_critical, solve_saddle_strip)
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,7 @@ __all__ = [
     "MomentResult", "bessel_product",
     "contour_moment", "empirical_moment", "exact_moment",
     "exp_moment_trimmed",
-    "AdvisoryConstants", "ExceedanceCurve", "FAMILIES", "TailPrediction",
+    "ExceedanceCurve", "FAMILIES", "TailPrediction",
     "measure_exceedance_eta", "measure_exceedance_poly",
     "measure_exceedance_poly_multi", "predict_tail", "solve_saddle_critical",
     "solve_saddle_strip",

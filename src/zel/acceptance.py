@@ -2,21 +2,11 @@
 
 Each criterion runs at fixed parameters and tolerances and returns a
 CriterionResult: a PASS/FAIL headline with the measured numbers plus
-per-point detail lines.  Criteria whose windows are not reachable at
-desk scale (they encode asymptotic statements) still run unmodified and
-report the miss honestly; nothing here softens a tolerance to stay
+per-point detail lines.  Every tolerance is a constant set next to its
+check; none can be overridden.  Criteria whose windows are not reachable
+at desk scale (they encode asymptotic statements) still run unmodified
+and report the miss honestly; nothing here softens a tolerance to stay
 green.
-
-Tolerance overrides (CLI --tol NAME=VALUE) by criterion:
-
-    c1_pair_rel c1_emp_low c1_emp_k6        triple agreement
-    c2_scale c2_emp                         odd-moment vanishing
-    c3_abs                                  S_1 identity
-    c4_abs                                  sigma > 1 series oracle
-    c5_window_mult                          Bessel-product asymptotics
-    c6_rel                                  exp-moment identity
-    c7_ratio_lo c7_ratio_hi                 tail trend
-    c8_resid_mult c8_slack_mult             saddle consistency
 """
 
 from __future__ import annotations
@@ -63,20 +53,14 @@ class CriterionResult:
                 f"{self.detail} [{self.elapsed:.1f}s]")
 
 
-def _tol(tolerances: dict | None, name: str, default: float) -> float:
-    return float((tolerances or {}).get(name, default))
-
-
 # ---------------------------------------------------------------------------
 # criteria
 
 
-def criterion_1(tolerances=None) -> CriterionResult:
+def criterion_1() -> CriterionResult:
     """Moment triple agreement at sigma=1/2, m=1, X=31, T=1e6."""
     t0 = time.perf_counter()
-    pair_tol = _tol(tolerances, "c1_pair_rel", 1e-10)
-    emp_low = _tol(tolerances, "c1_emp_low", 0.02)
-    emp_k6 = _tol(tolerances, "c1_emp_k6", 0.05)
+    pair_tol, emp_low, emp_k6 = 1e-10, 0.02, 0.05
     table = PrimeTable.build(31)
     grid = TGrid.for_span(1e6, 31.0)
     lines, ok = [], True
@@ -104,11 +88,10 @@ def criterion_1(tolerances=None) -> CriterionResult:
                            lines, elapsed)
 
 
-def criterion_2(tolerances=None) -> CriterionResult:
+def criterion_2() -> CriterionResult:
     """Odd moments vanish: analytic routes to 1e-12 scale, empirical k=1."""
     t0 = time.perf_counter()
-    scale_tol = _tol(tolerances, "c2_scale", 1e-12)
-    emp_tol = _tol(tolerances, "c2_emp", 1e-2)
+    scale_tol, emp_tol = 1e-12, 1e-2
     spec = PolySpec(m=1, sigma=0.5, theta=0.7, X=31.0)
     table = PrimeTable.build(31)
     scale = exact_moment(spec, 2).value
@@ -130,10 +113,10 @@ def criterion_2(tolerances=None) -> CriterionResult:
                            lines, time.perf_counter() - t0)
 
 
-def criterion_3(tolerances=None) -> CriterionResult:
+def criterion_3() -> CriterionResult:
     """pi s_1(t) equals Re of the m=1 iterated integral on the half line."""
     t0 = time.perf_counter()
-    tol = _tol(tolerances, "c3_abs", 1e-6)
+    tol = 1e-6
     lines, ok = [], True
     worst = 0.0
     ts = (20.0, 30.0, 50.0)
@@ -150,10 +133,10 @@ def criterion_3(tolerances=None) -> CriterionResult:
                            f"max residual {worst:.3e}", lines, elapsed)
 
 
-def criterion_4(tolerances=None) -> CriterionResult:
+def criterion_4() -> CriterionResult:
     """sigma=2 series oracle: integral route vs truncated Lambda sum."""
     t0 = time.perf_counter()
-    tol = _tol(tolerances, "c4_abs", 1e-8)
+    tol = 1e-8
     table = PrimeTable.build(100_000)
     lines, ok = [], True
     worst = 0.0
@@ -172,10 +155,10 @@ def criterion_4(tolerances=None) -> CriterionResult:
                            lines, time.perf_counter() - t0)
 
 
-def criterion_5(tolerances=None) -> CriterionResult:
+def criterion_5() -> CriterionResult:
     """Bessel-product vs main-term windows, X = x^3 ladder."""
     t0 = time.perf_counter()
-    mult = _tol(tolerances, "c5_window_mult", 10.0)
+    mult = 10.0
     table = PrimeTable.build(1_000_000)
     lines, ok = [], True
 
@@ -217,10 +200,10 @@ def criterion_5(tolerances=None) -> CriterionResult:
                            lines, time.perf_counter() - t0)
 
 
-def criterion_6(tolerances=None) -> CriterionResult:
+def criterion_6() -> CriterionResult:
     """Trimmed exp-moment matches the log Bessel product at x=2, W=20."""
     t0 = time.perf_counter()
-    rel = _tol(tolerances, "c6_rel", 0.05)
+    rel = 0.05
     spec = PolySpec(m=1, sigma=0.5, theta=0.0, X=31.0)
     table = PrimeTable.build(31)
     grid = TGrid.for_span(1e6, 31.0)
@@ -238,12 +221,11 @@ def criterion_6(tolerances=None) -> CriterionResult:
                            lines, time.perf_counter() - t0)
 
 
-def criterion_7(tolerances=None) -> CriterionResult:
+def criterion_7() -> CriterionResult:
     """Tail trend at sigma=0.8, X=1e5, T=1e7: log-ratio band, monotonicity,
     theta invariance."""
     t0 = time.perf_counter()
-    lo = _tol(tolerances, "c7_ratio_lo", 0.3)
-    hi = _tol(tolerances, "c7_ratio_hi", 3.0)
+    lo, hi = 0.3, 3.0
     table = PrimeTable.build(100_000)
     grid = TGrid.for_span(1e7, 1e5)
     thetas = (0.0, math.pi / 4, math.pi / 2)
@@ -318,11 +300,10 @@ def _strip_display(x, sigma, m):
         * x ** (1.0 / sigma - 1.0) / (sigma * math.log(x) ** (m / sigma + 1.0))
 
 
-def criterion_8(tolerances=None) -> CriterionResult:
+def criterion_8() -> CriterionResult:
     """Saddle residual matrix plus the closed-form windows at V=1e3, 1e6."""
     t0 = time.perf_counter()
-    resid_mult = _tol(tolerances, "c8_resid_mult", 1e-12)
-    slack_mult = _tol(tolerances, "c8_slack_mult", 5.0)
+    resid_mult, slack_mult = 1e-12, 5.0
     lines, ok = [], True
 
     assert len(SADDLE_MATRIX) == 50
@@ -372,7 +353,7 @@ def criterion_8(tolerances=None) -> CriterionResult:
                            lines, time.perf_counter() - t0)
 
 
-def criterion_9(tolerances=None) -> CriterionResult:
+def criterion_9() -> CriterionResult:
     """Rerunning identical configs yields byte-identical CSV/JSON files."""
     from . import cli              # deferred: cli imports this module
 
@@ -413,8 +394,7 @@ CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 QUICK_SKIP = {7}
 
 
-def run_all(quick: bool = False,
-            tolerances: dict | None = None) -> list[CriterionResult]:
+def run_all(quick: bool = False) -> list[CriterionResult]:
     results = []
     for fn, number in zip(CRITERIA, range(1, 10)):
         if quick and number in QUICK_SKIP:
@@ -422,5 +402,5 @@ def run_all(quick: bool = False,
                 number, "tail trend", None,
                 "skipped under --quick (T=1e7 sweep, ~4s)"))
             continue
-        results.append(fn(tolerances=tolerances))
+        results.append(fn())
     return results

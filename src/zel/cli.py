@@ -1,10 +1,10 @@
 """Command-line surface: predict | moments | tail | eta | selfcheck.
 
-Flags mirror the library call signatures; every run resolves to a plain
-RunConfig whose dict is embedded in JSON output, so a sweep can be
-reproduced from any of its artifacts.  Reruns with identical flags write
-byte-identical files (the determinism contract): no timestamps, no host
-info, fixed column orders, 17-digit floats.
+Flags mirror the library call signatures.  Each subcommand reads the
+parsed flags directly, and JSON output embeds them (minus --out), so a
+sweep can be reproduced from any of its artifacts.  Reruns with identical
+flags write byte-identical files (the determinism contract): no
+timestamps, no host info, fixed column orders, 17-digit floats.
 
 V grids use start:stop:step with both endpoints included (50:200:10 is
 16 values), a comma list, or a single number.  Exit codes: 0 success,
@@ -19,15 +19,14 @@ import argparse
 import contextlib
 import math
 import sys
-from dataclasses import dataclass, field
 
 from . import __version__
 from .emit import NonFiniteOutput, flags_cell, write_csv, write_json
 from .moments import contour_moment, empirical_moment, exact_moment
-from .prime_poly import PolySpec, PrimeTable, TGrid, dyadic_floor
+from .prime_poly import (PolySpec, PrimeTable, TGrid, check_on_lattice,
+                         dyadic_floor)
 from .tails import (
     MAX_ETA_GRID,
-    AdvisoryConstants,
     FAMILIES,
     eta_values,
     measure_exceedance_eta,
@@ -63,71 +62,24 @@ def parse_grid(text: str) -> tuple[float, ...]:
     return (float(text),)
 
 
-def parse_kv(pairs: list[str]) -> dict[str, float]:
-    out = {}
-    for pair in pairs:
-        name, _, value = pair.partition("=")
-        if not _:
-            raise ValueError(f"expected NAME=VALUE, got {pair!r}")
-        out[name.strip()] = float(value)
-    return out
-
-
-@dataclass
-class RunConfig:
-    """Resolved parameters of one CLI invocation."""
-
-    command: str
-    sigma: float | None = None
-    m: int | None = None
-    theta: float = 0.0
-    T: float | None = None
-    X: float | None = None
-    V: tuple[float, ...] = ()
-    t: tuple[float, ...] = ()
-    k: tuple[int, ...] = ()
-    methods: tuple[str, ...] = ()
-    family: str | None = None
-    route: str = "poly"
-    refine: int = 1
-    count: int = 1024
-    quick: bool = False
-    constants: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
-    out: str | None = None
-    format: str = "csv"
-
-    def resolved(self) -> dict:
-        # out steers no computation; keeping it out lets two runs into
-        # different files compare byte-identical
-        cfg = {k: v for k, v in self.__dict__.items()
-               if v not in (None, ()) and k != "out"}
-        cfg["version"] = __version__
-        return cfg
-
-    def advisory(self) -> AdvisoryConstants:
-        base = AdvisoryConstants()
-        known = set(base.__dataclass_fields__)
-        bad = set(self.constants) - known
-        if bad:
-            raise ValueError(f"unknown constants {sorted(bad)}; known: "
-                             f"{sorted(known)}")
-        return AdvisoryConstants(**{**base.__dict__, **self.constants})
-
-
 @contextlib.contextmanager
-def _out_stream(cfg: RunConfig):
-    if cfg.out is None:
+def _out_stream(args: argparse.Namespace):
+    if args.out is None:
         yield sys.stdout
     else:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             yield fh
 
 
-def _emit(cfg: RunConfig, header, rows) -> None:
-    with _out_stream(cfg) as fh:
-        if cfg.format == "json":
-            write_json(fh, cfg.resolved(), header, rows)
+def _emit(args: argparse.Namespace, header, rows) -> None:
+    with _out_stream(args) as fh:
+        if args.format == "json":
+            # out steers no computation; keeping it out lets two runs into
+            # different files compare byte-identical
+            config = {k: v for k, v in vars(args).items()
+                      if v is not None and k != "out"}
+            config["version"] = __version__
+            write_json(fh, config, header, rows)
         else:
             write_csv(fh, header, rows)
 
@@ -136,39 +88,39 @@ def _emit(cfg: RunConfig, header, rows) -> None:
 # subcommands
 
 
-def cmd_predict(cfg: RunConfig) -> int:
-    params = {"m": cfg.m, "sigma": cfg.sigma, "theta": cfg.theta,
-              "X": cfg.X, "T": cfg.T}
-    constants = cfg.advisory()
+def cmd_predict(args: argparse.Namespace) -> int:
+    params = {"m": args.m, "sigma": args.sigma, "theta": args.theta,
+              "X": args.X, "T": args.T}
     rows = []
-    for v in cfg.V:
-        p = predict_tail(cfg.family, v, params, constants=constants)
+    for v in args.V:
+        p = predict_tail(args.family, v, params)
         rows.append((v, p.family, p.exponent, p.error_window,
                      flags_cell(p.validity)))
-    _emit(cfg, ("V", "family", "exponent", "error_window", "validity_flags"),
+    _emit(args, ("V", "family", "exponent", "error_window", "validity_flags"),
           rows)
     return 0
 
 
-def cmd_moments(cfg: RunConfig) -> int:
-    spec = PolySpec(m=cfg.m, sigma=cfg.sigma, theta=cfg.theta, X=cfg.X)
-    table = PrimeTable.build(int(math.ceil(cfg.X)))
+def cmd_moments(args: argparse.Namespace) -> int:
+    spec = PolySpec(m=args.m, sigma=args.sigma, theta=args.theta, X=args.X)
+    table = PrimeTable.build(int(math.ceil(args.X)))
     empirical = {}
-    if "empirical" in cfg.methods:
-        if cfg.T is None:
+    if "empirical" in args.methods:
+        if args.T is None:
             raise ValueError("empirical moments need --T")
-        if not 0.0 < cfg.T < math.inf:
-            raise ValueError(f"--T must be finite and > 0, got {cfg.T}")
-        grid = TGrid.for_span(cfg.T, cfg.X)
-        empirical = dict(zip(cfg.k, empirical_moment(spec, table, grid, cfg.k)))
+        if not 0.0 < args.T < math.inf:
+            raise ValueError(f"--T must be finite and > 0, got {args.T}")
+        grid = TGrid.for_span(args.T, args.X)
+        empirical = dict(zip(args.k,
+                             empirical_moment(spec, table, grid, args.k)))
     rows = []
-    for k in cfg.k:
+    for k in args.k:
         results = {}
-        if "exact" in cfg.methods:
+        if "exact" in args.methods:
             results["exact"] = exact_moment(spec, k)
-        if "contour" in cfg.methods:
+        if "contour" in args.methods:
             results["contour"] = contour_moment(spec, k, table)
-        if "empirical" in cfg.methods:
+        if "empirical" in args.methods:
             results["empirical"] = empirical[k]
         values = [r.value for r in results.values()]
         scale = max(abs(v) for v in values)
@@ -178,12 +130,12 @@ def cmd_moments(cfg: RunConfig) -> int:
                 r = results[name]
                 rows.append((k, r.method, r.value, r.err_estimate, agreement,
                              flags_cell(r.flags)))
-    _emit(cfg, ("k", "method", "value", "err_estimate", "agreement", "flags"),
+    _emit(args, ("k", "method", "value", "err_estimate", "agreement", "flags"),
           rows)
     return 0
 
 
-def _curve_rows(curve, family: str | None, params: dict, constants):
+def _curve_rows(curve, family: str | None, params: dict):
     rows = []
     for v, frac, count in zip(curve.V_grid, curve.measure_fraction,
                               curve.exceed_counts):
@@ -191,7 +143,7 @@ def _curve_rows(curve, family: str | None, params: dict, constants):
         validity = ()
         if family is not None and v >= 3.0:
             try:
-                p = predict_tail(family, float(v), params, constants=constants)
+                p = predict_tail(family, float(v), params)
             except ValueError:
                 p = None
             if p is not None:
@@ -205,55 +157,63 @@ def _curve_rows(curve, family: str | None, params: dict, constants):
     return rows
 
 
-def cmd_tail(cfg: RunConfig) -> int:
-    if not 0.0 < cfg.T < math.inf:
-        raise ValueError(f"--T must be finite and > 0, got {cfg.T}")
-    if cfg.X is not None and not math.isfinite(cfg.X):
-        raise ValueError(f"--X must be finite, got {cfg.X}")
-    constants = cfg.advisory()
-    params = {"m": cfg.m, "sigma": cfg.sigma, "X": cfg.X, "T": cfg.T}
-    if cfg.route == "poly":
-        if cfg.X is None:
+def cmd_tail(args: argparse.Namespace) -> int:
+    if not 0.0 < args.T < math.inf:
+        raise ValueError(f"--T must be finite and > 0, got {args.T}")
+    if args.X is not None and not math.isfinite(args.X):
+        raise ValueError(f"--X must be finite, got {args.X}")
+    params = {"m": args.m, "sigma": args.sigma, "X": args.X, "T": args.T}
+    if args.route == "poly":
+        if args.X is None:
             raise ValueError("poly route needs --X")
-        spec = PolySpec(m=cfg.m, sigma=cfg.sigma, theta=cfg.theta, X=cfg.X)
-        grid = TGrid.for_span(cfg.T, cfg.X, refine=cfg.refine)
-        table = PrimeTable.build(int(math.ceil(cfg.X)))
-        curve = measure_exceedance_poly(spec, table, grid, list(cfg.V))
-        family = "critical_poly" if cfg.sigma == 0.5 else "strip_poly"
-        if cfg.sigma == 0.5 and cfg.m == 0:
+        spec = PolySpec(m=args.m, sigma=args.sigma, theta=args.theta, X=args.X)
+        grid = TGrid.for_span(args.T, args.X, refine=args.refine)
+        table = PrimeTable.build(int(math.ceil(args.X)))
+        curve = measure_exceedance_poly(spec, table, grid, list(args.V))
+        family = "critical_poly" if args.sigma == 0.5 else "strip_poly"
+        if args.sigma == 0.5 and args.m == 0:
             family = None           # no critical law at m = 0
     else:
-        if cfg.count < 1:
-            raise ValueError(f"--count must be >= 1, got {cfg.count}")
-        delta = dyadic_floor(cfg.T / cfg.count)
-        grid = TGrid(t0=float(cfg.T), count=cfg.count, delta=delta)
-        curve = measure_exceedance_eta(cfg.m, cfg.sigma, cfg.theta, grid,
-                                       list(cfg.V))
-        family = "critical_eta" if cfg.sigma == 0.5 else "strip_eta"
-        if cfg.sigma == 0.5 and cfg.m == 0:
+        if args.count < 1:
+            raise ValueError(f"--count must be >= 1, got {args.count}")
+        # dyadic_floor keeps a 12-bit numerator, so a spacing of at least
+        # 2^-13 is a multiple of 2^-24 at the finest: short enough for TGrid
+        if not args.T / args.count >= 2.0 ** -13:
+            raise ValueError(
+                f"--T / --count = {args.T / args.count:g} is below 2^-13; "
+                f"the eta grid spacing T/count must be >= 2^-13")
+        delta = dyadic_floor(args.T / args.count)
+        check_on_lattice(args.T, delta)
+        grid = TGrid(t0=float(args.T), count=args.count, delta=delta)
+        curve = measure_exceedance_eta(args.m, args.sigma, args.theta, grid,
+                                       list(args.V))
+        family = "critical_eta" if args.sigma == 0.5 else "strip_eta"
+        if args.sigma == 0.5 and args.m == 0:
             family = None
-    rows = _curve_rows(curve, family, params, constants)
-    _emit(cfg, ("V", "count", "fraction", "predicted_exponent", "log_ratio",
-                "validity_flags"), rows)
+    rows = _curve_rows(curve, family, params)
+    _emit(args, ("V", "count", "fraction", "predicted_exponent", "log_ratio",
+                 "validity_flags"), rows)
     return 0
 
 
-def cmd_eta(cfg: RunConfig) -> int:
-    ct, st = math.cos(cfg.theta), math.sin(cfg.theta)
+def cmd_eta(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.theta):
+        raise ValueError(f"--theta must be finite, got {args.theta}")
+    ct, st = math.cos(args.theta), math.sin(args.theta)
     rows = []
-    for t, val in zip(cfg.t, eta_values(cfg.m, cfg.sigma, cfg.t)):
+    for t, val in zip(args.t, eta_values(args.m, args.sigma, args.t)):
         if val is None:
             rows.append((t, None, None, None, "near_zero_excluded"))
             continue
         rows.append((t, val.real, val.imag, ct * val.real + st * val.imag, ""))
-    _emit(cfg, ("t", "re", "im", "rotated", "flags"), rows)
+    _emit(args, ("t", "re", "im", "rotated", "flags"), rows)
     return 0
 
 
-def cmd_selfcheck(cfg: RunConfig) -> int:
+def cmd_selfcheck(args: argparse.Namespace) -> int:
     from . import acceptance       # deferred: pulls in every module
 
-    report = acceptance.run_all(quick=cfg.quick, tolerances=cfg.tolerances)
+    report = acceptance.run_all(quick=args.quick)
     stream = sys.stdout
     for res in report:
         stream.write(res.headline() + "\n")
@@ -271,13 +231,9 @@ def cmd_selfcheck(cfg: RunConfig) -> int:
 # argument wiring
 
 
-def _common(p: argparse.ArgumentParser) -> None:
+def _output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--const", action="append", default=[], metavar="NAME=VAL",
-                   help="advisory constant override, e.g. a2=0.1 (repeatable)")
-    p.add_argument("--tol", action="append", default=[], metavar="NAME=VAL",
-                   help="selfcheck tolerance override (repeatable)")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -296,7 +252,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--X", type=float)
     p.add_argument("--T", type=float)
-    _common(p)
+    _output(p)
 
     p = sub.add_parser("moments", help="moments by the three routes")
     p.add_argument("--sigma", type=float, required=True)
@@ -307,7 +263,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--k", default="1,2,3,4", help="comma list of orders")
     p.add_argument("--methods", default="all",
                    help="all or comma subset of exact,contour,empirical")
-    _common(p)
+    _output(p)
 
     p = sub.add_parser("tail", help="measured exceedance curve")
     p.add_argument("--route", choices=("poly", "eta"), default="poly")
@@ -321,19 +277,19 @@ def _parser() -> argparse.ArgumentParser:
                    help="grid refinement factor (poly route)")
     p.add_argument("--count", type=int, default=1024,
                    help="eta route grid points (cap 1e5)")
-    _common(p)
+    _output(p)
 
     p = sub.add_parser("eta", help="pointwise iterated-integral values")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--t", required=True, help="start:stop:step | list | value")
-    _common(p)
+    _output(p)
 
-    p = sub.add_parser("selfcheck", help="run the acceptance criteria")
+    p = sub.add_parser("selfcheck",
+                       help="run the acceptance criteria (report on stdout)")
     p.add_argument("--quick", action="store_true",
                    help="subset that finishes under a minute")
-    _common(p)
 
     return top
 
@@ -346,28 +302,22 @@ def _listed(flag: str, values) -> tuple:
     return values
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("sigma", "m", "theta", "T", "X", "family", "route", "refine",
-                 "count", "quick", "out", "format"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
+def _parse_lists(args: argparse.Namespace) -> None:
+    """Replace the --V, --t, --k and --methods texts by checked tuples."""
     if hasattr(args, "V"):
-        cfg.V = _listed("--V", parse_grid(args.V))
+        args.V = _listed("--V", parse_grid(args.V))
     if hasattr(args, "t"):
-        cfg.t = _listed("--t", parse_grid(args.t))
+        args.t = _listed("--t", parse_grid(args.t))
     if hasattr(args, "k"):
-        cfg.k = _listed("--k", (int(p) for p in args.k.split(",") if p.strip()))
+        args.k = _listed("--k",
+                         (int(p) for p in args.k.split(",") if p.strip()))
     if hasattr(args, "methods"):
         methods = (METHOD_ORDER if args.methods == "all" else _listed(
             "--methods", (p.strip() for p in args.methods.split(",") if p.strip())))
         unknown = set(methods) - set(METHOD_ORDER)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}")
-        cfg.methods = methods
-    cfg.constants = parse_kv(args.const)
-    cfg.tolerances = parse_kv(args.tol)
-    return cfg
+        args.methods = methods
 
 
 _DISPATCH = {
@@ -382,8 +332,8 @@ _DISPATCH = {
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = _config_from(args)
-        return _DISPATCH[cfg.command](cfg)
+        _parse_lists(args)
+        return _DISPATCH[args.command](args)
     except NonFiniteOutput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -232,6 +232,16 @@ def dyadic_floor(dmax: float) -> float:
     return math.floor(dmax * 2.0 ** k) / 2.0 ** k
 
 
+def check_on_lattice(T: float, delta: float) -> None:
+    """ValueError naming --T unless T is a multiple of delta's 2^-k unit."""
+    den = float(delta).as_integer_ratio()[1]
+    if T * den != round(T * den):
+        k = den.bit_length() - 1
+        raise ValueError(
+            f"--T {T!r} is off the 2^-{k} lattice of the grid spacing "
+            f"{delta!r}: T must be a multiple of 2^-{k}")
+
+
 @dataclass(frozen=True)
 class TGrid:
     """Uniform grid t_j = t0 + j * delta, j = 0..count-1.
@@ -265,7 +275,8 @@ class TGrid:
         delta exactly; count*delta - T < delta.  Every phase t log p on the
         grid stays below (2T + delta) log X, and must round to fewer than
         PHASE_TURNS turns; a span past that is rejected here, before any
-        prime table or kernel block is built.
+        prime table or kernel block is built.  T must be a multiple of
+        delta's 2^-k unit, so every t_j stays on the lattice.
         """
         if not refine >= 1:
             raise ValueError(f"refine must be >= 1, got {refine}")
@@ -277,6 +288,7 @@ class TGrid:
             raise ValueError(
                 f"T={T:g}, X={X:g}: phases up to (2T + delta) log X = {top:.4g} "
                 f"pass the exact-reduction limit (2^28 - 1) * 2 pi = {limit:.4g}")
+        check_on_lattice(T, delta)
         count = math.ceil(T / delta)
         return cls(t0=float(T), count=count, delta=delta)
 

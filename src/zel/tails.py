@@ -15,7 +15,8 @@ Predictions come in four families, one per asymptotic law:
     strip_eta       same exponent as strip_poly
 
 each with its error window R evaluated with constant 1 and advisory
-range flags against configurable ceilings a_1..a_6 (never branched on).
+range flags for the unnamed constants a_1..a_6, all read as the one
+ceiling RANGE_CEILING = 0.01 (never branched on).
 The critical_poly denominator carries the power m while the related
 saddle equation carries 2m; the mismatch is intentional and neither
 form is folded into the other.
@@ -46,7 +47,6 @@ from .special_fn import a_constant, g_constant
 from .zeta_core import NearZeroOnPath, eta_tilde, log_zeta_branched
 
 __all__ = [
-    "AdvisoryConstants",
     "TailPrediction",
     "ExceedanceCurve",
     "FAMILIES",
@@ -64,18 +64,7 @@ FAMILIES = ("critical_poly", "critical_eta", "strip_poly", "strip_eta")
 MAX_ETA_GRID = 100_000          # each eta point costs a quadrature
 SADDLE_LO = 3.0
 SADDLE_HI = 1e12
-
-
-@dataclass(frozen=True)
-class AdvisoryConstants:
-    """Unnamed range constants; advisory flags only, never branched on."""
-
-    a1: float = 0.01
-    a2: float = 0.01
-    a3: float = 0.01
-    a4: float = 0.01
-    a5: float = 0.01
-    a6: float = 0.01
+RANGE_CEILING = 0.01            # a_1..a_6; advisory flags only
 
 
 @dataclass(frozen=True)
@@ -126,6 +115,8 @@ class ExceedanceCurve:
 
 def _check_v_grid(V_grid) -> np.ndarray:
     v = np.asarray(V_grid, dtype=float)
+    if v.ndim == 1 and not np.isfinite(v).all():
+        raise ValueError(f"V must be finite, got {v[~np.isfinite(v)][0]}")
     if v.ndim != 1 or v.size == 0 or not np.all(np.diff(v) > 0):
         raise ValueError("V_grid must be 1-d and strictly ascending")
     return v
@@ -215,6 +206,8 @@ def measure_exceedance_eta(m: int, sigma: float, theta: float, grid: TGrid,
     """
     if not sigma >= 0.5:
         raise ValueError(f"sigma must be >= 1/2, got {sigma}")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     v = _check_v_grid(V_grid)
     ct, st = math.cos(theta), math.sin(theta)
     values = eta_values(m, sigma, map(grid.t, range(grid.count)))
@@ -341,22 +334,22 @@ def _loglog(v: float) -> float:
     return math.log(math.log(v))
 
 
-def predict_tail(family: str, V: float, params: dict,
-                 constants: AdvisoryConstants | None = None) -> TailPrediction:
+def predict_tail(family: str, V: float, params: dict) -> TailPrediction:
     """Predicted exponent E (fraction ~ exp(-E)) with its error window.
 
     params carries m plus, per family: X (critical_poly), T (critical_eta;
     optional elsewhere, enabling the T-dependent range flags), sigma (strip
     families).  theta is accepted and ignored: every law here is free of
     the rotation angle.  A given X must be finite and > 1, a given T
-    finite and > e.  Validity flags are advisory range checks against the
-    a_i ceilings; values are always returned.
+    finite and > e.  Validity flags are advisory range checks against
+    RANGE_CEILING; values are always returned.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if not math.isfinite(V):
+        raise ValueError(f"V must be finite, got {V}")
     if not V >= 3.0:
         raise ValueError(f"V must be >= 3, got {V}")
-    cst = constants or AdvisoryConstants()
     m = int(_require(params, family, "m")[0])
     T = params.get("T")
     if params.get("X") is not None and not 1.0 < params["X"] < math.inf:
@@ -384,9 +377,9 @@ def predict_tail(family: str, V: float, params: dict,
                 flags.append("x_below_v4")
             if T is not None:
                 lt, llt = math.log(T), _loglog(T)
-                if V > cst.a2 * math.sqrt(lt) / llt ** (m + 0.5):
+                if V > RANGE_CEILING * math.sqrt(lt) / llt ** (m + 0.5):
                     flags.append("v_above_a2")
-                if math.log(X) > cst.a3 / (V * V * lv ** (2 * m)) * lt:
+                if math.log(X) > RANGE_CEILING / (V * V * lv ** (2 * m)) * lt:
                     flags.append("x_above_a3")
         else:
             exponent = base
@@ -394,7 +387,7 @@ def predict_tail(family: str, V: float, params: dict,
             lt, llt = math.log(T), _loglog(T)
             window = (V ** (2 * m + 1) * lv ** (2 * m * (m + 1)) / lt ** m
                       + math.sqrt(llv / lv))
-            if V > cst.a1 * (lt / llt ** (2 * m + 2)) ** (m / (2 * m + 1)):
+            if V > RANGE_CEILING * (lt / llt ** (2 * m + 2)) ** (m / (2 * m + 1)):
                 flags.append("v_above_a1")
     else:
         if m < 0:
@@ -413,13 +406,13 @@ def predict_tail(family: str, V: float, params: dict,
                 lt = math.log(T)
                 # ceiling: log X <= a6 log T / (V^{1/(1-s)} (log V)^{(m+s)/(1-s)})
                 v_term = exponent / a_constant(m, sigma)
-                if math.log(X) > cst.a6 * lt / v_term:
+                if math.log(X) > RANGE_CEILING * lt / v_term:
                     flags.append("x_above_a6")
-                if V > cst.a5 * lt ** (1.0 - sigma) / _loglog(T) ** (m + 1):
+                if V > RANGE_CEILING * lt ** (1.0 - sigma) / _loglog(T) ** (m + 1):
                     flags.append("v_above_a5")
         elif T is not None:
             lt = math.log(T)
-            if V > cst.a4 * lt ** (1.0 - sigma) / _loglog(T) ** (m + 1):
+            if V > RANGE_CEILING * lt ** (1.0 - sigma) / _loglog(T) ** (m + 1):
                 flags.append("v_above_a4")
 
     return TailPrediction(exponent=exponent, family=family,

@@ -89,9 +89,12 @@ def test_criterion_9_determinism(report):
 
 
 class TestPlumbing:
-    def test_tolerance_override_flips_criterion_4(self):
-        res = acceptance.criterion_4(tolerances={"c4_abs": 1e-6})
-        assert res.passed
+    def test_criterion_4_misses_only_at_m1_t0(self):
+        # the one miss is the series' own truncation tail, well under 1e-6
+        res = acceptance.criterion_4()
+        over = [ln for ln in res.lines if ln.endswith("<-- over")]
+        assert len(over) == 1 and over[0].startswith("m=1 t=0: |diff| = ")
+        assert float(over[0].split()[4]) < 1e-6
 
     def test_skip_headline(self):
         res = acceptance.CriterionResult(7, "tail trend", None, "skipped")

@@ -80,15 +80,6 @@ class TestParseGrid:
         assert f"caps at {tails.MAX_ETA_GRID}" in capsys.readouterr().err
 
 
-class TestParseKv:
-    def test_basic(self):
-        assert cli.parse_kv(["a1=0.5", "b2=3"]) == {"a1": 0.5, "b2": 3.0}
-
-    def test_missing_equals(self):
-        with pytest.raises(ValueError, match="NAME=VALUE"):
-            cli.parse_kv(["a1"])
-
-
 # ---------------------------------------------------------------------------
 # output layer
 
@@ -168,22 +159,20 @@ class TestPredict:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_constant_override_moves_flag(self, tmp_path):
+    def test_range_flag_needs_t(self, tmp_path):
         args = ["predict", "--family", "strip_eta", "--sigma", "0.75",
                 "--m", "0", "--V", "10"]
-        no_t = run_lines(args, tmp_path)
-        assert no_t[1].split(",")[4] == ""     # range flags need --T
-        tight = run_lines([*args, "--T", "1e6"], tmp_path, "tight.csv")
-        assert "v_above_a4" in tight[1].split(",")[4]
-        loose = run_lines([*args, "--T", "1e6", "--const", "a4=1e6"],
-                          tmp_path, "loose.csv")
-        assert loose[1].split(",")[4] == ""
+        assert run_lines(args, tmp_path)[1].split(",")[4] == ""
+        with_t = run_lines([*args, "--T", "1e6"], tmp_path, "t.csv")
+        assert "v_above_a4" in with_t[1].split(",")[4]
 
-    def test_unknown_constant(self, capsys):
+    @pytest.mark.parametrize("V,shown", [("nan", "nan"), ("1e400", "inf"),
+                                         ("10,-inf", "-inf")])
+    def test_nonfinite_v_rejected_by_name(self, capsys, V, shown):
         rc = cli.main(["predict", "--family", "strip_eta", "--sigma", "0.75",
-                       "--m", "0", "--V", "10", "--const", "zz=1"])
+                       "--m", "0", "--V", V])
         assert rc == 2
-        assert "unknown constants" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", f"error: V must be finite, got {shown}\n")
 
     @pytest.mark.parametrize("argv,message", [
         (["--X", "1"], "X must be finite and > 1, got 1.0"),
@@ -407,6 +396,64 @@ class TestTail:
         assert capsys.readouterr().err == (
             f"error: --X must be finite, got {X}\n")
 
+    @pytest.mark.parametrize("route", ["poly", "eta"])
+    @pytest.mark.parametrize("V,shown", [("nan", "nan"), ("0.5,inf", "inf")])
+    def test_nonfinite_v_rejected_before_output(self, monkeypatch, capsys,
+                                                route, V, shown):
+        def boom(*args):
+            raise AssertionError("evaluated before the V check")
+
+        monkeypatch.setattr(tails, "eta_tilde", boom)
+        rc = cli.main(["tail", "--route", route, "--sigma", "0.75", "--m",
+                       "1", "--X", "31", "--T", "1e4", "--count", "4",
+                       "--V", V])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", f"error: V must be finite, got {shown}\n")
+
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+    def test_eta_route_nonfinite_theta_rejected(self, monkeypatch, capsys,
+                                                theta):
+        def boom(*args):
+            raise AssertionError("evaluated before the theta check")
+
+        monkeypatch.setattr(tails, "eta_tilde", boom)
+        rc = cli.main(["tail", "--route", "eta", "--sigma", "0.75", "--m",
+                       "1", "--T", "1e4", "--count", "4", "--V", "0.5",
+                       f"--theta={theta}"])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", f"error: theta must be finite, got {theta}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["tail", "--route", "poly", "--sigma", "0.8", "--m", "0", "--X", "31",
+         "--V", "1"],
+        ["tail", "--route", "eta", "--sigma", "0.75", "--m", "1",
+         "--count", "40", "--V", "1"],
+        ["moments", "--sigma", "0.5", "--m", "1", "--X", "31", "--k", "2",
+         "--methods", "empirical"],
+    ])
+    def test_t_off_lattice_rejected_by_name(self, capsys, argv):
+        # 100.1 is no multiple of the spacing's 2^-k unit on either route
+        assert cli.main([*argv, "--T", "100.1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --T 100.1 is off the 2^-")
+        assert ": T must be a multiple of 2^-" in err
+
+    def test_eta_spacing_floor(self, capsys, tmp_path):
+        rc = cli.main(["tail", "--route", "eta", "--sigma", "0.75", "--m",
+                       "1", "--T", "1e-5", "--count", "2", "--V", "1"])
+        assert rc == 2
+        assert capsys.readouterr() == ("", (
+            "error: --T / --count = 5e-06 is below 2^-13; the eta grid "
+            "spacing T/count must be >= 2^-13\n"))
+        # T/count = 2^-13 exactly is the finest spacing accepted
+        lines = run_lines(["tail", "--route", "eta", "--sigma", "0.75",
+                           "--m", "1", "--T", repr(2.0 ** -11), "--count", "4",
+                           "--V", "1"], tmp_path)
+        assert len(lines) == 2
+
     def test_eta_route(self, tmp_path):
         lines = run_lines(["tail", "--route", "eta", "--sigma", "0.75",
                            "--m", "1", "--T", "100", "--count", "40",
@@ -478,6 +525,10 @@ class TestEtaCommand:
          "t must be finite, got inf"),
         (["--m", "-1", "--sigma", "0.5", "--t", "20"],
          "m must be >= 0, got -1"),
+        (["--m", "1", "--sigma", "0.5", "--t", "20", "--theta", "nan"],
+         "--theta must be finite, got nan"),
+        (["--m", "1", "--sigma", "0.5", "--t", "20", "--theta=-inf"],
+         "--theta must be finite, got -inf"),
     ])
     def test_bad_values_rejected_before_evaluation(self, monkeypatch, capsys,
                                                    argv, message):
@@ -530,8 +581,47 @@ class TestDeterminismAndErrors:
         assert "out" not in payload["config"]
         assert payload["config"]["version"]
 
+    @pytest.mark.parametrize("argv,flags", [
+        (["predict", "--family", "critical_poly", "--V", "5", "--m", "1",
+          "--sigma", "0.5", "--theta", "0.1", "--X", "1e6", "--T", "1e6"],
+         {"family", "V", "m", "sigma", "theta", "X", "T"}),
+        (["moments", "--sigma", "0.5", "--m", "1", "--theta", "0.7", "--X",
+          "31", "--T", "1e3", "--k", "2", "--methods", "exact,empirical"],
+         {"sigma", "m", "theta", "X", "T", "k", "methods"}),
+        (["tail", "--route", "poly", "--sigma", "0.8", "--m", "0", "--theta",
+          "0.1", "--X", "31", "--T", "1e3", "--V", "1", "--refine", "2",
+          "--count", "8"],
+         {"route", "sigma", "m", "theta", "X", "T", "V", "refine", "count"}),
+        (["eta", "--m", "1", "--sigma", "0.75", "--theta", "0.1", "--t",
+          "100"],
+         {"m", "sigma", "theta", "t"}),
+    ])
+    def test_json_config_keys_are_own_flags(self, tmp_path, argv, flags):
+        path = tmp_path / "out.json"
+        rc = cli.main([*argv, "--format", "json", "--out", str(path)])
+        assert rc == 0
+        config = json.loads(path.read_text())["config"]
+        assert set(config) == flags | {"format", "command", "version"}
+        if argv[0] == "predict":
+            assert not {"route", "count", "refine", "quick"} & set(config)
+
+    @pytest.mark.parametrize("argv", [
+        ["selfcheck", "--out", "x"],
+        ["selfcheck", "--quick", "--format", "json"],
+        ["selfcheck", "--quick", "--tol", "c3_abs=1e-20"],
+        ["predict", "--family", "strip_eta", "--sigma", "0.75", "--m", "0",
+         "--V", "10", "--const", "a4=1e6"],
+    ])
+    def test_unknown_flags_exit_2(self, monkeypatch, tmp_path, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_nonfinite_exit_code(self, monkeypatch, capsys):
-        def boom(cfg):
+        def boom(args):
             raise NonFiniteOutput("non-finite value inf in output")
 
         monkeypatch.setitem(cli._DISPATCH, "predict", boom)

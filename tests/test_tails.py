@@ -16,7 +16,6 @@ from zel.prime_poly import PolySpec, PrimeTable, TGrid, lambda_sum
 from zel.special_fn import a_constant, g_constant
 from zel import tails
 from zel.tails import (
-    AdvisoryConstants,
     ExceedanceCurve,
     FAMILIES,
     MAX_ETA_GRID,
@@ -127,6 +126,11 @@ class TestMeasurePoly:
         with pytest.raises(ValueError, match="spacing"):
             measure_exceedance_poly(SPEC08, table31, bad, [1.0])
 
+    @pytest.mark.parametrize("V", [[math.nan], [1.0, math.inf]])
+    def test_nonfinite_v_rejected(self, table31, grid1e4, V):
+        with pytest.raises(ValueError, match="^V must be finite, got "):
+            measure_exceedance_poly(SPEC08, table31, grid1e4, V)
+
     def test_strict_exceedance_at_tie(self, table31):
         """A grid value exactly equal to V does not count as exceeding."""
         one = TGrid(t0=0.0, count=1, delta=0.5)   # t = 0: P(0) = sum of weights
@@ -180,6 +184,20 @@ class TestMeasureEta:
         grid = TGrid(t0=10.0, count=2, delta=0.25)
         with pytest.raises(ValueError, match="m must be"):
             measure_exceedance_eta(-1, 0.75, 0.0, grid, [1.0])
+
+    @pytest.mark.parametrize("theta,V", [(math.nan, [1.0]),
+                                         (math.inf, [1.0]),
+                                         (0.0, [1.0, math.nan]),
+                                         (0.0, [-math.inf, 1.0])])
+    def test_nonfinite_rejected_before_evaluation(self, monkeypatch, theta, V):
+        def boom(*args):
+            raise AssertionError("evaluated before validation")
+
+        monkeypatch.setattr(tails, "eta_tilde", boom)
+        grid = TGrid(t0=10.0, count=2, delta=0.25)
+        name = "theta" if not math.isfinite(theta) else "V"
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+            measure_exceedance_eta(1, 0.75, theta, grid, V)
 
     def test_exclusions_counted_and_flagged(self, monkeypatch):
         real = tails.eta_tilde
@@ -375,12 +393,6 @@ class TestPredictTail:
         assert "v_above_a2" in with_t.validity
         assert "x_above_a3" in with_t.validity
 
-    def test_relaxed_ceilings_clear_flags(self):
-        cst = AdvisoryConstants(a2=1e6, a3=1e6)
-        p = predict_tail("critical_poly", 10.0, {"m": 1, "X": 1e6, "T": 1e6},
-                         constants=cst)
-        assert p.validity == ()
-
     def test_theta_ignored(self):
         a = predict_tail("strip_eta", 50.0, {"m": 0, "sigma": 0.6})
         b = predict_tail("strip_eta", 50.0, {"m": 0, "sigma": 0.6, "theta": 1.2})
@@ -397,6 +409,9 @@ class TestPredictTail:
             predict_tail("elsewhere", 10.0, {"m": 1})
         with pytest.raises(ValueError, match="V must be"):
             predict_tail("critical_eta", 2.0, {"m": 1, "T": 1e6})
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"V must be finite, got {bad}"):
+                predict_tail("strip_eta", bad, {"m": 0, "sigma": 0.75})
         with pytest.raises(ValueError, match="m >= 1"):
             predict_tail("critical_eta", 10.0, {"m": 0, "T": 1e6})
         with pytest.raises(ValueError, match="pinned"):
