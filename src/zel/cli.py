@@ -23,8 +23,7 @@ import sys
 from . import __version__
 from .emit import NonFiniteOutput, flags_cell, write_csv, write_json
 from .moments import contour_moment, empirical_moment, exact_moment
-from .prime_poly import (PolySpec, PrimeTable, TGrid, check_on_lattice,
-                         dyadic_floor)
+from .prime_poly import PolySpec, PrimeTable, TGrid, dyadic_floor
 from .tails import (
     MAX_ETA_GRID,
     FAMILIES,
@@ -89,8 +88,7 @@ def _emit(args: argparse.Namespace, header, rows) -> None:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    params = {"m": args.m, "sigma": args.sigma, "theta": args.theta,
-              "X": args.X, "T": args.T}
+    params = {"m": args.m, "sigma": args.sigma, "X": args.X, "T": args.T}
     rows = []
     for v in args.V:
         p = predict_tail(args.family, v, params)
@@ -103,13 +101,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_moments(args: argparse.Namespace) -> int:
     spec = PolySpec(m=args.m, sigma=args.sigma, theta=args.theta, X=args.X)
+    if args.T is not None and not 0.0 < args.T < math.inf:
+        raise ValueError(f"--T must be finite and > 0, got {args.T}")
     table = PrimeTable.build(int(math.ceil(args.X)))
     empirical = {}
     if "empirical" in args.methods:
         if args.T is None:
             raise ValueError("empirical moments need --T")
-        if not 0.0 < args.T < math.inf:
-            raise ValueError(f"--T must be finite and > 0, got {args.T}")
         grid = TGrid.for_span(args.T, args.X)
         empirical = dict(zip(args.k,
                              empirical_moment(spec, table, grid, args.k)))
@@ -176,15 +174,8 @@ def cmd_tail(args: argparse.Namespace) -> int:
     else:
         if args.count < 1:
             raise ValueError(f"--count must be >= 1, got {args.count}")
-        # dyadic_floor keeps a 12-bit numerator, so a spacing of at least
-        # 2^-13 is a multiple of 2^-24 at the finest: short enough for TGrid
-        if not args.T / args.count >= 2.0 ** -13:
-            raise ValueError(
-                f"--T / --count = {args.T / args.count:g} is below 2^-13; "
-                f"the eta grid spacing T/count must be >= 2^-13")
-        delta = dyadic_floor(args.T / args.count)
-        check_on_lattice(args.T, delta)
-        grid = TGrid(t0=float(args.T), count=args.count, delta=delta)
+        grid = TGrid(t0=float(args.T), count=args.count,
+                     delta=dyadic_floor(args.T / args.count))
         curve = measure_exceedance_eta(args.m, args.sigma, args.theta, grid,
                                        list(args.V))
         family = "critical_eta" if args.sigma == 0.5 else "strip_eta"
@@ -249,7 +240,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--V", required=True, help="start:stop:step | list | value")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--sigma", type=float)
-    p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--X", type=float)
     p.add_argument("--T", type=float)
     _output(p)

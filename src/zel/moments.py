@@ -46,9 +46,7 @@ __all__ = [
     "exp_moment_trimmed",
 ]
 
-# exact_moment limits; contour relaxes the prime bound
-MAX_EXACT_PRIMES = 30
-MAX_EXACT_K = 12
+# limits of the exact and contour routes alike
 MAX_CONTOUR_PRIMES = 100_000
 MAX_CONTOUR_K = 170                 # 171! > 1.8e308 overflows a double
 
@@ -74,6 +72,18 @@ class MomentResult:
             raise ValueError("err_estimate must be >= 0")
 
 
+def _check_budget(route: str, k: int, primes: int) -> None:
+    """ValueError naming route unless 1 <= k <= MAX_CONTOUR_K and
+    primes <= MAX_CONTOUR_PRIMES."""
+    if not 1 <= k <= MAX_CONTOUR_K:
+        raise ValueError(
+            f"{route} moments need 1 <= k <= {MAX_CONTOUR_K} (k! must fit in "
+            f"a double), got k={k}")
+    if primes > MAX_CONTOUR_PRIMES:
+        raise ValueError(
+            f"{primes} primes <= X exceeds the {route} budget {MAX_CONTOUR_PRIMES}")
+
+
 # ---------------------------------------------------------------------------
 # exact sum
 
@@ -89,13 +99,8 @@ def exact_moment(spec: PolySpec, k: int) -> MomentResult:
     (exact up to float rounding), independent of spec.theta by
     construction; a moment past the double range raises RuntimeError.
     """
-    if not 1 <= k <= MAX_EXACT_K:
-        raise ValueError(f"k must be in [1, {MAX_EXACT_K}], got {k}")
     table = PrimeTable.build(int(spec.X))
-    if table.primes.size > MAX_EXACT_PRIMES:
-        raise ValueError(
-            f"{table.primes.size} primes <= X exceeds the exact budget "
-            f"{MAX_EXACT_PRIMES}")
+    _check_budget("exact", k, table.primes.size)
     if k % 2:
         return MomentResult(k=k, value=0.0, method=METHOD_EXACT, err_estimate=0.0)
 
@@ -185,16 +190,8 @@ def contour_moment(spec: PolySpec, k: int, table: PrimeTable) -> MomentResult:
     integrand is even in w.  A non-finite doubled sum (a moment past the
     double range) raises RuntimeError.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > MAX_CONTOUR_K:
-        raise ValueError(
-            f"contour moments need k <= {MAX_CONTOUR_K} (k! must fit in a "
-            f"double), got k={k}")
     _, c = _spec_arrays(spec, table)
-    if c.size > MAX_CONTOUR_PRIMES:
-        raise ValueError(
-            f"{c.size} primes <= X exceeds the contour budget {MAX_CONTOUR_PRIMES}")
+    _check_budget("contour", k, c.size)
     radius = _saddle_radius(c, k)
     flags = ()
 

@@ -223,7 +223,8 @@ def max_spacing(X: float) -> float:
 
 
 def dyadic_floor(dmax: float) -> float:
-    """Largest dyadic n/2^k <= dmax with a 12-bit numerator (grid spacing)."""
+    """Largest n/2^k <= dmax at the least k >= 0 with n >= 2^11 (grid
+    spacing): a 12-bit n for dmax < 2^11, the integer floor from 2^11 up."""
     if not dmax > 0:
         raise ValueError("spacing must be positive")
     k = 0
@@ -232,22 +233,29 @@ def dyadic_floor(dmax: float) -> float:
     return math.floor(dmax * 2.0 ** k) / 2.0 ** k
 
 
-def check_on_lattice(T: float, delta: float) -> None:
-    """ValueError naming --T unless T is a multiple of delta's 2^-k unit."""
-    den = float(delta).as_integer_ratio()[1]
-    if T * den != round(T * den):
-        k = den.bit_length() - 1
+def check_phase_range(t_max: float, omega_max: float, what: str) -> None:
+    """ValueError unless every phase t*omega with |t| <= t_max and
+    omega <= omega_max rounds to fewer than PHASE_TURNS whole turns.
+
+    The bound, PHASE_TURNS - 1 turns, sits half a turn inside where
+    phase_mod_two_pi's rounded turn count reaches PHASE_TURNS, so a range
+    accepted here never fails there; what names the inputs in the
+    message.  Callers check before they build a prime table or a grid.
+    """
+    top, limit = abs(t_max) * omega_max, (PHASE_TURNS - 1) * _TWO_PI
+    if not top < limit:
         raise ValueError(
-            f"--T {T!r} is off the 2^-{k} lattice of the grid spacing "
-            f"{delta!r}: T must be a multiple of 2^-{k}")
+            f"{what}: phases t*omega up to {top:.4g} pass the exact-reduction "
+            f"limit (2^28 - 1) * 2 pi = {limit:.4g}")
 
 
 @dataclass(frozen=True)
 class TGrid:
     """Uniform grid t_j = t0 + j * delta, j = 0..count-1.
 
-    delta is a dyadic rational and t0 sits on the same dyadic lattice, so
-    every t_j is exact in double precision (see module docstring).
+    t0 must sit on delta's 2^-k lattice, and (|t0| + count*delta) 2^k
+    stay below 2^53: then every t_j is exact in double precision (see
+    module docstring).  This is the one lattice rule for every grid.
     """
 
     t0: float
@@ -259,12 +267,15 @@ class TGrid:
             raise ValueError("count must be >= 1")
         if not self.delta > 0:
             raise ValueError("delta must be positive")
-        num, den = float(self.delta).as_integer_ratio()
-        if num >= 2 ** 24 or den > 2 ** 24:
-            raise ValueError(f"delta {self.delta} is not a short dyadic rational")
+        den = float(self.delta).as_integer_ratio()[1]
         if self.t0 * den != round(self.t0 * den):
-            raise ValueError(f"t0 {self.t0} not on the delta lattice")
-        if (self.t0 + self.count * self.delta) * den >= 2 ** 53:
+            k = den.bit_length() - 1
+            raise ValueError(
+                f"--T {self.t0!r} is off the 2^-{k} lattice of the grid spacing "
+                f"{self.delta!r}: T must be a multiple of 2^-{k}")
+        # then t0, j*delta and t0 + j*delta (j < count) are whole multiples
+        # of 2^-k, fewer than 2^53 of them in magnitude: exact doubles
+        if (abs(self.t0) + self.count * self.delta) * den >= 2 ** 53:
             raise ValueError("grid exceeds exact-double dyadic range")
 
     @classmethod
@@ -273,24 +284,16 @@ class TGrid:
 
         delta is dyadic_floor(2 pi/(3 log X) / refine), so refine=2 halves
         delta exactly; count*delta - T < delta.  Every phase t log p on the
-        grid stays below (2T + delta) log X, and must round to fewer than
-        PHASE_TURNS turns; a span past that is rejected here, before any
-        prime table or kernel block is built.  T must be a multiple of
-        delta's 2^-k unit, so every t_j stays on the lattice.
+        grid stays below (2T + delta) log X; a span past check_phase_range
+        is rejected here, before any prime table or kernel block is built.
         """
         if not refine >= 1:
             raise ValueError(f"refine must be >= 1, got {refine}")
         if not T > 0:
             raise ValueError("T must be positive")
         delta = dyadic_floor(max_spacing(X) / refine)
-        top, limit = (2.0 * T + delta) * math.log(X), (PHASE_TURNS - 1) * _TWO_PI
-        if top >= limit:
-            raise ValueError(
-                f"T={T:g}, X={X:g}: phases up to (2T + delta) log X = {top:.4g} "
-                f"pass the exact-reduction limit (2^28 - 1) * 2 pi = {limit:.4g}")
-        check_on_lattice(T, delta)
-        count = math.ceil(T / delta)
-        return cls(t0=float(T), count=count, delta=delta)
+        check_phase_range(2.0 * T + delta, math.log(X), f"T={T:g}, X={X:g}")
+        return cls(t0=float(T), count=math.ceil(T / delta), delta=delta)
 
     def t(self, j: int) -> float:
         return self.t0 + j * self.delta

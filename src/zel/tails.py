@@ -339,10 +339,9 @@ def predict_tail(family: str, V: float, params: dict) -> TailPrediction:
 
     params carries m plus, per family: X (critical_poly), T (critical_eta;
     optional elsewhere, enabling the T-dependent range flags), sigma (strip
-    families).  theta is accepted and ignored: every law here is free of
-    the rotation angle.  A given X must be finite and > 1, a given T
-    finite and > e.  Validity flags are advisory range checks against
-    RANGE_CEILING; values are always returned.
+    families); every law here is free of the rotation angle.  A given X
+    must be finite and > 1, a given T finite and > e.  Validity flags are
+    advisory range checks against RANGE_CEILING; values always return.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")

@@ -65,7 +65,8 @@ import numpy as np
 
 from decimal import Decimal, localcontext
 
-from .prime_poly import _two_product, phase_mod_two_pi_dd, von_mangoldt_table
+from .prime_poly import (_two_product, check_phase_range, phase_mod_two_pi_dd,
+                         von_mangoldt_table)
 from .quadrature import integrate_adaptive
 
 _TWO_PI = 2.0 * math.pi
@@ -185,7 +186,8 @@ _factor_table = _FactorTable()
 
 def _unit_power_columns(N: int, ts) -> np.ndarray:
     """u[n, ...] = n^{-i ts} for n = 1..N-1 (row 0 is 0), phase-exact; a
-    scalar t gives a vector, a 1-D ts one column per t.
+    scalar t gives a vector, a 1-D ts one column per t.  A t past
+    check_phase_range for n = N-1 raises ValueError before any sieve.
 
     Primes get reduced phases from their double-double logs; composites
     are filled one Omega layer at a time, each one gather, multiply and
@@ -199,6 +201,8 @@ def _unit_power_columns(N: int, ts) -> np.ndarray:
     u[0] = 0.0
     u[1] = 1.0
     if N > 2:
+        t_max = float(np.max(np.abs(ts)))
+        check_phase_range(t_max, math.log(N - 1), f"t={t_max:g}, n<={N - 1}")
         primes, (lhi, llo), layers = _factor_table.below(N)
         col = (-1,) + (1,) * ts.ndim
         u[primes] = np.exp(-1j * phase_mod_two_pi_dd(
@@ -392,6 +396,8 @@ class BranchTracker:
             depth = 0
             while True:
                 a_next = low - sub
+                if a_next == low:           # sub under half an ulp: no progress
+                    raise NearZeroOnPath(low, self.t, "step collapse")
                 z_next = self._zeta_at(a_next)
                 inc, turns = _turns(z_low, z_next)
                 if abs(inc.imag) < 0.5 * math.pi:

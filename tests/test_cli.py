@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zel import cli, tails
+from zel import cli, tails, zeta_core
 from zel.prime_poly import PrimeTable, sieve
 from zel.emit import (NonFiniteOutput, flags_cell, fmt_cell, fmt_float,
                       write_csv, write_json)
@@ -229,6 +229,18 @@ class TestMoments:
         assert capsys.readouterr().err == (
             f"error: --T must be finite and > 0, got {shown}\n")
 
+    @pytest.mark.parametrize("methods", ["exact", "contour"])
+    def test_bad_t_rejected_without_empirical(self, capsys, tmp_path, methods):
+        # --T steers only the empirical route, but a given --T is checked
+        path = tmp_path / "out.json"
+        rc = cli.main(["moments", "--sigma", "0.5", "--m", "1", "--X", "31",
+                       "--k", "2", "--methods", methods, "--T", "nan",
+                       "--format", "json", "--out", str(path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: --T must be finite and > 0, got nan\n")
+        assert not path.exists()
+
     def test_contour_order_limit(self, capsys):
         rc = cli.main(["moments", "--sigma", "0.5", "--m", "1", "--X", "3",
                        "--T", "1e4", "--k", "600", "--methods", "contour"])
@@ -441,18 +453,38 @@ class TestTail:
         assert err.startswith("error: --T 100.1 is off the 2^-")
         assert ": T must be a multiple of 2^-" in err
 
-    def test_eta_spacing_floor(self, capsys, tmp_path):
+    def test_eta_fine_spacing(self, capsys, tmp_path):
+        # any spacing works whose lattice holds T; 1e-5 is off 2^-27
         rc = cli.main(["tail", "--route", "eta", "--sigma", "0.75", "--m",
                        "1", "--T", "1e-5", "--count", "2", "--V", "1"])
         assert rc == 2
         assert capsys.readouterr() == ("", (
-            "error: --T / --count = 5e-06 is below 2^-13; the eta grid "
-            "spacing T/count must be >= 2^-13\n"))
-        # T/count = 2^-13 exactly is the finest spacing accepted
+            "error: --T 1e-05 is off the 2^-27 lattice of the grid spacing "
+            "4.999339580535889e-06: T must be a multiple of 2^-27\n"))
         lines = run_lines(["tail", "--route", "eta", "--sigma", "0.75",
-                           "--m", "1", "--T", repr(2.0 ** -11), "--count", "4",
+                           "--m", "1", "--T", repr(2.0 ** -20), "--count", "4",
                            "--V", "1"], tmp_path)
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["tail", "--route", "eta", "--sigma", "0.75", "--m", "1", "--T",
+         "1e8", "--count", "4", "--V", "1"],
+        ["tail", "--route", "eta", "--sigma", "0.75", "--m", "1", "--T",
+         "1e8", "--count", "6", "--V", "1"],
+        ["eta", "--m", "0", "--sigma", "2", "--t", "1e8"],
+    ])
+    def test_eta_phase_limit_before_sieve(self, monkeypatch, capsys, argv):
+        # zeta there needs n^-it to n = 57,000,024: a sieve of about 2 GB
+        def no_sieve(self, n):
+            raise AssertionError(f"factor table grown to {n}")
+
+        zeta_core._tail_table()         # the n <= 1e5 series table, built once
+        monkeypatch.setattr(zeta_core._FactorTable, "below", no_sieve)
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: t=1e+08, n<=57000024: phases t*omega")
+        assert "exact-reduction limit (2^28 - 1) * 2 pi" in err
 
     def test_eta_route(self, tmp_path):
         lines = run_lines(["tail", "--route", "eta", "--sigma", "0.75",
@@ -583,8 +615,8 @@ class TestDeterminismAndErrors:
 
     @pytest.mark.parametrize("argv,flags", [
         (["predict", "--family", "critical_poly", "--V", "5", "--m", "1",
-          "--sigma", "0.5", "--theta", "0.1", "--X", "1e6", "--T", "1e6"],
-         {"family", "V", "m", "sigma", "theta", "X", "T"}),
+          "--sigma", "0.5", "--X", "1e6", "--T", "1e6"],
+         {"family", "V", "m", "sigma", "X", "T"}),
         (["moments", "--sigma", "0.5", "--m", "1", "--theta", "0.7", "--X",
           "31", "--T", "1e3", "--k", "2", "--methods", "exact,empirical"],
          {"sigma", "m", "theta", "X", "T", "k", "methods"}),
@@ -611,6 +643,8 @@ class TestDeterminismAndErrors:
         ["selfcheck", "--quick", "--tol", "c3_abs=1e-20"],
         ["predict", "--family", "strip_eta", "--sigma", "0.75", "--m", "0",
          "--V", "10", "--const", "a4=1e6"],
+        ["predict", "--family", "strip_eta", "--sigma", "0.75", "--m", "0",
+         "--V", "10", "--theta", "nan", "--format", "json"],
     ])
     def test_unknown_flags_exit_2(self, monkeypatch, tmp_path, capsys, argv):
         monkeypatch.chdir(tmp_path)

@@ -181,12 +181,19 @@ class TestExactMoment:
         assert a == b
 
     def test_budget_errors(self):
-        with pytest.raises(ValueError):
-            exact_moment(SPEC31, 13)
-        with pytest.raises(ValueError):
-            exact_moment(SPEC31, 0)
-        with pytest.raises(ValueError):
-            exact_moment(PolySpec(m=1, sigma=0.5, theta=0.0, X=150.0), 2)
+        # the contour route's caps: k <= 170 and 100,000 primes (X = 1,299,709)
+        for k in (0, 171):
+            with pytest.raises(ValueError, match="1 <= k <= 170"):
+                exact_moment(SPEC31, k)
+        with pytest.raises(ValueError, match="100001 primes <= X exceeds"):
+            exact_moment(PolySpec(m=1, sigma=0.5, theta=0.0, X=1299721.0), 2)
+        assert exact_moment(SPEC31, 170).value > 0.0
+
+    @pytest.mark.parametrize("X,k", [(1e4, 12), (1e3, 100)])
+    def test_matches_contour_past_old_limits(self, X, k):
+        spec = PolySpec(m=1, sigma=0.5, theta=0.0, X=X)
+        want = contour_moment(spec, k, PrimeTable.build(int(X))).value
+        assert exact_moment(spec, k).value == pytest.approx(want, rel=1e-12)
 
 
 class TestContourMoment:

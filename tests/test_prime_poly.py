@@ -19,6 +19,7 @@ from zel.prime_poly import (
     PolySpec,
     PrimeTable,
     TGrid,
+    check_phase_range,
     dyadic_floor,
     iter_poly_blocks,
     lambda_sum,
@@ -206,8 +207,10 @@ class TestTGrid:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TGrid(t0=1e4, count=10, delta=0.1)  # 0.1 is not dyadic
-        with pytest.raises(ValueError):
+            TGrid(t0=1e4, count=10, delta=0.1)  # 1e4 is > 2^53 units of 2^-55
+        with pytest.raises(ValueError, match="exact-double dyadic range"):
+            TGrid(t0=-2.0 ** 54, count=2, delta=1.0)  # 1 - 2^54 rounds
+        with pytest.raises(ValueError, match="off the 2\\^-2 lattice"):
             TGrid(t0=math.pi, count=10, delta=0.25)  # t0 off the lattice
         with pytest.raises(ValueError):
             TGrid(t0=1e4, count=0, delta=0.25)
@@ -235,6 +238,15 @@ class TestPhase:
                 diff = abs(got - ref)
                 diff = min(diff, abs(diff - 2.0 * math.pi))
                 assert diff < 5e-15, (t, om, got, ref)
+
+    def test_range_check_inside_reduction_limit(self):
+        # the largest accepted t*omega still reduces; the next double fails
+        limit = (2 ** 28 - 1) * 2 * math.pi
+        below = math.nextafter(limit, 0.0)
+        check_phase_range(below, 1.0, "t")
+        assert abs(float(phase_mod_two_pi(below, 1.0))) <= math.pi
+        with pytest.raises(ValueError, match=r"^t=-2: .* \(2\^28 - 1\) \* 2 pi"):
+            check_phase_range(-2.0, limit / 2.0, "t=-2")
 
     def test_range_guard(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
 """Property tests: phase reduction, exceedance monotonicity, chunking,
-block lengths, grid exactness.
+block lengths, grid exactness and the grids the CLI builds.
 
 Hypothesis runs derandomized with a bounded example count, so every run
 draws the same cases and the suite stays deterministic.
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from zel import prime_poly
+from zel import cli, prime_poly
 from zel.prime_poly import (BLOCK_ROWS, CHUNK_COLS, NUFFT_BLOCK, PolySpec,
                             PrimeTable, TGrid, dyadic_floor,
                             iter_poly_blocks, max_spacing, phase_mod_two_pi,
@@ -127,3 +127,106 @@ def test_grid_times_exact_on_dyadic_lattice(T, X, refine, fracs):
     part = t_array(grid, j0, min(j0 + 64, grid.count))
     assert [Fraction(t) for t in part] == [T + (j0 + i) * delta
                                            for i in range(part.size)]
+
+
+# Reference copies of the earlier, narrower grid rules: a spacing
+# numerator < 2^24 and denominator <= 2^24 beside the exactness test, and
+# a 2^-13 floor on the eta spacing T/count.  Every grid they accepted must
+# come out the same under TGrid's one lattice rule.
+
+def _old_dyadic_floor(dmax):
+    k = 0
+    while math.floor(dmax * 2.0 ** k) < 2 ** 11:
+        k += 1
+    return math.floor(dmax * 2.0 ** k) / 2.0 ** k
+
+
+def _old_grid(t0, count, delta):
+    """(t0, count, delta) if the old TGrid accepted it, else None."""
+    num, den = delta.as_integer_ratio()
+    if (num >= 2 ** 24 or den > 2 ** 24 or t0 * den != round(t0 * den)
+            or (t0 + count * delta) * den >= 2 ** 53):
+        return None
+    return t0, count, delta
+
+
+def _old_for_span(T, X, refine):
+    delta = _old_dyadic_floor(_TWO_PI / (3.0 * math.log(X)) / refine)
+    if (2.0 * T + delta) * math.log(X) >= (2 ** 28 - 1) * _TWO_PI:
+        return None
+    return _old_grid(T, math.ceil(T / delta), delta)
+
+
+def _old_eta_grid(T, count):
+    if not T / count >= 2.0 ** -13:
+        return None
+    return _old_grid(T, count, _old_dyadic_floor(T / count))
+
+
+class _Built(Exception):
+    """Carries the grid cmd_tail built, in place of the eta evaluation."""
+
+
+def _cli_eta_grid(T, count):
+    """The grid `zel tail --route eta` builds."""
+    def capture(m, sigma, theta, grid, V):
+        raise _Built(grid)
+
+    with pytest.MonkeyPatch.context() as mp, pytest.raises(_Built) as built:
+        mp.setattr(cli, "measure_exceedance_eta", capture)
+        cli.main(["tail", "--route", "eta", "--sigma", "0.75", "--m", "1",
+                  "--T", repr(T), "--count", str(count), "--V", "1"])
+    return built.value.args[0]
+
+
+def _assert_exact(grid, fracs):
+    delta = Fraction(grid.delta)
+    js = {0, 1, grid.count // 3, grid.count - 1,
+          *(int(f * (grid.count - 1)) for f in fracs)}
+    for j in sorted(j for j in js if j < grid.count):
+        assert Fraction(grid.t(j)) == Fraction(grid.t0) + j * delta, j
+
+
+_TWO_PI = 2.0 * math.pi
+# T = n + frac/2^bits: mostly on the grids' 2^-10..2^-14 lattices, and
+# the rest off them, so both outcomes are drawn
+_T_ON_LATTICE = st.builds(
+    lambda n, frac, bits: n + (frac % 2 ** bits) / 2.0 ** bits,
+    st.integers(0, 10 ** 8), st.integers(0, 2 ** 16), st.integers(0, 16))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(T=_T_ON_LATTICE, X=st.sampled_from([3.0, 31.0, 1e4, 1e5, 1e7]),
+       refine=st.integers(1, 8), count=st.integers(1, 100_000),
+       fracs=st.lists(st.floats(0.0, 1.0), max_size=4))
+@example(T=1e8, X=31.0, refine=1, count=6, fracs=[])
+@example(T=1.0, X=3.0, refine=8, count=8192, fracs=[])
+def test_grids_the_old_rules_accepted_are_unchanged(T, X, refine, count, fracs):
+    old = _old_for_span(T, X, refine) if T > 0 else None
+    if old is not None:
+        grid = TGrid.for_span(T, X, refine=refine)
+        assert (grid.t0, grid.count, grid.delta) == old
+        _assert_exact(grid, fracs)
+    old = _old_eta_grid(T, count) if T > 0 else None
+    if old is not None:
+        grid = _cli_eta_grid(T, count)
+        assert (grid.t0, grid.count, grid.delta) == old
+        _assert_exact(grid, fracs)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(num_bits=st.integers(1, 40), k=st.integers(0, 40),
+       count=st.integers(1, 10 ** 6), data=st.data())
+def test_wide_exact_grids_accepted(num_bits, k, count, data):
+    # odd numerators up to 40 bits over 2^-k units up to 2^-40: the old
+    # widths (< 2^24 and <= 2^24) refused most of these
+    num = data.draw(st.integers(2 ** (num_bits - 1), 2 ** num_bits - 1)) | 1
+    room = 2 ** 53 - 1 - count * num
+    if room < 0:
+        with pytest.raises(ValueError, match="exact-double dyadic range"):
+            TGrid(t0=0.0, count=count, delta=num / 2.0 ** k)
+        return
+    # |t0| counts against the same 2^53 units, for t0 of either sign
+    t0 = data.draw(st.integers(-room, room)) / 2.0 ** k
+    grid = TGrid(t0=t0, count=count, delta=num / 2.0 ** k)
+    _assert_exact(grid, data.draw(st.lists(st.floats(0.0, 1.0), max_size=4)))

@@ -351,6 +351,12 @@ class TestBranchedLog:
         with pytest.raises(NearZeroOnPath):
             log_zeta_branched(0.5, 0.0)
 
+    def test_step_under_one_ulp_flagged(self):
+        # at t = 1e-300 the arg of zeta turns by pi within 1e-300 of alpha = 1:
+        # halving stops at the last step that moves alpha, not in a loop
+        with pytest.raises(NearZeroOnPath, match="step collapse"):
+            log_zeta_branched(0.75, 1e-300)
+
 
 class TestEtaTilde:
     def test_m_zero_guarded(self):
