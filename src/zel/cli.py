@@ -168,9 +168,6 @@ def cmd_tail(args: argparse.Namespace) -> int:
         grid = TGrid.for_span(args.T, args.X, refine=args.refine)
         table = PrimeTable.build(int(math.ceil(args.X)))
         curve = measure_exceedance_poly(spec, table, grid, list(args.V))
-        family = "critical_poly" if args.sigma == 0.5 else "strip_poly"
-        if args.sigma == 0.5 and args.m == 0:
-            family = None           # no critical law at m = 0
     else:
         if args.count < 1:
             raise ValueError(f"--count must be >= 1, got {args.count}")
@@ -178,9 +175,9 @@ def cmd_tail(args: argparse.Namespace) -> int:
                      delta=dyadic_floor(args.T / args.count))
         curve = measure_exceedance_eta(args.m, args.sigma, args.theta, grid,
                                        list(args.V))
-        family = "critical_eta" if args.sigma == 0.5 else "strip_eta"
-        if args.sigma == 0.5 and args.m == 0:
-            family = None
+    family = ("critical_" if args.sigma == 0.5 else "strip_") + args.route
+    if args.sigma == 0.5 and args.m == 0:
+        family = None               # no critical law at m = 0
     rows = _curve_rows(curve, family, params)
     _emit(args, ("V", "count", "fraction", "predicted_exponent", "log_ratio",
                  "validity_flags"), rows)

@@ -73,8 +73,7 @@ class MomentResult:
 
 
 def _check_budget(route: str, k: int, primes: int) -> None:
-    """ValueError naming route unless 1 <= k <= MAX_CONTOUR_K and
-    primes <= MAX_CONTOUR_PRIMES."""
+    """ValueError naming route past MAX_CONTOUR_K or MAX_CONTOUR_PRIMES."""
     if not 1 <= k <= MAX_CONTOUR_K:
         raise ValueError(
             f"{route} moments need 1 <= k <= {MAX_CONTOUR_K} (k! must fit in "
@@ -98,6 +97,10 @@ def exact_moment(spec: PolySpec, k: int) -> MomentResult:
     degree k/2 in y = x^2.  Odd k is exactly zero.  err_estimate is 0
     (exact up to float rounding), independent of spec.theta by
     construction; a moment past the double range raises RuntimeError.
+
+    The weights carry 2^e, 2^ek <= k! < 2^(e+1)k, an exact scaling that
+    keeps the coefficient >= 4e-104 (p = 2's own term, as w_2 >= 1/2),
+    where moment / k! would reach subnormals (1/170! ~ 1e-307).
     """
     table = PrimeTable.build(int(spec.X))
     _check_budget("exact", k, table.primes.size)
@@ -105,7 +108,8 @@ def exact_moment(spec: PolySpec, k: int) -> MomentResult:
         return MomentResult(k=k, value=0.0, method=METHOD_EXACT, err_estimate=0.0)
 
     half = k // 2
-    w = table.weights(spec.m, spec.sigma)
+    e = math.floor(math.log2(math.factorial(k)) / k)
+    w = table.weights(spec.m, spec.sigma) * 2.0 ** e
     coef = np.zeros(half + 1)
     coef[0] = 1.0
     # inf or nan (0 * inf) past the double range is caught below
@@ -116,7 +120,7 @@ def exact_moment(spec: PolySpec, k: int) -> MomentResult:
         series[:, 1:] = np.cumprod(np.outer(0.25 * w * w, 1.0 / (j * j)), axis=1)
         for row in series:
             coef = np.convolve(coef, row)[:half + 1]
-    value = math.factorial(k) * float(coef[half])
+    value = math.ldexp(float(math.factorial(k)), -e * k) * float(coef[half])
     if not math.isfinite(value):
         raise RuntimeError(
             f"exact moment for k={k}, X={spec.X:g} is not finite: the moment "

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
@@ -227,10 +228,10 @@ def dyadic_floor(dmax: float) -> float:
     spacing): a 12-bit n for dmax < 2^11, the integer floor from 2^11 up."""
     if not dmax > 0:
         raise ValueError("spacing must be positive")
-    k = 0
-    while math.floor(dmax * 2.0 ** k) < 2 ** 11:
-        k += 1
-    return math.floor(dmax * 2.0 ** k) / 2.0 ** k
+    if dmax >= 2 ** 11:
+        return float(math.floor(dmax))
+    frac, e = math.frexp(dmax)          # dmax = frac 2^e, 1/2 <= frac < 1
+    return math.ldexp(math.floor(math.ldexp(frac, 12)), e - 12)
 
 
 def check_phase_range(t_max: float, omega_max: float, what: str) -> None:
@@ -267,15 +268,16 @@ class TGrid:
             raise ValueError("count must be >= 1")
         if not self.delta > 0:
             raise ValueError("delta must be positive")
-        den = float(self.delta).as_integer_ratio()[1]
-        if self.t0 * den != round(self.t0 * den):
-            k = den.bit_length() - 1
+        # in exact rationals: den passes the double range below 2^-1023
+        t0, delta = Fraction(self.t0), Fraction(self.delta)
+        if (t0 * delta.denominator).denominator != 1:
+            k = delta.denominator.bit_length() - 1
             raise ValueError(
                 f"--T {self.t0!r} is off the 2^-{k} lattice of the grid spacing "
                 f"{self.delta!r}: T must be a multiple of 2^-{k}")
         # then t0, j*delta and t0 + j*delta (j < count) are whole multiples
         # of 2^-k, fewer than 2^53 of them in magnitude: exact doubles
-        if (abs(self.t0) + self.count * self.delta) * den >= 2 ** 53:
+        if (abs(t0) + self.count * delta) * delta.denominator >= 2 ** 53:
             raise ValueError("grid exceeds exact-double dyadic range")
 
     @classmethod

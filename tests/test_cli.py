@@ -465,6 +465,14 @@ class TestTail:
                            "--m", "1", "--T", repr(2.0 ** -20), "--count", "4",
                            "--V", "1"], tmp_path)
         assert len(lines) == 2
+        # a spacing below 2^-1023, where 2^k and the lattice unit pass the
+        # double range, still meets the named lattice check
+        rc = cli.main(["tail", "--route", "eta", "--sigma", "0.75", "--m",
+                       "1", "--T", "1e-306", "--count", "1", "--V", "1"])
+        assert rc == 2
+        assert capsys.readouterr() == ("", (
+            "error: --T 1e-306 is off the 2^-1026 lattice of the grid spacing "
+            "9.998925651666736e-307: T must be a multiple of 2^-1026\n"))
 
     @pytest.mark.parametrize("argv", [
         ["tail", "--route", "eta", "--sigma", "0.75", "--m", "1", "--T",

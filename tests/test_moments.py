@@ -189,11 +189,16 @@ class TestExactMoment:
             exact_moment(PolySpec(m=1, sigma=0.5, theta=0.0, X=1299721.0), 2)
         assert exact_moment(SPEC31, 170).value > 0.0
 
-    @pytest.mark.parametrize("X,k", [(1e4, 12), (1e3, 100)])
-    def test_matches_contour_past_old_limits(self, X, k):
-        spec = PolySpec(m=1, sigma=0.5, theta=0.0, X=X)
+    @pytest.mark.parametrize("X,sigma,m,k", [
+        (1e4, 0.5, 1, 12), (1e3, 0.5, 1, 100),
+        # moment ~6e-16 is 1e-322 before k!: its terms would be subnormal
+        (3.0, 0.99, 0, 170), (3.0, 0.9, 0, 170), (31.0, 0.99, 0, 170)])
+    def test_matches_contour_past_old_limits(self, X, sigma, m, k):
+        spec = PolySpec(m=m, sigma=sigma, theta=0.0, X=X)
         want = contour_moment(spec, k, PrimeTable.build(int(X))).value
-        assert exact_moment(spec, k).value == pytest.approx(want, rel=1e-12)
+        # abs=0: approx's default 1e-12 floor would pass any 6e-16 value
+        assert exact_moment(spec, k).value == pytest.approx(want, rel=1e-12,
+                                                            abs=0.0)
 
 
 class TestContourMoment:

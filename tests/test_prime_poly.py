@@ -169,6 +169,14 @@ class TestDyadicFloor:
         with pytest.raises(ValueError):
             dyadic_floor(0.0)
 
+    def test_extreme_spacings(self):
+        # integer floor from 2^11 up; down to the smallest subnormal below
+        assert dyadic_floor(1e300) == 1e300
+        assert dyadic_floor(25e6 + 0.5) == 25e6
+        assert dyadic_floor(5e-324) == 5e-324
+        d = dyadic_floor(1e-306)
+        assert 1e-306 - d < 1e-306 / 2048
+
 
 class TestTGrid:
     def test_for_span_spacing_rule(self):
@@ -216,6 +224,11 @@ class TestTGrid:
             TGrid(t0=1e4, count=0, delta=0.25)
         with pytest.raises(ValueError, match="refine must be >= 1"):
             TGrid.for_span(1e4, 31, refine=0)
+        # a lattice unit past the double range is checked exactly
+        with pytest.raises(ValueError, match="off the 2\\^-1060 lattice"):
+            TGrid(t0=2.0 ** -1020 + 2.0 ** -1061, count=3, delta=2.0 ** -1060)
+        g = TGrid(t0=2.0 ** -1020, count=3, delta=2.0 ** -1060)
+        assert g.t(2) == 2.0 ** -1020 + 2.0 ** -1059
 
 
 class TestPhase:
