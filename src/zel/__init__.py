@@ -7,7 +7,7 @@ saddle-radius contour integral, empirical grid average), Bessel-product
 asymptotics, and exceedance-measure tail predictions.
 """
 
-from .special_fn import bessel_i0, log_bessel_i0, g_constant, a_constant, kappa
+from .special_fn import bessel_i0, log_bessel_i0, g_constant, a_constant
 from .prime_poly import (PolySpec, PrimeTable, TGrid, lambda_sum, max_spacing,
                          poly_eval, sieve, von_mangoldt_table)
 from .zeta_core import (NearZeroOnPath, ZetaAccuracyWarning, ZetaPoleError,
@@ -23,7 +23,7 @@ from .tails import (ExceedanceCurve, FAMILIES, TailPrediction,
 __version__ = "0.1.0"
 
 __all__ = [
-    "bessel_i0", "log_bessel_i0", "g_constant", "a_constant", "kappa",
+    "bessel_i0", "log_bessel_i0", "g_constant", "a_constant",
     "PolySpec", "PrimeTable", "TGrid", "lambda_sum", "max_spacing",
     "poly_eval", "sieve", "von_mangoldt_table",
     "NearZeroOnPath", "ZetaAccuracyWarning", "ZetaPoleError",

@@ -171,6 +171,9 @@ def cmd_tail(args: argparse.Namespace) -> int:
     else:
         if args.count < 1:
             raise ValueError(f"--count must be >= 1, got {args.count}")
+        if not args.T / args.count > 0.0:
+            raise ValueError(f"--T / --count = {args.T:g} / {args.count} "
+                             f"underflows to 0")
         grid = TGrid(t0=float(args.T), count=args.count,
                      delta=dyadic_floor(args.T / args.count))
         curve = measure_exceedance_eta(args.m, args.sigma, args.theta, grid,

@@ -4,8 +4,8 @@ Shared by the special-function constants and the horizontal log-zeta
 integrals.  Panels are bisected greedily (worst error first) until the
 summed panel-error estimate meets the tolerance; the error estimate per
 panel is |GL(2n) - GL(n)|.  Explicit breakpoints let callers isolate
-known trouble spots (the zeta pole at alpha = 1, detected jump points)
-so no panel straddles them.
+known trouble spots (the zeta pole at alpha = 1) so no panel straddles
+them.
 """
 
 from __future__ import annotations
@@ -20,12 +20,9 @@ _RULE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 def gauss_legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [-1, 1], cached."""
-    rule = _RULE_CACHE.get(n)
-    if rule is None:
-        x, w = np.polynomial.legendre.leggauss(n)
-        rule = (x, w)
-        _RULE_CACHE[n] = rule
-    return rule
+    if n not in _RULE_CACHE:
+        _RULE_CACHE[n] = np.polynomial.legendre.leggauss(n)
+    return _RULE_CACHE[n]
 
 
 def panel_estimates(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,

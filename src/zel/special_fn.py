@@ -1,4 +1,4 @@
-"""Modified Bessel I0 and the constants G(sigma), A_m(sigma), kappa(sigma).
+"""Modified Bessel I0 and the constants G(sigma) and A_m(sigma).
 
     I0(z)    = sum_{n>=0} (z/2)^{2n} / (n!)^2
     G(sigma) = int_0^inf log I0(u) * u^{-1-1/sigma} du        (1/2 < sigma < 1)
@@ -220,10 +220,3 @@ def a_constant(m: int, sigma: float) -> float:
         raise ValueError(f"G(sigma) must be positive, got {g}")
     base = sigma ** (2.0 * sigma) / ((1.0 - sigma) ** (2.0 * sigma - 1.0 + m) * g ** sigma)
     return base ** (1.0 / (1.0 - sigma))
-
-
-def kappa(sigma: float) -> float:
-    """0 on the critical line, sigma inside the strip.  Exact comparison on 0.5."""
-    if not 0.5 <= sigma < 1.0:
-        raise ValueError(f"kappa wants 1/2 <= sigma < 1, got {sigma}")
-    return 0.0 if sigma == 0.5 else float(sigma)

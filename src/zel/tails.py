@@ -355,64 +355,68 @@ def predict_tail(family: str, V: float, params: dict) -> TailPrediction:
         raise ValueError(f"X must be finite and > 1, got {params['X']}")
     if T is not None and not math.e < T < math.inf:
         raise ValueError(f"T must be finite and > e, got {T}")
-    lv, llv = math.log(V), _loglog(V)
-    flags: list[str] = []
-
-    if family in ("critical_poly", "critical_eta"):
-        if m < 1:
-            raise ValueError(f"family {family} requires m >= 1, got {m}")
-        if params.get("sigma") not in (None, 0.5):
-            raise ValueError(f"family {family} is pinned to sigma = 1/2")
-        base = 2.0 * m * 4.0 ** m * V * V * lv ** (2 * m)
-        if family == "critical_poly":
-            X = float(_require(params, family, "X")[0])
-            ratio = math.log(V ** 2) / math.log(X)
-            denom = 1.0 - ratio ** m
-            if denom <= 0.0:
-                raise ValueError(f"X = {X:g} too small: denominator {denom:g}")
-            exponent = base / denom
-            window = math.sqrt(llv / lv)
-            if X < V ** 4:
-                flags.append("x_below_v4")
-            if T is not None:
+    try:
+        lv, llv = math.log(V), _loglog(V)
+        flags: list[str] = []
+        if family in ("critical_poly", "critical_eta"):
+            if m < 1:
+                raise ValueError(f"family {family} requires m >= 1, got {m}")
+            if params.get("sigma") not in (None, 0.5):
+                raise ValueError(f"family {family} is pinned to sigma = 1/2")
+            base = 2.0 * m * 4.0 ** m * V * V * lv ** (2 * m)
+            if family == "critical_poly":
+                X = float(_require(params, family, "X")[0])
+                ratio = math.log(V ** 2) / math.log(X)
+                denom = 1.0 - ratio ** m
+                if denom <= 0.0:
+                    raise ValueError(f"X = {X:g} too small: denominator {denom:g}")
+                exponent = base / denom
+                window = math.sqrt(llv / lv)
+                if X < V ** 4:
+                    flags.append("x_below_v4")
+                if T is not None:
+                    lt, llt = math.log(T), _loglog(T)
+                    if V > RANGE_CEILING * math.sqrt(lt) / llt ** (m + 0.5):
+                        flags.append("v_above_a2")
+                    if math.log(X) > RANGE_CEILING / (V * V * lv ** (2 * m)) * lt:
+                        flags.append("x_above_a3")
+            else:
+                exponent = base
+                (T,) = _require(params, family, "T")
                 lt, llt = math.log(T), _loglog(T)
-                if V > RANGE_CEILING * math.sqrt(lt) / llt ** (m + 0.5):
-                    flags.append("v_above_a2")
-                if math.log(X) > RANGE_CEILING / (V * V * lv ** (2 * m)) * lt:
-                    flags.append("x_above_a3")
+                window = (V ** (2 * m + 1) * lv ** (2 * m * (m + 1)) / lt ** m
+                          + math.sqrt(llv / lv))
+                if V > RANGE_CEILING * (lt / llt ** (2 * m + 2)) ** (m / (2 * m + 1)):
+                    flags.append("v_above_a1")
         else:
-            exponent = base
-            (T,) = _require(params, family, "T")
-            lt, llt = math.log(T), _loglog(T)
-            window = (V ** (2 * m + 1) * lv ** (2 * m * (m + 1)) / lt ** m
-                      + math.sqrt(llv / lv))
-            if V > RANGE_CEILING * (lt / llt ** (2 * m + 2)) ** (m / (2 * m + 1)):
-                flags.append("v_above_a1")
-    else:
-        if m < 0:
-            raise ValueError(f"m must be >= 0, got {m}")
-        sigma = float(_require(params, family, "sigma")[0])
-        if not 0.5 < sigma < 1.0:
-            raise ValueError(f"strip families need sigma in (1/2, 1), got {sigma}")
-        exponent = (a_constant(m, sigma) * V ** (1.0 / (1.0 - sigma))
-                    * lv ** ((m + sigma) / (1.0 - sigma)))
-        window = math.sqrt((1.0 + m * llv) / lv)
-        if family == "strip_poly":
-            X = float(_require(params, family, "X")[0])
-            if X < V ** (4.0 * sigma / (1.0 - sigma)):
-                flags.append("x_below_strip_range")
-            if T is not None:
+            if m < 0:
+                raise ValueError(f"m must be >= 0, got {m}")
+            sigma = float(_require(params, family, "sigma")[0])
+            if not 0.5 < sigma < 1.0:
+                raise ValueError(f"strip families need sigma in (1/2, 1), got {sigma}")
+            exponent = (a_constant(m, sigma) * V ** (1.0 / (1.0 - sigma))
+                        * lv ** ((m + sigma) / (1.0 - sigma)))
+            window = math.sqrt((1.0 + m * llv) / lv)
+            if family == "strip_poly":
+                X = float(_require(params, family, "X")[0])
+                if X < V ** (4.0 * sigma / (1.0 - sigma)):
+                    flags.append("x_below_strip_range")
+                if T is not None:
+                    lt = math.log(T)
+                    # ceiling: log X <= a6 log T / (V^{1/(1-s)} (log V)^{(m+s)/(1-s)})
+                    v_term = exponent / a_constant(m, sigma)
+                    if math.log(X) > RANGE_CEILING * lt / v_term:
+                        flags.append("x_above_a6")
+                    if V > RANGE_CEILING * lt ** (1.0 - sigma) / _loglog(T) ** (m + 1):
+                        flags.append("v_above_a5")
+            elif T is not None:
                 lt = math.log(T)
-                # ceiling: log X <= a6 log T / (V^{1/(1-s)} (log V)^{(m+s)/(1-s)})
-                v_term = exponent / a_constant(m, sigma)
-                if math.log(X) > RANGE_CEILING * lt / v_term:
-                    flags.append("x_above_a6")
                 if V > RANGE_CEILING * lt ** (1.0 - sigma) / _loglog(T) ** (m + 1):
-                    flags.append("v_above_a5")
-        elif T is not None:
-            lt = math.log(T)
-            if V > RANGE_CEILING * lt ** (1.0 - sigma) / _loglog(T) ** (m + 1):
-                flags.append("v_above_a4")
-
+                    flags.append("v_above_a4")
+    except OverflowError:
+        exponent = window = math.inf
+    if not (exponent < math.inf and window < math.inf):
+        raise ValueError(f"V = {V:g}, m = {m}: the {family} exponent "
+                         f"passes the double range")
     return TailPrediction(exponent=exponent, family=family,
                           error_window=window, validity=tuple(flags))

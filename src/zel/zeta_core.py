@@ -10,17 +10,10 @@ arg zeta moves by under pi/2, and keeps every accepted point with the
 whole turns its branch value adds to the principal log.  Any alpha the
 walk covers then reads its branch off the nearest point above it.
 
-s_0 takes many t at once.  `_zeta_block` runs the same sum over an
-(alpha x t) grid: N from the block's largest |t|, every n^{-it} column
-from the same table, the main sums one real GEMM, the B_2k corrections
-masked per point, and a mask of the points whose certified remainder
-meets the 1e-10 target.  `_s0_block` walks every t down one fixed alpha
-ladder and keeps a t only when it passes the walk's own checks: each
-step moves arg zeta by under pi/2, |zeta| stays at or above the floor,
-and the summed increments agree with the whole turns to 1e-8; its
-remainders must also be met.  Any other t takes the per-t walk, which
-halves steps, warns or raises as it always has.  zeta and the eta route
-stay per point.  On top of that sit
+s_0 takes many t at once: `_zeta_block` runs the same sum over an
+(alpha x t) grid as one real GEMM, and `_s0_block` walks every t down one
+alpha ladder, handing any t that fails a check of the walk to the per-t
+walk.  zeta and the eta route stay per point.  On top of that sit
 
     eta_tilde(m, sigma, t) = (1/(m-1)!) Int_sigma^inf (a-sigma)^{m-1}
                               log zeta(a+it) da,
@@ -55,6 +48,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import itertools
 import math
 import threading
 import warnings
@@ -226,9 +220,13 @@ def _unit_powers(N: int, t: float) -> np.ndarray:
     return u
 
 
+def _em_terms(t_abs: float) -> int:
+    return int(0.57 * t_abs) + 25       # N: the main sum runs over n < N
+
+
 def _em_zeta(sigma: float, t: float) -> complex:
     s = complex(sigma, t)
-    N = int(0.57 * abs(t)) + 25
+    N = _em_terms(abs(t))
     ns = np.arange(1, N, dtype=float)
     amps = ns ** (-sigma)
     if t == 0.0:
@@ -278,7 +276,7 @@ def _zeta_block(alphas, ts) -> tuple[np.ndarray, np.ndarray]:
     """
     alphas = np.asarray(alphas, dtype=float)[:, None]
     ts = np.asarray(ts, dtype=float)
-    N = int(0.57 * float(np.max(np.abs(ts)))) + 25
+    N = _em_terms(float(np.max(np.abs(ts))))
     u = _unit_power_columns(N + 1, ts)
     amps = np.arange(1, N, dtype=float) ** -alphas
     # real (A x N-1) times complex (N-1 x T) as one real GEMM
@@ -383,6 +381,8 @@ class BranchTracker:
             z = zeta(complex(alpha, self.t))
         except ZetaPoleError:
             raise NearZeroOnPath(alpha, self.t, "pole on path") from None
+        if not cmath.isfinite(z):
+            raise NearZeroOnPath(alpha, self.t, "pole on path")
         if abs(z) < _ZETA_FLOOR:
             raise NearZeroOnPath(alpha, self.t, f"|zeta| = {abs(z):.2e}")
         return z
@@ -608,8 +608,8 @@ def _s0_block(ts) -> np.ndarray:
     done = ts != 0.0
     idx = np.flatnonzero(done)
     if idx.size:
-        # columns per block from the largest N any block can take
-        width = max(1, _BLOCK_CELLS // (int(0.57 * np.max(np.abs(ts))) + 26))
+        # columns per block from the most rows (N + 1) any block can take
+        width = max(1, _BLOCK_CELLS // (_em_terms(np.max(np.abs(ts))) + 1))
         for j in range(0, idx.size, width):
             part = idx[j:j + width]
             z, ok = _zeta_block(_S0_LADDER, ts[part])
@@ -629,69 +629,70 @@ def _s0_block(ts) -> np.ndarray:
     return out
 
 
-_JUMP_SCAN_STEP = 0.02
-_JUMP_THRESHOLD = 0.5
-_JUMP_WIDTH = 1e-9
+_NEAR_ZERO = 1e-6
 
 
-def _jump_brackets(t_hi: float) -> tuple[np.ndarray, ...]:
-    """(a, S_0(a), b, S_0(b)), ascending: brackets of width <= 1e-9 around
-    each S_0 jump between 0.02 and t_hi.
-
-    One scan on the lattice 0.02 k, up to the first point at or past
-    t_hi, flags |delta S_0| > 0.5 (a unit jump plus smooth drift always
-    clears this; steep smooth spots may false-positive, which only adds a
-    harmless extra breakpoint).  All flagged brackets are then bisected
-    together, each into its larger half, one block of s_0 per round.
-    """
-    n = int(t_hi / _JUMP_SCAN_STEP)
-    if _JUMP_SCAN_STEP * n < t_hi:
-        n += 1
-    us = _JUMP_SCAN_STEP * np.arange(1, n + 1)
-    vals = _s0_block(us)
-    i = np.flatnonzero(np.abs(np.diff(vals)) > _JUMP_THRESHOLD)
-    a, fa, b, fb = us[i], vals[i], us[i + 1], vals[i + 1]
-    while (wide := np.flatnonzero(b - a > _JUMP_WIDTH)).size:
-        mid = 0.5 * (a[wide] + b[wide])
-        fm = _s0_block(mid)
-        left = np.abs(fm - fa[wide]) >= np.abs(fb[wide] - fm)
-        b[wide[left]], fb[wide[left]] = mid[left], fm[left]
-        a[wide[~left]], fa[wide[~left]] = mid[~left], fm[~left]
-    return a, fa, b, fb
+def _zero_ordinate(a: float, b: float) -> float:
+    """The zero of zeta(1/2 + it) in the step [a, b]: a secant in t, where
+    zeta(1/2 + it) is analytic (a complex t evaluates zeta at 1/2 - Im t
+    + i Re t), from a and b until successive iterates agree to about
+    1 ulp, each one inside the step."""
+    t0, t1 = complex(a), complex(b)
+    f0, f1 = (zeta(complex(0.5 - t.imag, t.real)) for t in (t0, t1))
+    for _ in range(60):
+        dt = f1 * (t1 - t0) / (f1 - f0) if f1 != f0 else 0.0
+        t0, t1, f0 = t1, t1 - dt, f1
+        if not abs(t1 - 0.5 * (a + b)) <= 0.5 * (b - a):
+            break
+        if abs(dt) <= 2.0 * math.ulp(b):
+            return t1.real
+        f1 = zeta(complex(0.5 - t1.imag, t1.real))
+    raise RuntimeError(f"secant on the step [{a:.17g}, {b:.17g}] did not "
+                       f"settle inside it (last t = {t1:.6g})")
 
 
-def _s0_panels(lo: float, hi: float) -> float:
-    return integrate_adaptive(_s0_block, lo, hi, rel_tol=_PANEL_REL_TOL,
-                              abs_tol=1e-10, max_panels=2000)
+def _zero_ordinates(t_hi: float) -> list[float]:
+    """Ordinates of the zeros of zeta(1/2 + it) in (0, t_hi), ascending:
+    one scan of s_0 on the lattice 0.02 k, past t_hi, flags each step
+    where s_0 moves by over 1/2, which must be a simple zero's +1, and
+    `_zero_ordinate` locates that zero."""
+    us = 0.02 * np.arange(1, int(t_hi / 0.02) + 2)
+    jumps = np.diff(_s0_block(us))
+    zeros = []
+    for i in np.flatnonzero(np.abs(jumps) > 0.5).tolist():
+        a, b = float(us[i]), float(us[i + 1])
+        if round(jumps[i]) != 1:
+            raise RuntimeError(f"s_0 moves by {jumps[i]:.3f} on the step "
+                               f"[{a:.17g}, {b:.17g}], not by +1")
+        zeros.append(_zero_ordinate(a, b))
+    return [g for g in zeros if g < t_hi]
 
 
 def _s1(ts: np.ndarray) -> np.ndarray:
-    """s_1 at every t of a 1-D array in one cumulative pass over the
-    sorted |t|: jumps located once, up to the largest, and quadrature
-    panels between the merged bracket edges and the requested |t|.  Each
-    bracket adds its midpoint-rule sliver; a |t| inside one (within 1e-9
-    of a zero) takes the sliver's share up to it."""
+    """s_1 at every t of a 1-D array in one cumulative pass: the zero
+    ordinates up to the largest |t| are located once, and s_0, smooth
+    between them, is integrated in panels between the sorted edges {0,
+    zero ordinates, requested |t|}.
+
+    A panel ending within about 1e-9 of a zero would put Gauss nodes where
+    |zeta| is under the walk's floor, so a |t| within _NEAR_ZERO of a zero
+    g gives way to the edge g +- _NEAR_ZERO on its side; s_1 is linear
+    between those two edges to _NEAR_ZERO^2/8 |s_0'|, about 1e-13 at t = 1e3.
+    """
     ts = np.abs(ts)
-    targets = np.unique(ts[ts > 0.0])
-    cum = np.empty(targets.size)
-    if targets.size:
-        a, fa, b, fb = _jump_brackets(float(targets[-1]))
-        total, lo, k = 0.0, 0.0, 0
-        for j, t in enumerate(targets.tolist()):
-            while k < a.size and b[k] <= t:         # brackets wholly below t
-                total += (_s0_panels(lo, a[k])
-                          + (b[k] - a[k]) * 0.5 * (fa[k] + fb[k]))
-                lo = b[k]
-                k += 1
-            inside = k < a.size and a[k] < t
-            edge = a[k] if inside else t
-            total += _s0_panels(lo, edge)
-            lo = edge
-            cum[j] = (total + (t - a[k]) * 0.5 * (fa[k] + fb[k]) if inside
-                      else total)
-    out = np.zeros(ts.shape)
-    out[ts > 0.0] = cum[np.searchsorted(targets, ts[ts > 0.0])]
-    return out + b_constant(1)
+    zeros = _zero_ordinates(float(ts.max(initial=0.0)) + _NEAR_ZERO)
+    z = np.array([-np.inf, *zeros, np.inf])
+    i = np.searchsorted(z, ts)
+    g = np.where(ts - z[i - 1] < z[i] - ts, z[i - 1], z[i])
+    near = np.abs(ts - g) < _NEAR_ZERO
+    edges = np.unique(np.concatenate((
+        [0.0], zeros, ts[~near],
+        g[near] + np.copysign(_NEAR_ZERO, ts[near] - g[near]))))
+    cum = np.cumsum([0.0] + [
+        integrate_adaptive(_s0_block, lo, hi, rel_tol=_PANEL_REL_TOL,
+                           abs_tol=1e-10, max_panels=2000)
+        for lo, hi in itertools.pairwise(edges.tolist())])
+    return np.interp(ts, edges, cum) + b_constant(1)
 
 
 def _s_eta(m: int, t: float) -> float:
@@ -711,10 +712,10 @@ def s_m(m: int, t):
     continuation branch, s_m = Int_0^t s_{m-1} + b_m for m >= 1.
 
     m = 0 walks every t down one block ladder (`_s0_block`).  m = 1
-    integrates s_0 for all t in one pass (`_s1`): its jumps of +-1 at
-    zero ordinates are located once and split out of the quadrature
-    panels.  m >= 2 comes from the eta identity (module docstring), one
-    t at a time.
+    integrates s_0 for all t in one pass (`_s1`): the zero ordinates,
+    where s_0 jumps by +1, are located once by a secant on zeta(1/2 + it)
+    and become quadrature panel edges.  m >= 2 comes from the eta
+    identity (module docstring), one t at a time.
     """
     if m < 0:
         raise ValueError("m must be >= 0")

@@ -190,6 +190,20 @@ class TestPredict:
         assert rc == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize("family,argv", [
+        ("critical_poly", ["--X", "1e5"]),
+        ("critical_eta", ["--T", "1e6"]),
+        ("strip_poly", ["--sigma", "0.75", "--X", "1e5"]),
+        ("strip_eta", ["--sigma", "0.75"]),
+    ])
+    def test_v_past_double_range_rejected_by_name(self, capsys, family, argv):
+        rc = cli.main(["predict", "--family", family, "--m", "1",
+                       "--V", "1e300", *argv])
+        assert rc == 2
+        assert capsys.readouterr() == ("", (
+            f"error: V = 1e+300, m = 1: the {family} exponent passes the "
+            f"double range\n"))
+
 
 class TestMoments:
     def test_three_method_rows(self, tmp_path):
@@ -518,6 +532,13 @@ class TestTail:
         assert err.startswith(f"error: {flag} must be >= 1")
         assert err.count("\n") == 1
 
+    def test_eta_spacing_underflow_rejected_by_name(self, capsys):
+        rc = cli.main(["tail", "--route", "eta", "--sigma", "0.75", "--m",
+                       "1", "--T", "5e-324", "--count", "4", "--V", "1"])
+        assert rc == 2
+        assert capsys.readouterr() == ("", (
+            "error: --T / --count = 4.94066e-324 / 4 underflows to 0\n"))
+
     def test_eta_count_cap(self, capsys):
         rc = cli.main(["tail", "--route", "eta", "--sigma", "0.75", "--m",
                        "1", "--T", "100", "--count", "200000", "--V", "1"])
@@ -581,6 +602,13 @@ class TestEtaCommand:
             warnings.simplefilter("error")
             assert cli.main(["eta", *argv]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("m", ["0", "1", "2"])
+    def test_non_finite_zeta_on_path_excluded(self, tmp_path, m):
+        # zeta(1 + 1e-320j) is not finite, so the walk meets the pole
+        lines = run_lines(["eta", "--sigma", "0.75", "--m", m,
+                           "--t", "1e-320"], tmp_path)
+        assert lines[1] == "9.9998886718268301e-321,,,,near_zero_excluded"
 
     def test_pointwise_rows(self, tmp_path):
         lines = run_lines(["eta", "--sigma", "0.75", "--m", "1",

@@ -6,7 +6,7 @@ import scipy.special as sp
 
 from zel import special_fn
 from zel.special_fn import (I0_SWITCH, a_constant, bessel_i0, g_constant,
-                            kappa, log_bessel_i0, log_i0_slope,
+                            log_bessel_i0, log_i0_slope,
                             _i0_asymp_factor, _i0_series)
 
 import oracle_values as ov
@@ -140,13 +140,3 @@ def test_a_monotone_in_m():
     # larger m adds a positive power of 1/(1-sigma) > 1
     vals = [a_constant(m, 0.75) for m in range(4)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
-
-
-def test_kappa():
-    assert kappa(0.5) == 0.0
-    assert kappa(0.75) == 0.75
-    assert kappa(0.5 + 1e-12) == 0.5 + 1e-12
-    with pytest.raises(ValueError):
-        kappa(1.0)
-    with pytest.raises(ValueError):
-        kappa(0.3)

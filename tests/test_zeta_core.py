@@ -347,6 +347,11 @@ class TestBranchedLog:
         with pytest.raises(NearZeroOnPath):
             log_zeta_branched(0.5, ZERO_ORDINATES_BELOW_55[0])
 
+    def test_non_finite_zeta_is_pole_on_path(self):
+        # zeta(1 + 1e-320j) is not finite: the walk steps onto alpha = 1
+        with pytest.raises(NearZeroOnPath, match="pole on path"):
+            log_zeta_branched(0.75, 1e-320)
+
     def test_t_zero_pole_path(self):
         with pytest.raises(NearZeroOnPath):
             log_zeta_branched(0.5, 0.0)
@@ -463,11 +468,12 @@ class TestSm:
     @pytest.mark.parametrize("t", [20.0, 30.0, 50.0])
     def test_identity_suite(self, t):
         """pi s_1(t) = Re eta_tilde(1, 1/2, t), unconditionally.  The
-        residual is 2.4e-9 at t = 50; a Lambda tail cut at n <= 100
-        instead of 1e5 leaves 2.1e-6."""
+        residual is under 4e-13 at these t, with s_1 split at the located
+        zero ordinates; a Lambda tail cut at n <= 100 instead of 1e5
+        leaves 2.1e-6."""
         lhs = math.pi * s_m(1, t)
         rhs = eta_tilde(1, 0.5, t).real
-        assert abs(lhs - rhs) <= 1e-8
+        assert abs(lhs - rhs) <= 1e-11
 
     @pytest.mark.slow
     def test_s2_consistency(self):
@@ -512,13 +518,35 @@ class TestSm:
             assert s_m(m, some).tolist() == pytest.approx(
                 [s_m(m, t) for t in some], abs=1e-14)
 
-    def test_brackets_hold_each_zero_once(self):
-        a, _, b, _ = zeta_core._jump_brackets(50.0)
-        assert np.all(b - a <= 1e-9)
+    def test_zero_ordinates_below_50(self):
+        got = zeta_core._zero_ordinates(50.0)
         below = [g for g in ZERO_ORDINATES_BELOW_55 if g < 50.0]
+        assert len(got) == len(below)
         for g in below:
-            assert np.count_nonzero((a <= g) & (g <= b)) == 1, g
-        assert a.size == len(below)
+            assert sum(abs(z - g) <= 1e-12 for z in got) == 1, g
+
+    @pytest.mark.parametrize("d", [1e-9, 1e-13])
+    def test_s1_continuous_across_zeros(self, d):
+        # a |t| this near a zero reads s_1 off the point 1e-6 past it
+        below = [g for g in ZERO_ORDINATES_BELOW_55 if g < 50.0]
+        got = s_m(1, [g + k * d for g in below for k in (-1, 0, 1)])
+        spread = np.ptp(got.reshape(-1, 3), axis=1)
+        assert np.all(spread <= 1e-8), spread
+
+    def test_secant_leaving_its_step_raises(self, monkeypatch):
+        # a line zeta whose one zero sits at t = 100: the first secant
+        # iterate from the step [14.12, 14.14] lands there
+        monkeypatch.setattr(zeta_core, "zeta", lambda s: s.imag - 100.0)
+        with pytest.raises(RuntimeError, match=r"secant on the step "
+                           r"\[14\.12\d*, 14\.14\d*\] did not settle inside it"):
+            s_m(1, 20.0)
+
+    def test_jump_other_than_plus_one_raises(self, monkeypatch):
+        monkeypatch.setattr(zeta_core, "_s0_block",
+                            lambda us: -np.floor(np.asarray(us) / 10.0))
+        with pytest.raises(RuntimeError, match=r"s_0 moves by -1\.000 on "
+                           r"the step \[9\.98\d*, 10\], not by \+1"):
+            s_m(1, 15.0)
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf,
