@@ -33,7 +33,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .prime_poly import PolySpec, PrimeTable, TGrid, _spec_arrays, iter_poly_blocks
+from .prime_poly import (PolySpec, PrimeTable, TGrid, _spec_arrays, iter_poly_blocks,
+                         rotated_real)
 from .quadrature import integrate_adaptive
 from .special_fn import _i0_series, log_bessel_i0, log_i0_slope
 
@@ -271,11 +272,10 @@ def empirical_moment(spec: PolySpec, table: PrimeTable, grid: TGrid,
     if log_shapes[max(ks)] > 700.0:
         raise OverflowError(
             f"error shape X^(2k)/T overflows for k={max(ks)}, X={spec.X}")
-    ct, st = math.cos(spec.theta), math.sin(spec.theta)
     # per k: block sums over the base grid and over the refinement
     sums = {k: ([], []) for k in ks}
     for first, z in _half_spacing_blocks(spec, table, grid):
-        _add_power_sums(sums, first, ct * z.real + st * z.imag)
+        _add_power_sums(sums, first, rotated_real(z, spec.theta))
     out = []
     for k in ks:
         value = math.fsum(sums[k][0]) / grid.count
@@ -358,12 +358,11 @@ def exp_moment_trimmed(spec: PolySpec, table: PrimeTable, grid: TGrid,
         raise ValueError(f"x must be >= 0, got {x}")
     if not W > 0.0:
         raise ValueError(f"W must be positive, got {W}")
-    ct, st = math.cos(spec.theta), math.sin(spec.theta)
     # per grid: (block max, block sum of exp(scaled - block max))
     parts = ([], [])
     for first, z in _half_spacing_blocks(spec, table, grid):
         _add_log_sum_exp(parts, first, np.where(
-            np.abs(z) <= W, x * (ct * z.real + st * z.imag), -math.inf))
+            np.abs(z) <= W, x * rotated_real(z, spec.theta), -math.inf))
     out = []
     for acc, count in zip(parts, (grid.count, 2 * grid.count)):
         if not acc:

@@ -14,14 +14,15 @@ lattice, making every t_j = t0 + j*delta exact in double precision, and
 t and log p with a three-part Cody-Waite 2 pi (residual ~1e-15 rad).
 
 The batch kernel has two paths, chosen by prime count alone; both yield
-the same (j_start, Z) stream.
+the same (j_start, Z) stream, in blocks of NUFFT_BLOCK points.
 
 GEMM path (fewer than NUFFT_MIN_PRIMES primes).  It factors
 e^{-i t_j omega} = e^{-i (t0 + col*B*delta) omega} * e^{-i row*delta*omega}
-over j = col*B + row and evaluates CHUNK_COLS columns at a time as one
-complex GEMM.  Every column start t0 + col*B*delta is a lattice time, so
-both factors come from exact phases and no error accumulates along the
-grid.  Cost O(primes * points).
+over j = col*B + row and evaluates CHUNK_COLS = NUFFT_BLOCK / B columns
+at a time as one complex GEMM, (columns x primes) @ (primes x B), whose
+C-order result is already in grid order.  Every column start
+t0 + col*B*delta is a lattice time, so both factors come from exact
+phases and no error accumulates along the grid.  Cost O(primes * points).
 
 NUFFT path (the Odlyzko-Schonhage idea as a type-1 nonuniform FFT).  A
 block of up to NUFFT_BLOCK points centred at grid point c has
@@ -51,10 +52,10 @@ from typing import Iterator
 import numpy as np
 
 SIEVE_LIMIT = 100_000_000       # hard cap for prime enumeration
-BLOCK_ROWS = 1024               # rows (consecutive grid points) per GEMM column
-CHUNK_COLS = 256                # GEMM columns per yielded chunk
 NUFFT_MIN_PRIMES = 450          # prime count from which the NUFFT path beats GEMM
-NUFFT_BLOCK = 1 << 16           # grid points per NUFFT block (a power of two)
+NUFFT_BLOCK = 1 << 16           # grid points per block on both paths (a power of two)
+BLOCK_ROWS = 1024               # rows (consecutive grid points) per GEMM column
+CHUNK_COLS = NUFFT_BLOCK // BLOCK_ROWS  # GEMM columns per yielded chunk
 ES_WIDTH = 16                   # ES spreading kernel width, fine-grid points
 ES_BETA = 2.30 * ES_WIDTH       # ES shape for 2x upsampling
 ES_NODES = 64                   # Gauss-Legendre nodes for the kernel transform
@@ -326,16 +327,26 @@ def poly_eval_complex(spec: PolySpec, table: PrimeTable, t: float) -> complex:
     return complex(np.dot(w, np.exp(-1j * phase_mod_two_pi(t, omegas))))
 
 
+def rotated_real(z: np.ndarray, theta) -> np.ndarray:
+    """Re e^{-i theta} z = cos(theta) Re z + sin(theta) Im z in one pass over
+    the contiguous 1-D complex z: z's shape for one angle, one row per angle
+    for a sequence of angles (an (n, 2) @ (2, len(z)) product)."""
+    cs = np.array([[math.cos(a), math.sin(a)] for a in np.atleast_1d(theta)])
+    p = cs @ z.view(float).reshape(-1, 2).T
+    return p if np.ndim(theta) else p[0]
+
+
 def iter_poly_blocks(spec: PolySpec, table: PrimeTable,
                      grid: TGrid) -> Iterator[tuple[int, np.ndarray]]:
     """Stream (j_start, Z) with Z[i] = sum_p w_p e^{-i t_{j_start+i} log p}.
 
-    Blocks arrive in j order and partition the grid.  P(t) for any theta
-    is cos(theta)*Z.real + sin(theta)*Z.imag; |Z| feeds the trimmed-set
-    machinery.  From NUFFT_MIN_PRIMES primes on the values come from the
-    NUFFT path, below it from the GEMM path; see the module docstring.
-    Peak memory is O(primes * CHUNK_COLS) on the GEMM path and
-    O(primes * ES_WIDTH + NUFFT_BLOCK) on the NUFFT path, never
+    Blocks arrive in j order, partition the grid and hold at most
+    NUFFT_BLOCK points (1 MB, so reducers re-read them from L2).  P(t) is
+    rotated_real(Z, theta); |Z| feeds the trimmed-set machinery.  From
+    NUFFT_MIN_PRIMES primes on the NUFFT path runs, below it the GEMM
+    path; see the module docstring.  Peak memory is
+    O(primes * (BLOCK_ROWS + CHUNK_COLS) + NUFFT_BLOCK) on the GEMM path
+    and O(primes * ES_WIDTH + NUFFT_BLOCK) on the NUFFT path, never
     O(primes * count).
     """
     omegas, w = _spec_arrays(spec, table)
@@ -351,17 +362,17 @@ def _gemm_blocks(omegas: np.ndarray, w: np.ndarray,
     rows = min(BLOCK_ROWS, grid.count)
     n_cols = -(-grid.count // rows)
 
-    # V: (rows, P); row phases j0*delta*omega, weights folded in
+    # V: (P, rows); row phases j0*delta*omega, weights folded in
     row_t = np.arange(rows, dtype=float) * grid.delta
-    vmat = w[None, :] * np.exp(-1j * phase_mod_two_pi(row_t[:, None], omegas[None, :]))
+    vmat = w[:, None] * np.exp(-1j * phase_mod_two_pi(row_t[None, :], omegas[:, None]))
 
     for col in range(0, n_cols, CHUNK_COLS):
         # column starts t0 + c*rows*delta, exact on the lattice
         cols = np.arange(col, min(col + CHUNK_COLS, n_cols), dtype=float)
         t_cols = grid.t0 + (cols * rows) * grid.delta
-        ucols = np.exp(-1j * phase_mod_two_pi(t_cols[None, :], omegas[:, None]))
+        ucols = np.exp(-1j * phase_mod_two_pi(t_cols[:, None], omegas[None, :]))
         j0 = col * rows
-        yield j0, (vmat @ ucols).T.reshape(-1)[:grid.count - j0]
+        yield j0, (ucols @ vmat).reshape(-1)[:grid.count - j0]
 
 
 def _es_kernel(z: np.ndarray) -> np.ndarray:

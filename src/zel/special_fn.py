@@ -210,13 +210,16 @@ def g_constant(sigma: float, *, nodes: int = 16) -> float:
 
 
 def a_constant(m: int, sigma: float) -> float:
-    """A_m(sigma) for m >= 0, 1/2 < sigma < 1."""
+    """A_m(sigma) for m >= 0, 1/2 < sigma < 1, in Python floats:
+    OverflowError past the double range, never a numpy warning."""
     if m < 0:
         raise ValueError(f"a_constant wants m >= 0, got {m}")
     if not 0.5 < sigma < 1.0:
         raise ValueError(f"a_constant wants 1/2 < sigma < 1, got {sigma}")
-    g = g_constant(sigma)
+    g = float(g_constant(sigma))
     if not g > 0.0:
         raise ValueError(f"G(sigma) must be positive, got {g}")
-    base = sigma ** (2.0 * sigma) / ((1.0 - sigma) ** (2.0 * sigma - 1.0 + m) * g ** sigma)
-    return base ** (1.0 / (1.0 - sigma))
+    den = (1.0 - sigma) ** (2.0 * sigma - 1.0 + m) * g ** sigma
+    if den == 0.0:
+        raise OverflowError(f"A_m(sigma) passes the double range at m={m}")
+    return (sigma ** (2.0 * sigma) / den) ** (1.0 / (1.0 - sigma))

@@ -42,7 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prime_poly import PolySpec, PrimeTable, TGrid, iter_poly_blocks, max_spacing
+from .prime_poly import (PolySpec, PrimeTable, TGrid, iter_poly_blocks, max_spacing,
+                         rotated_real)
 from .special_fn import a_constant, g_constant
 from .zeta_core import NearZeroOnPath, eta_tilde, log_zeta_branched
 
@@ -147,12 +148,11 @@ def measure_exceedance_poly_multi(specs, table: PrimeTable, grid: TGrid,
         raise ValueError(
             f"grid spacing {grid.delta} violates the rule for X={base.X}")
     v = _check_v_grid(V_grid)
-    cos_t = [math.cos(s.theta) for s in specs]
-    sin_t = [math.sin(s.theta) for s in specs]
+    thetas = [s.theta for s in specs]
     counts = np.zeros((len(specs), v.size), dtype=np.int64)
     for _, z in iter_poly_blocks(base, table, grid):
-        for i in range(len(specs)):
-            counts[i] += _exceed_counts(cos_t[i] * z.real + sin_t[i] * z.imag, v)
+        for i, p in enumerate(rotated_real(z, thetas)):
+            counts[i] += _exceed_counts(p, v)
     return [ExceedanceCurve(V_grid=v.copy(),
                             measure_fraction=counts[i] / grid.count,
                             exceed_counts=counts[i].copy(), grid=grid)

@@ -92,21 +92,16 @@ class ZetaAccuracyWarning(UserWarning):
 # Euler-Maclaurin zeta
 
 def _bernoulli_over_factorial(count: int) -> list[float]:
-    """B_{2k}/(2k)! for k = 1..count, exact rationals rounded once."""
-    top = 2 * count + 1
-    b = [Fraction(0)] * (top + 1)
-    b[0] = Fraction(1)
-    for n in range(1, top + 1):
-        acc = Fraction(0)
-        for j in range(n):
-            acc += math.comb(n + 1, j) * b[j]
-        b[n] = -acc / (n + 1)
-    out = []
-    fact = Fraction(2)              # (2k)! running
+    """a_k = B_{2k}/(2k)! for k = 1..count, exact rationals rounded once.
+
+    From (x/2) cosh(x/2) = sinh(x/2) * (x/2) coth(x/2) at x^{2k}:
+    sum_{j<=k} a_j / (4^{k-j} (2(k-j)+1)!) = 1/(4^k (2k)!), a_0 = 1.
+    """
+    a = [Fraction(1)]
     for k in range(1, count + 1):
-        out.append(float(b[2 * k] / fact))
-        fact *= (2 * k + 1) * (2 * k + 2)
-    return out
+        a.append(Fraction(1, 4 ** k * math.factorial(2 * k)) - sum(
+            a[j] / (4 ** (k - j) * math.factorial(2 * (k - j) + 1)) for j in range(k)))
+    return [float(x) for x in a[1:]]
 
 
 _B2K = _bernoulli_over_factorial(30)

@@ -204,6 +204,17 @@ class TestPredict:
             f"error: V = 1e+300, m = 1: the {family} exponent passes the "
             f"double range\n"))
 
+    def test_m_past_double_range_rejected_without_warning(self, capsys):
+        # (1 - sigma)^(2 sigma - 1 + m) in A_m(sigma) underflows to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["predict", "--family", "strip_eta", "--sigma", "0.75",
+                           "--m", "100000", "--V", "5"])
+        assert rc == 2
+        assert capsys.readouterr() == ("", (
+            "error: V = 5, m = 100000: the strip_eta exponent passes the "
+            "double range\n"))
+
 
 class TestMoments:
     def test_three_method_rows(self, tmp_path):

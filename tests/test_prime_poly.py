@@ -28,6 +28,7 @@ from zel.prime_poly import (
     phase_mod_two_pi_dd,
     poly_eval,
     poly_eval_complex,
+    rotated_real,
     sieve,
     von_mangoldt_table,
 )
@@ -396,6 +397,35 @@ class TestBatch:
             assert abs(s - exact) < 5e-7 * abs(exact)
             sums.append(s)
         assert abs(sums[0] - sums[1]) < 1e-6 * abs(sums[1])
+
+
+class TestBlockContract:
+    """Both kernel paths: blocks of at most NUFFT_BLOCK points, in j order,
+    partitioning the grid, with exact ends; and the rotation helper."""
+
+    table = PrimeTable.build(10_000)
+
+    # 11 primes take the GEMM path, 1229 the NUFFT path
+    @pytest.mark.parametrize("X", [31.0, 1e4])
+    def test_blocks(self, X):
+        spec = PolySpec(m=1, sigma=0.6, theta=0.0, X=X)
+        span = TGrid.for_span(1e6, X)
+        grid = TGrid(t0=span.t0, count=2 * NUFFT_BLOCK + 12345, delta=span.delta)
+        thetas = np.random.default_rng(17).uniform(-math.pi, math.pi, 5)
+        seen = 0
+        for j0, z in iter_poly_blocks(spec, self.table, grid):
+            assert j0 == seen and 0 < z.size <= NUFFT_BLOCK
+            seen += z.size
+            for j in (j0, seen - 1):
+                want = poly_eval_complex(spec, self.table, grid.t(j))
+                assert abs(z[j - j0] - want) <= 1e-10
+            rows = rotated_real(z, thetas)
+            assert rows.shape == (thetas.size, z.size)
+            for theta, p in zip(thetas, rows):
+                direct = math.cos(theta) * z.real + math.sin(theta) * z.imag
+                for got in (p, rotated_real(z, theta)):
+                    assert np.all(np.abs(got - direct) <= 4.5e-16 * np.abs(z))
+        assert seen == grid.count
 
 
 # (sigma, X): 430 primes at X = 3000, below the NUFFT crossover; 1229 and

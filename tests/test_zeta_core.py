@@ -10,6 +10,7 @@ import cmath
 import math
 import warnings
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,6 +47,21 @@ from zel.zeta_core import (
 # classical constants, printed in any table
 APERY = 1.2020569031595942854
 ZETA_HALF = -1.4603545088095868
+
+
+def _bernoulli_full_recurrence(count):
+    """B_{2k}/(2k)!, k = 1..count, from every B_n by
+    sum_{j<=n} C(n+1, j) B_j = 0: the oracle for the even-index recurrence."""
+    top = 2 * count + 1
+    b = [Fraction(1)] + [Fraction(0)] * top
+    for n in range(1, top + 1):
+        b[n] = -sum(math.comb(n + 1, j) * b[j] for j in range(n)) / (n + 1)
+    return [float(b[2 * k] / math.factorial(2 * k)) for k in range(1, count + 1)]
+
+
+def test_bernoulli_table_matches_full_recurrence():
+    assert zeta_core._B2K == _bernoulli_full_recurrence(30)
+    assert zeta_core._B2K[:2] == [1 / 12, -1 / 720]
 
 
 class TestZeta:
