@@ -213,8 +213,8 @@ class PolySpec:
             raise ValueError(f"m must be >= 0, got {self.m}")
         if not 0.5 <= self.sigma < 1.0:
             raise ValueError(f"sigma must be in [1/2, 1), got {self.sigma}")
-        if not self.X >= 3:
-            raise ValueError(f"X must be >= 3, got {self.X}")
+        if not 3 <= self.X < math.inf:
+            raise ValueError(f"X must be finite and >= 3, got {self.X}")
         if not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
 

@@ -2,7 +2,9 @@
 
 zeta(s) is evaluated by Euler-Maclaurin summation over n < 0.57|t| + 25,
 with n^{-it} built per t from one grow-only table of the primes, their
-double-double logs and the composites grouped by Omega(n).  log zeta
+double-double logs and the composites grouped by Omega(n).  One head and
+one generator of B_2k terms, each carried from the last by its ratio with
+its remainder bound, serve one point and an (alpha x t) grid.  log zeta
 carries the branch fixed by horizontal continuation from the far right
 half-plane, where the Dirichlet series pins log zeta near 0: a walk at
 fixed t steps alpha down from 10 to sigma, each step small enough that
@@ -41,7 +43,8 @@ n^-a da = e^{-S log n} sum_j (S-sigma)^{m-1-j} (m-1)! / ((m-1-j)!
 (log n)^{j+1}).  Against a cut at 2e6 the cut moves the value by at most
 3.5e-13, 9.0e-13 and 1.2e-12 for m = 1, 2, 3 (sigma = 1/2, t = 0: every
 term positive).  The series' phases t log n for n <= 1000 come from the
-double-double prime logs, so they stay exact at any t.
+double-double prime logs, so they stay exact at every t that
+check_phase_range accepts.
 """
 
 from __future__ import annotations
@@ -106,7 +109,11 @@ def _bernoulli_over_factorial(count: int) -> list[float]:
 
 _B2K = _bernoulli_over_factorial(30)
 
+_EM_TARGET = 1e-10                  # certified remainder over |zeta| => warned
+_EM_SETTLED = 1e-17                 # remainder under this of |zeta|: terms stop
 _ZETA_FLOOR = 1e-12                 # |zeta| below this on a walk => flagged
+_STEP_ARG = 0.5 * math.pi           # a walk step moves arg zeta by under this
+_TURN_DRIFT = 1e-8                  # summed increments vs whole turns, at most
 _MEMO_CAP = 1 << 20
 
 
@@ -219,41 +226,45 @@ def _em_terms(t_abs: float) -> int:
     return int(0.57 * t_abs) + 25       # N: the main sum runs over n < N
 
 
+def _em_head(s, alphas, u, N: int):
+    """(sum_{n<N} n^{-s} + N^{1-s}/(s-1) + N^{-s}/2, N^{-s}) from u[n] =
+    n^{-it}, n <= N, for a scalar s or an (A, T) grid (alphas an (A, 1)
+    column): the amplitudes times u's (re, im) doubles, one real product."""
+    amps = np.arange(1, N, dtype=float) ** -alphas
+    main = (amps @ u[1:N].view(np.float64).reshape(N - 1, -1)).view(complex)
+    npow = N ** -alphas * u[N]
+    if isinstance(s, complex):      # numpy scalars are slower, and warn
+        main, npow = complex(main[0]), complex(npow)
+    return main + npow * N / (s - 1) + 0.5 * npow, npow
+
+
+def _em_corrections(s, npow, N: int, alphas):
+    """(T_k, |T_k|, R_k) for k = 1, 2, ... while `_B2K` (read per call)
+    holds a_{k+1}: T_k = a_k (s)_{2k-1} N^{-s-2k+1}, a_k = B_2k/(2k)!,
+    T_{k+1} = T_k (a_{k+1}/a_k)(s+2k-1)(s+2k)/N^2 (Rubinstein 2005, sec. 3),
+    and R_k = |T_{k+1}| |s+2k+1|/(alpha+2k+1) bounds what T_1..T_k leave."""
+    a = _B2K
+    term = a[0] * s * npow / N
+    for k in range(1, len(a)):
+        j = 2 * k
+        nxt = term * (a[k] / a[k - 1]) * ((s + (j - 1)) * (s + j)) / (N * N)
+        yield term, abs(term), abs(nxt) * abs(s + (j + 1)) / (alphas + (j + 1))
+        term = nxt
+
+
 def _em_zeta(sigma: float, t: float) -> complex:
     s = complex(sigma, t)
     N = _em_terms(abs(t))
-    ns = np.arange(1, N, dtype=float)
-    amps = ns ** (-sigma)
-    if t == 0.0:
-        main = complex(math.fsum(amps.tolist()))
-        unit_n = 1.0 + 0j
-    else:
-        u = _unit_powers(N + 1, t)
-        main = complex(np.dot(amps, u[1:N]))
-        unit_n = complex(u[N])
-    npow = N ** (-sigma) * unit_n                   # N^{-s}
-    acc = main + npow * N / (s - 1) + 0.5 * npow
-
-    # correction terms B_{2k}/(2k)! (s)_{2k-1} N^{-s-2k+1}
-    poch = s
-    nfac = 1.0 / N
-    prev = math.inf
-    bound = math.inf
-    for k, coef in enumerate(_B2K, start=1):
-        term = coef * poch * npow * nfac
-        mag = abs(term)
+    acc, npow = _em_head(s, sigma, _unit_powers(N + 1, t), N)
+    prev = bound = math.inf
+    for term, mag, rem in _em_corrections(s, npow, N, sigma):
         if mag > prev:
             break                                   # asymptotic tail turned
         acc += term
-        prev = mag
-        poch *= (s + 2 * k - 1) * (s + 2 * k)
-        nfac /= N * N
-        if k < len(_B2K):
-            nxt = abs(_B2K[k] * poch * npow * nfac)
-            bound = nxt * abs(s + 2 * k + 1) / (sigma + 2 * k + 1)
-            if bound < 1e-17 * abs(acc):
-                break
-    if not bound <= 1e-10 * max(abs(acc), 1e-300):
+        prev, bound = mag, rem
+        if bound < _EM_SETTLED * abs(acc):
+            break
+    if not bound <= _EM_TARGET * max(abs(acc), 1e-300):
         warnings.warn(
             f"certified remainder {bound:.2e} at s={s:.6g} exceeds target",
             ZetaAccuracyWarning, stacklevel=3)
@@ -262,45 +273,27 @@ def _em_zeta(sigma: float, t: float) -> complex:
 
 def _zeta_block(alphas, ts) -> tuple[np.ndarray, np.ndarray]:
     """zeta(alpha + it) over the grid alphas x ts, and where the certified
-    remainder meets `_em_zeta`'s 1e-10 target; both (alphas, ts) arrays.
+    remainder meets `_em_zeta`'s target; both (alphas, ts) arrays.
 
     `_em_zeta` on a whole grid, warning about nothing: N comes from the
-    block's largest |t|, so every point gets at least its own terms, the
-    main sums are one real amplitude matrix times the n^{-it} columns, and
-    the B_2k loop runs masked, each point stopping where `_em_zeta` would.
+    block's largest |t|, and a mask stops each point where `_em_zeta` would.
     """
     alphas = np.asarray(alphas, dtype=float)[:, None]
     ts = np.asarray(ts, dtype=float)
     N = _em_terms(float(np.max(np.abs(ts))))
-    u = _unit_power_columns(N + 1, ts)
-    amps = np.arange(1, N, dtype=float) ** -alphas
-    # real (A x N-1) times complex (N-1 x T) as one real GEMM
-    acc = (amps @ u[1:N].view(np.float64)).view(complex)
     s = alphas + 1j * ts
-    npow = N ** -alphas * u[N]                      # N^{-s}
-    acc = acc + npow * N / (s - 1) + 0.5 * npow
-
-    poch = s
-    nfac = 1.0 / N
-    prev = np.full(s.shape, math.inf)
-    bound = np.full(s.shape, math.inf)
+    acc, npow = _em_head(s, alphas, _unit_power_columns(N + 1, ts), N)
+    prev = bound = np.full(s.shape, math.inf)
     live = np.ones(s.shape, dtype=bool)
-    for k, coef in enumerate(_B2K, start=1):
-        term = coef * poch * npow * nfac
-        mag = np.abs(term)
+    for term, mag, rem in _em_corrections(s, npow, N, alphas):
         live &= ~(mag > prev)                       # asymptotic tail turned
         acc = np.where(live, acc + term, acc)
         prev = mag
-        poch = poch * ((s + 2 * k - 1) * (s + 2 * k))
-        nfac /= N * N
-        if k < len(_B2K):
-            nxt = np.abs(_B2K[k] * poch * npow * nfac)
-            nxt *= np.abs(s + 2 * k + 1) / (alphas + 2 * k + 1)
-            bound = np.where(live, nxt, bound)
-            live &= ~(bound < 1e-17 * np.abs(acc))
+        bound = np.where(live, rem, bound)
+        live &= ~(bound < _EM_SETTLED * np.abs(acc))
         if not live.any():
             break
-    return acc, bound <= 1e-10 * np.maximum(np.abs(acc), 1e-300)
+    return acc, bound <= _EM_TARGET * np.maximum(np.abs(acc), 1e-300)
 
 
 _memo: dict[tuple[float, float], complex] = {}
@@ -395,7 +388,7 @@ class BranchTracker:
                     raise NearZeroOnPath(low, self.t, "step collapse")
                 z_next = self._zeta_at(a_next)
                 inc, turns = _turns(z_low, z_next)
-                if abs(inc.imag) < 0.5 * math.pi:
+                if abs(inc.imag) < _STEP_ARG:
                     break
                 sub *= 0.5
                 depth += 1
@@ -421,7 +414,7 @@ class BranchTracker:
         val = cmath.log(z) + _TWO_PI * 1j * k
         if alpha <= self._walk[-1][0] + 1e-12:
             drift = abs(self._val_low - val)
-            if drift > 1e-8:
+            if drift > _TURN_DRIFT:
                 raise NearZeroOnPath(
                     alpha, self.t, f"walk/turns mismatch {drift:.2e}")
         return val
@@ -468,8 +461,10 @@ def _lambda_tail(m: int, sigma: float, t: float, split: float) -> complex:
 
     log zeta = sum Lambda(n)/(log n) n^{-a-it} converges absolutely for
     a >= split >= 3; each term integrates in closed form.  The sum stops
-    at n = _TAIL_TERMS, at a cost under 1.2e-12 for m <= 3.
+    at n = _TAIL_TERMS, at a cost under 1.2e-12 for m <= 3.  t is
+    checked against the exact phase range before anything is reduced.
     """
+    check_phase_range(t, math.log(_NEAR_TERMS), f"t={t:g}, n<={_NEAR_TERMS}")
     lam, lg, near_logs = _tail_table()
     d = split - sigma
     # sum_j d^{m-1-j} / ((m-1-j)! L^{j+2}),  j = 0..m-1
@@ -495,9 +490,13 @@ def eta_tilde(m: int, sigma: float, t: float) -> complex:
     Quadrature against the branch walk (panels to 1e-10 relative) up to
     max(3, sigma), the series over n <= 1e5 beyond (module docstring).
     For m = 0 the integral degenerates; use log_zeta_branched directly.
+    Past m = 171, (m-1)! passes the double range: ValueError.
     """
     if m < 1:
         raise ValueError("m must be >= 1; m=0 is log_zeta_branched")
+    if m > 171:
+        raise ValueError(f"m must be <= 171, got {m}: (m-1)! passes the "
+                         f"double range")
     split = max(_ALPHA_SPLIT, sigma)
     tail = _lambda_tail(m, sigma, t, split)
     if split <= sigma:
@@ -615,9 +614,9 @@ def _s0_block(ts) -> np.ndarray:
                                  / _TWO_PI).sum(axis=0)
                 val = np.log(z[-1]) + _TWO_PI * 1j * turns
                 drift = np.abs(np.log(z[0]) + inc.sum(axis=0) - val)
-                done[part] = ((np.abs(inc.imag) < 0.5 * math.pi).all(axis=0)
+                done[part] = ((np.abs(inc.imag) < _STEP_ARG).all(axis=0)
                               & (np.abs(z) >= _ZETA_FLOOR).all(axis=0)
-                              & ok.all(axis=0) & (drift <= 1e-8))
+                              & ok.all(axis=0) & (drift <= _TURN_DRIFT))
             out[part] = val.imag / math.pi
     for i in np.flatnonzero(~done).tolist():
         out[i] = _s0(float(ts[i]))

@@ -254,6 +254,14 @@ class TestMoments:
         assert capsys.readouterr().err == (
             f"error: --T must be finite and > 0, got {shown}\n")
 
+    @pytest.mark.parametrize("X", ["inf", "nan"])
+    def test_bad_x_rejected_by_name(self, capsys, X):
+        rc = cli.main(["moments", "--sigma", "0.5", "--m", "1", "--X", X,
+                       "--k", "2", "--methods", "exact"])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", f"error: X must be finite and >= 3, got {X}\n")
+
     @pytest.mark.parametrize("methods", ["exact", "contour"])
     def test_bad_t_rejected_without_empirical(self, capsys, tmp_path, methods):
         # --T steers only the empirical route, but a given --T is checked
@@ -518,6 +526,32 @@ class TestTail:
         assert out == ""
         assert err.startswith("error: t=1e+08, n<=57000024: phases t*omega")
         assert "exact-reduction limit (2^28 - 1) * 2 pi" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["eta", "--m", "1", "--sigma", "0.75", "--t", "3e8"],
+        ["eta", "--m", "1", "--sigma", "5", "--t", "3e8"],
+    ])
+    def test_eta_series_phase_limit_by_name(self, monkeypatch, capsys, argv):
+        # the sigma >= 3 series reduces t log n for n <= 1000 exactly
+        def no_table():
+            raise AssertionError("series table read before the phase check")
+
+        monkeypatch.setattr(zeta_core, "_tail_table", no_table)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", (
+            "error: t=3e+08, n<=1000: phases t*omega up to 2.072e+09 pass the "
+            "exact-reduction limit (2^28 - 1) * 2 pi = 1.687e+09\n"))
+
+    @pytest.mark.parametrize("argv", [
+        ["eta", "--sigma", "0.75", "--t", "10"],
+        ["tail", "--route", "eta", "--sigma", "0.75", "--T", "1e4",
+         "--count", "4", "--V", "0.5"],
+    ])
+    def test_m_past_factorial_range_rejected_by_name(self, capsys, argv):
+        assert cli.main([*argv, "--m", "172"]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: m must be <= 171, got 172: (m-1)! passes the double "
+            "range\n"))
 
     def test_eta_route(self, tmp_path):
         lines = run_lines(["tail", "--route", "eta", "--sigma", "0.75",

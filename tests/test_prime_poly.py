@@ -321,6 +321,9 @@ class TestPolyEval:
             PolySpec(m=1, sigma=1.0, theta=0.0, X=31)
         with pytest.raises(ValueError):
             PolySpec(m=1, sigma=0.5, theta=0.0, X=2)
+        for X in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="X must be finite and >= 3"):
+                PolySpec(m=1, sigma=0.5, theta=0.0, X=X)
         with pytest.raises(ValueError):
             poly_eval(PolySpec(m=1, sigma=0.5, theta=0.0, X=500),
                       PrimeTable.build(100), 1.0)

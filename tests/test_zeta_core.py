@@ -12,6 +12,7 @@ import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -144,6 +145,43 @@ def _scalar_unit_powers(N, t):
         if p != n:
             u[n] = u[n // p] * u[p]
     return u, primes, logs
+
+
+class TestEmCorrections:
+    @pytest.mark.parametrize("sigma,t", [(0.5, 14.1), (0.75, 1e4 + 0.3),
+                                         (3.0, 19999.9)])
+    def test_terms_match_closed_form(self, sigma, t):
+        """Every term `_em_zeta` sums, up to where its stop rule ends, is
+        B_2k/(2k)! (s)_{2k-1} N^{-s-2k+1} to 1e-14 relative (mpmath at 30
+        digits), and each remainder bound is the next closed-form term's
+        |T_{k+1}| |s+2k+1| / (sigma+2k+1)."""
+        s = complex(sigma, t)
+        N = zeta_core._em_terms(abs(t))
+        acc, npow = zeta_core._em_head(s, sigma, _unit_powers(N + 1, t), N)
+        ms = mpmath.mpc(sigma, t)
+
+        def closed(k):
+            return complex(mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k)
+                           * mpmath.rf(ms, 2 * k - 1)
+                           * mpmath.power(N, -ms - 2 * k + 1))
+
+        prev, count = math.inf, 0
+        with mpmath.workdps(30):
+            for k, (term, mag, rem) in enumerate(
+                    zeta_core._em_corrections(s, npow, N, sigma), start=1):
+                if mag > prev:
+                    break
+                want = closed(k)
+                assert abs(term - want) <= 1e-14 * abs(want), k
+                assert mag == abs(term)
+                bound = (abs(closed(k + 1)) * abs(s + 2 * k + 1)
+                         / (sigma + 2 * k + 1))
+                assert rem == pytest.approx(bound, rel=1e-14), k
+                acc += term
+                prev, count = mag, k
+                if rem < zeta_core._EM_SETTLED * abs(acc):
+                    break
+        assert count >= 5
 
 
 class TestUnitPowers:
@@ -383,6 +421,17 @@ class TestEtaTilde:
     def test_m_zero_guarded(self):
         with pytest.raises(ValueError):
             eta_tilde(0, 0.5, 30.0)
+
+    def test_m_past_factorial_range_named(self, monkeypatch):
+        """(m-1)! passes the double range at m = 172: a ValueError that
+        names m, raised before the series or the walk runs."""
+        def boom(*args):
+            raise AssertionError("evaluated before the m check")
+
+        monkeypatch.setattr(zeta_core, "_lambda_tail", boom)
+        monkeypatch.setattr(zeta_core, "BranchTracker", boom)
+        with pytest.raises(ValueError, match=r"^m must be <= 171, got 172: "):
+            eta_tilde(172, 0.75, 10.0)
 
     @pytest.mark.parametrize("m,t,tail_power", [(1, 0.0, 1), (1, 10.0, 1),
                                                 (2, 0.0, 2), (2, 5.0, 2)])
