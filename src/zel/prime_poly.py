@@ -39,12 +39,20 @@ against the GEMM path that measured 1e-11 for u_p in plain doubles and
 7e-11 for np.mod(-x_p, 2 pi) placement at sum w_p = 70, where the
 double-double placement differs by ~7e-14.  Indices, kernel values and
 deconvolution factors depend only on x_p, so they are built once per pass.
-Cost O(points log NUFFT_BLOCK + primes * ES_WIDTH per block).
+Cost O(points log NUFFT_BLOCK + primes * ES_WIDTH per block).  The blocks
+run on a pool of one thread per CPU the process may use, workers + 1 of
+them in flight: the caller's thread reduces each block-centre phase and
+forms the a_p, a worker spreads, FFTs (numpy's FFT releases the GIL) and
+deconvolves, and the blocks come back strictly in j order.  Each block
+is the same sequence of numpy operations on the same inputs as a serial
+loop's, so the stream is bit-identical at every worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -346,8 +354,8 @@ def iter_poly_blocks(spec: PolySpec, table: PrimeTable,
     NUFFT_MIN_PRIMES primes on the NUFFT path runs, below it the GEMM
     path; see the module docstring.  Peak memory is
     O(primes * (BLOCK_ROWS + CHUNK_COLS) + NUFFT_BLOCK) on the GEMM path
-    and O(primes * ES_WIDTH + NUFFT_BLOCK) on the NUFFT path, never
-    O(primes * count).
+    and O(primes * ES_WIDTH + workers * NUFFT_BLOCK) on the NUFFT path,
+    never O(primes * count).
     """
     omegas, w = _spec_arrays(spec, table)
     if omegas.size >= NUFFT_MIN_PRIMES:
@@ -414,10 +422,33 @@ def _nufft_plan(delta: float, omegas: np.ndarray,
     # integrand is even in z, so only the nonnegative half of the nodes
     z, wts = (a[ES_NODES // 2:] for a in np.polynomial.legendre.leggauss(ES_NODES))
     k = np.arange(block // 2 + 1)
-    psi_hat = ES_WIDTH * (
-        np.cos(np.outer(k * (math.pi * ES_WIDTH / n), z)) @ (wts * _es_kernel(z)))
+    arg = np.outer(k * (math.pi * ES_WIDTH / n), z)
+    psi_hat = ES_WIDTH * (np.cos(arg, out=arg) @ (wts * _es_kernel(z)))
     inv = 1.0 / psi_hat
     return slots, kern, np.concatenate((inv[:0:-1], inv[:-1]))
+
+
+def _pool_workers() -> int:
+    """Threads for the NUFFT blocks: one per CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _nufft_block(a: np.ndarray, size: int, slots: np.ndarray, kern: np.ndarray,
+                 deconv: np.ndarray) -> np.ndarray:
+    """Z over one block of size points from its amplitudes a: spread, FFT
+    and deconvolve.  Pure numpy on arrays nothing else writes, so any
+    thread may run it; numpy's FFT releases the GIL."""
+    block = deconv.size
+    n, h = 2 * block, size // 2
+    fine = np.bincount(slots, (a[:, None] * kern).view(float).reshape(-1),
+                       minlength=2 * n).view(complex)
+    np.fft.fft(fine, out=fine)
+    lo = block // 2 - h
+    z = np.concatenate((fine[n - h:], fine[:size - h]))
+    z *= deconv[lo:lo + size]
+    return z
 
 
 def _nufft_blocks(omegas: np.ndarray, w: np.ndarray,
@@ -427,20 +458,37 @@ def _nufft_blocks(omegas: np.ndarray, w: np.ndarray,
     A block of L <= NUFFT_BLOCK points starting at j0 is centred at grid
     point c = j0 + L//2, so t_c is exact and
     Z_{c+k} = sum_p a_p e^{-i k x_p} for k in [-L//2, L - L//2).
+
+    The a_p of each block are formed here, on the caller's thread (every
+    phase_mod_two_pi call stays on it), and `_nufft_block` runs on a pool
+    of _pool_workers() threads with workers + 1 blocks in flight; blocks
+    come back in j order, each bit-identical to a serial loop's.
+    Closing the generator cancels the blocks not yet started and joins
+    the pool.
     """
+    from concurrent.futures import ThreadPoolExecutor   # ~4 ms kept out of import
+
     block = NUFFT_BLOCK
-    n = 2 * block
     slots, kern, deconv = _nufft_plan(grid.delta, omegas, block)
-    for j0 in range(0, grid.count, block):
+    starts = range(0, grid.count, block)
+    workers = _pool_workers()
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="zel-nufft")
+
+    def submit(j0):
         size = min(block, grid.count - j0)
-        h = size // 2
-        a = w * np.exp(-1j * phase_mod_two_pi(grid.t(j0 + h), omegas))
-        fine = np.bincount(slots, (a[:, None] * kern).view(float).reshape(-1),
-                           minlength=2 * n).view(complex)
-        coef = np.fft.fft(fine)
-        lo = block // 2 - h
-        yield j0, (np.concatenate((coef[n - h:], coef[:size - h]))
-                   * deconv[lo:lo + size])
+        a = w * np.exp(-1j * phase_mod_two_pi(grid.t(j0 + size // 2), omegas))
+        return pool.submit(_nufft_block, a, size, slots, kern, deconv)
+
+    try:
+        ahead = deque(map(submit, starts[:workers + 1]))
+        for j0 in starts:
+            z = ahead.popleft().result()
+            nxt = j0 + (workers + 1) * block
+            if nxt < grid.count:
+                ahead.append(submit(nxt))
+            yield j0, z
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ import numpy as np
 from .prime_poly import (PolySpec, PrimeTable, TGrid, iter_poly_blocks, max_spacing,
                          rotated_real)
 from .special_fn import a_constant, g_constant
-from .zeta_core import NearZeroOnPath, eta_tilde, log_zeta_branched
+from .zeta_core import ETA_SIGMA_MIN, NearZeroOnPath, eta_tilde, log_zeta_branched
 
 __all__ = [
     "TailPrediction",
@@ -169,7 +169,8 @@ def eta_values(m: int, sigma: float, ts) -> list[complex | None]:
     """eta_m(sigma + it) for each t in ts; m = 0 is the branched log zeta.
 
     None marks a t whose continuation path runs too close to a zero.  ts
-    may be any iterable; more than MAX_ETA_GRID values, m < 0, or a
+    may be any iterable; more than MAX_ETA_GRID values, m < 0, a sigma
+    at or below ETA_SIGMA_MIN (where zeta loses its digits), or a
     non-finite sigma or t raise ValueError before any value is evaluated
     (each one costs a quadrature).
     """
@@ -182,6 +183,10 @@ def eta_values(m: int, sigma: float, ts) -> list[complex | None]:
         raise ValueError(f"m must be >= 0, got {m}")
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
+    if not sigma > ETA_SIGMA_MIN:
+        raise ValueError(
+            f"--sigma must be > {ETA_SIGMA_MIN:g} for eta values, got {sigma:g}: "
+            f"further left zeta's Euler-Maclaurin sum cancels away its digits")
     for t in ts:
         if not math.isfinite(t):
             raise ValueError(f"t must be finite, got {t}")

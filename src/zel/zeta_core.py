@@ -115,6 +115,11 @@ _ZETA_FLOOR = 1e-12                 # |zeta| below this on a walk => flagged
 _STEP_ARG = 0.5 * math.pi           # a walk step moves arg zeta by under this
 _TURN_DRIFT = 1e-8                  # summed increments vs whole turns, at most
 _MEMO_CAP = 1 << 20
+# eta values need zeta(a + it) for every a >= sigma.  Left of the strip the
+# main sum's terms n^-a outgrow zeta itself and cancel in double precision:
+# against mpmath at t = 10, 2.8e-12 lost at a = -3, 5.9e-10 at -5 and
+# 1.1e2 (relative) at -15, none of it in the certified remainder.
+ETA_SIGMA_MIN = -3.0
 
 
 def _decimal_log(p: int) -> tuple[float, float]:
@@ -242,13 +247,18 @@ def _em_corrections(s, npow, N: int, alphas):
     """(T_k, |T_k|, R_k) for k = 1, 2, ... while `_B2K` (read per call)
     holds a_{k+1}: T_k = a_k (s)_{2k-1} N^{-s-2k+1}, a_k = B_2k/(2k)!,
     T_{k+1} = T_k (a_{k+1}/a_k)(s+2k-1)(s+2k)/N^2 (Rubinstein 2005, sec. 3),
-    and R_k = |T_{k+1}| |s+2k+1|/(alpha+2k+1) bounds what T_1..T_k leave."""
+    and R_k = |T_{k+1}| |s+2k+1|/(alpha+2k+1) bounds what T_1..T_k leave.
+    The bound holds only where alpha + 2k + 1 > 0; before that k (a single
+    point at alpha <= -3; the block's alphas are positive) R_k is inf."""
     a = _B2K
     term = a[0] * s * npow / N
     for k in range(1, len(a)):
         j = 2 * k
         nxt = term * (a[k] / a[k - 1]) * ((s + (j - 1)) * (s + j)) / (N * N)
-        yield term, abs(term), abs(nxt) * abs(s + (j + 1)) / (alphas + (j + 1))
+        den = alphas + (j + 1)
+        rem = (abs(nxt) * abs(s + (j + 1)) / den
+               if isinstance(den, np.ndarray) or den > 0.0 else math.inf)
+        yield term, abs(term), rem
         term = nxt
 
 

@@ -553,6 +553,22 @@ class TestTail:
             "error: m must be <= 171, got 172: (m-1)! passes the double "
             "range\n"))
 
+    @pytest.mark.parametrize("t", ["0", "1e-320", "10", "1e4"])
+    @pytest.mark.parametrize("sigma", ["-1000", "-100", "0.5", "0.75", "3",
+                                       "1000"])
+    @pytest.mark.parametrize("m", ["1", "2", "170", "171"])
+    def test_eta_sigma_and_m_range(self, capsys, m, sigma, t):
+        # a RuntimeWarning is an error under the suite's filter
+        rc = cli.main(["eta", "--m", m, "--sigma", sigma, "--t", t])
+        out, err = capsys.readouterr()
+        if float(sigma) <= zeta_core.ETA_SIGMA_MIN:
+            assert (rc, out) == (2, "")
+            assert err.startswith(f"error: --sigma must be > -3 for eta "
+                                  f"values, got {sigma}: ")
+        else:
+            assert (rc, err) == (0, "")
+            assert out.startswith("t,re,im,rotated,flags\r\n")
+
     def test_eta_route(self, tmp_path):
         lines = run_lines(["tail", "--route", "eta", "--sigma", "0.75",
                            "--m", "1", "--T", "100", "--count", "40",
@@ -760,6 +776,16 @@ class TestDeterminismAndErrors:
         out = subprocess.run(
             [sys.executable, "-c",
              "import sys, zel.cli; print('scipy' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert out == "False\n"
+
+    def test_import_leaves_concurrent_futures_out(self):
+        # the NUFFT path imports it on first use; setup time stays flat
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, zel.cli; print('concurrent.futures' in sys.modules)"],
             env=env, capture_output=True, text=True, check=True).stdout
         assert out == "False\n"
 

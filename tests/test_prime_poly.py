@@ -6,6 +6,8 @@ reduction against a Fraction-arithmetic reference.
 """
 
 import math
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -488,6 +490,96 @@ class TestNufft:
         z = self._values(spec, TGrid(t0=1e4, count=100, delta=0.125))
         assert z.shape == (100,)
         assert ran == [f"_{path}_blocks"]
+
+
+class TestNufftPool:
+    """The NUFFT blocks run on a thread pool: the same bits as a serial
+    loop at any worker count, strictly in j order, errors and phases on
+    the consumer's side, and no thread left behind."""
+
+    table = PrimeTable.build(100_000)
+
+    @staticmethod
+    def _grid(X):
+        span = TGrid.for_span(1e6, X)
+        return TGrid(t0=span.t0, count=3 * NUFFT_BLOCK + 777, delta=span.delta)
+
+    def _serial(self, spec, grid):
+        """The blocks of one plain loop over _nufft_block."""
+        omegas, w = prime_poly._spec_arrays(spec, self.table)
+        slots, kern, deconv = prime_poly._nufft_plan(grid.delta, omegas,
+                                                     NUFFT_BLOCK)
+        out = []
+        for j0 in range(0, grid.count, NUFFT_BLOCK):
+            size = min(NUFFT_BLOCK, grid.count - j0)
+            a = w * np.exp(-1j * phase_mod_two_pi(grid.t(j0 + size // 2),
+                                                  omegas))
+            out.append((j0, prime_poly._nufft_block(a, size, slots, kern,
+                                                    deconv)))
+        return out
+
+    @pytest.mark.parametrize("X", [1e4, 1e5])
+    def test_bit_identical_at_every_worker_count(self, monkeypatch, X):
+        # 5 workers on a short switch interval: more threads than cores,
+        # trading the interpreter lock as often as it can
+        spec = PolySpec(m=0, sigma=0.8, theta=0.0, X=X)
+        grid = self._grid(X)
+        want = self._serial(spec, grid)
+        assert len(want) == 4
+        interval = sys.getswitchinterval()
+        try:
+            for workers, switch in ((1, interval), (2, interval), (5, 1e-6)):
+                monkeypatch.setattr(prime_poly, "_pool_workers",
+                                    lambda: workers)
+                sys.setswitchinterval(switch)
+                got = list(iter_poly_blocks(spec, self.table, grid))
+                assert [j0 for j0, _ in got] == [j0 for j0, _ in want]
+                for (_, z), (_, ref) in zip(got, want):
+                    assert np.array_equal(z.view(float), ref.view(float))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_close_after_first_block_joins_pool(self, monkeypatch, workers):
+        monkeypatch.setattr(prime_poly, "_pool_workers", lambda: workers)
+        before = threading.active_count()
+        blocks = iter_poly_blocks(PolySpec(m=0, sigma=0.8, theta=0.0, X=1e5),
+                                  self.table, self._grid(1e5))
+        j0, _ = next(blocks)
+        assert j0 == 0 and threading.active_count() > before
+        blocks.close()
+        assert threading.active_count() == before
+
+    def test_block_error_reaches_consumer(self, monkeypatch):
+        calls = []
+
+        def broken(*args, **kwargs):
+            calls.append(threading.get_ident())
+            raise FloatingPointError("fft failed")
+
+        monkeypatch.setattr(prime_poly, "_pool_workers", lambda: 2)
+        monkeypatch.setattr(np.fft, "fft", broken)
+        before = threading.active_count()
+        spec = PolySpec(m=0, sigma=0.8, theta=0.0, X=1e5)
+        with pytest.raises(FloatingPointError, match="fft failed"):
+            list(iter_poly_blocks(spec, self.table, self._grid(1e5)))
+        assert calls and threading.get_ident() not in calls
+        assert threading.active_count() == before
+
+    def test_phases_on_consumer_thread(self, monkeypatch):
+        threads = []
+        reduce = prime_poly.phase_mod_two_pi
+
+        def spy(t, omega):
+            threads.append(threading.get_ident())
+            return reduce(t, omega)
+
+        monkeypatch.setattr(prime_poly, "_pool_workers", lambda: 2)
+        monkeypatch.setattr(prime_poly, "phase_mod_two_pi", spy)
+        spec = PolySpec(m=0, sigma=0.8, theta=0.0, X=1e5)
+        blocks = list(iter_poly_blocks(spec, self.table, self._grid(1e5)))
+        assert len(threads) == len(blocks) == 4
+        assert set(threads) == {threading.get_ident()}
 
 
 class TestLambdaSum:

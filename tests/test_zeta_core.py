@@ -183,6 +183,24 @@ class TestEmCorrections:
                     break
         assert count >= 5
 
+    @pytest.mark.parametrize("sigma,t", [(-3.0, 10.0), (-5.0, 100.0)])
+    def test_no_bound_left_of_minus_three(self, sigma, t):
+        """R_k needs sigma + 2k + 1 > 0: at sigma = -3 (and -5) R_1 (and
+        R_2) is inf instead of a division by zero, the sum goes on to a
+        term it can bound, and zeta meets mpmath."""
+        s = complex(sigma, t)
+        N = zeta_core._em_terms(t)
+        _, npow = zeta_core._em_head(s, sigma, _unit_powers(N + 1, t), N)
+        rems = [rem for _, _, rem in zeta_core._em_corrections(s, npow, N, sigma)]
+        cut = int(-(sigma + 1) // 2)
+        assert rems[:cut] == [math.inf] * cut
+        assert all(0 < r < math.inf for r in rems[cut:])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = zeta(s)
+        want = complex(mpmath.zeta(mpmath.mpc(sigma, t)))
+        assert abs(got - want) <= 1e-11 * abs(want)
+
 
 class TestUnitPowers:
     TS = (1e5, 19999.9, 1e4, 1234.5678, 14.134725141734693, 0.5)
