@@ -23,7 +23,7 @@ import sys
 from . import __version__
 from .emit import NonFiniteOutput, flags_cell, write_csv, write_json
 from .moments import contour_moment, empirical_moment, exact_moment
-from .prime_poly import PolySpec, PrimeTable, TGrid, dyadic_floor
+from .prime_poly import SIEVE_LIMIT, PolySpec, PrimeTable, TGrid, dyadic_floor
 from .tails import (
     MAX_ETA_GRID,
     FAMILIES,
@@ -83,6 +83,12 @@ def _emit(args: argparse.Namespace, header, rows) -> None:
             write_csv(fh, header, rows)
 
 
+def _check_sieve_cap(X: float) -> None:
+    """ValueError naming --X when it passes the prime table's cap."""
+    if X > SIEVE_LIMIT:
+        raise ValueError(f"--X must be <= {SIEVE_LIMIT}, the sieve cap, got {X}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -103,6 +109,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
     spec = PolySpec(m=args.m, sigma=args.sigma, theta=args.theta, X=args.X)
     if args.T is not None and not 0.0 < args.T < math.inf:
         raise ValueError(f"--T must be finite and > 0, got {args.T}")
+    _check_sieve_cap(args.X)
     table = PrimeTable.build(int(math.ceil(args.X)))
     empirical = {}
     if "empirical" in args.methods:
@@ -165,12 +172,14 @@ def cmd_tail(args: argparse.Namespace) -> int:
         if args.X is None:
             raise ValueError("poly route needs --X")
         spec = PolySpec(m=args.m, sigma=args.sigma, theta=args.theta, X=args.X)
+        _check_sieve_cap(args.X)
         grid = TGrid.for_span(args.T, args.X, refine=args.refine)
         table = PrimeTable.build(int(math.ceil(args.X)))
         curve = measure_exceedance_poly(spec, table, grid, list(args.V))
     else:
-        if args.count < 1:
-            raise ValueError(f"--count must be >= 1, got {args.count}")
+        if not 1 <= args.count <= MAX_ETA_GRID:
+            raise ValueError(f"--count must be >= 1 and <= {MAX_ETA_GRID}, "
+                             f"the eta grid cap, got {args.count}")
         if not args.T / args.count > 0.0:
             raise ValueError(f"--T / --count = {args.T:g} / {args.count} "
                              f"underflows to 0")

@@ -102,35 +102,24 @@ def _turns(phase):
     return k
 
 
-def phase_mod_two_pi(t, omega):
-    """t*omega reduced mod 2 pi to ~1e-15 rad.
+def phase_mod_two_pi(t, omega, omega_lo=None):
+    """t*omega reduced mod 2 pi to ~1e-15 rad, omega + omega_lo when given.
 
     Exact only while t*omega rounds to fewer than PHASE_TURNS = 2^28 whole
     turns, |t*omega| < ~1.69e9 rad; from 2^28 turns on it raises
-    ValueError.  phase_mod_two_pi_dd shares the limit.
+    ValueError.  A double-double omega (the zeta backend's prime logs)
+    removes the t * ulp(omega) floor, to hold 1e-12 at |t| ~ 1e4.
 
     Broadcasts over ndarray inputs.  The pointwise evaluators and every
     phase of the batch kernel come through here, which is what makes them
     agree to 1e-10 on long grids.
     """
-    hi, lo = _two_product(np.asarray(t, dtype=float), np.asarray(omega, dtype=float))
+    t = np.asarray(t, dtype=float)
+    hi, lo = _two_product(t, np.asarray(omega, dtype=float))
     k = _turns(hi)
+    if omega_lo is not None:
+        lo = lo + t * np.asarray(omega_lo, dtype=float)
     return ((hi - k * _CW_1) - k * _CW_2) + (lo - k * _CW_3)
-
-
-def phase_mod_two_pi_dd(t, omega_hi, omega_lo):
-    """Like phase_mod_two_pi (same 2^28-turn limit) but with omega given
-    as a double-double.
-
-    Removes the t * ulp(omega) floor of the single-double version; the
-    zeta backend feeds extended-precision prime logs through this to hold
-    its 1e-12 target at |t| ~ 1e4.
-    """
-    hi, lo = _two_product(np.asarray(t, dtype=float),
-                          np.asarray(omega_hi, dtype=float))
-    k = _turns(hi)
-    tail = lo + np.asarray(t, dtype=float) * np.asarray(omega_lo, dtype=float)
-    return ((hi - k * _CW_1) - k * _CW_2) + (tail - k * _CW_3)
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +268,17 @@ class TGrid:
             raise ValueError("delta must be positive")
         # in exact rationals: den passes the double range below 2^-1023
         t0, delta = Fraction(self.t0), Fraction(self.delta)
+        k = delta.denominator.bit_length() - 1
         if (t0 * delta.denominator).denominator != 1:
-            k = delta.denominator.bit_length() - 1
             raise ValueError(
                 f"--T {self.t0!r} is off the 2^-{k} lattice of the grid spacing "
                 f"{self.delta!r}: T must be a multiple of 2^-{k}")
         # then t0, j*delta and t0 + j*delta (j < count) are whole multiples
         # of 2^-k, fewer than 2^53 of them in magnitude: exact doubles
         if (abs(t0) + self.count * delta) * delta.denominator >= 2 ** 53:
-            raise ValueError("grid exceeds exact-double dyadic range")
+            raise ValueError(
+                f"--T {self.t0!r} with {self.count} points at spacing {self.delta!r} "
+                f"exceeds the exact-double dyadic range (2^53 units of 2^-{k})")
 
     @classmethod
     def for_span(cls, T: float, X: float, *, refine: int = 1) -> "TGrid":

@@ -97,7 +97,6 @@ class ExceedanceCurve:
     V_grid: np.ndarray
     measure_fraction: np.ndarray
     exceed_counts: np.ndarray
-    grid: TGrid
     flags: tuple = ()
     excluded_count: int = 0
 
@@ -155,7 +154,7 @@ def measure_exceedance_poly_multi(specs, table: PrimeTable, grid: TGrid,
             counts[i] += _exceed_counts(p, v)
     return [ExceedanceCurve(V_grid=v.copy(),
                             measure_fraction=counts[i] / grid.count,
-                            exceed_counts=counts[i].copy(), grid=grid)
+                            exceed_counts=counts[i].copy())
             for i in range(len(specs))]
 
 
@@ -223,7 +222,7 @@ def measure_exceedance_eta(m: int, sigma: float, theta: float, grid: TGrid,
     if excluded > 0.01 * grid.count:
         flags = ("exclusions_above_1pct",)
     return ExceedanceCurve(V_grid=v.copy(), measure_fraction=counts / grid.count,
-                           exceed_counts=counts, grid=grid, flags=flags,
+                           exceed_counts=counts, flags=flags,
                            excluded_count=excluded)
 
 

@@ -2,15 +2,16 @@
 
 zeta(s) is evaluated by Euler-Maclaurin summation over n < 0.57|t| + 25,
 with n^{-it} built per t from one grow-only table of the primes, their
-double-double logs and the composites grouped by Omega(n).  One head and
-one generator of B_2k terms, each carried from the last by its ratio with
-its remainder bound, serve one point and an (alpha x t) grid.  log zeta
-carries the branch fixed by horizontal continuation from the far right
-half-plane, where the Dirichlet series pins log zeta near 0: a walk at
-fixed t steps alpha down from 10 to sigma, each step small enough that
-arg zeta moves by under pi/2, and keeps every accepted point with the
-whole turns its branch value adds to the principal log.  Any alpha the
-walk covers then reads its branch off the nearest point above it.
+double-double logs and each composite's least prime factor, filled one
+dyadic block of n at a time.  One head and one generator of B_2k terms,
+each carried from the last by its ratio with its remainder bound, serve
+one point and an (alpha x t) grid.  log zeta carries the branch fixed by
+horizontal continuation from the far right half-plane, where the
+Dirichlet series pins log zeta near 0: a walk at fixed t steps alpha
+down from 10 to sigma, each step small enough that arg zeta moves by
+under pi/2, and keeps every accepted point with the whole turns its
+branch value adds to the principal log.  Any alpha the walk covers then
+reads its branch off the nearest point above it.
 
 s_0 takes many t at once: `_zeta_block` runs the same sum over an
 (alpha x t) grid as one real GEMM, and `_s0_block` walks every t down one
@@ -62,7 +63,7 @@ import numpy as np
 
 from decimal import Decimal, localcontext
 
-from .prime_poly import (_two_product, check_phase_range, phase_mod_two_pi_dd,
+from .prime_poly import (_two_product, check_phase_range, phase_mod_two_pi,
                          von_mangoldt_table)
 from .quadrature import integrate_adaptive
 
@@ -133,14 +134,13 @@ def _decimal_log(p: int) -> tuple[float, float]:
 
 
 class _FactorTable:
-    """Grow-only primes, their double-double logs and Omega layers.
+    """Grow-only primes, their double-double logs and composite factors.
 
-    Layer k - 2 is a (3, count) int array of (c, c // spf(c), spf(c))
-    over the composites c with Omega(c) = k, ascending in c; each cofactor
-    is prime or sits in the layer before.  The sieve limit doubles on
-    growth (under 0.1 us per n), but a prime is logged only once it falls
-    below a requested n: a Decimal log costs about 70 us, and t often
-    spans a narrow range.
+    The composites c are one (3, count) int array of (c, c // spf(c),
+    spf(c)), ascending in c, with spf(c) the least prime factor.  The
+    sieve limit doubles on growth (under 0.1 us per n), but a prime is
+    logged only once it falls below a requested n: a Decimal log costs
+    about 70 us, and t often spans a narrow range.
     """
 
     def __init__(self):
@@ -148,29 +148,20 @@ class _FactorTable:
         self._limit = 2
         self._primes = np.empty(0, dtype=np.int64)
         self._logs = np.empty((2, 0))
-        self._layers: list[np.ndarray] = []
+        self._composites = np.empty((3, 0), dtype=np.int64)
 
     def _sieve_to(self, limit: int) -> None:
         spf = np.arange(limit, dtype=np.int64)
         for d in range(math.isqrt(limit - 1), 1, -1):   # least divisor last
             spf[d * d:: d] = d
-        cof = np.arange(limit) // np.maximum(spf, 1)
-        # Omega(n) = Omega(n // spf(n)) + 1, and n // spf(n) < lo for
-        # every n in [lo, 2 lo), so each dyadic block is one gather
-        omega = np.zeros(limit, dtype=np.int8)
-        lo = 2
-        while lo < limit:
-            omega[lo:2 * lo] = omega[cof[lo:2 * lo]] + 1
-            lo *= 2
-        self._primes = np.flatnonzero(omega == 1)
-        self._layers = []
-        for k in range(2, int(omega.max()) + 1):
-            c = np.flatnonzero(omega == k)
-            self._layers.append(np.stack((c, cof[c], spf[c])))
+        n = np.arange(limit, dtype=np.int64)
+        self._primes = np.flatnonzero(spf == n)[2:]     # past 0 and 1
+        c = np.flatnonzero(spf < n)
+        self._composites = np.stack((c, c // spf[c], spf[c]))
         self._limit = limit
 
     def below(self, n: int):
-        """(primes < n, their logs as (hi, lo) rows, layers covering n)."""
+        """(primes < n, their logs as (hi, lo) rows, composites < n)."""
         with self._lock:
             if self._limit < n:
                 self._sieve_to(max(n, 2 * self._limit))
@@ -179,7 +170,9 @@ class _FactorTable:
             if new:
                 logs = np.array([_decimal_log(p) for p in new]).T
                 self._logs = np.concatenate((self._logs, logs), axis=1)
-            return self._primes[:count], self._logs[:, :count], self._layers
+            comp = self._composites
+            return (self._primes[:count], self._logs[:, :count],
+                    comp[:, :np.searchsorted(comp[0], n)])
 
 
 _factor_table = _FactorTable()
@@ -190,12 +183,13 @@ def _unit_power_columns(N: int, ts) -> np.ndarray:
     scalar t gives a vector, a 1-D ts one column per t.  A t past
     check_phase_range for n = N-1 raises ValueError before any sieve.
 
-    Primes get reduced phases from their double-double logs; composites
-    are filled one Omega layer at a time, each one gather, multiply and
-    scatter of rows u[c // p] * u[p], so phase error stays at rounding
-    level instead of growing like t * ulp(log n).  The multiply is
-    written out over real and imaginary parts, rounding like a scalar
-    complex multiply (numpy's vectorised one may not).
+    Primes get reduced phases from their double-double logs.  Composites
+    are filled one dyadic block [2^e, 2^(e+1)) at a time: c // spf(c) <=
+    c/2 and spf(c) <= sqrt(c) both lie below c's block, so each block is
+    one gather, multiply and scatter of rows u[c // p] * u[p], and phase
+    error stays at rounding level instead of growing like t * ulp(log n).
+    The multiply is written out over real and imaginary parts, rounding
+    like a scalar complex multiply (numpy's vectorised one may not).
     """
     ts = np.asarray(ts, dtype=float)
     u = np.empty((N,) + ts.shape, dtype=complex)
@@ -204,13 +198,15 @@ def _unit_power_columns(N: int, ts) -> np.ndarray:
     if N > 2:
         t_max = float(np.max(np.abs(ts)))
         check_phase_range(t_max, math.log(N - 1), f"t={t_max:g}, n<={N - 1}")
-        primes, (lhi, llo), layers = _factor_table.below(N)
+        primes, (lhi, llo), comp = _factor_table.below(N)
         col = (-1,) + (1,) * ts.ndim
-        u[primes] = np.exp(-1j * phase_mod_two_pi_dd(
+        u[primes] = np.exp(-1j * phase_mod_two_pi(
             ts, lhi.reshape(col), llo.reshape(col)))
         re, im = u.real, u.imag
-        for layer in layers[:(N - 1).bit_length() - 2]:     # starts at 2^Omega
-            c, cof, p = layer[:, :np.searchsorted(layer[0], N)]
+        # block ends: the composites below 8, 16, ..., 2^bit_length(N) > N - 1
+        ends = np.searchsorted(comp[0], 2 ** np.arange(3, N.bit_length() + 1))
+        for lo, hi in itertools.pairwise([0, *ends.tolist()]):
+            c, cof, p = comp[:, lo:hi]
             ar, ai, br, bi = re[cof], im[cof], re[p], im[p]
             re[c] = ar * br - ai * bi
             im[c] = ar * bi + ai * br
@@ -311,12 +307,12 @@ _memo_lock = threading.Lock()
 
 
 def zeta(s: complex) -> complex:
-    """zeta(s) by Euler-Maclaurin; 1e-12 relative for |Im s| <= 2e4.
+    """zeta(s) by Euler-Maclaurin; 1e-12 relative for Re s >= -1, |Im s| <= 2e4.
 
-    The test suite's frozen mpmath values reach t = 19999.9 and match to
-    1e-15 relative, phases stay exact at any t (`_unit_powers`), and
-    the certified remainder is checked and warned about everywhere; the
-    pole raises.
+    Frozen mpmath values up to t = 19999.9 match to 1e-15, phases stay
+    exact at any t (`_unit_powers`), and the pole raises.  The warned
+    remainder bounds truncation only: left of Re s = -1 the terms n^-sigma
+    cancel unwarned (6e-12 lost at s = -1.5 + 0.5i, 1.3e-9 at -3 + 0.5i).
     """
     s = complex(s)
     if s == 1:
@@ -486,7 +482,7 @@ def _lambda_tail(m: int, sigma: float, t: float, split: float) -> complex:
     # sigma (the most at m = 1), so cos and sin there run 6x faster in
     # float32, each off by under 2.5e-7: under 1e-14 of sum(amp) in all
     k = near_logs.shape[1]
-    near = phase_mod_two_pi_dd(t, *near_logs)
+    near = phase_mod_two_pi(t, *near_logs)
     far = t * lg[k:]
     far = (far - _TWO_PI * np.round(far / _TWO_PI)).astype(np.float32)
     re = amp[:k] @ np.cos(near) + amp[k:] @ np.cos(far)

@@ -134,6 +134,11 @@ class TestEmit:
 # subcommand round trips
 
 
+# the message for a bad --X, by the flag's text
+_BAD_X = {X: f"X must be finite and >= 3, got {X}" for X in ("inf", "nan")}
+_BAD_X["2e8"] = "--X must be <= 100000000, the sieve cap, got 200000000.0"
+
+
 def run_lines(argv, tmp_path, name="out.csv"):
     path = tmp_path / name
     rc = cli.main([*argv, "--out", str(path)])
@@ -254,13 +259,12 @@ class TestMoments:
         assert capsys.readouterr().err == (
             f"error: --T must be finite and > 0, got {shown}\n")
 
-    @pytest.mark.parametrize("X", ["inf", "nan"])
+    @pytest.mark.parametrize("X", ["inf", "nan", "2e8"])
     def test_bad_x_rejected_by_name(self, capsys, X):
         rc = cli.main(["moments", "--sigma", "0.5", "--m", "1", "--X", X,
                        "--k", "2", "--methods", "exact"])
         assert rc == 2
-        assert capsys.readouterr() == (
-            "", f"error: X must be finite and >= 3, got {X}\n")
+        assert capsys.readouterr() == ("", "error: " + _BAD_X[X] + "\n")
 
     @pytest.mark.parametrize("methods", ["exact", "contour"])
     def test_bad_t_rejected_without_empirical(self, capsys, tmp_path, methods):
@@ -429,7 +433,7 @@ class TestTail:
         assert capsys.readouterr().err == (
             f"error: --T must be finite and > 0, got {shown}\n")
 
-    @pytest.mark.parametrize("X", ["inf", "nan"])
+    @pytest.mark.parametrize("X", ["inf", "nan", "2e8"])
     def test_bad_x_rejected_by_name(self, monkeypatch, capsys, X):
         def no_grid(*args, **kwargs):
             raise AssertionError("grid built before the --X check")
@@ -438,8 +442,24 @@ class TestTail:
         rc = cli.main(["tail", "--route", "poly", "--sigma", "0.8", "--m",
                        "0", "--X", X, "--T", "1e3", "--V", "1"])
         assert rc == 2
-        assert capsys.readouterr().err == (
-            f"error: --X must be finite, got {X}\n")
+        want = _BAD_X[X] if X == "2e8" else f"--X must be finite, got {X}"
+        assert capsys.readouterr().err == "error: " + want + "\n"
+
+    @pytest.mark.parametrize("argv,count,spacing", [
+        (["--route", "eta", "--sigma", "0.75", "--m", "1", "--T", "1e16",
+          "--count", "4"], 4, 2.5e15),
+        (["--sigma", "0.8", "--m", "0", "--X", "31", "--T", "1e3",
+          "--refine", "1000000000000"], 1640058130870538,
+         6.09734485124136e-13),
+    ])
+    def test_dyadic_range_names_the_grid(self, capsys, argv, count, spacing):
+        assert cli.main(["tail", *argv, "--V", "1"]) == 2
+        err = capsys.readouterr().err
+        T = float(argv[argv.index("--T") + 1])
+        assert err.startswith(f"error: --T {T!r} with {count} points at "
+                              f"spacing {spacing!r} exceeds the exact-double "
+                              f"dyadic range (2^53 units of 2^-")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("route", ["poly", "eta"])
     @pytest.mark.parametrize("V,shown", [("nan", "nan"), ("0.5,inf", "inf")])
@@ -600,11 +620,17 @@ class TestTail:
         assert capsys.readouterr() == ("", (
             "error: --T / --count = 4.94066e-324 / 4 underflows to 0\n"))
 
-    def test_eta_count_cap(self, capsys):
+    def test_eta_count_cap(self, monkeypatch, capsys):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built before the --count check")
+
+        monkeypatch.setattr(cli, "TGrid", no_grid)
         rc = cli.main(["tail", "--route", "eta", "--sigma", "0.75", "--m",
                        "1", "--T", "100", "--count", "200000", "--V", "1"])
         assert rc == 2
-        assert "cap" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", (
+            f"error: --count must be >= 1 and <= {tails.MAX_ETA_GRID}, the "
+            f"eta grid cap, got 200000\n"))
 
     def test_eta_route_exclusion_flag(self, monkeypatch, tmp_path):
         # one of 8 points (t = 100) excluded: over 1%, so every row says so

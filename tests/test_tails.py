@@ -50,23 +50,23 @@ def abs_sum_08(table31):
 
 
 class TestCurveTypes:
-    def test_descending_grid_rejected(self, grid1e4):
+    def test_descending_grid_rejected(self):
         with pytest.raises(ValueError, match="ascending"):
             ExceedanceCurve(V_grid=np.array([2.0, 1.0]),
                             measure_fraction=np.zeros(2),
-                            exceed_counts=np.zeros(2, dtype=int), grid=grid1e4)
+                            exceed_counts=np.zeros(2, dtype=int))
 
-    def test_increasing_counts_rejected(self, grid1e4):
+    def test_increasing_counts_rejected(self):
         with pytest.raises(ValueError, match="nonincreasing"):
             ExceedanceCurve(V_grid=np.array([1.0, 2.0]),
                             measure_fraction=np.array([0.1, 0.2]),
-                            exceed_counts=np.array([1, 2]), grid=grid1e4)
+                            exceed_counts=np.array([1, 2]))
 
-    def test_fraction_range_enforced(self, grid1e4):
+    def test_fraction_range_enforced(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             ExceedanceCurve(V_grid=np.array([1.0]),
                             measure_fraction=np.array([1.5]),
-                            exceed_counts=np.array([3]), grid=grid1e4)
+                            exceed_counts=np.array([3]))
 
     def test_prediction_validation(self):
         with pytest.raises(ValueError, match="family"):

@@ -26,8 +26,7 @@ from oracle_values import (
     ZETA_VALUES,
 )
 from zel import zeta_core
-from zel.prime_poly import (lambda_sum, phase_mod_two_pi,
-                            phase_mod_two_pi_dd, von_mangoldt_table)
+from zel.prime_poly import lambda_sum, phase_mod_two_pi, von_mangoldt_table
 from zel.quadrature import integrate_adaptive
 from zel.zeta_core import (
     _unit_power_columns,
@@ -139,7 +138,7 @@ def _scalar_unit_powers(N, t):
     u = np.empty(N, dtype=complex)
     u[0] = 0.0
     u[1] = 1.0
-    u[primes] = np.exp(-1j * phase_mod_two_pi_dd(t, lhi, llo))
+    u[primes] = np.exp(-1j * phase_mod_two_pi(t, lhi, llo))
     for n in range(4, N):
         p = spf[n]
         if p != n:
@@ -203,7 +202,8 @@ class TestEmCorrections:
 
 
 class TestUnitPowers:
-    TS = (1e5, 19999.9, 1e4, 1234.5678, 14.134725141734693, 0.5)
+    TS = (1e5, 19999.9, 1e4, 1755.0, 1753.5, 1234.5678, 14.134725141734693,
+          0.5)
 
     def test_bit_identical_to_scalar_loop(self, monkeypatch):
         """From an empty table: descending N grows it once and the rest
