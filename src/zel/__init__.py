@@ -7,7 +7,7 @@ saddle-radius contour integral, empirical grid average), Bessel-product
 asymptotics, and exceedance-measure tail predictions.
 """
 
-from .special_fn import bessel_i0, log_bessel_i0, g_constant, a_constant
+from .special_fn import log_bessel_i0, g_constant, a_constant
 from .prime_poly import (PolySpec, PrimeTable, TGrid, lambda_sum, max_spacing,
                          poly_eval, sieve, von_mangoldt_table)
 from .zeta_core import (NearZeroOnPath, ZetaAccuracyWarning, ZetaPoleError,
@@ -16,14 +16,13 @@ from .zeta_core import (NearZeroOnPath, ZetaAccuracyWarning, ZetaPoleError,
 from .moments import (MomentResult, bessel_product, contour_moment,
                       empirical_moment, exact_moment, exp_moment_trimmed)
 from .tails import (ExceedanceCurve, FAMILIES, TailPrediction,
-                    measure_exceedance_eta, measure_exceedance_poly,
-                    measure_exceedance_poly_multi, predict_tail,
-                    solve_saddle_critical, solve_saddle_strip)
+                    measure_exceedance_eta, measure_exceedance_poly_multi,
+                    predict_tail, solve_saddle_critical, solve_saddle_strip)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "bessel_i0", "log_bessel_i0", "g_constant", "a_constant",
+    "log_bessel_i0", "g_constant", "a_constant",
     "PolySpec", "PrimeTable", "TGrid", "lambda_sum", "max_spacing",
     "poly_eval", "sieve", "von_mangoldt_table",
     "NearZeroOnPath", "ZetaAccuracyWarning", "ZetaPoleError",
@@ -33,7 +32,6 @@ __all__ = [
     "contour_moment", "empirical_moment", "exact_moment",
     "exp_moment_trimmed",
     "ExceedanceCurve", "FAMILIES", "TailPrediction",
-    "measure_exceedance_eta", "measure_exceedance_poly",
-    "measure_exceedance_poly_multi", "predict_tail", "solve_saddle_critical",
-    "solve_saddle_strip",
+    "measure_exceedance_eta", "measure_exceedance_poly_multi",
+    "predict_tail", "solve_saddle_critical", "solve_saddle_strip",
 ]

@@ -22,14 +22,15 @@ import sys
 
 from . import __version__
 from .emit import NonFiniteOutput, flags_cell, write_csv, write_json
-from .moments import contour_moment, empirical_moment, exact_moment
+from .moments import (MAX_CONTOUR_PRIMES, contour_moment, empirical_moment,
+                      exact_moment)
 from .prime_poly import SIEVE_LIMIT, PolySpec, PrimeTable, TGrid, dyadic_floor
 from .tails import (
     MAX_ETA_GRID,
     FAMILIES,
     eta_values,
     measure_exceedance_eta,
-    measure_exceedance_poly,
+    measure_exceedance_poly_multi,
     predict_tail,
 )
 
@@ -110,7 +111,14 @@ def cmd_moments(args: argparse.Namespace) -> int:
     if args.T is not None and not 0.0 < args.T < math.inf:
         raise ValueError(f"--T must be finite and > 0, got {args.T}")
     _check_sieve_cap(args.X)
-    table = PrimeTable.build(int(math.ceil(args.X)))
+    # pi(x) > x/ln x for x >= 17 (Rosser-Schoenfeld 1962): no sieve needed
+    fewest = math.floor(args.X / math.log(args.X)) if args.X >= 17 else 0
+    budgeted = [r for r in args.methods if r != "empirical"]
+    if budgeted and fewest > MAX_CONTOUR_PRIMES:
+        raise ValueError(f"--X {args.X:g} has more than {fewest} primes (pi(x) > "
+                         f"x/ln x), past the {budgeted[0]} budget {MAX_CONTOUR_PRIMES}")
+    if "contour" in args.methods or "empirical" in args.methods:  # exact sieves its own
+        table = PrimeTable.build(int(math.ceil(args.X)))
     empirical = {}
     if "empirical" in args.methods:
         if args.T is None:
@@ -175,7 +183,8 @@ def cmd_tail(args: argparse.Namespace) -> int:
         _check_sieve_cap(args.X)
         grid = TGrid.for_span(args.T, args.X, refine=args.refine)
         table = PrimeTable.build(int(math.ceil(args.X)))
-        curve = measure_exceedance_poly(spec, table, grid, list(args.V))
+        curve = measure_exceedance_poly_multi([spec], table, grid,
+                                              list(args.V))[0]
     else:
         if not 1 <= args.count <= MAX_ETA_GRID:
             raise ValueError(f"--count must be >= 1 and <= {MAX_ETA_GRID}, "

@@ -40,8 +40,9 @@ against the GEMM path that measured 1e-11 for u_p in plain doubles and
 double-double placement differs by ~7e-14.  Indices, kernel values and
 deconvolution factors depend only on x_p, so they are built once per pass.
 Cost O(points log NUFFT_BLOCK + primes * ES_WIDTH per block).  The blocks
-run on a pool of one thread per CPU the process may use, workers + 1 of
-them in flight: the caller's thread reduces each block-centre phase and
+run on a pool of one thread per CPU the process may use, at most
+MAX_POOL_WORKERS (each adds ~10 MB of peak memory), workers + 1 of them
+in flight: the caller's thread reduces each block-centre phase and
 forms the a_p, a worker spreads, FFTs (numpy's FFT releases the GIL) and
 deconvolves, and the blocks come back strictly in j order.  Each block
 is the same sequence of numpy operations on the same inputs as a serial
@@ -67,6 +68,7 @@ CHUNK_COLS = NUFFT_BLOCK // BLOCK_ROWS  # GEMM columns per yielded chunk
 ES_WIDTH = 16                   # ES spreading kernel width, fine-grid points
 ES_BETA = 2.30 * ES_WIDTH       # ES shape for 2x upsampling
 ES_NODES = 64                   # Gauss-Legendre nodes for the kernel transform
+MAX_POOL_WORKERS = 4            # NUFFT pool threads at most (~10 MB RSS each)
 
 # three-part Cody-Waite split of 2 pi; k*C1 and k*C2 are exact for k < 2^29
 _TWO_PI = 2.0 * math.pi
@@ -287,7 +289,8 @@ class TGrid:
         delta is dyadic_floor(2 pi/(3 log X) / refine), so refine=2 halves
         delta exactly; count*delta - T < delta.  Every phase t log p on the
         grid stays below (2T + delta) log X; a span past check_phase_range
-        is rejected here, before any prime table or kernel block is built.
+        is rejected here, before any prime table or kernel block is built;
+        a grid TGrid rejects names refine too when refine > 1.
         """
         if not refine >= 1:
             raise ValueError(f"refine must be >= 1, got {refine}")
@@ -295,7 +298,11 @@ class TGrid:
             raise ValueError("T must be positive")
         delta = dyadic_floor(max_spacing(X) / refine)
         check_phase_range(2.0 * T + delta, math.log(X), f"T={T:g}, X={X:g}")
-        return cls(t0=float(T), count=math.ceil(T / delta), delta=delta)
+        try:
+            return cls(t0=float(T), count=math.ceil(T / delta), delta=delta)
+        except ValueError as exc:
+            raise ValueError(f"{exc} at --refine {refine}" if refine > 1
+                             else exc) from None
 
     def t(self, j: int) -> float:
         return self.t0 + j * self.delta
@@ -420,10 +427,11 @@ def _nufft_plan(delta: float, omegas: np.ndarray,
 
 
 def _pool_workers() -> int:
-    """Threads for the NUFFT blocks: one per CPU this process may run on."""
+    """Threads for the NUFFT blocks: one per CPU this process may run on,
+    at most MAX_POOL_WORKERS."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        return min(len(os.sched_getaffinity(0)), MAX_POOL_WORKERS)
+    return min(os.cpu_count() or 1, MAX_POOL_WORKERS)
 
 
 def _nufft_block(a: np.ndarray, size: int, slots: np.ndarray, kern: np.ndarray,

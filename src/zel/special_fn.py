@@ -10,10 +10,10 @@ infinity because log I0(u) ~ u and 1/sigma > 1.  Both margins collapse as
 sigma -> 1/2 or 1, which is why everything here works with 1/sigma
 explicitly instead of hoping a generic quadrature notices.
 
-I0 evaluation switches from the power series to the large-x asymptotic
-expansion at x = 20; the two branches overlap to ~1e-12 relative there
-(checked in tests).  log_bessel_i0 never forms e^x, so it is safe far
-beyond the overflow point of I0 itself.  log_i0_slope, x I1(x)/I0(x),
+I0 is used in log form only.  log_bessel_i0 switches from the power series
+to the large-x asymptotic expansion at x = 20, where the two branches
+overlap to ~1e-12 relative (checked in tests), and never forms e^x, so it
+holds far past I0's own overflow (x ~ 713).  log_i0_slope, x I1(x)/I0(x),
 is the derivative of both branches term by term; the contour moments
 solve their saddle condition with it.
 """
@@ -101,16 +101,6 @@ def _by_branch(x, name: str, series, asymp):
     return float(out) if scalar else out
 
 
-def _i0_asymp(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return np.exp(x) / np.sqrt(2.0 * math.pi * x) * _i0_asymp_factor(x)
-
-
-def bessel_i0(x):
-    """I0(x) for real x >= 0.  Overflows to inf past ~713."""
-    return _by_branch(x, "bessel_i0", _i0_series, _i0_asymp)
-
-
 def _log_i0_asymp(x: np.ndarray) -> np.ndarray:
     return x - 0.5 * np.log(2.0 * math.pi * x) + np.log(_i0_asymp_factor(x))
 
@@ -145,13 +135,13 @@ def log_i0_slope(x):
 def _log_i0_taylor_coeffs(n_terms: int) -> np.ndarray:
     """c_k with log I0(u) = sum_{k>=1} c_k u^{2k} (radius |u| < j_0 ~ 2.405).
 
-    From I0 = sum a_n z^n in z = u^2, a_n = 4^-n (n!)^-2, via the standard
-    log-of-series recurrence n a_n = sum_{k<=n} k c_k a_{n-k}.
+    From I0 = sum a_n u^2n, a_n = 4^-n (n!)^-2 read off `_i0_terms` at q = 1/4
+    (0 past n = 10), by the recurrence n a_n = sum_{k<=n} k c_k a_{n-k}.
     """
-    a = np.empty(n_terms + 1)
+    a = np.zeros(n_terms + 1)
     a[0] = 1.0
-    for n in range(1, n_terms + 1):
-        a[n] = a[n - 1] / (4.0 * n * n)
+    for n, term in _i0_terms(np.array(0.25)):
+        a[n] = term
     c = np.zeros(n_terms + 1)
     for n in range(1, n_terms + 1):
         s = n * a[n]
@@ -162,10 +152,10 @@ def _log_i0_taylor_coeffs(n_terms: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def g_constant(sigma: float, *, nodes: int = 16) -> float:
+def g_constant(sigma: float) -> float:
     """G(sigma) for 1/2 < sigma < 1, relative accuracy ~1e-10 (contract: 1e-8).
 
-    Cached per (sigma, nodes): the strip saddle, A_m(sigma) and the
+    Cached per sigma: the strip saddle, A_m(sigma) and the
     self-check criteria ask for the same few sigma again and again.
 
     Split at u=1 and u=U=30:
@@ -192,7 +182,7 @@ def g_constant(sigma: float, *, nodes: int = 16) -> float:
 
     big_u = 30.0
     mid = integrate_adaptive(lambda u: log_bessel_i0(u) * u ** (-1.0 - a),
-                             1.0, big_u, rel_tol=1e-12, nodes=nodes)
+                             1.0, big_u, rel_tol=1e-12, nodes=16)
 
     t1 = big_u ** (1.0 - a) / (a - 1.0)
     t2 = (math.log(2.0 * math.pi) / a + math.log(big_u) / a + 1.0 / (a * a)) \
@@ -204,7 +194,7 @@ def g_constant(sigma: float, *, nodes: int = 16) -> float:
         rho = np.log(_i0_asymp_factor(u))
         return rho * v ** (a - 1.0)
 
-    tail_rho = big_u ** (-a) * integrate_fixed(rho_part, 0.0, 1.0, nodes=4 * nodes)
+    tail_rho = big_u ** (-a) * integrate_fixed(rho_part, 0.0, 1.0, nodes=64)
 
     return head + mid + tail_main + tail_rho
 

@@ -42,8 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prime_poly import (PolySpec, PrimeTable, TGrid, iter_poly_blocks, max_spacing,
-                         rotated_real)
+from .prime_poly import PrimeTable, TGrid, iter_poly_blocks, max_spacing, rotated_real
 from .special_fn import a_constant, g_constant
 from .zeta_core import ETA_SIGMA_MIN, NearZeroOnPath, eta_tilde, log_zeta_branched
 
@@ -51,7 +50,6 @@ __all__ = [
     "TailPrediction",
     "ExceedanceCurve",
     "FAMILIES",
-    "measure_exceedance_poly",
     "measure_exceedance_poly_multi",
     "measure_exceedance_eta",
     "eta_values",
@@ -131,10 +129,10 @@ def _exceed_counts(values: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def measure_exceedance_poly_multi(specs, table: PrimeTable, grid: TGrid,
                                   V_grid) -> list[ExceedanceCurve]:
-    """One streaming pass, one curve per spec; specs differ only in theta.
+    """Fraction of grid points with P(t) > V, per V and per spec, in one pass.
 
-    The complex block values serve every rotation, so a theta sweep costs
-    one kernel pass.
+    Specs differ only in theta: the complex block values serve every
+    rotation, so a theta sweep costs one kernel pass.
     """
     specs = list(specs)
     if not specs:
@@ -156,12 +154,6 @@ def measure_exceedance_poly_multi(specs, table: PrimeTable, grid: TGrid,
                             measure_fraction=counts[i] / grid.count,
                             exceed_counts=counts[i].copy())
             for i in range(len(specs))]
-
-
-def measure_exceedance_poly(spec: PolySpec, table: PrimeTable, grid: TGrid,
-                            V_grid) -> ExceedanceCurve:
-    """Fraction of grid points with P(t) > V, per V."""
-    return measure_exceedance_poly_multi([spec], table, grid, V_grid)[0]
 
 
 def eta_values(m: int, sigma: float, ts) -> list[complex | None]:

@@ -81,8 +81,6 @@ class NearZeroOnPath(RuntimeError):
     near the path)."""
 
     def __init__(self, alpha: float, t: float, detail: str = ""):
-        self.alpha = alpha
-        self.t = t
         super().__init__(
             f"branch walk unresolved near alpha={alpha:.6g} at t={t:.6g}"
             + (f": {detail}" if detail else ""))
@@ -116,10 +114,10 @@ _ZETA_FLOOR = 1e-12                 # |zeta| below this on a walk => flagged
 _STEP_ARG = 0.5 * math.pi           # a walk step moves arg zeta by under this
 _TURN_DRIFT = 1e-8                  # summed increments vs whole turns, at most
 _MEMO_CAP = 1 << 20
-# eta values need zeta(a + it) for every a >= sigma.  Left of the strip the
-# main sum's terms n^-a outgrow zeta itself and cancel in double precision:
-# against mpmath at t = 10, 2.8e-12 lost at a = -3, 5.9e-10 at -5 and
-# 1.1e2 (relative) at -15, none of it in the certified remainder.
+# zeta, and so eta values (they need zeta(a + it) for every a >= sigma),
+# stop here.  Left of the strip the main sum's terms n^-a outgrow zeta
+# and cancel in double precision: against mpmath at t = 10, 2.8e-12 lost
+# at a = -3, 5.9e-10 at -5 and 1.1e2 (relative) at -15, all unwarned.
 ETA_SIGMA_MIN = -3.0
 
 
@@ -312,11 +310,15 @@ def zeta(s: complex) -> complex:
     Frozen mpmath values up to t = 19999.9 match to 1e-15, phases stay
     exact at any t (`_unit_powers`), and the pole raises.  The warned
     remainder bounds truncation only: left of Re s = -1 the terms n^-sigma
-    cancel unwarned (6e-12 lost at s = -1.5 + 0.5i, 1.3e-9 at -3 + 0.5i).
+    cancel unwarned, up to 3e-9 relative off the zero at -2 (2.6e-9 at
+    -2.95 + 0.2i); at Re s <= ETA_SIGMA_MIN = -3 zeta raises ValueError.
     """
     s = complex(s)
     if s == 1:
         raise ZetaPoleError("zeta pole at s = 1")
+    if not s.real > ETA_SIGMA_MIN:
+        raise ValueError(f"zeta wants Re s > {ETA_SIGMA_MIN:g}, got {s}: further "
+                         "left its Euler-Maclaurin sum cancels away its digits")
     key = (s.real, s.imag)
     with _memo_lock:
         hit = _memo.get(key)

@@ -278,6 +278,35 @@ class TestMoments:
             "error: --T must be finite and > 0, got nan\n")
         assert not path.exists()
 
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The limits of the prime tables built during the test."""
+        limits, build = [], PrimeTable.build
+
+        def spy(limit):
+            limits.append(limit)
+            return build(limit)
+
+        monkeypatch.setattr(PrimeTable, "build", spy)
+        return limits
+
+    @pytest.mark.parametrize("methods", ["exact", "contour", "all"])
+    def test_prime_budget_before_sieve(self, capsys, built, methods):
+        # pi(1e8) = 5,761,455; x/ln x proves the budget passed without a sieve
+        for X in ("1e8", "1.5e6"):
+            rc = cli.main(["moments", "--sigma", "0.5", "--m", "1", "--X", X,
+                           "--T", "1e3", "--k", "2", "--methods", methods])
+            assert rc == 2
+            route = "contour" if methods == "contour" else "exact"
+            assert capsys.readouterr().err.endswith(
+                f"primes (pi(x) > x/ln x), past the {route} budget 100000\n")
+        assert built == []
+
+    def test_exact_route_builds_one_table(self, tmp_path, built):
+        run_lines(["moments", "--sigma", "0.5", "--m", "1", "--X", "31",
+                   "--k", "2", "--methods", "exact"], tmp_path)
+        assert built == [31]
+
     def test_contour_order_limit(self, capsys):
         rc = cli.main(["moments", "--sigma", "0.5", "--m", "1", "--X", "3",
                        "--T", "1e4", "--k", "600", "--methods", "contour"])
@@ -460,6 +489,11 @@ class TestTail:
                               f"spacing {spacing!r} exceeds the exact-double "
                               f"dyadic range (2^53 units of 2^-")
         assert err.count("\n") == 1
+        # the refinement that drove the count up is named with it
+        if "--refine" in argv:
+            assert err.endswith(") at --refine 1000000000000\n")
+        else:
+            assert "--refine" not in err
 
     @pytest.mark.parametrize("route", ["poly", "eta"])
     @pytest.mark.parametrize("V,shown", [("nan", "nan"), ("0.5,inf", "inf")])

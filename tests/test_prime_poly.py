@@ -538,6 +538,16 @@ class TestNufftPool:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_workers_capped(self, monkeypatch):
+        # one thread per CPU, but never more than MAX_POOL_WORKERS; no pool
+        before = threading.active_count()
+        for cpus, want in ((1, 1), (64, prime_poly.MAX_POOL_WORKERS)):
+            monkeypatch.setattr(prime_poly.os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)), raising=False)
+            assert prime_poly._pool_workers() == want
+        assert prime_poly.MAX_POOL_WORKERS == 4
+        assert threading.active_count() == before
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_close_after_first_block_joins_pool(self, monkeypatch, workers):
         monkeypatch.setattr(prime_poly, "_pool_workers", lambda: workers)

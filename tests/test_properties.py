@@ -18,7 +18,7 @@ from zel.prime_poly import (BLOCK_ROWS, CHUNK_COLS, NUFFT_BLOCK, PolySpec,
                             PrimeTable, TGrid, dyadic_floor,
                             iter_poly_blocks, max_spacing, phase_mod_two_pi,
                             sieve)
-from zel.tails import measure_exceedance_poly
+from zel.tails import measure_exceedance_poly_multi
 
 from grid_helpers import poly_eval_batch, t_array
 
@@ -50,7 +50,8 @@ def test_exceedance_counts_nonincreasing_in_v(sigma, theta, vs):
     spec = PolySpec(m=0, sigma=sigma, theta=theta, X=31.0)
     grid = TGrid.for_span(1e3, 31.0)
     v = sorted(vs)
-    counts = measure_exceedance_poly(spec, TABLE, grid, v).exceed_counts
+    counts = measure_exceedance_poly_multi([spec], TABLE, grid,
+                                           v)[0].exceed_counts
     assert np.all(np.diff(counts) <= 0)
     values = poly_eval_batch(spec, TABLE, grid)
     assert counts.tolist() == [int(np.sum(values > x)) for x in v]
@@ -61,7 +62,8 @@ def _chunked(spec, grid, v, chunk_cols):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(prime_poly, "CHUNK_COLS", chunk_cols)
         z = np.concatenate([b for _, b in iter_poly_blocks(spec, TABLE, grid)])
-        counts = measure_exceedance_poly(spec, TABLE, grid, v).exceed_counts
+        counts = measure_exceedance_poly_multi([spec], TABLE, grid,
+                                               v)[0].exceed_counts
     return z, counts
 
 
@@ -90,7 +92,8 @@ def _with_block_lengths(spec, grid, v, rows, block):
         mp.setattr(prime_poly, "BLOCK_ROWS", rows)
         mp.setattr(prime_poly, "NUFFT_BLOCK", block)
         z = np.concatenate([b for _, b in iter_poly_blocks(spec, TABLE, grid)])
-        counts = measure_exceedance_poly(spec, TABLE, grid, v).exceed_counts
+        counts = measure_exceedance_poly_multi([spec], TABLE, grid,
+                                               v)[0].exceed_counts
     return z, counts
 
 

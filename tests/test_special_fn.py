@@ -5,15 +5,18 @@ import pytest
 import scipy.special as sp
 
 from zel import special_fn
-from zel.special_fn import (I0_SWITCH, a_constant, bessel_i0, g_constant,
+from zel.special_fn import (I0_SWITCH, a_constant, g_constant,
                             log_bessel_i0, log_i0_slope,
                             _i0_asymp_factor, _i0_series)
 
 import oracle_values as ov
 
 
+# A relative error e in I0 is an absolute error of about e in log I0, so
+# the log-form checks below hold the tolerances of the plain-I0 ones.
+
+
 def test_i0_zero_is_one():
-    assert bessel_i0(0.0) == 1.0
     assert log_bessel_i0(0.0) == 0.0
 
 
@@ -23,18 +26,19 @@ def test_i0_truncated_series_oracle():
         acc = 0.0
         for n in range(31):
             acc += (x / 2.0) ** (2 * n) / math.factorial(n) ** 2
-        assert bessel_i0(x) == pytest.approx(acc, rel=1e-14)
+        assert log_bessel_i0(x) == pytest.approx(math.log(acc), abs=1e-14)
 
 
 def test_i0_frozen_values():
     for x, want in ov.I0_VALUES.items():
-        assert bessel_i0(x) == pytest.approx(want, rel=5e-13)
+        assert log_bessel_i0(x) == pytest.approx(math.log(want), abs=5e-13)
 
 
 def test_i0_against_scipy_grid():
+    # both branches and the switch between them; scipy's i0e is e^-x I0(x)
     xs = np.linspace(0.0, 600.0, 4001)
-    rel = np.abs(bessel_i0(xs) - sp.i0(xs)) / sp.i0(xs)
-    assert rel.max() < 1e-12
+    want = np.log(sp.i0e(xs)) + xs
+    assert np.max(np.abs(log_bessel_i0(xs) - want)) < 1e-12
 
 
 def test_i0_branch_overlap_at_switch():
@@ -45,15 +49,16 @@ def test_i0_branch_overlap_at_switch():
 
 
 def test_i0_bounds():
+    # 1 <= I0(x) <= e^x
     xs = np.linspace(0.0, 200.0, 500)
-    v = bessel_i0(xs)
-    assert np.all(v >= 1.0)
-    assert np.all(v <= np.exp(xs) + 1e-12)
+    v = log_bessel_i0(xs)
+    assert np.all(v >= 0.0)
+    assert np.all(v <= xs + 1e-12)
 
 
 def test_i0_rejects_bad_input():
     with pytest.raises(ValueError):
-        bessel_i0(-1.0)
+        log_bessel_i0(-1.0)
     with pytest.raises(ValueError):
         log_bessel_i0(float("nan"))
 
@@ -98,12 +103,20 @@ def test_g_frozen_values():
         assert g_constant(s) == pytest.approx(want, rel=ov.G_RTOL[s])
 
 
-def test_g_positive_and_node_stable():
-    for s in (0.55, 0.6, 0.75, 0.9, 0.97):
-        v16 = g_constant(s, nodes=16)
-        v32 = g_constant(s, nodes=32)
-        assert v16 > 0.0
-        assert abs(v32 - v16) <= 1e-8 * abs(v16)
+def test_g_positive_and_node_stable(monkeypatch):
+    # G's quadratures at twice their node counts (32/128 against 16/64);
+    # __wrapped__ skips g_constant's cache
+    sigmas = (0.55, 0.6, 0.75, 0.9, 0.97)
+    v16 = [g_constant.__wrapped__(s) for s in sigmas]
+    adaptive, fixed = special_fn.integrate_adaptive, special_fn.integrate_fixed
+    monkeypatch.setattr(special_fn, "integrate_adaptive",
+                        lambda *a, nodes, **kw: adaptive(*a, nodes=2 * nodes, **kw))
+    monkeypatch.setattr(special_fn, "integrate_fixed",
+                        lambda *a, nodes: fixed(*a, nodes=2 * nodes))
+    v32 = [g_constant.__wrapped__(s) for s in sigmas]
+    for a, b in zip(v16, v32):
+        assert a > 0.0
+        assert a != b and abs(b - a) <= 1e-8 * abs(a)
 
 
 def test_g_domain():

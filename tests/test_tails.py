@@ -22,7 +22,6 @@ from zel.tails import (
     TailPrediction,
     eta_values,
     measure_exceedance_eta,
-    measure_exceedance_poly,
     measure_exceedance_poly_multi,
     predict_tail,
     solve_saddle_critical,
@@ -80,28 +79,28 @@ class TestCurveTypes:
 class TestMeasurePoly:
     def test_global_lower_bound(self, table31, grid1e4, abs_sum_08):
         """V below -sum|w| catches every grid point."""
-        curve = measure_exceedance_poly(SPEC08, table31, grid1e4,
-                                        [-abs_sum_08 - 1.0])
+        curve = measure_exceedance_poly_multi([SPEC08], table31, grid1e4,
+                                              [-abs_sum_08 - 1.0])[0]
         assert curve.exceed_counts[0] == grid1e4.count
         assert curve.measure_fraction[0] == 1.0
 
     def test_global_upper_bound(self, table31, grid1e4, abs_sum_08):
-        curve = measure_exceedance_poly(SPEC08, table31, grid1e4,
-                                        [abs_sum_08 + 1.0])
+        curve = measure_exceedance_poly_multi([SPEC08], table31, grid1e4,
+                                              [abs_sum_08 + 1.0])[0]
         assert curve.exceed_counts[0] == 0
         assert curve.measure_fraction[0] == 0.0
 
     def test_monotone_in_v(self, table31, grid1e4, abs_sum_08):
         v = np.linspace(-abs_sum_08 - 1, abs_sum_08 + 1, 17)
-        curve = measure_exceedance_poly(SPEC08, table31, grid1e4, v)
+        curve = measure_exceedance_poly_multi([SPEC08], table31, grid1e4, v)[0]
         assert np.all(np.diff(curve.exceed_counts) <= 0)
 
     def test_refinement_stability(self, table31, grid1e4):
         v = np.linspace(-1.0, 2.5, 8)
-        coarse = measure_exceedance_poly(SPEC08, table31, grid1e4, v)
+        coarse = measure_exceedance_poly_multi([SPEC08], table31, grid1e4, v)[0]
         half = TGrid.for_span(1e4, 31.0, refine=2)
         assert half.delta == grid1e4.delta / 2
-        fine = measure_exceedance_poly(SPEC08, table31, half, v)
+        fine = measure_exceedance_poly_multi([SPEC08], table31, half, v)[0]
         gap = np.abs(coarse.measure_fraction - fine.measure_fraction)
         assert gap.max() <= 2.0 / grid1e4.count + 1e-3
 
@@ -110,7 +109,7 @@ class TestMeasurePoly:
         v = np.linspace(-1.0, 2.0, 5)
         curves = measure_exceedance_poly_multi(specs, table31, grid1e4, v)
         for s, c in zip(specs, curves):
-            single = measure_exceedance_poly(s, table31, grid1e4, v)
+            single = measure_exceedance_poly_multi([s], table31, grid1e4, v)[0]
             assert np.array_equal(c.exceed_counts, single.exceed_counts)
             assert np.array_equal(c.measure_fraction, single.measure_fraction)
 
@@ -124,19 +123,19 @@ class TestMeasurePoly:
         # delta = 1.0 is far above 2 pi / (3 log 31) ~ 0.61
         bad = TGrid(t0=1e4, count=100, delta=1.0)
         with pytest.raises(ValueError, match="spacing"):
-            measure_exceedance_poly(SPEC08, table31, bad, [1.0])
+            measure_exceedance_poly_multi([SPEC08], table31, bad, [1.0])
 
     @pytest.mark.parametrize("V", [[math.nan], [1.0, math.inf]])
     def test_nonfinite_v_rejected(self, table31, grid1e4, V):
         with pytest.raises(ValueError, match="^V must be finite, got "):
-            measure_exceedance_poly(SPEC08, table31, grid1e4, V)
+            measure_exceedance_poly_multi([SPEC08], table31, grid1e4, V)
 
     def test_strict_exceedance_at_tie(self, table31):
         """A grid value exactly equal to V does not count as exceeding."""
         one = TGrid(t0=0.0, count=1, delta=0.5)   # t = 0: P(0) = sum of weights
         spec = PolySpec(m=0, sigma=0.8, theta=0.0, X=31.0)
         top = float(np.sum(table31.weights(0, 0.8)))
-        curve = measure_exceedance_poly(spec, table31, one, [top])
+        curve = measure_exceedance_poly_multi([spec], table31, one, [top])[0]
         assert curve.exceed_counts[0] == 0
 
 

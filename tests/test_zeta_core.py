@@ -98,6 +98,14 @@ class TestZeta:
         with pytest.raises(ZetaPoleError):
             zeta(1 + 0j)
 
+    def test_left_of_strip(self):
+        # the docstring's loss holds down to Re s = -3; further left zeta refuses
+        for s in (-15 + 10j, -3 + 0.5j):
+            with pytest.raises(ValueError, match="cancels away its digits"):
+                zeta(s)
+        want = complex(mpmath.zeta(mpmath.mpc(-2.9, 10.0)))
+        assert abs(zeta(-2.9 + 10j) - want) <= 3e-9 * abs(want)
+
     def test_near_first_zero(self):
         z = zeta(complex(0.5, 14.134725141734693))
         assert abs(z) < 1e-6
@@ -186,7 +194,9 @@ class TestEmCorrections:
     def test_no_bound_left_of_minus_three(self, sigma, t):
         """R_k needs sigma + 2k + 1 > 0: at sigma = -3 (and -5) R_1 (and
         R_2) is inf instead of a division by zero, the sum goes on to a
-        term it can bound, and zeta meets mpmath."""
+        term it can bound, and the Euler-Maclaurin sum meets mpmath here
+        (zeta itself refuses Re s <= -3, where the sum may cancel away its
+        digits at small t)."""
         s = complex(sigma, t)
         N = zeta_core._em_terms(t)
         _, npow = zeta_core._em_head(s, sigma, _unit_powers(N + 1, t), N)
@@ -196,9 +206,11 @@ class TestEmCorrections:
         assert all(0 < r < math.inf for r in rems[cut:])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = zeta(s)
+            got = zeta_core._em_zeta(sigma, t)
         want = complex(mpmath.zeta(mpmath.mpc(sigma, t)))
         assert abs(got - want) <= 1e-11 * abs(want)
+        with pytest.raises(ValueError, match="cancels away its digits"):
+            zeta(s)
 
 
 class TestUnitPowers:
