@@ -3,7 +3,10 @@
 zeta(s) is evaluated by Euler-Maclaurin summation over n < 0.57|t| + 25,
 with n^{-it} built per t from one grow-only table of the primes, their
 double-double logs and each composite's least prime factor, filled one
-dyadic block of n at a time.  One head and one generator of B_2k terms,
+dyadic block of n at a time.  The logs come from a vectorised table-driven
+log carried to three doubles and rounded to what a 40-digit Decimal log
+gives, bit for bit: a rounding test sends the rare prime whose last bit
+it cannot settle to Decimal.  One head and one generator of B_2k terms,
 each carried from the last by its ratio with its remainder bound, serve
 one point and an (alpha x t) grid.  log zeta carries the branch fixed by
 horizontal continuation from the far right half-plane, where the
@@ -121,6 +124,16 @@ _MEMO_CAP = 1 << 20
 ETA_SIGMA_MIN = -3.0
 
 
+# ---------------------------------------------------------------------------
+# prime logs
+
+# a priori bound on |H + L + X - log p| / log p for `_table_logs`
+_TABLE_LOG_ERR = 2.0 ** -128
+# the rounding test's: that, a 40-digit Decimal log's 5e-40 (2^-130.5) and
+# room to spare
+_LOG_ERR = 64 * _TABLE_LOG_ERR
+
+
 def _decimal_log(p: int) -> tuple[float, float]:
     """log p as a double-double (hi + lo), 40 decimal digits upstream."""
     with localcontext() as ctx:
@@ -131,14 +144,132 @@ def _decimal_log(p: int) -> tuple[float, float]:
     return hi, lo
 
 
+def _two_sum(a, b):
+    """(s, e) with s + e == a + b exactly (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _dd_mul(ah, al, bh, bl):
+    """(ah + al)(bh + bl) as a double-double, to about 2^-104 relative."""
+    p, e = _two_product(ah, bh)
+    e = e + (ah * bl + al * bh)
+    hi = p + e
+    return hi, e - (hi - p)
+
+
+def _dd_add(ah, al, bh, bl):
+    """(ah + al) + (bh + bl) as a double-double, for terms of one sign."""
+    s, e = _two_sum(ah, bh)
+    e = e + (al + bl)
+    hi = s + e
+    return hi, e - (hi - s)
+
+
+def _half_gap(x):
+    """Half the gap from x to its nearer neighbouring double: any value
+    closer to x than this rounds to x."""
+    gap = np.spacing(np.abs(x))
+    return np.where(np.abs(np.frexp(x)[0]) == 0.5, 0.25 * gap, 0.5 * gap)
+
+
+@lru_cache(maxsize=1)
+def _log_constants() -> tuple[np.ndarray, list[tuple[float, float]]]:
+    """The log table as a (3, 129) array, and 1/3, 1/5, ..., 1/13 as
+    double-doubles; built on first use (about 0.3 ms), not at import."""
+    table = np.array([float.fromhex(h) for h in _LOG_TABLE_HEX.split()])
+    inverses = [(1 / k, float(Fraction(1, k) - Fraction(1 / k)))
+                for k in range(3, 15, 2)]
+    return table.reshape(129, 3).T, inverses
+
+
+def _table_logs(primes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """log p for integers 2 <= p < 2^44 as three doubles (H, L, X), with
+    H + L + X within _TABLE_LOG_ERR |log p| of log p, L the nearest double
+    to L + X and H the nearest to the sum unless it lies near a tie.
+
+    Tang's table-driven log (ACM TOMS 16, 1990) carried in Dekker's
+    double-double arithmetic (Numer. Math. 18, 1971).  Write p = m 2^e with
+    m in [1, 2), take c = 1 + j/128 nearest m, and s = (m - c)/(m + c),
+    |s| <= 2^-9, as three doubles: the quotient of two integers below
+    2^53, each remainder exact.  Then
+
+        log p = e log 2 + log c + 2s + 2s^3 P(s^2),  P(z) = sum_k z^k/(2k+3),
+
+    with P in double-double to z^5 and log 2 and log c read as three
+    doubles each.  The thirteen parts are summed exactly into two doubles
+    and a third that carries the rounding, and split once more into
+    (H, L, X).  The bound: 2s^3 P is under 2^-27.5 and off by at most
+    27u^2 = 2^-101.2 relative (u = 2^-53: three double-double products at
+    7u^2, the last Horner sum at 3u^2, the parts of s and 1/3 it drops at
+    3u^2); the rest (the tail past z^5, the tables, the third double's
+    sums) is under 2^-137.  That is 2^-128.8 absolute, under 2^-128 of
+    log p >= log 2.  Against 60-digit logs the primes below 1e6 give at
+    most 2^-135.3.
+    """
+    table, inverses = _log_constants()
+    p = np.asarray(primes, dtype=float)
+    frac, e = np.frexp(p)
+    e -= 1                                      # p = m 2^e, m = 2 frac
+    j = np.rint(256.0 * frac) - 128.0           # c = 1 + j/128
+    cp = np.ldexp(128.0 + j, e)                 # 128 c 2^e
+    num, den = 128.0 * p - cp, 128.0 * p + cp   # s = num/den, both exact
+    s = [num / den]
+    rem = num
+    for _ in range(2):                          # Dekker: rem - s_k den exact
+        ph, pl = _two_product(s[-1], den)
+        rem = (rem - ph) - pl
+        s.append(rem / den)
+    z = _dd_mul(s[0], s[1], s[0], s[1])
+    q = inverses[-1]
+    for inv in inverses[-2::-1]:
+        q = _dd_add(*_dd_mul(*q, *z), *inv)
+    w = _dd_mul(*_dd_mul(s[0], s[1], *z), *q)  # atanh s - s
+    e = e.astype(float)
+    t = table[:, j.astype(np.int64)]
+    l2 = table[:, 128]
+    a0, a1 = _two_product(e, l2[0])
+    a2, a3 = _two_product(e, l2[1])
+    hi = mid = low = 0.0
+    for x in (a0, t[0], 2 * s[0], 2 * w[0], a1, a2, t[1], 2 * s[1],
+              2 * w[1], a3, e * l2[2], t[2], 2 * s[2]):
+        hi, x = _two_sum(hi, x)
+        mid, x = _two_sum(mid, x)
+        low = low + x
+    hi, mid = _two_sum(hi, mid)
+    lo, rest = _two_sum(mid, low)
+    return hi, lo, rest
+
+
+def _rounding_settled(hi, lo, rest) -> np.ndarray:
+    """Where every value within _LOG_ERR |hi| of hi + lo + rest (so log p,
+    and its 40-digit Decimal value) has the double-double (hi, lo): Ziv's
+    rounding test (ACM TOMS 17, 1991)."""
+    slack = np.abs(rest) + _LOG_ERR * np.abs(hi)
+    return (slack < _half_gap(hi) - np.abs(lo)) & (slack < _half_gap(lo))
+
+
+def _prime_logs(primes) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) arrays of the double-double logs of integer primes, bit for
+    bit `_decimal_log`'s: `_table_logs`, with `_decimal_log` only where the
+    rounding test cannot settle the last bit (27 of the 78,498 primes below
+    1e6, the first 18,061)."""
+    hi, lo, rest = _table_logs(primes)
+    for i in np.flatnonzero(~_rounding_settled(hi, lo, rest)):
+        hi[i], lo[i] = _decimal_log(int(primes[i]))
+    return hi, lo
+
+
 class _FactorTable:
     """Grow-only primes, their double-double logs and composite factors.
 
     The composites c are one (3, count) int array of (c, c // spf(c),
     spf(c)), ascending in c, with spf(c) the least prime factor.  The
     sieve limit doubles on growth (under 0.1 us per n), but a prime is
-    logged only once it falls below a requested n: a Decimal log costs
-    about 70 us, and t often spans a narrow range.
+    logged only once it falls below a requested n, one `_prime_logs` batch
+    per growth (about 0.6 ms and 1 us per prime), and t often spans a
+    narrow range.
     """
 
     def __init__(self):
@@ -164,9 +295,9 @@ class _FactorTable:
             if self._limit < n:
                 self._sieve_to(max(n, 2 * self._limit))
             count = int(np.searchsorted(self._primes, n))
-            new = self._primes[self._logs.shape[1]:count].tolist()
-            if new:
-                logs = np.array([_decimal_log(p) for p in new]).T
+            done = self._logs.shape[1]
+            if count > done:
+                logs = _prime_logs(self._primes[done:count])
                 self._logs = np.concatenate((self._logs, logs), axis=1)
             comp = self._composites
             return (self._primes[:count], self._logs[:, :count],
@@ -738,3 +869,139 @@ def s_m(m: int, t):
     else:
         vals = np.array([_s_eta(m, u) for u in flat.tolist()])
     return float(vals[0]) if ts.ndim == 0 else vals
+
+
+# log(1 + j/128) for j = 0..128 as three doubles each, every one rounded
+# from what the ones before it leave of a 60-digit Decimal log; row 128 is
+# log 2.  tests/test_zeta_core.py rebuilds it bit for bit.
+_LOG_TABLE_HEX = """
+    0x0.0p+0 0x0.0p+0 0x0.0p+0
+    0x1.fe02a6b106789p-8 -0x1.e44b7e3711ebfp-67 0x1.a567b6587df34p-121
+    0x1.fc0a8b0fc03e4p-7 -0x1.83092c59642a1p-62 -0x1.52414fc416fc2p-116
+    0x1.7b91b07d5b11bp-6 -0x1.5b602ace3a510p-60 0x1.dcd4f102a521dp-118
+    0x1.f829b0e783300p-6 0x1.33e3f04f1ef23p-60 -0x1.814544147acc9p-114
+    0x1.39e87b9febd60p-5 -0x1.5bfa937f551bbp-59 0x1.c8d57ae1e11bdp-114
+    0x1.77458f632dcfcp-5 0x1.18d3ca87b9296p-59 0x1.63c9bf701b2a9p-116
+    0x1.b42dd711971bfp-5 -0x1.eb9759c130499p-60 -0x1.6b5431d9cbf04p-116
+    0x1.f0a30c01162a6p-5 0x1.85f325c5bbacdp-59 -0x1.0ece597165991p-113
+    0x1.16536eea37ae1p-4 -0x1.79da3e8c22cdap-60 -0x1.b925bd6fa5998p-116
+    0x1.341d7961bd1d1p-4 -0x1.b599f227becbbp-58 -0x1.15fbcbe26b491p-113
+    0x1.51b073f06183fp-4 0x1.a49e39a1a8be4p-58 0x1.584bc9c7e09bcp-112
+    0x1.6f0d28ae56b4cp-4 -0x1.906d99184b992p-58 -0x1.bf31af3e109afp-112
+    0x1.8c345d6319b21p-4 -0x1.4a697ab3424a9p-61 -0x1.e547ecfe0df94p-115
+    0x1.a926d3a4ad563p-4 0x1.942f48aa70ea9p-58 0x1.8f353ecfc45dap-113
+    0x1.c5e548f5bc743p-4 0x1.5d617ef8161b1p-60 0x1.da7659abe370ep-114
+    0x1.e27076e2af2e6p-4 -0x1.61578001e0162p-60 0x1.55db94ebc4018p-116
+    0x1.fec9131dbeabbp-4 -0x1.5746b9981b36cp-58 -0x1.c4016e1d457eep-112
+    0x1.0d77e7cd08e59p-3 0x1.9a5dc5e9030acp-57 -0x1.71dbd9a581398p-111
+    0x1.1b72ad52f67a0p-3 0x1.483023472cd74p-58 -0x1.81887026f66adp-112
+    0x1.29552f81ff523p-3 0x1.301771c407dbfp-57 -0x1.977b021b7c784p-111
+    0x1.371fc201e8f74p-3 0x1.de6cb62af18a0p-58 -0x1.a2fc19b24ab16p-113
+    0x1.44d2b6ccb7d1ep-3 0x1.9f4f6543e1f88p-57 -0x1.f3be9a8337458p-111
+    0x1.526e5e3a1b438p-3 -0x1.746ff8a470d3ap-57 0x1.a6dbcc63b5444p-111
+    0x1.5ff3070a793d4p-3 -0x1.bc60efafc6f6ep-58 -0x1.1406554719540p-113
+    0x1.6d60fe719d21dp-3 -0x1.caae268ecd179p-57 -0x1.c825cda7da31dp-114
+    0x1.7ab890210d909p-3 0x1.be36b2d6a0608p-59 0x1.91ff852536204p-117
+    0x1.87fa06520c911p-3 -0x1.bf7fdbfa08d9ap-57 -0x1.0a5aa8fb49481p-112
+    0x1.9525a9cf456b4p-3 0x1.d904c1d4e2e26p-57 -0x1.89d9afa096184p-111
+    0x1.a23bc1fe2b563p-3 0x1.93711b07a998cp-59 0x1.3f1f8db36c599p-114
+    0x1.af3c94e80bff3p-3 -0x1.398cff3641985p-58 -0x1.a262591d1968bp-114
+    0x1.bc286742d8cd6p-3 0x1.4fce744870f55p-58 -0x1.e1d3c235b937cp-115
+    0x1.c8ff7c79a9a22p-3 -0x1.4f689f8434012p-57 0x1.a24ae3b2f53a1p-111
+    0x1.d5c216b4fbb91p-3 0x1.6e443597e4d40p-57 0x1.c3c6ce7a257f4p-113
+    0x1.e27076e2af2e6p-3 -0x1.61578001e0162p-59 0x1.55db94ebc4018p-115
+    0x1.ef0adcbdc5936p-3 0x1.48637950dc20dp-57 -0x1.eb052d7b3cbe3p-111
+    0x1.fb9186d5e3e2bp-3 -0x1.caaae64f21acbp-57 -0x1.35f6dfd3ddd52p-111
+    0x1.0402594b4d041p-2 -0x1.28ec217a5022dp-57 -0x1.0dddc4cf9a1f9p-111
+    0x1.0a324e27390e3p-2 0x1.7dcfde8061c03p-56 0x1.c51bc06b5f7c1p-113
+    0x1.1058bf9ae4ad5p-2 0x1.89fa0ab4cb31dp-58 -0x1.eb31a74640ec7p-116
+    0x1.1675cababa60ep-2 0x1.ce63eab883717p-61 0x1.1f833e82521e1p-119
+    0x1.1c898c16999fbp-2 -0x1.0e5c62aff1c44p-60 -0x1.e623be88a509bp-115
+    0x1.22941fbcf7966p-2 -0x1.76f5eb09628afp-56 -0x1.a168b2a9642c4p-111
+    0x1.2895a13de86a3p-2 0x1.7ad24c13f040ep-56 0x1.62d6a3aacbe58p-110
+    0x1.2e8e2bae11d31p-2 -0x1.8f4cdb95ebdf9p-56 -0x1.864244294826fp-111
+    0x1.347dd9a987d55p-2 -0x1.4dd4c580919f8p-57 0x1.ee510a580b3b3p-111
+    0x1.3a64c556945eap-2 -0x1.c68651945f97cp-57 0x1.beb7a3cee7e03p-111
+    0x1.404308686a7e4p-2 -0x1.0bcfb6082ce6dp-56 -0x1.9ea6f9f60989cp-110
+    0x1.4618bc21c5ec2p-2 0x1.f42decdeccf1dp-56 -0x1.77d446996da00p-111
+    0x1.4be5f957778a1p-2 -0x1.259b35b04813dp-57 0x1.1eb953458673dp-112
+    0x1.51aad872df82dp-2 0x1.3927ac19f55e3p-59 0x1.1d4f4f357cbfbp-115
+    0x1.5767717455a6cp-2 0x1.526adb283660cp-56 -0x1.7f83a3e5e6736p-111
+    0x1.5d1bdbf5809cap-2 0x1.4236383dc7fe1p-56 0x1.59f380b4a6b43p-112
+    0x1.62c82f2b9c795p-2 0x1.7b7af915300e5p-57 0x1.7391362aee92cp-113
+    0x1.686c81e9b14afp-2 -0x1.ddea0f7f58e3dp-57 0x1.2c96f6f68e19dp-111
+    0x1.6e08eaa2ba1e4p-2 -0x1.cfb1b39ca3a0fp-56 -0x1.0fce95182c66ap-110
+    0x1.739d7f6bbd007p-2 -0x1.8c76ceb014b04p-56 -0x1.0d2a910f7918bp-111
+    0x1.792a55fdd47a2p-2 0x1.f057691fe9ed7p-56 -0x1.fa980f34439f2p-110
+    0x1.7eaf83b82afc3p-2 0x1.92ce979ed2950p-56 0x1.0dc5832ff2fdcp-110
+    0x1.842d1da1e8b17p-2 0x1.24ec519784676p-56 0x1.a23c11851c7cep-110
+    0x1.89a3386c1425bp-2 -0x1.29639dfbbf0fbp-56 0x1.6cfff18ca06d0p-110
+    0x1.8f11e873662c7p-2 0x1.f85da755a61a3p-56 -0x1.9a18d00d0fc6fp-110
+    0x1.947941c2116fbp-2 -0x1.16cc8bae0bbe4p-56 -0x1.515b58cf688d8p-110
+    0x1.99d958117e08bp-2 -0x1.a2b6889dc3e72p-57 -0x1.16d1238da82edp-115
+    0x1.9f323ecbf984cp-2 -0x1.a92e513217f5cp-59 0x1.0c0cfa41ff669p-113
+    0x1.a484090e5bb0ap-2 0x1.5fe535b875a75p-57 -0x1.a6c6290af394ap-111
+    0x1.a9cec9a9a084ap-2 -0x1.cadec02b436afp-56 -0x1.420f701b88eccp-111
+    0x1.af1293247786bp-2 0x1.133844a15dc28p-58 0x1.87134125f21c2p-115
+    0x1.b44f77bcc8f63p-2 -0x1.cd04495459c78p-56 -0x1.c437eb152cbdep-110
+    0x1.b9858969310fbp-2 0x1.663ec53e23bc4p-56 -0x1.8437e3152e77fp-110
+    0x1.beb4d9da71b7cp-2 -0x1.0f3c590a887cap-59 -0x1.b495a7c83dffcp-113
+    0x1.c3dd7a7cdad4dp-2 0x1.cecf052dea69bp-56 0x1.82ed46395f605p-110
+    0x1.c8ff7c79a9a22p-2 -0x1.4f689f8434012p-56 0x1.a24ae3b2f53a1p-110
+    0x1.ce1af0b85f3ebp-2 0x1.edf4af2ab4267p-56 0x1.2710c64600598p-110
+    0x1.d32fe7e00ebd5p-2 0x1.877b232fafa37p-56 -0x1.73aa590050815p-115
+    0x1.d83e7258a2f3ep-2 0x1.41456e8bb2511p-56 0x1.d4a129983048fp-113
+    0x1.dd46a04c1c4a1p-2 -0x1.0467656d8b892p-56 0x1.fe9f50684ce6cp-112
+    0x1.e24881a7c6c26p-2 0x1.cbd8f45954a46p-58 0x1.b1500f7c5d938p-113
+    0x1.e744261d68788p-2 -0x1.c825c90c344b9p-58 -0x1.2fed79c755684p-114
+    0x1.ec399d2468cc0p-2 0x1.75cee53f35397p-58 -0x1.3dda340d7c50ap-118
+    0x1.f128f5faf06edp-2 -0x1.328df13bb38c3p-56 0x1.d73d592445d0ap-110
+    0x1.f6123fa7028acp-2 0x1.8515b0f2db341p-56 0x1.2195120a66058p-110
+    0x1.faf588f78f31fp-2 -0x1.328260d8abca0p-57 -0x1.392b321d10e7bp-112
+    0x1.ffd2e0857f498p-2 0x1.565f40d9321afp-56 0x1.23719bce9f534p-111
+    0x1.02552a5a5d0ffp-1 -0x1.cb1cb51408c00p-56 -0x1.cb91b47473b3dp-112
+    0x1.04bdf9da926d2p-1 0x1.97f304022c9dfp-55 0x1.a9b423911c3c4p-109
+    0x1.0723e5c1cdf40p-1 0x1.395e58e2445bbp-55 -0x1.49a90b4515bdep-109
+    0x1.0986f4f573521p-1 -0x1.1b8095ac02f01p-55 0x1.c089f89ad131cp-115
+    0x1.0be72e4252a83p-1 -0x1.259da11330801p-55 0x1.a6d90d9beefcdp-110
+    0x1.0e44985d1cc8cp-1 -0x1.22a3442d2d384p-58 0x1.a3f759ee145b4p-112
+    0x1.109f39e2d4c97p-1 -0x1.0e09b27a4373ap-60 -0x1.b7d38320cdf03p-117
+    0x1.12f719593efbcp-1 0x1.4c048c671f435p-55 0x1.6893b2757f501p-110
+    0x1.154c3d2f4d5eap-1 -0x1.59c33171a6876p-55 0x1.53b4e8cc3cd07p-114
+    0x1.179eabbd899a1p-1 -0x1.00e7c6417e0b4p-55 -0x1.e54e3904f3714p-109
+    0x1.19ee6b467c96fp-1 -0x1.9d1a11443f10cp-56 -0x1.5477c38afc9eap-111
+    0x1.1c3b81f713c25p-1 -0x1.0dac1c4c810e9p-55 0x1.f8efe9846f366p-109
+    0x1.1e85f5e7040d0p-1 0x1.ef62cd2f9f1e3p-56 0x1.7cb9f293d205ep-110
+    0x1.20cdcd192ab6ep-1 -0x1.b2bf0bc229014p-55 0x1.27a25206a44a1p-110
+    0x1.23130d7bebf43p-1 -0x1.f48725e374d6ep-55 0x1.48e379bf983ebp-113
+    0x1.2555bce98f7cbp-1 0x1.e021d6d6881e7p-56 0x1.084750a06eb30p-112
+    0x1.2795e1289b11bp-1 -0x1.487c0c246978ep-57 -0x1.fe56c1467b5e6p-119
+    0x1.29d37fec2b08bp-1 -0x1.bd1949a2d1982p-56 -0x1.28bcc0f82a9a6p-110
+    0x1.2c0e9ed448e8cp-1 -0x1.1a158f3917586p-55 -0x1.dab7eb5720f7bp-109
+    0x1.2e47436e40268p-1 0x1.0150861a4886bp-55 -0x1.db5a61ad75a6fp-110
+    0x1.307d7334f10bep-1 0x1.fb590a1f566dap-57 -0x1.08f3fa47f6664p-111
+    0x1.32b1339121d71p-1 0x1.902ab5b3d916bp-56 0x1.9c56e84cd18b7p-114
+    0x1.34e289d9ce1d3p-1 0x1.6eb92d885ce4fp-57 -0x1.46d67110163eap-111
+    0x1.37117b54747b6p-1 -0x1.d117edbdd9103p-56 -0x1.c1da9c99e4f60p-110
+    0x1.393e0d3562a1ap-1 -0x1.58eef67f2483ap-55 0x1.c7b10b8be4f38p-111
+    0x1.3b68449fffc23p-1 -0x1.41c484f9e9b26p-55 -0x1.7c524324c8d4ep-109
+    0x1.3d9026a7156fbp-1 -0x1.6fef670bd4b62p-55 0x1.ed7013b2d2a96p-109
+    0x1.3fb5b84d16f42p-1 0x1.6d3a754172aefp-55 -0x1.937b130cc534bp-112
+    0x1.41d8fe84672aep-1 0x1.9192f30bd1806p-55 -0x1.0d58eede45763p-110
+    0x1.43f9fe2f9ce67p-1 0x1.e9c9ee6d83b86p-55 0x1.6d8376ee985fdp-109
+    0x1.4618bc21c5ec2p-1 0x1.f42decdeccf1dp-55 -0x1.77d446996da00p-110
+    0x1.48353d1ea88dfp-1 0x1.cf57a2ecc07f4p-55 0x1.2c307bef9e0cep-110
+    0x1.4a4f85db03ebbp-1 0x1.13dfa3d3761b6p-60 0x1.8b737b8c8ec58p-115
+    0x1.4c679afccee3ap-1 -0x1.3a5c4c8b39e41p-55 0x1.8676c36226ef9p-109
+    0x1.4e7d811b75bb1p-1 -0x1.8d3d9ea6e9ea9p-55 0x1.c34317af28812p-109
+    0x1.50913cc01686bp-1 0x1.2f2ce96c2d5b1p-55 -0x1.2d0dc61275676p-112
+    0x1.52a2d265bc5abp-1 -0x1.1883750ea4d0ap-57 -0x1.58412f6df095bp-112
+    0x1.54b2467999498p-1 -0x1.5baaf5d2f09f4p-55 -0x1.a5dae8aa5423bp-110
+    0x1.56bf9d5b3f399p-1 0x1.0471885cd8ff3p-55 -0x1.8c8faa739028fp-110
+    0x1.58cadb5cd7989p-1 0x1.849792ec98458p-56 0x1.544f1806acad7p-110
+    0x1.5ad404c359f2dp-1 -0x1.35955683f7196p-59 0x1.08b073c08af03p-117
+    0x1.5cdb1dc6c1765p-1 -0x1.cc2470e8a3df4p-55 0x1.5ec04a15c651dp-109
+    0x1.5ee02a9241675p-1 0x1.c358257f49082p-55 -0x1.0b39d60fb51b2p-112
+    0x1.60e32f44788d9p-1 -0x1.ac1bb52fa589bp-56 0x1.50cd45f38dd6bp-110
+    0x1.62e42fefa39efp-1 0x1.abc9e3b39803fp-56 0x1.7b57a079a1934p-111
+"""

@@ -747,6 +747,15 @@ class TestEtaCommand:
         assert math.isclose(float(row[3]), float(row[2]), rel_tol=1e-12,
                             abs_tol=1e-15)
 
+    def test_large_t_frozen(self, tmp_path):
+        # N = 855,025 terms, 67,975 prime logs; the value was taken with
+        # every prime log from 40-digit Decimal
+        lines = run_lines(["eta", "--sigma", "0.75", "--m", "1",
+                           "--t", "1.5e6"], tmp_path)
+        assert lines == ["t,re,im,rotated,flags",
+                         "1500000,-0.31894608389281248,0.57497519418694776,"
+                         "-0.31894608389281248,"]
+
 
 class TestDeterminismAndErrors:
     ARGS = ["moments", "--sigma", "0.5", "--m", "1", "--X", "31",

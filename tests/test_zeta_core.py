@@ -26,7 +26,8 @@ from oracle_values import (
     ZETA_VALUES,
 )
 from zel import zeta_core
-from zel.prime_poly import lambda_sum, phase_mod_two_pi, von_mangoldt_table
+from zel.prime_poly import (lambda_sum, phase_mod_two_pi, sieve,
+                            von_mangoldt_table)
 from zel.quadrature import integrate_adaptive
 from zel.zeta_core import (
     _unit_power_columns,
@@ -238,16 +239,22 @@ class TestUnitPowers:
                                       want_logs.view(np.int64))
 
     def test_prime_logs_grow_only(self, monkeypatch):
-        """Each prime's Decimal log is taken once, only once it falls
-        below a requested n, and a smaller n takes none."""
-        logged = []
-        real = zeta_core._decimal_log
+        """Each prime is logged once, only once it falls below a requested
+        n, and a smaller n logs none; Decimal logs only the primes the
+        rounding test leaves unsettled."""
+        logged, decimal = [], []
+        batch, single = zeta_core._prime_logs, zeta_core._decimal_log
 
-        def counting(p):
-            logged.append(p)
-            return real(p)
+        def counting_batch(primes):
+            logged.extend(primes.tolist())
+            return batch(primes)
 
-        monkeypatch.setattr(zeta_core, "_decimal_log", counting)
+        def counting_single(p):
+            decimal.append(p)
+            return single(p)
+
+        monkeypatch.setattr(zeta_core, "_prime_logs", counting_batch)
+        monkeypatch.setattr(zeta_core, "_decimal_log", counting_single)
         monkeypatch.setattr(zeta_core, "_factor_table",
                             zeta_core._FactorTable())
         _unit_powers.cache_clear()
@@ -257,6 +264,84 @@ class TestUnitPowers:
             _unit_powers(n, t)
             want = _scalar_primes_and_logs(logged_below)[1].tolist()
             assert logged == want, n
+        settled = zeta_core._rounding_settled(*zeta_core._table_logs(logged))
+        assert decimal == np.array(logged)[~settled].tolist()
+
+
+def _primes_below(top, count):
+    """The primes in [top - count, top), by trial division."""
+    n = np.arange(top - count, top)
+    keep = np.ones(count, dtype=bool)
+    for p in sieve(math.isqrt(top)).tolist():
+        keep &= n % p != 0
+    return n[keep]
+
+
+def _decimal_log_table(prec):
+    """log(1 + j/128), j = 0..128, as three doubles, each the nearest to
+    what the ones before it leave of a prec-digit Decimal log."""
+    rows = []
+    with localcontext() as ctx:
+        ctx.prec = prec
+        for j in range(129):
+            rest = (Decimal(128 + j) / 128).ln()
+            row = []
+            for _ in range(3):
+                row.append(float(rest))
+                rest -= Decimal(row[-1])
+            rows.append(row)
+    return np.array(rows).T
+
+
+class TestPrimeLogs:
+    # 57,000,024 = N at t = 1e8, above the largest N (about 5.4e7, at
+    # t = 9.47e7) that check_phase_range admits
+    TOP = _primes_below(57_000_024, 2000)
+
+    def test_bit_identical_to_decimal(self):
+        primes = np.concatenate((sieve(200_000), self.TOP))
+        hi, lo = zeta_core._prime_logs(primes)
+        want = np.array([zeta_core._decimal_log(p) for p in primes.tolist()])
+        assert np.array_equal(hi.view(np.int64), want[:, 0].view(np.int64))
+        assert np.array_equal(lo.view(np.int64), want[:, 1].view(np.int64))
+
+    def test_within_a_priori_bound(self):
+        """hi + lo + rest against 60-digit logs: at most a sixteenth of the
+        docstring's bound."""
+        primes = np.concatenate((sieve(2000), sieve(200_000)[::8], self.TOP))
+        worst = Decimal(0)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for p, *parts in zip(primes.tolist(),
+                                 *zeta_core._table_logs(primes)):
+                want = Decimal(p).ln()
+                got = sum(Decimal(x) for x in parts)
+                worst = max(worst, abs(got - want) / want)
+        assert worst <= Decimal(zeta_core._TABLE_LOG_ERR) / 16
+
+    def test_fallback_everywhere(self, monkeypatch):
+        """With a bound that settles nothing, every prime takes Decimal and
+        the logs do not move."""
+        primes = np.concatenate((sieve(3000), self.TOP[:20]))
+        fast = zeta_core._prime_logs(primes)
+        decimal = []
+        single = zeta_core._decimal_log
+
+        def counting(p):
+            decimal.append(p)
+            return single(p)
+
+        monkeypatch.setattr(zeta_core, "_LOG_ERR", 1.0)
+        monkeypatch.setattr(zeta_core, "_decimal_log", counting)
+        slow = zeta_core._prime_logs(primes)
+        assert decimal == primes.tolist()
+        assert np.array_equal(np.array(slow).view(np.int64),
+                              np.array(fast).view(np.int64))
+
+    def test_table_rebuilt_from_decimal(self):
+        table, _ = zeta_core._log_constants()
+        assert np.array_equal(table.view(np.int64),
+                              _decimal_log_table(60).view(np.int64))
 
 
 class TestZetaBlock:
