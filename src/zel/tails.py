@@ -3,9 +3,11 @@
 The measured object is the fraction of grid points where the rotated value
 Re e^{-i theta} F(sigma + it) exceeds V, with F either the prime polynomial
 (streamed through the batch kernel) or the iterated integral itself (one
-quadrature per grid point, desk-scale grids only).  Counting is a single
-pass per block against a sorted V grid; block counts are integers, so the
-reduction is deterministic in any order.
+quadrature per grid point, desk-scale grids only).  Counting takes one
+pass per block to keep the values above the lowest level, then
+binary-searches only those in the sorted V grid (in a tail they are a
+few percent); a NaN among them aborts the run (NonFiniteOutput).  Block
+counts are integers, so the reduction is deterministic in any order.
 
 Predictions come in four families, one per asymptotic law:
 
@@ -42,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .emit import NonFiniteOutput
 from .prime_poly import PrimeTable, TGrid, iter_poly_blocks, max_spacing, rotated_real
 from .special_fn import a_constant, g_constant
 from .zeta_core import ETA_SIGMA_MIN, NearZeroOnPath, eta_tilde, log_zeta_branched
@@ -121,8 +124,18 @@ def _check_v_grid(V_grid) -> np.ndarray:
 
 
 def _exceed_counts(values: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per level V_j, how many values are > V_j (v ascending).
+
+    Only values above v[0] can count, and in a tail they are a few
+    percent, so only those are binary-searched.  NaN fails `<= v[0]` and
+    so reaches the check, which raises NonFiniteOutput (exit code 3)
+    rather than count it above every level.
+    """
+    top = values[~(values <= v[0])]
+    if np.isnan(top).any():
+        raise NonFiniteOutput("nonfinite value nan in an exceedance block")
     # strict exceedance: side='left' puts ties at V_j on the non-exceeding side
-    idx = np.searchsorted(v, values, side="left")
+    idx = np.searchsorted(v, top, side="left")
     hist = np.bincount(idx, minlength=v.size + 1)
     return np.cumsum(hist[::-1])[::-1][1:].astype(np.int64)
 

@@ -666,6 +666,24 @@ class TestTail:
             f"error: --count must be >= 1 and <= {tails.MAX_ETA_GRID}, the "
             f"eta grid cap, got 200000\n"))
 
+    def test_nan_in_a_poly_block_exits_3(self, monkeypatch, capsys):
+        # a NaN in the third of seven blocks is an upstream fault, never a
+        # point above every level
+        real = tails.iter_poly_blocks
+
+        def one_nan(*args):
+            for i, (j0, z) in enumerate(real(*args)):
+                if i == 2:
+                    z[z.size // 2] = complex(math.nan, 0.0)
+                yield j0, z
+
+        monkeypatch.setattr(tails, "iter_poly_blocks", one_nan)
+        rc = cli.main(["tail", "--route", "poly", "--sigma", "0.8", "--m", "0",
+                       "--X", "1e4", "--T", "1e5", "--V", "1.2:2.0:0.2"])
+        assert rc == 3
+        assert capsys.readouterr() == (
+            "", "error: nonfinite value nan in an exceedance block\n")
+
     def test_eta_route_exclusion_flag(self, monkeypatch, tmp_path):
         # one of 8 points (t = 100) excluded: over 1%, so every row says so
         real = tails.eta_tilde

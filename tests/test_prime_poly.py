@@ -11,6 +11,7 @@ import threading
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -476,6 +477,21 @@ class TestNufft:
 
         for v in (-1.0, 0.0, 0.5, 1.0, 2.0):
             assert np.sum(z_nufft.real > v) == np.sum(z_gemm.real > v)
+
+    def test_deconvolution_factors_match_quadrature(self):
+        # psi_hat(k/n) = W int_0^1 phi(z) cos(pi k W z / n) dz at 30 digits;
+        # the plan's 32-node Gauss-Legendre sum sits ~2e-15 from it
+        block = NUFFT_BLOCK
+        n, width, beta = 2 * block, prime_poly.ES_WIDTH, prime_poly.ES_BETA
+        deconv = prime_poly._nufft_plan(0.125, np.log([2.0, 3.0]), block)[2]
+        assert deconv.shape == (block,)
+        for k in (0, 1, block // 4, block // 2 - 1, -block // 2):
+            with mpmath.workdps(30):
+                psi = width * mpmath.quad(
+                    lambda z: mpmath.exp(beta * (mpmath.sqrt(1 - z * z) - 1))
+                    * mpmath.cos(mpmath.pi * k * width * z / n), [0, 1])
+            got = 1.0 / deconv[k + block // 2]
+            assert abs(got / float(psi) - 1.0) <= 1e-14, k
 
     @pytest.mark.parametrize("X,path", [(31.0, "gemm"), (1e5, "nufft")])
     def test_dispatch_by_prime_count(self, monkeypatch, X, path):

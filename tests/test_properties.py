@@ -1,5 +1,5 @@
-"""Property tests: phase reduction, exceedance monotonicity, chunking,
-block lengths, grid exactness and the grids the CLI builds.
+"""Property tests: phase reduction, exceedance monotonicity and counts,
+chunking, block lengths, grid exactness and the grids the CLI builds.
 
 Hypothesis runs derandomized with a bounded example count, so every run
 draws the same cases and the suite stays deterministic.
@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from zel import cli, prime_poly
+from zel import cli, prime_poly, tails
+from zel.emit import NonFiniteOutput
 from zel.prime_poly import (BLOCK_ROWS, CHUNK_COLS, NUFFT_BLOCK, PolySpec,
                             PrimeTable, TGrid, dyadic_floor,
                             iter_poly_blocks, max_spacing, phase_mod_two_pi,
@@ -55,6 +56,33 @@ def test_exceedance_counts_nonincreasing_in_v(sigma, theta, vs):
     assert np.all(np.diff(counts) <= 0)
     values = poly_eval_batch(spec, TABLE, grid)
     assert counts.tolist() == [int(np.sum(values > x)) for x in v]
+
+
+@PROPERTY
+@given(v=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6,
+                  unique=True).map(sorted),
+       picks=st.lists(st.one_of(st.integers(0, 5), st.floats(allow_nan=False)),
+                      max_size=64),
+       nan_at=st.none() | st.integers(0, 64))
+@example(v=[0.5, 1.0], picks=[], nan_at=None)                   # empty block
+@example(v=[0.5], picks=[0, 0.7, 0.2, math.inf], nan_at=None)   # one level
+@example(v=[-1.0, 0.0, 2.0], picks=[0, -5.0, -math.inf, -1.0],
+         nan_at=None)                                           # all <= v[0]
+@example(v=[0.0, 1.0], picks=[math.inf, -math.inf, 0, 1, 0.5, 1.0],
+         nan_at=None)                                           # +-inf, ties
+@example(v=[-1.0, 0.0, 2.0], picks=[-5.0, 0], nan_at=1)         # NaN below v[0]
+def test_exceed_counts_match_per_level_oracle(v, picks, nan_at):
+    # an int pick i is the level v[i % len(v)] itself: a tie
+    values = np.array([v[p % len(v)] if isinstance(p, int) else p
+                       for p in picks], dtype=float)
+    if nan_at is not None:
+        values = np.insert(values, min(nan_at, values.size), math.nan)
+        with pytest.raises(NonFiniteOutput, match="nan"):
+            tails._exceed_counts(values, np.array(v))
+        return
+    counts = tails._exceed_counts(values, np.array(v))
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [np.count_nonzero(values > x) for x in v]
 
 
 def _chunked(spec, grid, v, chunk_cols):
