@@ -33,8 +33,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .prime_poly import (PolySpec, PrimeTable, TGrid, _spec_arrays, iter_poly_blocks,
-                         rotated_real)
+from .prime_poly import (NUFFT_BLOCK, PolySpec, PrimeTable, TGrid, _spec_arrays,
+                         iter_poly_blocks, rotated_real)
 from .quadrature import integrate_adaptive
 from .special_fn import _i0_series, log_bessel_i0, log_i0_slope
 
@@ -230,36 +230,50 @@ def contour_moment(spec: PolySpec, k: int, table: PrimeTable) -> MomentResult:
 # empirical grid averages
 
 
-def _half_spacing_blocks(spec: PolySpec, table: PrimeTable,
-                         grid: TGrid) -> Iterator[tuple[int, np.ndarray]]:
-    """Stream (first, Z) blocks of the half-spacing refinement of grid.
+def _half_spacing_blocks(spec: PolySpec, table: PrimeTable, grid: TGrid, *,
+                         rotated: bool = False) -> Iterator[tuple[int, np.ndarray]]:
+    """Stream (first, Z) blocks of the half-spacing refinement of grid
+    (rotated: P = Re e^{-i theta} Z, valid until the next block).
 
     Refined point i is t0 + i delta/2, so base point j is refined point
     2j and Z[first::2] are a block's base points; first follows the
     global index, since blocks may start at odd indices.
     """
     half = TGrid(t0=grid.t0, count=2 * grid.count, delta=grid.delta / 2)
-    for j0, z in iter_poly_blocks(spec, table, half):
+    for j0, z in iter_poly_blocks(spec, table, half, rotated=rotated):
         yield j0 % 2, z
 
 
-def _add_power_sums(sums: dict, first: int, p: np.ndarray) -> None:
+def _add_power_sums(sums: dict, first: int, p: np.ndarray,
+                    scratch: tuple[np.ndarray, np.ndarray]) -> None:
     """Append sum p^k over p[first::2] and over p to sums[k], every k.
-    One in-place multiply chain, whose arrays die before the next block."""
-    power = np.ones_like(p)
-    for k in range(1, max(sums) + 1):
-        power *= p
-        if k in sums:
-            sums[k][0].append(float(np.sum(power[first::2])))
-            sums[k][1].append(float(np.sum(power)))
+
+    sum p^k is the dot product p^ceil(k/2) . p^floor(k/2) (np.sum(p) at
+    k = 1).  The chain p^j = p^(j-1) p keeps its two latest powers in the
+    two scratch buffers, of at least p.size doubles each, which the caller
+    reuses for every block of a pass: ceil(kmax/2) - 1 multiplies per
+    block and no new arrays at any k.
+    """
+    lo, hi = None, p                    # p^(j-1), p^j
+    for j in range(1, (max(sums) + 1) // 2 + 1):
+        if j > 1:
+            lo, hi = hi, np.multiply(hi, p, out=scratch[j % 2][:p.size])
+        for k, b in ((2 * j - 1, lo), (2 * j, hi)):
+            if k in sums:
+                for acc, part in zip(sums[k], (slice(first, None, 2), slice(None))):
+                    acc.append(float(np.sum(hi[part]) if b is None
+                                     else np.dot(hi[part], b[part])))
 
 
 def empirical_moment(spec: PolySpec, table: PrimeTable, grid: TGrid,
                      ks) -> list[MomentResult]:
     """Grid averages of P(t)^k over the TGrid span, one result per k in ks.
 
-    One kernel pass over the half-spacing refinement feeds every power sum
-    of both grids; powers come from one multiply chain per block.
+    One kernel pass over the half-spacing refinement, whose GEMM path
+    yields P itself, feeds every power sum of both grids; each sum is one
+    dot product of two powers from a multiply chain in two buffers held
+    for the pass (fresh arrays per block, for the powers or the GEMM's
+    output, cost ~100-260 minor page faults a block).
     err_estimate = |half-spacing refinement delta| + X^{2k}/T.  The second
     term is the standard main-term error shape with constant 1; it is a
     reporting convention, not a certified bound.
@@ -274,8 +288,9 @@ def empirical_moment(spec: PolySpec, table: PrimeTable, grid: TGrid,
             f"error shape X^(2k)/T overflows for k={max(ks)}, X={spec.X}")
     # per k: block sums over the base grid and over the refinement
     sums = {k: ([], []) for k in ks}
-    for first, z in _half_spacing_blocks(spec, table, grid):
-        _add_power_sums(sums, first, rotated_real(z, spec.theta))
+    scratch = (np.empty(NUFFT_BLOCK), np.empty(NUFFT_BLOCK))
+    for first, p in _half_spacing_blocks(spec, table, grid, rotated=True):
+        _add_power_sums(sums, first, p, scratch)
     out = []
     for k in ks:
         value = math.fsum(sums[k][0]) / grid.count

@@ -19,10 +19,16 @@ the same (j_start, Z) stream, in blocks of NUFFT_BLOCK points.
 GEMM path (fewer than NUFFT_MIN_PRIMES primes).  It factors
 e^{-i t_j omega} = e^{-i (t0 + col*B*delta) omega} * e^{-i row*delta*omega}
 over j = col*B + row and evaluates CHUNK_COLS = NUFFT_BLOCK / B columns
-at a time as one complex GEMM, (columns x primes) @ (primes x B), whose
-C-order result is already in grid order.  Every column start
-t0 + col*B*delta is a lattice time, so both factors come from exact
-phases and no error accumulates along the grid.  Cost O(primes * points).
+at a time as one GEMM, (columns x primes) @ (primes x B), whose C-order
+result is already in grid order.  Every column start t0 + col*B*delta is
+a lattice time, so both factors come from exact phases and no error
+accumulates along the grid.  For Z the GEMM is complex.  For the rotated
+real values P = Re e^{-i theta} Z the rotation rides in the column
+factor, U' = e^{-i theta} U, and Re(U'V) = [Re U', Im U'] @ [Re V; -Im V]
+is one real GEMM of half the flops, written into one buffer per pass
+(fresh ~512 KB arrays per block cost ~260 minor page faults each, as
+glibc trims the heap top and faults it back in).  Cost
+O(primes * points).
 
 NUFFT path (the Odlyzko-Schonhage idea as a type-1 nonuniform FFT).  A
 block of up to NUFFT_BLOCK points centred at grid point c has
@@ -56,6 +62,7 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
+from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -344,8 +351,8 @@ def rotated_real(z: np.ndarray, theta) -> np.ndarray:
     return p if np.ndim(theta) else p[0]
 
 
-def iter_poly_blocks(spec: PolySpec, table: PrimeTable,
-                     grid: TGrid) -> Iterator[tuple[int, np.ndarray]]:
+def iter_poly_blocks(spec: PolySpec, table: PrimeTable, grid: TGrid, *,
+                     rotated: bool = False) -> Iterator[tuple[int, np.ndarray]]:
     """Stream (j_start, Z) with Z[i] = sum_p w_p e^{-i t_{j_start+i} log p}.
 
     Blocks arrive in j order, partition the grid and hold at most
@@ -356,31 +363,57 @@ def iter_poly_blocks(spec: PolySpec, table: PrimeTable,
     O(primes * (BLOCK_ROWS + CHUNK_COLS) + NUFFT_BLOCK) on the GEMM path
     and O(primes * ES_WIDTH + workers * NUFFT_BLOCK) on the NUFFT path,
     never O(primes * count).
+
+    rotated=True yields float64 blocks of P = Re e^{-i theta} Z at
+    theta = spec.theta instead: one real GEMM on the GEMM path,
+    rotated_real of each Z on the NUFFT path.  A rotated block is only
+    valid until the next one is drawn, which may overwrite it in place;
+    copy what must outlive it.  Complex blocks are fresh arrays.
     """
     omegas, w = _spec_arrays(spec, table)
-    if omegas.size >= NUFFT_MIN_PRIMES:
+    if omegas.size < NUFFT_MIN_PRIMES:
+        yield from _gemm_blocks(omegas, w, grid, spec.theta if rotated else None)
+    elif not rotated:
         yield from _nufft_blocks(omegas, w, grid)
     else:
-        yield from _gemm_blocks(omegas, w, grid)
+        with closing(_nufft_blocks(omegas, w, grid)) as blocks:
+            for j0, z in blocks:
+                yield j0, rotated_real(z, spec.theta)
 
 
-def _gemm_blocks(omegas: np.ndarray, w: np.ndarray,
-                 grid: TGrid) -> Iterator[tuple[int, np.ndarray]]:
-    """The GEMM path of iter_poly_blocks: one complex GEMM per chunk."""
+def _gemm_blocks(omegas: np.ndarray, w: np.ndarray, grid: TGrid,
+                 theta: float | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """The GEMM path of iter_poly_blocks: one GEMM per chunk.
+
+    theta None gives Z from a complex GEMM, a fresh array per chunk.
+    Otherwise each chunk is Re e^{-i theta} Z from one real GEMM,
+    [Re U', Im U'] @ [Re V; -Im V] with U' = e^{-i theta} U, as U's
+    interleaved doubles against V's rows interleaved to match, written
+    into the one buffer of the pass.
+    """
     rows = min(BLOCK_ROWS, grid.count)
     n_cols = -(-grid.count // rows)
 
     # V: (P, rows); row phases j0*delta*omega, weights folded in
     row_t = np.arange(rows, dtype=float) * grid.delta
     vmat = w[:, None] * np.exp(-1j * phase_mod_two_pi(row_t[None, :], omegas[:, None]))
+    if theta is not None:
+        vmat = np.stack((vmat.real, -vmat.imag), axis=1).reshape(-1, rows)
+        turn = complex(math.cos(theta), -math.sin(theta))
+        out = np.empty((min(CHUNK_COLS, n_cols), rows))
 
     for col in range(0, n_cols, CHUNK_COLS):
         # column starts t0 + c*rows*delta, exact on the lattice
         cols = np.arange(col, min(col + CHUNK_COLS, n_cols), dtype=float)
         t_cols = grid.t0 + (cols * rows) * grid.delta
         ucols = np.exp(-1j * phase_mod_two_pi(t_cols[:, None], omegas[None, :]))
+        if theta is None:
+            chunk = ucols @ vmat
+        else:
+            ucols *= turn
+            chunk = np.matmul(ucols.view(float), vmat, out=out[:cols.size])
         j0 = col * rows
-        yield j0, (ucols @ vmat).reshape(-1)[:grid.count - j0]
+        yield j0, chunk.reshape(-1)[:grid.count - j0]
 
 
 def _es_kernel(z: np.ndarray) -> np.ndarray:

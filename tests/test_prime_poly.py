@@ -433,6 +433,95 @@ class TestBlockContract:
         assert seen == grid.count
 
 
+class TestRotatedBlocks:
+    """iter_poly_blocks(..., rotated=True): P = Re e^{-i theta} Z as float
+    blocks, from one real GEMM on the GEMM path and rotated_real of the
+    complex blocks on the NUFFT path."""
+
+    table = PrimeTable.build(10_000)
+    THETAS = [0.0, 0.7, math.pi / 2, -2.1, 40.0]
+
+    @staticmethod
+    def _stream(spec, table, grid, **kw):
+        """(starts, values) over the grid; blocks are copied as they come,
+        since a rotated block is overwritten by the next one."""
+        starts, parts = [], []
+        for j0, z in iter_poly_blocks(spec, table, grid, **kw):
+            starts.append(j0)
+            parts.append(z.copy())
+        assert starts == np.cumsum([0, *map(len, parts[:-1])]).tolist()
+        return np.concatenate(parts)
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_gemm_matches_pointwise(self, theta):
+        # two full chunks, then a partial chunk ending inside a column
+        spec = PolySpec(m=1, sigma=0.5, theta=theta, X=31.0)
+        span = TGrid.for_span(1e6, 31.0)
+        grid = TGrid(t0=span.t0, count=2 * NUFFT_BLOCK + 12345, delta=span.delta)
+        p = self._stream(spec, self.table, grid, rotated=True)
+        assert p.dtype == np.float64 and p.shape == (grid.count,)
+        edges = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, NUFFT_BLOCK - 1, NUFFT_BLOCK,
+                 2 * NUFFT_BLOCK, grid.count - 2, grid.count - 1]
+        idx = np.unique(np.concatenate(
+            [edges, np.random.default_rng(5).integers(0, grid.count, 40)]))
+        for j in idx:
+            assert abs(p[j] - poly_eval(spec, self.table, grid.t(int(j)))) <= 1e-10
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_small_chunks_match_pointwise(self, monkeypatch, theta):
+        # 7-row columns in 3-column chunks: 21-point blocks, the last partial
+        monkeypatch.setattr(prime_poly, "BLOCK_ROWS", 7)
+        monkeypatch.setattr(prime_poly, "CHUNK_COLS", 3)
+        spec = PolySpec(m=0, sigma=0.6, theta=theta, X=100.0)
+        grid = TGrid(t0=4096.0, count=100, delta=0.25)
+        sizes = [z.size for _, z in iter_poly_blocks(spec, self.table, grid,
+                                                     rotated=True)]
+        assert sizes == [21, 21, 21, 21, 16]
+        p = self._stream(spec, self.table, grid, rotated=True)
+        want = [poly_eval(spec, self.table, grid.t(j)) for j in range(grid.count)]
+        assert np.max(np.abs(p - want)) <= 1e-10
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_gemm_agrees_with_rotated_real(self, theta):
+        spec = PolySpec(m=1, sigma=0.5, theta=theta, X=1000.0)
+        span = TGrid.for_span(1e5, 1000.0)
+        grid = TGrid(t0=span.t0, count=NUFFT_BLOCK + 777, delta=span.delta)
+        bound = 4e-15 * float(np.sum(self.table.weights(1, 0.5, 1000.0)))
+        p = self._stream(spec, self.table, grid, rotated=True)
+        z = self._stream(spec, self.table, grid)
+        assert np.max(np.abs(p - rotated_real(z, theta))) <= bound
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_nufft_is_rotated_real_bit_for_bit(self, monkeypatch, theta):
+        monkeypatch.setattr(prime_poly, "NUFFT_MIN_PRIMES", 1)
+        spec = PolySpec(m=1, sigma=0.5, theta=theta, X=31.0)
+        span = TGrid.for_span(1e5, 31.0)
+        grid = TGrid(t0=span.t0, count=NUFFT_BLOCK + 777, delta=span.delta)
+        p = self._stream(spec, self.table, grid, rotated=True)
+        z = self._stream(spec, self.table, grid)
+        assert np.array_equal(p, rotated_real(z, theta))
+
+    def test_rotated_block_is_overwritten_by_the_next(self):
+        spec = PolySpec(m=1, sigma=0.5, theta=0.7, X=31.0)
+        span = TGrid.for_span(1e5, 31.0)
+        grid = TGrid(t0=span.t0, count=3 * NUFFT_BLOCK, delta=span.delta)
+        blocks = iter_poly_blocks(spec, self.table, grid, rotated=True)
+        _, kept = next(blocks)
+        before = kept.copy()
+        _, nxt = next(blocks)
+        assert np.shares_memory(kept, nxt)
+        assert np.array_equal(kept, nxt) and not np.array_equal(kept, before)
+        blocks.close()
+        # complex blocks stay fresh arrays
+        blocks = iter_poly_blocks(spec, self.table, grid)
+        _, kept = next(blocks)
+        before = kept.copy()
+        _, nxt = next(blocks)
+        assert not np.shares_memory(kept, nxt)
+        assert np.array_equal(kept, before)
+        blocks.close()
+
+
 # (sigma, X): 430 primes at X = 3000, below the NUFFT crossover; 1229 and
 # 9592 primes above it.  sum w_p reaches 70 at (0.5, 1e5).
 NUFFT_CASES = [(0.5, 3000.0), (0.5, 1e5), (0.8, 3000.0), (0.8, 1e4)]

@@ -1,4 +1,5 @@
 """Property tests: phase reduction, exceedance monotonicity and counts,
+moment power sums,
 chunking, block lengths, grid exactness and the grids the CLI builds.
 
 Hypothesis runs derandomized with a bounded example count, so every run
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from zel import cli, prime_poly, tails
+from zel import cli, moments, prime_poly, tails
 from zel.emit import NonFiniteOutput
 from zel.prime_poly import (BLOCK_ROWS, CHUNK_COLS, NUFFT_BLOCK, PolySpec,
                             PrimeTable, TGrid, dyadic_floor,
@@ -83,6 +84,27 @@ def test_exceed_counts_match_per_level_oracle(v, picks, nan_at):
     counts = tails._exceed_counts(values, np.array(v))
     assert counts.dtype == np.int64
     assert counts.tolist() == [np.count_nonzero(values > x) for x in v]
+
+
+@PROPERTY
+@given(ks=st.sets(st.integers(1, 9), min_size=1).map(sorted),
+       first=st.sampled_from([0, 1]),
+       p=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=301))
+@example(ks=[6], first=1, p=[0.5, -1.25, 2.0, -0.75])        # a gap below k
+@example(ks=[1, 6], first=0, p=[-2.0, 1.5, 0.25])            # odd length
+@example(ks=[1, 2, 3], first=1, p=[1.5])                     # length 1
+@example(ks=[9], first=0, p=[-3.0, 3.0, -2.5, 2.5, 1.0, -1.0])
+def test_power_sums_match_fsum_oracle(ks, first, p):
+    p = np.array(p)
+    # scratch longer than the block and full of NaN: only [:p.size] is used
+    scratch = (np.full(p.size + 7, math.nan), np.full(p.size + 7, math.nan))
+    sums = {k: ([], []) for k in ks}
+    moments._add_power_sums(sums, first, p, scratch)
+    for k in ks:
+        for (got,), vals in zip(sums[k], (p[first::2], p)):
+            want = math.fsum((vals ** k).tolist())
+            scale = math.fsum((np.abs(vals) ** k).tolist())
+            assert abs(got - want) <= 1e-13 * scale, (k, got, want)
 
 
 def _chunked(spec, grid, v, chunk_cols):
