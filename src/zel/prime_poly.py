@@ -14,7 +14,8 @@ lattice, making every t_j = t0 + j*delta exact in double precision, and
 t and log p with a three-part Cody-Waite 2 pi (residual ~1e-15 rad).
 
 The batch kernel has two paths, chosen by prime count alone; both yield
-the same (j_start, Z) stream, in blocks of NUFFT_BLOCK points.
+the same (j_start, Z) stream, or the (j_start, P) stream of one rotation,
+in blocks of NUFFT_BLOCK points.
 
 GEMM path (fewer than NUFFT_MIN_PRIMES primes).  It factors
 e^{-i t_j omega} = e^{-i (t0 + col*B*delta) omega} * e^{-i row*delta*omega}
@@ -45,16 +46,25 @@ against the GEMM path that measured 1e-11 for u_p in plain doubles and
 7e-11 for np.mod(-x_p, 2 pi) placement at sum w_p = 70, where the
 double-double placement differs by ~7e-14.  Indices, kernel values and
 deconvolution factors depend only on x_p, so they are built once per pass.
+For the rotated real values P = Re e^{-i theta} Z the rotation rides in
+the amplitudes, b_p = e^{-i theta} a_p, as it rides in U' on the GEMM
+path, and P is the Hermitian case of the transform: the b_p spread
+straight into the n/2 + 1 slots of a half grid, a fine index past n/2
+mirrored to n - m with its imaginary weight negated (the plan builds
+those slots and weights once), and one real-output FFT of n points
+(np.fft.irfft) replaces the complex FFT, at half its work.  Those blocks
+sit within ~7e-16 sum w_p of Re e^{-i theta} of the complex ones.
 No step of the pass is a matrix product: one large enough for a threaded
 BLAS wakes a helper thread that spins on a core the pool's workers need.
-Cost O(points log NUFFT_BLOCK + primes * ES_WIDTH per block).  The blocks
-run on a pool of one thread per CPU the process may use, at most
-MAX_POOL_WORKERS (each adds ~10 MB of peak memory), workers + 1 of them
-in flight: the caller's thread reduces each block-centre phase and
-forms the a_p, a worker spreads, FFTs (numpy's FFT releases the GIL) and
-deconvolves, and the blocks come back strictly in j order.  Each block
-is the same sequence of numpy operations on the same inputs as a serial
-loop's, so the stream is bit-identical at every worker count.
+Cost O(points log NUFFT_BLOCK + primes * ES_WIDTH per block), the FFT
+term halved for P.  The blocks run on a pool of one thread per CPU the
+process may use, at most MAX_POOL_WORKERS (each adds ~10 MB of peak
+memory), workers + 1 of them in flight: the caller's thread reduces each
+block-centre phase and forms the amplitudes, a worker spreads, FFTs
+(numpy's FFT releases the GIL) and deconvolves, and the blocks come back
+strictly in j order.  Each block is the same sequence of numpy
+operations on the same inputs as a serial loop's, so the stream is
+bit-identical at every worker count.
 """
 
 from __future__ import annotations
@@ -62,7 +72,6 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -342,12 +351,14 @@ def poly_eval_complex(spec: PolySpec, table: PrimeTable, t: float) -> complex:
     return complex(np.dot(w, np.exp(-1j * phase_mod_two_pi(t, omegas))))
 
 
-def rotated_real(z: np.ndarray, theta) -> np.ndarray:
+def rotated_real(z: np.ndarray, theta, out: np.ndarray | None = None) -> np.ndarray:
     """Re e^{-i theta} z = cos(theta) Re z + sin(theta) Im z in one pass over
     the contiguous 1-D complex z: z's shape for one angle, one row per angle
-    for a sequence of angles (an (n, 2) @ (2, len(z)) product)."""
+    for a sequence of angles (an (n, 2) @ (2, len(z)) product), written
+    into out when given (a contiguous float array of that shape)."""
     cs = np.array([[math.cos(a), math.sin(a)] for a in np.atleast_1d(theta)])
-    p = cs @ z.view(float).reshape(-1, 2).T
+    p = np.matmul(cs, z.view(float).reshape(-1, 2).T,
+                  out=None if out is None else out.reshape(len(cs), -1))
     return p if np.ndim(theta) else p[0]
 
 
@@ -365,20 +376,15 @@ def iter_poly_blocks(spec: PolySpec, table: PrimeTable, grid: TGrid, *,
     never O(primes * count).
 
     rotated=True yields float64 blocks of P = Re e^{-i theta} Z at
-    theta = spec.theta instead: one real GEMM on the GEMM path,
-    rotated_real of each Z on the NUFFT path.  A rotated block is only
-    valid until the next one is drawn, which may overwrite it in place;
-    copy what must outlive it.  Complex blocks are fresh arrays.
+    theta = spec.theta instead, with e^{-i theta} folded in before any
+    sum: one real GEMM on the GEMM path, one real-output FFT from a
+    Hermitian half grid per block on the NUFFT path.  A rotated block is
+    only valid until the next one is drawn, which may overwrite it in
+    place; copy what must outlive it.  Complex blocks are fresh arrays.
     """
     omegas, w = _spec_arrays(spec, table)
-    if omegas.size < NUFFT_MIN_PRIMES:
-        yield from _gemm_blocks(omegas, w, grid, spec.theta if rotated else None)
-    elif not rotated:
-        yield from _nufft_blocks(omegas, w, grid)
-    else:
-        with closing(_nufft_blocks(omegas, w, grid)) as blocks:
-            for j0, z in blocks:
-                yield j0, rotated_real(z, spec.theta)
+    path = _gemm_blocks if omegas.size < NUFFT_MIN_PRIMES else _nufft_blocks
+    yield from path(omegas, w, grid, spec.theta if rotated else None)
 
 
 def _gemm_blocks(omegas: np.ndarray, w: np.ndarray, grid: TGrid,
@@ -427,16 +433,18 @@ def _es_kernel(z: np.ndarray) -> np.ndarray:
     return np.exp(-ES_BETA * z * z / (1.0 + root))
 
 
-def _nufft_plan(delta: float, omegas: np.ndarray,
-                block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _nufft_plan(delta: float, omegas: np.ndarray, block: int, *,
+                real: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Spreading slots, kernel values and deconvolution factors for one pass.
 
     The per-prime frequencies are x = delta * omegas = x_hi + x_lo
     exactly; the fine grid has n = 2 * block points.  slots index the
     fine grid viewed as interleaved (re, im) doubles, so one real
-    bincount spreads complex amplitudes.  The factors divide output k in
-    [-block/2, block/2), stored at k + block/2; they are 1/psi_hat from
-    32 Gauss-Legendre nodes, within ~2e-15 of the exact transform.
+    bincount spreads complex amplitudes; real=True gives the slots and
+    (re, im) weights of the Hermitian half grid (_half_grid_spread).
+    The factors divide output k in [-block/2, block/2), stored at
+    k + block/2; they are 1/psi_hat from 32 Gauss-Legendre nodes, within
+    ~2e-15 of the exact transform.
     """
     n = 2 * block
     x_hi, x_lo = _two_product(delta, omegas)
@@ -450,7 +458,10 @@ def _nufft_plan(delta: float, omegas: np.ndarray,
     offsets = np.arange(1 - ES_WIDTH // 2, ES_WIDTH // 2 + 1)
     kern = _es_kernel((offsets - frac[:, None]) * (2.0 / ES_WIDTH))
     idx = (base.astype(np.int64)[:, None] + offsets) % n
-    slots = (2 * idx[:, :, None] + np.arange(2)).reshape(-1)
+    if real:
+        slots, kern = _half_grid_spread(idx, kern, n)
+    else:
+        slots = (2 * idx[:, :, None] + np.arange(2)).reshape(-1)
 
     # psi_hat(k/n) = W int_0^1 phi(z) cos(pi k W z / n) dz, even in k; the
     # integrand is even in z, so only the nonnegative half of the nodes.
@@ -468,6 +479,46 @@ def _nufft_plan(delta: float, omegas: np.ndarray,
                                    wts * _es_kernel(z))
     inv = 1.0 / psi_hat
     return slots, kern, np.concatenate((inv[:0:-1], inv[:-1]))
+
+
+def _half_grid_spread(idx: np.ndarray, kern: np.ndarray,
+                      n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slots and (re, im) weights that spread rotated amplitudes b_p
+    straight into the n/2 + 1 slots of a Hermitian half grid.
+
+    Re sum_m g_m e^{-2 pi i k m/n}, g the fine grid of the b_p, is the
+    real inverse transform of H_m = (c_m + conj(c_{n-m}))/2 with c =
+    conj(g), halved in neither end slot (0 and n/2, whose imaginary parts
+    an inverse real FFT discards).  So a fine index m <= n/2 adds
+    conj(b_p) kern / 2 to slot m, and one past n/2 adds b_p kern / 2 to
+    slot n - m: the mirror negates the imaginary weight, and no fold
+    pass is needed.  Every weight also carries
+    (-1)^m, which moves output k to index n/2 + k, so a block is one
+    contiguous slice.  Halving and signs are exact, so each slot sum is
+    that of the complex fine grid up to rounding order.
+
+    weights is (primes, 2, ES_WIDTH), a row of re and a row of im weights
+    per prime, so a block's product with its (re, im) amplitude pairs
+    runs along rows; with the pairs innermost it took 4x as long.
+    """
+    # in place where it can be: each (primes x ES_WIDTH) temporary is
+    # mapped afresh and faulted in page by page
+    slots = np.empty((len(kern), 2, kern.shape[1]), dtype=np.int64)
+    slot = np.subtract(n, idx, out=slots[:, 0])
+    mirrored = slot < n // 2
+    np.minimum(slot, idx, out=slot)
+    end = (slot == 0) | (slot == n // 2)
+    weights = np.empty(slots.shape)
+    re, im = weights[:, 0], weights[:, 1]
+    # (-1)^m: m = idx alternates in parity along each row
+    np.multiply(kern, np.where(idx[:, :1] % 2, -0.5, 0.5), out=re)
+    re[:, 1::2] *= -1.0
+    re[end] *= 2.0
+    np.negative(re, out=im)
+    np.copyto(im, re, where=mirrored)
+    np.multiply(slot, 2, out=slot)
+    np.add(slot, 1, out=slots[:, 1])
+    return slots.reshape(-1), weights
 
 
 def _pool_workers() -> int:
@@ -494,25 +545,46 @@ def _nufft_block(a: np.ndarray, size: int, slots: np.ndarray, kern: np.ndarray,
     return z
 
 
-def _nufft_blocks(omegas: np.ndarray, w: np.ndarray,
-                  grid: TGrid) -> Iterator[tuple[int, np.ndarray]]:
+def _nufft_real_block(b: np.ndarray, size: int, slots: np.ndarray,
+                      weights: np.ndarray, deconv: np.ndarray) -> np.ndarray:
+    """P = Re Z over one block from rotated amplitudes b = e^{-i theta} a:
+    spread into the half grid, one real-output FFT of n points, deconvolve.
+    A view into the FFT's output; thread-safe as _nufft_block is."""
+    block = deconv.size
+    h = size // 2
+    half = np.bincount(slots, (b.view(float).reshape(-1, 2, 1) * weights).reshape(-1),
+                       minlength=2 * block + 2).view(complex)
+    p = np.fft.irfft(half, 2 * block, norm="forward")[block - h:block - h + size]
+    lo = block // 2 - h
+    p *= deconv[lo:lo + size]
+    return p
+
+
+def _nufft_blocks(omegas: np.ndarray, w: np.ndarray, grid: TGrid,
+                  theta: float | None = None) -> Iterator[tuple[int, np.ndarray]]:
     """The NUFFT path of iter_poly_blocks: one type-1 NUFFT per block.
 
     A block of L <= NUFFT_BLOCK points starting at j0 is centred at grid
     point c = j0 + L//2, so t_c is exact and
     Z_{c+k} = sum_p a_p e^{-i k x_p} for k in [-L//2, L - L//2).
+    theta None gives Z (_nufft_block).  Otherwise the amplitudes are
+    b_p = e^{-i theta} a_p, with e^{-i theta} from math as on the GEMM
+    path, and each block is Re Z from the half grid (_nufft_real_block).
 
-    The a_p of each block are formed here, on the caller's thread (every
-    phase_mod_two_pi call stays on it), and `_nufft_block` runs on a pool
-    of _pool_workers() threads with workers + 1 blocks in flight; blocks
-    come back in j order, each bit-identical to a serial loop's.
+    The amplitudes of each block are formed here, on the caller's thread
+    (every phase_mod_two_pi call stays on it), and the block runs on a
+    pool of _pool_workers() threads with workers + 1 blocks in flight;
+    blocks come back in j order, each bit-identical to a serial loop's.
     Closing the generator cancels the blocks not yet started and joins
     the pool.
     """
     from concurrent.futures import ThreadPoolExecutor   # ~4 ms kept out of import
 
     block = NUFFT_BLOCK
-    slots, kern, deconv = _nufft_plan(grid.delta, omegas, block)
+    real = theta is not None
+    slots, kern, deconv = _nufft_plan(grid.delta, omegas, block, real=real)
+    run = _nufft_real_block if real else _nufft_block
+    turn = complex(math.cos(theta), -math.sin(theta)) if real else 1.0
     starts = range(0, grid.count, block)
     workers = _pool_workers()
     pool = ThreadPoolExecutor(workers, thread_name_prefix="zel-nufft")
@@ -520,7 +592,9 @@ def _nufft_blocks(omegas: np.ndarray, w: np.ndarray,
     def submit(j0):
         size = min(block, grid.count - j0)
         a = w * np.exp(-1j * phase_mod_two_pi(grid.t(j0 + size // 2), omegas))
-        return pool.submit(_nufft_block, a, size, slots, kern, deconv)
+        if real:
+            a *= turn
+        return pool.submit(run, a, size, slots, kern, deconv)
 
     try:
         ahead = deque(map(submit, starts[:workers + 1]))

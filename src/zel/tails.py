@@ -144,8 +144,10 @@ def measure_exceedance_poly_multi(specs, table: PrimeTable, grid: TGrid,
                                   V_grid) -> list[ExceedanceCurve]:
     """Fraction of grid points with P(t) > V, per V and per spec, in one pass.
 
-    Specs differ only in theta: the complex block values serve every
-    rotation, so a theta sweep costs one kernel pass.
+    Specs differ only in theta.  One spec draws the rotated stream, P
+    itself at about half the kernel's work; a theta sweep draws the
+    complex blocks, whose Re and Im serve every rotation, so it too costs
+    one kernel pass.
     """
     specs = list(specs)
     if not specs:
@@ -158,11 +160,15 @@ def measure_exceedance_poly_multi(specs, table: PrimeTable, grid: TGrid,
         raise ValueError(
             f"grid spacing {grid.delta} violates the rule for X={base.X}")
     v = _check_v_grid(V_grid)
-    thetas = [s.theta for s in specs]
     counts = np.zeros((len(specs), v.size), dtype=np.int64)
-    for _, z in iter_poly_blocks(base, table, grid):
-        for i, p in enumerate(rotated_real(z, thetas)):
-            counts[i] += _exceed_counts(p, v)
+    if len(specs) == 1:
+        for _, p in iter_poly_blocks(base, table, grid, rotated=True):
+            counts[0] += _exceed_counts(p, v)
+    else:
+        thetas = [s.theta for s in specs]
+        for _, z in iter_poly_blocks(base, table, grid):
+            for i, p in enumerate(rotated_real(z, thetas)):
+                counts[i] += _exceed_counts(p, v)
     return [ExceedanceCurve(V_grid=v.copy(),
                             measure_fraction=counts[i] / grid.count,
                             exceed_counts=counts[i].copy())

@@ -668,14 +668,15 @@ class TestTail:
 
     def test_nan_in_a_poly_block_exits_3(self, monkeypatch, capsys):
         # a NaN in the third of seven blocks is an upstream fault, never a
-        # point above every level
+        # point above every level; one spec draws real (rotated) blocks
         real = tails.iter_poly_blocks
 
-        def one_nan(*args):
-            for i, (j0, z) in enumerate(real(*args)):
+        def one_nan(*args, **kwargs):
+            for i, (j0, p) in enumerate(real(*args, **kwargs)):
+                assert kwargs == {"rotated": True} and p.dtype == np.float64
                 if i == 2:
-                    z[z.size // 2] = complex(math.nan, 0.0)
-                yield j0, z
+                    p[p.size // 2] = math.nan
+                yield j0, p
 
         monkeypatch.setattr(tails, "iter_poly_blocks", one_nan)
         rc = cli.main(["tail", "--route", "poly", "--sigma", "0.8", "--m", "0",

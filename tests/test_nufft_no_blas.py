@@ -8,7 +8,7 @@ worker needs: when the plan's deconvolution factors came from a
 0.13-0.16 s of CPU in the 0.3 s after one plan (process CPU minus the
 caller's thread CPU, 2-core x86 VM with OpenBLAS), against none for the
 same sum as an einsum.  A product that slips back in would pass every
-other test, so this one reads the three NUFFT functions' syntax trees.
+other test, so this one reads the NUFFT functions' syntax trees.
 """
 
 import ast
@@ -17,7 +17,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "zel" / "prime_poly.py"
-NUFFT_FUNCTIONS = ("_nufft_plan", "_nufft_block", "_nufft_blocks")
+NUFFT_FUNCTIONS = ("_nufft_plan", "_half_grid_spread", "_nufft_block",
+                   "_nufft_real_block", "_nufft_blocks")
 PRODUCTS = {"dot", "matmul", "inner", "vdot", "tensordot"}
 
 

@@ -435,8 +435,8 @@ class TestBlockContract:
 
 class TestRotatedBlocks:
     """iter_poly_blocks(..., rotated=True): P = Re e^{-i theta} Z as float
-    blocks, from one real GEMM on the GEMM path and rotated_real of the
-    complex blocks on the NUFFT path."""
+    blocks, from one real GEMM on the GEMM path and one real-output FFT
+    from a Hermitian half grid per block on the NUFFT path."""
 
     table = PrimeTable.build(10_000)
     THETAS = [0.0, 0.7, math.pi / 2, -2.1, 40.0]
@@ -492,14 +492,50 @@ class TestRotatedBlocks:
         assert np.max(np.abs(p - rotated_real(z, theta))) <= bound
 
     @pytest.mark.parametrize("theta", THETAS)
-    def test_nufft_is_rotated_real_bit_for_bit(self, monkeypatch, theta):
+    def test_nufft_agrees_with_rotated_real(self, monkeypatch, theta):
+        # real blocks from the half grid against the complex ones rotated
         monkeypatch.setattr(prime_poly, "NUFFT_MIN_PRIMES", 1)
         spec = PolySpec(m=1, sigma=0.5, theta=theta, X=31.0)
         span = TGrid.for_span(1e5, 31.0)
         grid = TGrid(t0=span.t0, count=NUFFT_BLOCK + 777, delta=span.delta)
+        bound = 4e-15 * float(np.sum(self.table.weights(1, 0.5, 31.0)))
         p = self._stream(spec, self.table, grid, rotated=True)
         z = self._stream(spec, self.table, grid)
-        assert np.array_equal(p, rotated_real(z, theta))
+        assert p.dtype == np.float64 and p.shape == (grid.count,)
+        assert np.max(np.abs(p - rotated_real(z, theta))) <= bound
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_nufft_matches_pointwise(self, monkeypatch, theta):
+        # block ends and centres, where |k| is largest and smallest
+        monkeypatch.setattr(prime_poly, "NUFFT_MIN_PRIMES", 1)
+        spec = PolySpec(m=0, sigma=0.6, theta=theta, X=1000.0)
+        span = TGrid.for_span(1e6, 1000.0)
+        grid = TGrid(t0=span.t0, count=2 * NUFFT_BLOCK + 777, delta=span.delta)
+        p = self._stream(spec, self.table, grid, rotated=True)
+        edges = [0, 1, NUFFT_BLOCK // 2, NUFFT_BLOCK - 1, NUFFT_BLOCK,
+                 2 * NUFFT_BLOCK - 1, 2 * NUFFT_BLOCK, grid.count - 1]
+        for j in edges:
+            assert abs(p[j] - poly_eval(spec, self.table, grid.t(j))) <= 1e-10
+
+    # delta 2^-20 puts every kernel across fine-grid index 0.  delta ~
+    # pi/log 23, past the spacing rule, puts p = 23's kernel across n/2,
+    # at x_p = pi, and p = 29, 31 wholly past it, into mirrored slots
+    @pytest.mark.parametrize("delta,wrap", [
+        (2.0 ** -20, 0),
+        (round(math.pi / math.log(23.0) * 2 ** 20) / 2 ** 20, NUFFT_BLOCK)])
+    def test_nufft_wrapped_spread_matches_gemm(self, monkeypatch, delta, wrap):
+        spec = PolySpec(m=0, sigma=0.5, theta=0.7, X=31.0)
+        grid = TGrid(t0=1e4, count=NUFFT_BLOCK + 777, delta=delta)
+        omegas, _ = prime_poly._spec_arrays(spec, self.table)
+        fine = np.unique(prime_poly._nufft_plan(delta, omegas, NUFFT_BLOCK)[0] // 2)
+        n = 2 * NUFFT_BLOCK
+        assert {(wrap - 1) % n, wrap, wrap + 1} <= set(fine.tolist())
+        streams = []
+        for threshold in (1, 10 ** 9):
+            monkeypatch.setattr(prime_poly, "NUFFT_MIN_PRIMES", threshold)
+            streams.append(self._stream(spec, self.table, grid, rotated=True))
+        bound = 1e-12 * float(np.sum(self.table.weights(0, 0.5, 31.0)))
+        assert np.max(np.abs(streams[0] - streams[1])) <= bound
 
     def test_rotated_block_is_overwritten_by_the_next(self):
         spec = PolySpec(m=1, sigma=0.5, theta=0.7, X=31.0)
@@ -608,38 +644,46 @@ class TestNufftPool:
         span = TGrid.for_span(1e6, X)
         return TGrid(t0=span.t0, count=3 * NUFFT_BLOCK + 777, delta=span.delta)
 
-    def _serial(self, spec, grid):
-        """The blocks of one plain loop over _nufft_block."""
+    def _serial(self, spec, grid, rotated):
+        """The blocks of one plain loop over _nufft_block, or over
+        _nufft_real_block from amplitudes turned by e^{-i theta}."""
         omegas, w = prime_poly._spec_arrays(spec, self.table)
         slots, kern, deconv = prime_poly._nufft_plan(grid.delta, omegas,
-                                                     NUFFT_BLOCK)
+                                                     NUFFT_BLOCK, real=rotated)
+        turn = complex(math.cos(spec.theta), -math.sin(spec.theta))
+        run = prime_poly._nufft_real_block if rotated else prime_poly._nufft_block
         out = []
         for j0 in range(0, grid.count, NUFFT_BLOCK):
             size = min(NUFFT_BLOCK, grid.count - j0)
             a = w * np.exp(-1j * phase_mod_two_pi(grid.t(j0 + size // 2),
                                                   omegas))
-            out.append((j0, prime_poly._nufft_block(a, size, slots, kern,
-                                                    deconv)))
+            if rotated:
+                a *= turn
+            out.append((j0, run(a, size, slots, kern, deconv)))
         return out
 
     @pytest.mark.parametrize("X", [1e4, 1e5])
     def test_bit_identical_at_every_worker_count(self, monkeypatch, X):
         # 5 workers on a short switch interval: more threads than cores,
-        # trading the interpreter lock as often as it can
-        spec = PolySpec(m=0, sigma=0.8, theta=0.0, X=X)
+        # trading the interpreter lock as often as it can; complex blocks
+        # and real (rotated) ones alike
+        spec = PolySpec(m=0, sigma=0.8, theta=0.7, X=X)
         grid = self._grid(X)
-        want = self._serial(spec, grid)
-        assert len(want) == 4
         interval = sys.getswitchinterval()
         try:
-            for workers, switch in ((1, interval), (2, interval), (5, 1e-6)):
-                monkeypatch.setattr(prime_poly, "_pool_workers",
-                                    lambda: workers)
-                sys.setswitchinterval(switch)
-                got = list(iter_poly_blocks(spec, self.table, grid))
-                assert [j0 for j0, _ in got] == [j0 for j0, _ in want]
-                for (_, z), (_, ref) in zip(got, want):
-                    assert np.array_equal(z.view(float), ref.view(float))
+            for rotated in (False, True):
+                want = self._serial(spec, grid, rotated)
+                assert len(want) == 4
+                for workers, switch in ((1, interval), (2, interval), (5, 1e-6)):
+                    monkeypatch.setattr(prime_poly, "_pool_workers",
+                                        lambda: workers)
+                    sys.setswitchinterval(switch)
+                    got = [(j0, z.copy()) for j0, z in iter_poly_blocks(
+                        spec, self.table, grid, rotated=rotated)]
+                    assert [j0 for j0, _ in got] == [j0 for j0, _ in want]
+                    for (_, z), (_, ref) in zip(got, want):
+                        assert z.dtype == ref.dtype
+                        assert np.array_equal(z.view(float), ref.view(float))
         finally:
             sys.setswitchinterval(interval)
 

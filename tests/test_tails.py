@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from zel.moments import exp_moment_trimmed
-from zel.prime_poly import PolySpec, PrimeTable, TGrid, lambda_sum
+from zel.prime_poly import NUFFT_BLOCK, PolySpec, PrimeTable, TGrid, lambda_sum
 from zel.special_fn import a_constant, g_constant
-from zel import tails
+from zel import prime_poly, tails
 from zel.tails import (
     ExceedanceCurve,
     FAMILIES,
@@ -112,6 +112,23 @@ class TestMeasurePoly:
             single = measure_exceedance_poly_multi([s], table31, grid1e4, v)[0]
             assert np.array_equal(c.exceed_counts, single.exceed_counts)
             assert np.array_equal(c.measure_fraction, single.measure_fraction)
+
+    def test_single_and_sweep_agree_on_nufft_grid(self):
+        # one spec draws real blocks from the half-grid NUFFT, a sweep the
+        # complex blocks rotated; every level's count must match
+        X = 1e4
+        table = PrimeTable.build(int(X))
+        assert table.upto(X) >= prime_poly.NUFFT_MIN_PRIMES
+        span = TGrid.for_span(1e5, X)
+        grid = TGrid(t0=span.t0, count=NUFFT_BLOCK + 12345, delta=span.delta)
+        specs = [PolySpec(m=0, sigma=0.8, theta=theta, X=X)
+                 for theta in (0.0, 0.7, 2.5)]
+        v = np.linspace(-1.5, 1.5, 61)
+        sweep = measure_exceedance_poly_multi(specs, table, grid, v)
+        for s, c in zip(specs, sweep):
+            assert 0 < c.exceed_counts[-1] < c.exceed_counts[0] < grid.count
+            single = measure_exceedance_poly_multi([s], table, grid, v)[0]
+            assert np.array_equal(single.exceed_counts, c.exceed_counts)
 
     def test_multi_rejects_mixed_specs(self, table31, grid1e4):
         other = PolySpec(m=1, sigma=0.8, theta=0.0, X=31.0)
