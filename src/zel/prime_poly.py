@@ -345,12 +345,6 @@ def poly_eval(spec: PolySpec, table: PrimeTable, t: float) -> float:
     return float(np.dot(w, np.cos(phase_mod_two_pi(t, omegas) + spec.theta)))
 
 
-def poly_eval_complex(spec: PolySpec, table: PrimeTable, t: float) -> complex:
-    """Z(t) = sum_{p<=X} p^-sigma-it (log p)^-m (no theta rotation)."""
-    omegas, w = _spec_arrays(spec, table)
-    return complex(np.dot(w, np.exp(-1j * phase_mod_two_pi(t, omegas))))
-
-
 def rotated_real(z: np.ndarray, theta, out: np.ndarray | None = None) -> np.ndarray:
     """Re e^{-i theta} z = cos(theta) Re z + sin(theta) Im z in one pass over
     the contiguous 1-D complex z: z's shape for one angle, one row per angle

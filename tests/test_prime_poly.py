@@ -29,10 +29,10 @@ from zel.prime_poly import (
     max_spacing,
     phase_mod_two_pi,
     poly_eval,
-    poly_eval_complex,
     rotated_real,
     sieve,
     von_mangoldt_table,
+    _spec_arrays,
 )
 
 from grid_helpers import poly_eval_batch, t_array
@@ -41,6 +41,13 @@ from grid_helpers import poly_eval_batch, t_array
 _TWO_PI_EXACT = Fraction(
     "6.28318530717958647692528676655900576839433879875021164194989"
 )
+
+
+def poly_eval_complex(spec, table, t):
+    """Z(t) = sum_{p<=X} p^-sigma-it (log p)^-m (no theta rotation), one
+    point at a time: the oracle for the complex block streams."""
+    omegas, w = _spec_arrays(spec, table)
+    return complex(np.dot(w, np.exp(-1j * phase_mod_two_pi(t, omegas))))
 
 
 def segmented_sieve(limit):
