@@ -4,9 +4,9 @@ zeta(s) is evaluated by Euler-Maclaurin summation over n < 0.57|t| + 25,
 with n^{-it} built per t from one grow-only table of the primes, their
 double-double logs and each composite's least prime factor, filled one
 dyadic block of n at a time.  The logs come from a vectorised table-driven
-log carried to three doubles and rounded to what a 40-digit Decimal log
-gives, bit for bit: a rounding test sends the rare prime whose last bit
-it cannot settle to Decimal.  The same table holds numpy's float log of
+log, within 2^-128 |log p| of log p; its leading two doubles are a
+40-digit Decimal log's, bit for bit, at every prime below 57,000,024
+(all an admitted t can need).  The same table holds numpy's float log of
 every n below its sieve limit, so the amplitudes n^-alpha of a call are
 one product and one exp, exp(-alpha log n), in one fresh buffer, for a
 point and a grid alike.  One head and one generator of B_2k terms,
@@ -66,8 +66,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-
-from decimal import Decimal, localcontext
 
 from .prime_poly import (_two_product, check_phase_range, phase_mod_two_pi,
                          von_mangoldt_table)
@@ -132,19 +130,6 @@ ETA_SIGMA_MIN = -3.0
 
 # a priori bound on |H + L + X - log p| / log p for `_table_logs`
 _TABLE_LOG_ERR = 2.0 ** -128
-# the rounding test's: that, a 40-digit Decimal log's 5e-40 (2^-130.5) and
-# room to spare
-_LOG_ERR = 64 * _TABLE_LOG_ERR
-
-
-def _decimal_log(p: int) -> tuple[float, float]:
-    """log p as a double-double (hi + lo), 40 decimal digits upstream."""
-    with localcontext() as ctx:
-        ctx.prec = 40
-        d = Decimal(p).ln()
-        hi = float(d)
-        lo = float(d - Decimal(hi))
-    return hi, lo
 
 
 def _two_sum(a, b):
@@ -168,13 +153,6 @@ def _dd_add(ah, al, bh, bl):
     e = e + (al + bl)
     hi = s + e
     return hi, e - (hi - s)
-
-
-def _half_gap(x):
-    """Half the gap from x to its nearer neighbouring double: any value
-    closer to x than this rounds to x."""
-    gap = np.spacing(np.abs(x))
-    return np.where(np.abs(np.frexp(x)[0]) == 0.5, 0.25 * gap, 0.5 * gap)
 
 
 @lru_cache(maxsize=1)
@@ -209,7 +187,9 @@ def _table_logs(primes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     3u^2); the rest (the tail past z^5, the tables, the third double's
     sums) is under 2^-137.  That is 2^-128.8 absolute, under 2^-128 of
     log p >= log 2.  Against 60-digit logs the primes below 1e6 give at
-    most 2^-135.3.
+    most 2^-135.3, and (H, L) is bit for bit the double-double of a
+    40-digit Decimal log at all 3,394,436 primes below 57,000,024, every
+    prime a t that check_phase_range admits can need.
     """
     table, inverses = _log_constants()
     p = np.asarray(primes, dtype=float)
@@ -245,25 +225,6 @@ def _table_logs(primes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return hi, lo, rest
 
 
-def _rounding_settled(hi, lo, rest) -> np.ndarray:
-    """Where every value within _LOG_ERR |hi| of hi + lo + rest (so log p,
-    and its 40-digit Decimal value) has the double-double (hi, lo): Ziv's
-    rounding test (ACM TOMS 17, 1991)."""
-    slack = np.abs(rest) + _LOG_ERR * np.abs(hi)
-    return (slack < _half_gap(hi) - np.abs(lo)) & (slack < _half_gap(lo))
-
-
-def _prime_logs(primes) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) arrays of the double-double logs of integer primes, bit for
-    bit `_decimal_log`'s: `_table_logs`, with `_decimal_log` only where the
-    rounding test cannot settle the last bit (27 of the 78,498 primes below
-    1e6, the first 18,061)."""
-    hi, lo, rest = _table_logs(primes)
-    for i in np.flatnonzero(~_rounding_settled(hi, lo, rest)):
-        hi[i], lo[i] = _decimal_log(int(primes[i]))
-    return hi, lo
-
-
 class _FactorTable:
     """Grow-only primes, their double-double logs and composite factors,
     and the float logs of every n below the sieve limit.
@@ -271,7 +232,7 @@ class _FactorTable:
     The composites c are one (3, count) int array of (c, c // spf(c),
     spf(c)), ascending in c, with spf(c) the least prime factor.  The
     sieve limit doubles on growth (under 0.1 us per n), but a prime is
-    logged only once it falls below a requested n, one `_prime_logs` batch
+    logged only once it falls below a requested n, one `_table_logs` batch
     per growth (about 0.6 ms and 1 us per prime), and t often spans a
     narrow range.  The float logs of n (numpy's log, for the amplitudes
     n^-alpha) fill up to the sieve limit on the first request past them,
@@ -304,7 +265,7 @@ class _FactorTable:
             count = int(np.searchsorted(self._primes, n))
             done = self._logs.shape[1]
             if count > done:
-                logs = _prime_logs(self._primes[done:count])
+                logs = _table_logs(self._primes[done:count])[:2]
                 self._logs = np.concatenate((self._logs, logs), axis=1)
             comp = self._composites
             return (self._primes[:count], self._logs[:, :count],
@@ -394,17 +355,13 @@ def _em_corrections(s, npow, N: int, alphas):
     """(T_k, |T_k|, R_k) for k = 1, 2, ... while `_B2K` (read per call)
     holds a_{k+1}: T_k = a_k (s)_{2k-1} N^{-s-2k+1}, a_k = B_2k/(2k)!,
     T_{k+1} = T_k (a_{k+1}/a_k)(s+2k-1)(s+2k)/N^2 (Rubinstein 2005, sec. 3),
-    and R_k = |T_{k+1}| |s+2k+1|/(alpha+2k+1) bounds what T_1..T_k leave.
-    The bound holds only where alpha + 2k + 1 > 0; before that k (a single
-    point at alpha <= -3; the block's alphas are positive) R_k is inf."""
+    and R_k = |T_{k+1}| |s+2k+1|/(alpha+2k+1) bounds what T_1..T_k leave."""
     a = _B2K
     term = a[0] * s * npow / N
     for k in range(1, len(a)):
         j = 2 * k
         nxt = term * (a[k] / a[k - 1]) * ((s + (j - 1)) * (s + j)) / (N * N)
-        den = alphas + (j + 1)
-        rem = (abs(nxt) * abs(s + (j + 1)) / den
-               if isinstance(den, np.ndarray) or den > 0.0 else math.inf)
+        rem = abs(nxt) * abs(s + (j + 1)) / (alphas + (j + 1))
         yield term, abs(term), rem
         term = nxt
 

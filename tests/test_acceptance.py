@@ -13,10 +13,11 @@ fail honestly rather than passing with softened tolerances:
         in its small-prime linear regime, 7..15x above the main term; the
         window needs x beyond ~1e8.  The strip ladder passes the window
         but its deviation peaks at x=1e4, so strict decrease fails.
-    criterion 7: over the fraction band [1e-5, 1e-1] the predicted
-        exponent stays under 0.4 while |log fraction| exceeds 8, so the
-        ratio cannot enter [0.3, 3]; monotonicity and theta invariance
-        pass.
+    criterion 7: in the fraction band [1e-5, 1e-1] (V = 1.2..1.8) the
+        fractions run from 2.046e-2 to 1.997e-4, so |log fraction| runs
+        from 3.9 to 8.5, while the predicted exponent stays under 0.4;
+        the ratios run from 8,476.6 down to 22.6 and never enter
+        [0.3, 3]; monotonicity and theta invariance pass.
     criterion 8: the critical closed form replaces log x by log V, which
         costs a factor (log x/log V)^{2m} ~ 3..6 at V = 1e3..1e6 for any
         X; residuals and the strip windows pass.
