@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 
@@ -245,7 +246,11 @@ def _output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on first use and then shared by
+    every main call in the process (a build takes about 1.5 ms; parse_args
+    returns a fresh namespace and leaves the parser as it was)."""
     top = argparse.ArgumentParser(
         prog="zel",
         description="Prime-polynomial moments, Bessel products, and "

@@ -244,25 +244,40 @@ def _half_spacing_blocks(spec: PolySpec, table: PrimeTable, grid: TGrid, *,
         yield j0 % 2, z
 
 
-def _add_power_sums(sums: dict, first: int, p: np.ndarray,
+def _power_plan(sums: dict) -> tuple:
+    """Per power j = 1..ceil(kmax/2) of a pass, the sums that p^j feeds:
+    (odd, base, refined) for each order k in (2j - 1, 2j) that sums
+    holds, odd telling k = 2j - 1, base and refined sums[k]'s lists."""
+    return tuple(tuple((k % 2 == 1, *sums[k]) for k in (2 * j - 1, 2 * j)
+                       if k in sums)
+                 for j in range(1, (max(sums) + 1) // 2 + 1))
+
+
+def _add_power_sums(plan: tuple, first: int, p: np.ndarray,
                     scratch: tuple[np.ndarray, np.ndarray]) -> None:
-    """Append sum p^k over p[first::2] and over p to sums[k], every k.
+    """Append sum p^k over p[first::2] and over p to each k's lists in
+    plan (_power_plan).
 
     sum p^k is the dot product p^ceil(k/2) . p^floor(k/2) (np.sum(p) at
-    k = 1).  The chain p^j = p^(j-1) p keeps its two latest powers in the
-    two scratch buffers, of at least p.size doubles each, which the caller
-    reuses for every block of a pass: ceil(kmax/2) - 1 multiplies per
-    block and no new arrays at any k.
+    k = 1).  The chain p^2 = np.square(p), then p^j = p^(j-1) p, keeps
+    its two latest powers in the two scratch buffers, of at least p.size
+    doubles each, which the caller reuses for every block of a pass:
+    ceil(kmax/2) - 1 products per block and no new arrays at any k.
     """
     lo, hi = None, p                    # p^(j-1), p^j
-    for j in range(1, (max(sums) + 1) // 2 + 1):
-        if j > 1:
+    for j, feeds in enumerate(plan, 1):
+        if j == 2:
+            lo, hi = p, np.square(p, out=scratch[0][:p.size])
+        elif j > 2:
             lo, hi = hi, np.multiply(hi, p, out=scratch[j % 2][:p.size])
-        for k, b in ((2 * j - 1, lo), (2 * j, hi)):
-            if k in sums:
-                for acc, part in zip(sums[k], (slice(first, None, 2), slice(None))):
-                    acc.append(float(np.sum(hi[part]) if b is None
-                                     else np.dot(hi[part], b[part])))
+        for odd, base, refined in feeds:
+            b = lo if odd else hi
+            if b is None:               # k = 1
+                base.append(float(np.sum(hi[first::2])))
+                refined.append(float(np.sum(hi)))
+            else:
+                base.append(float(np.dot(hi[first::2], b[first::2])))
+                refined.append(float(np.dot(hi, b)))
 
 
 def empirical_moment(spec: PolySpec, table: PrimeTable, grid: TGrid,
@@ -271,9 +286,10 @@ def empirical_moment(spec: PolySpec, table: PrimeTable, grid: TGrid,
 
     One kernel pass over the half-spacing refinement, whose GEMM path
     yields P itself, feeds every power sum of both grids; each sum is one
-    dot product of two powers from a multiply chain in two buffers held
-    for the pass (fresh arrays per block, for the powers or the GEMM's
-    output, cost ~100-260 minor page faults a block).
+    dot product of two powers from a chain (a square, then products) in
+    two buffers held for the pass (fresh arrays per block, for the powers
+    or the GEMM's output, cost ~100-260 minor page faults a block).  Which
+    sums each power feeds is planned once per pass (_power_plan).
     err_estimate = |half-spacing refinement delta| + X^{2k}/T.  The second
     term is the standard main-term error shape with constant 1; it is a
     reporting convention, not a certified bound.
@@ -288,9 +304,10 @@ def empirical_moment(spec: PolySpec, table: PrimeTable, grid: TGrid,
             f"error shape X^(2k)/T overflows for k={max(ks)}, X={spec.X}")
     # per k: block sums over the base grid and over the refinement
     sums = {k: ([], []) for k in ks}
+    plan = _power_plan(sums)
     scratch = (np.empty(NUFFT_BLOCK), np.empty(NUFFT_BLOCK))
     for first, p in _half_spacing_blocks(spec, table, grid, rotated=True):
-        _add_power_sums(sums, first, p, scratch)
+        _add_power_sums(plan, first, p, scratch)
     out = []
     for k in ks:
         value = math.fsum(sums[k][0]) / grid.count

@@ -18,17 +18,21 @@ the same (j_start, Z) stream, or the (j_start, P) stream of one rotation,
 in blocks of NUFFT_BLOCK points.
 
 GEMM path (fewer than NUFFT_MIN_PRIMES primes).  It factors
-e^{-i t_j omega} = e^{-i (t0 + col*B*delta) omega} * e^{-i row*delta*omega}
-over j = col*B + row and evaluates CHUNK_COLS = NUFFT_BLOCK / B columns
-at a time as one GEMM, (columns x primes) @ (primes x B), whose C-order
-result is already in grid order.  Every column start t0 + col*B*delta is
-a lattice time, so both factors come from exact phases and no error
-accumulates along the grid.  For Z the GEMM is complex.  For the rotated
-real values P = Re e^{-i theta} Z the rotation rides in the column
-factor, U' = e^{-i theta} U, and Re(U'V) = [Re U', Im U'] @ [Re V; -Im V]
-is one real GEMM of half the flops, written into one buffer per pass
-(fresh ~512 KB arrays per block cost ~260 minor page faults each, as
-glibc trims the heap top and faults it back in).  Cost
+e^{-i t_j omega} = e^{-i t_c omega} * e^{-i k*B*delta*omega} * e^{-i row*delta*omega}
+over j = (c + k)*B + row, c the first column of a chunk of
+CHUNK_COLS = NUFFT_BLOCK / B columns, and evaluates each chunk as one
+GEMM, (columns x primes) @ (primes x B), whose C-order result is already
+in grid order.  All three factors come from exact phases of lattice
+times: the chunk head (primes values per chunk, the heads of CHUNK_COLS
+chunks reduced in one call), the step table (CHUNK_COLS x primes) and
+the row factors (primes x B, weights folded in), the last two reduced
+once per pass.  A column factor is one product of a head and a step
+row, so no error accumulates along the grid.  For Z the GEMM is complex.
+For the rotated real values P = Re e^{-i theta} Z the rotation rides in
+the heads, U' = e^{-i theta} U, and Re(U'V) = [Re U', Im U'] @
+[Re V; -Im V] is one real GEMM of half the flops, written into one
+buffer per pass (fresh ~512 KB arrays per block cost ~260 minor page
+faults each, as glibc trims the heap top and faults it back in).  Cost
 O(primes * points).
 
 NUFFT path (the Odlyzko-Schonhage idea as a type-1 nonuniform FFT).  A
@@ -385,33 +389,49 @@ def _gemm_blocks(omegas: np.ndarray, w: np.ndarray, grid: TGrid,
                  theta: float | None = None) -> Iterator[tuple[int, np.ndarray]]:
     """The GEMM path of iter_poly_blocks: one GEMM per chunk.
 
-    theta None gives Z from a complex GEMM, a fresh array per chunk.
-    Otherwise each chunk is Re e^{-i theta} Z from one real GEMM,
-    [Re U', Im U'] @ [Re V; -Im V] with U' = e^{-i theta} U, as U's
-    interleaved doubles against V's rows interleaved to match, written
-    into the one buffer of the pass.
+    Column k of the chunk whose first column starts at the lattice time
+    t_c is U = e^{-i t_c omega} e^{-i k B delta omega}, B = rows: a head
+    per chunk (primes values) times row k of the step table (CHUNK_COLS x
+    primes), both from exact phases, the table reduced once per pass and
+    the heads of CHUNK_COLS chunks at a time in one call.  theta None
+    gives Z from a complex GEMM, a fresh array per chunk.  Otherwise
+    e^{-i theta} rides in the heads, U' = e^{-i theta} U, and each chunk
+    is Re e^{-i theta} Z from one real GEMM, [Re U', Im U'] @
+    [Re V; -Im V], as U's interleaved doubles against V's rows
+    interleaved to match, written into the one buffer of the pass.
     """
     rows = min(BLOCK_ROWS, grid.count)
     n_cols = -(-grid.count // rows)
+    width = min(CHUNK_COLS, n_cols)
 
     # V: (P, rows); row phases j0*delta*omega, weights folded in
     row_t = np.arange(rows, dtype=float) * grid.delta
     vmat = w[:, None] * np.exp(-1j * phase_mod_two_pi(row_t[None, :], omegas[:, None]))
+    # step table: (width, P); column offsets k*rows*delta, on the lattice
+    step_t = np.arange(width, dtype=float) * (rows * grid.delta)
+    steps = np.exp(-1j * phase_mod_two_pi(step_t[:, None], omegas[None, :]))
+    ucols = np.empty_like(steps)
+    turn = 1.0
     if theta is not None:
         vmat = np.stack((vmat.real, -vmat.imag), axis=1).reshape(-1, rows)
         turn = complex(math.cos(theta), -math.sin(theta))
-        out = np.empty((min(CHUNK_COLS, n_cols), rows))
+        out = np.empty((width, rows))
 
+    span = CHUNK_COLS * CHUNK_COLS       # columns per group of heads
     for col in range(0, n_cols, CHUNK_COLS):
-        # column starts t0 + c*rows*delta, exact on the lattice
-        cols = np.arange(col, min(col + CHUNK_COLS, n_cols), dtype=float)
-        t_cols = grid.t0 + (cols * rows) * grid.delta
-        ucols = np.exp(-1j * phase_mod_two_pi(t_cols[:, None], omegas[None, :]))
+        if col % span == 0:
+            # heads t0 + c*rows*delta of the group's chunks, exact on the lattice
+            cs = np.arange(col, min(col + span, n_cols), CHUNK_COLS, dtype=float)
+            t_cs = grid.t0 + (cs * rows) * grid.delta
+            heads = np.exp(-1j * phase_mod_two_pi(t_cs[:, None], omegas[None, :]))
+            heads *= turn
+        size = min(CHUNK_COLS, n_cols - col)
+        u = np.multiply(steps[:size], heads[col % span // CHUNK_COLS],
+                        out=ucols[:size])
         if theta is None:
-            chunk = ucols @ vmat
+            chunk = u @ vmat
         else:
-            ucols *= turn
-            chunk = np.matmul(ucols.view(float), vmat, out=out[:cols.size])
+            chunk = np.matmul(u.view(float), vmat, out=out[:size])
         j0 = col * rows
         yield j0, chunk.reshape(-1)[:grid.count - j0]
 

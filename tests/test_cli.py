@@ -860,6 +860,31 @@ class TestDeterminismAndErrors:
         err = capsys.readouterr().err
         assert err == "error: I0 series did not converge; |x| too large\n"
 
+    def test_parser_built_once_leaves_no_state(self, monkeypatch, capsys):
+        # one parser serves every main call in the process; a rejected
+        # argv and an explicit --theta leave nothing for the next call
+        seen = []
+        monkeypatch.setitem(cli._DISPATCH, "moments",
+                            lambda args: seen.append(vars(args)) or 0)
+        base = ["moments", "--sigma", "0.5", "--m", "1", "--X", "31"]
+        runs = [[*base, "--theta", "0.7", "--k", "3", "--methods", "exact"],
+                base]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*base, "--theta", "0.7", "--k"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+        for argv in runs:
+            assert cli.main(argv) == 0
+        assert cli._parser() is cli._parser()
+        want = []
+        for argv in runs:
+            args = cli._parser.__wrapped__().parse_args(argv)
+            cli._parse_lists(args)
+            want.append(vars(args))
+        assert seen == want
+        assert seen[1]["theta"] == 0.0 and seen[1]["k"] == (1, 2, 3, 4)
+        assert seen[1]["methods"] == cli.METHOD_ORDER
+
     def test_import_leaves_scipy_out(self):
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}

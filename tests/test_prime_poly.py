@@ -565,6 +565,60 @@ class TestRotatedBlocks:
         blocks.close()
 
 
+class TestGemmFactors:
+    """GEMM column factors: column i of a chunk is the chunk's head
+    e^{-i t_c omega} times row i of the step table e^{-i i B delta omega},
+    both from exact phases, the table once per pass."""
+
+    table = PrimeTable.build(100)
+    SPEC = PolySpec(m=1, sigma=0.5, theta=0.7, X=31.0)
+
+    @classmethod
+    def _grid(cls, t0, count):
+        return TGrid(t0=t0, count=count,
+                     delta=TGrid.for_span(1e6, cls.SPEC.X).delta)
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_phase_work_per_pass(self, monkeypatch, rotated):
+        # the row factors, the step table and one head per chunk; reducing
+        # a (CHUNK_COLS x primes) block of phases per chunk passes it
+        reduced = []
+        reduce = prime_poly.phase_mod_two_pi
+
+        def spy(t, omega, *rest):
+            reduced.append(np.broadcast(t, omega).size)
+            return reduce(t, omega, *rest)
+
+        monkeypatch.setattr(prime_poly, "phase_mod_two_pi", spy)
+        grid = self._grid(4e6, 9 * NUFFT_BLOCK - 777)
+        chunks = sum(1 for _ in iter_poly_blocks(self.SPEC, self.table, grid,
+                                                 rotated=rotated))
+        assert chunks == 9
+        primes = self.table.upto(self.SPEC.X)
+        assert sum(reduced) <= primes * (BLOCK_ROWS + prime_poly.CHUNK_COLS
+                                         + chunks)
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_chunk_edge_columns_match_pointwise(self, rotated):
+        # every point of the first and last column of each chunk at
+        # t >= 1e8, the last chunk partial and ending inside a column
+        grid = self._grid(1e8, 3 * NUFFT_BLOCK + 777)
+        idx = []
+        for j0 in range(0, grid.count, NUFFT_BLOCK):
+            end = min(j0 + NUFFT_BLOCK, grid.count)
+            last = j0 + (end - j0 - 1) // BLOCK_ROWS * BLOCK_ROWS
+            idx += sorted({*range(j0, min(j0 + BLOCK_ROWS, end)),
+                           *range(last, end)})
+        assert len(idx) == 3 * 2 * BLOCK_ROWS + 777
+        parts = [z.copy() for _, z in iter_poly_blocks(
+            self.SPEC, self.table, grid, rotated=rotated)]
+        assert len(parts) == 4
+        got = np.concatenate(parts)[idx]
+        oracle = poly_eval if rotated else poly_eval_complex
+        want = [oracle(self.SPEC, self.table, grid.t(j)) for j in idx]
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+
 # (sigma, X): 430 primes at X = 3000, below the NUFFT crossover; 1229 and
 # 9592 primes above it.  sum w_p reaches 70 at (0.5, 1e5).
 NUFFT_CASES = [(0.5, 3000.0), (0.5, 1e5), (0.8, 3000.0), (0.8, 1e4)]

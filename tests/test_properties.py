@@ -94,12 +94,14 @@ def test_exceed_counts_match_per_level_oracle(v, picks, nan_at):
 @example(ks=[1, 6], first=0, p=[-2.0, 1.5, 0.25])            # odd length
 @example(ks=[1, 2, 3], first=1, p=[1.5])                     # length 1
 @example(ks=[9], first=0, p=[-3.0, 3.0, -2.5, 2.5, 1.0, -1.0])
+@example(ks=[1, 3, 5, 7, 8], first=1,                        # square, then
+         p=[0.5, -1.25, 2.0, -0.75, 1.5, -3.0, 0.25])        # two products
 def test_power_sums_match_fsum_oracle(ks, first, p):
     p = np.array(p)
     # scratch longer than the block and full of NaN: only [:p.size] is used
     scratch = (np.full(p.size + 7, math.nan), np.full(p.size + 7, math.nan))
     sums = {k: ([], []) for k in ks}
-    moments._add_power_sums(sums, first, p, scratch)
+    moments._add_power_sums(moments._power_plan(sums), first, p, scratch)
     for k in ks:
         for (got,), vals in zip(sums[k], (p[first::2], p)):
             want = math.fsum((vals ** k).tolist())

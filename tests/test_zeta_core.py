@@ -8,9 +8,13 @@ test.
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -745,6 +749,30 @@ class TestSm:
     def test_non_finite_t_rejected(self, m, t):
         with pytest.raises(ValueError, match="t must be finite"):
             s_m(m, t)
+
+    def test_s1_leaves_numpy_ma_out(self):
+        # np.unique's first call imports numpy.ma, about 17 ms of a short run
+        src = str(Path(zeta_core.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from zel.zeta_core import s_m; s_m(1, [0.5]); "
+             "print('numpy.ma' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, check=True).stdout
+        assert out == "False\n"
+
+    @pytest.mark.parametrize("x", [
+        [0.0],
+        [0.0, -0.0, 0.0, -0.0],
+        [14.5, 0.0, 3.25, 14.5, -0.0, 3.25, 14.5, 50.0, 0.0],
+        np.random.default_rng(4).choice(
+            [-0.0, 0.0, 1e-300, 2.5, 14.134725141734695, 50.0], 40).tolist(),
+    ])
+    def test_panel_edges_match_unique(self, x):
+        got = zeta_core._sorted_distinct(np.array(x))
+        want = np.unique(np.array(x))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
 
     def test_s3_past_first_zero(self):
         # the nested route bisected onto the zero at t = 14.1347 and raised
