@@ -356,6 +356,12 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        # numpy's message names the array it could not allocate
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: zel {args.command} ran out of memory{detail}; "
+              "smaller parameters need less", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

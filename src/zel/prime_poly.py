@@ -36,45 +36,59 @@ faults each, as glibc trims the heap top and faults it back in).  Cost
 O(primes * points).
 
 NUFFT path (the Odlyzko-Schonhage idea as a type-1 nonuniform FFT).  A
-block of up to NUFFT_BLOCK points centred at grid point c has
-Z_{c+k} = sum_p a_p e^{-i k x_p} with a_p = w_p e^{-i t_c omega_p} from an
-exact phase and x_p = delta*omega_p.  Each a_p is spread onto a 2x
-upsampled periodic grid of n = 2 * NUFFT_BLOCK points
-with the exponential-of-semicircle kernel of width ES_WIDTH
-(Barnett-Magland-af Klinteberg, SISC 41, 2019), one numpy FFT follows,
-and each output is divided by the kernel's Fourier transform.  The kernel
+transform of up to span = 2 * NUFFT_BLOCK points centred at grid point c
+has Z_{c+k} = sum_p a_p e^{-i k x_p} with a_p = w_p e^{-i t_c omega_p}
+and x_p = delta*omega_p; it is yielded as two blocks.  Each a_p is
+spread onto a 3/2 upsampled periodic grid of n = 3 span / 2 points with
+the exponential-of-semicircle kernel of width ES_WIDTH = 18 and shape
+ES_BETA (Barnett-Magland-af Klinteberg, SISC 41, 2019), one numpy FFT
+follows, and each output is divided by the kernel's Fourier transform.
+(beta, chosen by a scan against the GEMM path at 9,592 primes, sits
+within ~1e-14 sum w_p of it; per output point the FFT takes ~30% less
+time than at 2x upsampling with 2^16-point transforms.)  The kernel
 sits at u_p = x_p n/(2 pi) in fine-grid units, formed from the exact
-two-product x_p = hi + lo in double-double arithmetic.  Rounding u_p
-to a double adds up to 2 pi k ulp(u_p)/n to each phase, growing with |k|:
+two-product x_p = hi + lo in double-double arithmetic, the factor 3 of
+n through a second two-product (_fine_position).  Rounding u_p to a
+double adds up to 2 pi k ulp(u_p)/n to each phase, growing with |k|:
 against the GEMM path that measured 1e-11 for u_p in plain doubles and
-7e-11 for np.mod(-x_p, 2 pi) placement at sum w_p = 70, where the
-double-double placement differs by ~7e-14.  Indices, kernel values and
-deconvolution factors depend only on x_p, so they are built once per pass.
-For the rotated real values P = Re e^{-i theta} Z the rotation rides in
-the amplitudes, b_p = e^{-i theta} a_p, as it rides in U' on the GEMM
-path, and P is the Hermitian case of the transform: the b_p spread
-straight into the n/2 + 1 slots of a half grid, a fine index past n/2
-mirrored to n - m with its imaginary weight negated (the plan builds
-those slots and weights once), and one real-output FFT of n points
-(np.fft.irfft) replaces the complex FFT, at half its work.  Those blocks
-sit within ~7e-16 sum w_p of Re e^{-i theta} of the complex ones.
-No step of the pass is a matrix product: one large enough for a threaded
-BLAS wakes a helper thread that spins on a core the pool's workers need.
-Cost O(points log NUFFT_BLOCK + primes * ES_WIDTH per block), the FFT
-term halved for P.  The blocks run on a pool of one thread per CPU the
-process may use, at most MAX_POOL_WORKERS (each adds ~10 MB of peak
-memory), workers + 1 of them in flight: the caller's thread reduces each
-block-centre phase and forms the amplitudes, a worker spreads, FFTs
+7e-11 for np.mod(-x_p, 2 pi) placement at sum w_p = 70.  Slots, kernel
+values and deconvolution factors depend only on x_p, so they are built
+once per pass.  The amplitudes come from exact phases as the GEMM
+path's column factors do: a_p is a group head e^{-i t_c omega_p}, one
+exact phase per NUFFT_GROUP transforms, times a row of the step table
+e^{-i r span delta omega_p}, reduced once per pass; a short last
+transform has its own exact phase.  For the rotated real values
+P = Re e^{-i theta} Z the rotation rides in the amplitudes,
+b_p = e^{-i theta} a_p, as it rides in U' on the GEMM path, and P is the
+Hermitian case of the transform: conj(b_p) spreads straight into the
+n/2 + 1 slots of a half grid, a fine index past n/2 mirrored to n - m
+with b_p in place of its conjugate (the plan builds those slots and
+weights once), and one real-output FFT of n points (np.fft.irfft)
+replaces the complex FFT, at half its work.  Those blocks sit within
+~4e-15 sum w_p of Re e^{-i theta} of the complex ones.  No step of the
+pass is a matrix product: one large enough for a threaded BLAS wakes a
+helper thread that spins on a core the pool's workers need.  Cost
+O(points log span + primes * ES_WIDTH per transform), the FFT term
+halved for P.  The transforms run on a pool of one thread per CPU the
+process may use, at most MAX_POOL_WORKERS, workers + 1 of them in
+flight: the caller's thread reduces the heads, a worker spreads, FFTs
 (numpy's FFT releases the GIL) and deconvolves, and the blocks come back
-strictly in j order.  Each block is the same sequence of numpy
+strictly in j order.  Each worker holds its fine grid and a chunk of
+spread values for the pass, and P goes into one of workers + 1 output
+grids, taken as a transform starts and handed back once both its blocks
+are read, so a rotated pass allocates nothing per block (numpy's FFT
+allocates its own scratch, 2n doubles per call); each worker adds ~6 MB
+of peak memory.  Each transform is the same sequence of numpy
 operations on the same inputs as a serial loop's, so the stream is
 bit-identical at every worker count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+import threading
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -83,14 +97,16 @@ from typing import Iterator
 import numpy as np
 
 SIEVE_LIMIT = 100_000_000       # hard cap for prime enumeration
-NUFFT_MIN_PRIMES = 450          # prime count from which the NUFFT path beats GEMM
+NUFFT_MIN_PRIMES = 300          # prime count from which the NUFFT path beats GEMM
 NUFFT_BLOCK = 1 << 16           # grid points per block on both paths (a power of two)
+NUFFT_GROUP = 4                 # NUFFT transforms per exact amplitude head
+SPREAD_CHUNK = 1024             # primes per chunk of a NUFFT spread
 BLOCK_ROWS = 1024               # rows (consecutive grid points) per GEMM column
 CHUNK_COLS = NUFFT_BLOCK // BLOCK_ROWS  # GEMM columns per yielded chunk
-ES_WIDTH = 16                   # ES spreading kernel width, fine-grid points
-ES_BETA = 2.30 * ES_WIDTH       # ES shape for 2x upsampling
+ES_WIDTH = 18                   # ES spreading kernel width, fine-grid points
+ES_BETA = 2.06 * ES_WIDTH       # ES shape for 3/2 upsampling
 ES_NODES = 64                   # Gauss-Legendre nodes for the kernel transform
-MAX_POOL_WORKERS = 4            # NUFFT pool threads at most (~10 MB RSS each)
+MAX_POOL_WORKERS = 4            # NUFFT pool threads at most (~6 MB RSS each)
 
 # three-part Cody-Waite split of 2 pi; k*C1 and k*C2 are exact for k < 2^29
 _TWO_PI = 2.0 * math.pi
@@ -370,13 +386,13 @@ def iter_poly_blocks(spec: PolySpec, table: PrimeTable, grid: TGrid, *,
     NUFFT_MIN_PRIMES primes on the NUFFT path runs, below it the GEMM
     path; see the module docstring.  Peak memory is
     O(primes * (BLOCK_ROWS + CHUNK_COLS) + NUFFT_BLOCK) on the GEMM path
-    and O(primes * ES_WIDTH + workers * NUFFT_BLOCK) on the NUFFT path,
-    never O(primes * count).
+    and O(primes * (ES_WIDTH + NUFFT_GROUP) + workers * NUFFT_BLOCK) on
+    the NUFFT path, never O(primes * count).
 
     rotated=True yields float64 blocks of P = Re e^{-i theta} Z at
     theta = spec.theta instead, with e^{-i theta} folded in before any
     sum: one real GEMM on the GEMM path, one real-output FFT from a
-    Hermitian half grid per block on the NUFFT path.  A rotated block is
+    Hermitian half grid per two blocks on the NUFFT path.  A rotated block is
     only valid until the next one is drawn, which may overwrite it in
     place; copy what must outlive it.  Complex blocks are fresh arrays.
     """
@@ -447,92 +463,120 @@ def _es_kernel(z: np.ndarray) -> np.ndarray:
     return np.exp(-ES_BETA * z * z / (1.0 + root))
 
 
-def _nufft_plan(delta: float, omegas: np.ndarray, block: int, *,
-                real: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spreading slots, kernel values and deconvolution factors for one pass.
+def _fine_position(delta: float, omegas: np.ndarray,
+                   n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel centres u = delta * omegas * n / (2 pi) on a fine grid of
+    n = 3 * 2^k points, as a double-double (u_hi, u_lo).
 
-    The per-prime frequencies are x = delta * omegas = x_hi + x_lo
-    exactly; the fine grid has n = 2 * block points.  slots index the
-    fine grid viewed as interleaved (re, im) doubles, so one real
-    bincount spreads complex amplitudes; real=True gives the slots and
-    (re, im) weights of the Hermitian half grid (_half_grid_spread).
-    The factors divide output k in [-block/2, block/2), stored at
-    k + block/2; they are 1/psi_hat from 32 Gauss-Legendre nodes, within
-    ~2e-15 of the exact transform.
+    x = delta * omegas is the exact two-product x_hi + x_lo, 1/(2 pi) a
+    double-double; the factor 3 goes through a second two-product and
+    2^k is exact, so u_hi + u_lo carries u to ~2^-100 relative.  Rounding
+    u to one double shifts output k's phase by up to 2 pi k ulp(u)/n.
     """
-    n = 2 * block
+    scale, rem = divmod(n, 3)
+    if rem or scale & (scale - 1):
+        raise ValueError(f"fine grid size {n} is not 3 * 2^k")
     x_hi, x_lo = _two_product(delta, omegas)
-    # kernel centre u = x n / (2 pi) in fine-grid units, as a double-double;
-    # n is a power of two, so scaling by it is exact
     p, e = _two_product(x_hi, _INV_TWO_PI_HI)
-    u_hi = n * p
-    u_lo = n * (e + x_hi * _INV_TWO_PI_LO + x_lo * _INV_TWO_PI_HI)
+    lo = e + x_hi * _INV_TWO_PI_LO + x_lo * _INV_TWO_PI_HI
+    hi, e = _two_product(p, 3.0)
+    return scale * hi, scale * (e + 3.0 * lo)
+
+
+def _nufft_plan(delta: float, omegas: np.ndarray, span: int, *,
+                real: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                             tuple[np.ndarray, ...]]:
+    """Spreading slots and weights, deconvolution factors and mirrored
+    entries for one pass.
+
+    A transform has span outputs on a fine grid of n = 3 span / 2 points,
+    span a power of two.  slots (int32) and weights are (primes, ES_WIDTH):
+    amplitude c_p adds c_p * weight to the fine-grid point whose real part
+    is at index slot of the grid viewed as interleaved (re, im) doubles.
+    real=True gives those of the Hermitian half grid (_half_grid_spread),
+    whose few mirrored entries, (prime, slot, weight) arrays, add
+    conj(c_p) * weight instead; mirrored is empty for the full grid.  The
+    factors divide output k in [-span/2, span/2), stored at k + span/2;
+    they are 1/psi_hat from ES_NODES/2 Gauss-Legendre nodes, within
+    ~2e-15 of the exact transform, ~1e-14 as |k| nears span/2, where
+    psi_hat falls to 0.7% of psi_hat(0).
+    """
+    n = 3 * span // 2
+    u_hi, u_lo = _fine_position(delta, omegas, n)
     base = np.floor(u_hi)
     frac = (u_hi - base) + u_lo
     offsets = np.arange(1 - ES_WIDTH // 2, ES_WIDTH // 2 + 1)
     kern = _es_kernel((offsets - frac[:, None]) * (2.0 / ES_WIDTH))
-    idx = (base.astype(np.int64)[:, None] + offsets) % n
+    base = base.astype(np.int64) % n
+    idx = base[:, None] + offsets
+    # the rows whose kernel wraps past 0 or n, or on the half grid reaches
+    # n/2 (past it, fine indices are mirrored)
+    near = np.flatnonzero((base < ES_WIDTH)
+                          | (base >= (n // 2 if real else n) - ES_WIDTH))
+    idx[near] %= n
     if real:
-        slots, kern = _half_grid_spread(idx, kern, n)
+        slots, kern, mirrored = _half_grid_spread(idx, kern, n, near)
     else:
-        slots = (2 * idx[:, :, None] + np.arange(2)).reshape(-1)
+        slots, mirrored = idx, ()
+    slots = np.multiply(slots, 2, dtype=np.int32)
 
-    # psi_hat(k/n) = W int_0^1 phi(z) cos(pi k W z / n) dz, even in k; the
-    # integrand is even in z, so only the nonnegative half of the nodes.
-    # einsum, not a matrix product: a (block/2 + 1) x 32 product is large
-    # enough for a threaded BLAS to wake a helper thread, which then spins
-    # on the core the pool's workers need.  Keep arg one 8 MB temporary:
-    # freeing it raises glibc's dynamic mmap threshold, so the blocks'
-    # 1-2.4 MB arrays are reused from the heap instead of being mapped and
-    # faulted in afresh (built in small pieces instead, it cost a
-    # 9,592-prime, 5.5M-point pass 10-16x the minor page faults)
+    # psi_hat(k/n) = W int_0^1 phi(z) cos(k theta_z) dz, theta_z = pi W z / n,
+    # even in k and z, so only the nonnegative half of the nodes.  By angle
+    # addition, cos((qR + r) theta) = cos(qR theta) cos(r theta)
+    # - sin(qR theta) sin(r theta): 2 (Q + R) cosines per node, not span/2,
+    # contracted by einsum, not a matrix product (a threaded BLAS would
+    # wake a helper thread that spins on the core the pool's workers need)
     z, wts = (a[ES_NODES // 2:] for a in np.polynomial.legendre.leggauss(ES_NODES))
-    k = np.arange(block // 2 + 1)
-    arg = np.outer(k * (math.pi * ES_WIDTH / n), z)
-    psi_hat = ES_WIDTH * np.einsum("kz,z->k", np.cos(arg, out=arg),
-                                   wts * _es_kernel(z))
-    inv = 1.0 / psi_hat
-    return slots, kern, np.concatenate((inv[:0:-1], inv[:-1]))
+    theta = z * (math.pi * ES_WIDTH / n)
+    count = span // 2 + 1
+    rows = math.isqrt(count - 1) + 1
+    qs = np.arange(-(-count // rows))[:, None] * (rows * theta)
+    rs = np.arange(rows)[:, None] * theta
+    g = ES_WIDTH * wts * _es_kernel(z)
+    outer = np.concatenate((np.cos(qs) * g, -np.sin(qs) * g), axis=1)
+    inner = np.concatenate((np.cos(rs), np.sin(rs)), axis=1)
+    psi_hat = np.einsum("qz,rz->qr", outer, inner).reshape(-1)[:count]
+    deconv = np.empty(span)
+    np.divide(1.0, psi_hat[:0:-1], out=deconv[:span // 2])
+    np.divide(1.0, psi_hat[:-1], out=deconv[span // 2:])
+    return slots, kern, deconv, mirrored
 
 
-def _half_grid_spread(idx: np.ndarray, kern: np.ndarray,
-                      n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Slots and (re, im) weights that spread rotated amplitudes b_p
-    straight into the n/2 + 1 slots of a Hermitian half grid.
+def _half_grid_spread(idx: np.ndarray, kern: np.ndarray, n: int,
+                      near: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                 tuple[np.ndarray, ...]]:
+    """Slots, weights and mirrored entries that spread conjugate rotated
+    amplitudes c_p = conj(b_p) straight into the n/2 + 1 slots of a
+    Hermitian half grid; only the rows in near have a fine index at 0,
+    n/2 or past n/2.
 
     Re sum_m g_m e^{-2 pi i k m/n}, g the fine grid of the b_p, is the
     real inverse transform of H_m = (c_m + conj(c_{n-m}))/2 with c =
     conj(g), halved in neither end slot (0 and n/2, whose imaginary parts
     an inverse real FFT discards).  So a fine index m <= n/2 adds
-    conj(b_p) kern / 2 to slot m, and one past n/2 adds b_p kern / 2 to
-    slot n - m: the mirror negates the imaginary weight, and no fold
-    pass is needed.  Every weight also carries
-    (-1)^m, which moves output k to index n/2 + k, so a block is one
-    contiguous slice.  Halving and signs are exact, so each slot sum is
-    that of the complex fine grid up to rounding order.
+    c_p kern / 2 to slot m, and one past n/2 adds conj(c_p) kern / 2 to
+    slot n - m, no fold pass needed.  Every weight also carries (-1)^m,
+    which moves output k to index n/2 + k, so a block is one contiguous
+    slice.  Halving and signs are exact, so each slot sum is that of the
+    complex fine grid up to rounding order.
 
-    weights is (primes, 2, ES_WIDTH), a row of re and a row of im weights
-    per prime, so a block's product with its (re, im) amplitude pairs
-    runs along rows; with the pairs innermost it took 4x as long.
+    The mirrored entries (kernels across n/2, or wrapped past 0: none on
+    a grid within the spacing rule) come back as (prime, slot, weight)
+    arrays, with weight 0 in their place in the main table.
     """
-    # in place where it can be: each (primes x ES_WIDTH) temporary is
-    # mapped afresh and faulted in page by page
-    slots = np.empty((len(kern), 2, kern.shape[1]), dtype=np.int64)
-    slot = np.subtract(n, idx, out=slots[:, 0])
-    mirrored = slot < n // 2
-    np.minimum(slot, idx, out=slot)
-    end = (slot == 0) | (slot == n // 2)
-    weights = np.empty(slots.shape)
-    re, im = weights[:, 0], weights[:, 1]
-    # (-1)^m: m = idx alternates in parity along each row
-    np.multiply(kern, np.where(idx[:, :1] % 2, -0.5, 0.5), out=re)
-    re[:, 1::2] *= -1.0
-    re[end] *= 2.0
-    np.negative(re, out=im)
-    np.copyto(im, re, where=mirrored)
-    np.multiply(slot, 2, out=slot)
-    np.add(slot, 1, out=slots[:, 1])
-    return slots.reshape(-1), weights
+    # (-1)^m / 2: m = idx alternates in parity along each row
+    weights = np.multiply(kern, np.where(idx[:, :1] % 2, -0.5, 0.5), out=kern)
+    weights[:, 1::2] *= -1.0
+    rows = idx[near]
+    slot = np.minimum(rows, n - rows)
+    part = weights[near]
+    part[(slot == 0) | (slot == n // 2)] *= 2.0
+    r, c = np.nonzero(rows > n // 2)
+    mirrored = (near[r], 2 * slot[r, c], part[r, c])
+    part[r, c] = 0.0
+    weights[near] = part
+    idx[near] = slot
+    return idx, weights, mirrored
 
 
 def _pool_workers() -> int:
@@ -543,82 +587,193 @@ def _pool_workers() -> int:
     return min(os.cpu_count() or 1, MAX_POOL_WORKERS)
 
 
-def _nufft_block(a: np.ndarray, size: int, slots: np.ndarray, kern: np.ndarray,
-                 deconv: np.ndarray) -> np.ndarray:
-    """Z over one block of size points from its amplitudes a: spread, FFT
-    and deconvolve.  Pure numpy on arrays nothing else writes, so any
-    thread may run it; numpy's FFT releases the GIL."""
-    block = deconv.size
-    n, h = 2 * block, size // 2
-    fine = np.bincount(slots, (a[:, None] * kern).view(float).reshape(-1),
-                       minlength=2 * n).view(complex)
-    np.fft.fft(fine, out=fine)
-    lo = block // 2 - h
-    z = np.concatenate((fine[n - h:], fine[:size - h]))
-    z *= deconv[lo:lo + size]
+def _nufft_buffers(primes: int, n: int, real: bool) -> tuple[np.ndarray, ...]:
+    """One worker's buffers for a pass: its fine grid (n/2 + 1 complex for
+    the half grid, n for the full one, as doubles), the (re, im) spread
+    values and the amplitudes of one chunk of SPREAD_CHUNK primes."""
+    chunk = min(SPREAD_CHUNK, primes)
+    return (np.empty(n + 2 if real else 2 * n), np.empty((2, chunk, ES_WIDTH)),
+            np.empty(chunk, dtype=complex))
+
+
+def _spread(head: np.ndarray, step: np.ndarray | None, plan: tuple,
+            held: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The held fine grid, zeroed, with the amplitudes c_p = head * step
+    (head alone for step None) spread in, SPREAD_CHUNK primes at a time:
+    np.add.at writes into the grid, so nothing is allocated per chunk."""
+    slots, weights, _, mirrored = plan
+    fine, vals, amp = held
+    fine.fill(0.0)
+    chunk = len(amp)
+    for i in range(0, len(head), chunk):
+        m = min(chunk, len(head) - i)
+        c = head[i:i + m] if step is None else np.multiply(
+            head[i:i + m], step[i:i + m], out=amp[:m])
+        wts, s = weights[i:i + m], slots[i:i + m].reshape(-1)
+        np.multiply(c.real[:, None], wts, out=vals[0, :m])
+        np.multiply(c.imag[:, None], wts, out=vals[1, :m])
+        np.add.at(fine, s, vals[0, :m].reshape(-1))
+        np.add.at(fine[1:], s, vals[1, :m].reshape(-1))
+    if len(mirrored):                       # conj(c_p) weight
+        rows, s, wts = mirrored
+        c = head[rows] if step is None else head[rows] * step[rows]
+        np.add.at(fine, s, c.real * wts)
+        np.add.at(fine[1:], s, -c.imag * wts)
+    return fine
+
+
+def _nufft_block(head: np.ndarray, step: np.ndarray | None, size: int,
+                 plan: tuple, held: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Z over one transform of size <= span points from its amplitudes
+    head * step: spread into the held fine grid, FFT in place and
+    deconvolve into a fresh array.  Pure numpy on arrays no other thread
+    writes, so any thread may run it; numpy's FFT releases the GIL."""
+    deconv = plan[2]
+    span = deconv.size
+    n, h = 3 * span // 2, size // 2
+    grid = _spread(head, step, plan, held).view(complex)
+    np.fft.fft(grid, out=grid)
+    z = np.concatenate((grid[n - h:], grid[:size - h]))
+    z *= deconv[span // 2 - h:span // 2 - h + size]
     return z
 
 
-def _nufft_real_block(b: np.ndarray, size: int, slots: np.ndarray,
-                      weights: np.ndarray, deconv: np.ndarray) -> np.ndarray:
-    """P = Re Z over one block from rotated amplitudes b = e^{-i theta} a:
-    spread into the half grid, one real-output FFT of n points, deconvolve.
-    A view into the FFT's output; thread-safe as _nufft_block is."""
-    block = deconv.size
-    h = size // 2
-    half = np.bincount(slots, (b.view(float).reshape(-1, 2, 1) * weights).reshape(-1),
-                       minlength=2 * block + 2).view(complex)
-    p = np.fft.irfft(half, 2 * block, norm="forward")[block - h:block - h + size]
-    lo = block // 2 - h
-    p *= deconv[lo:lo + size]
+def _nufft_real_block(head: np.ndarray, step: np.ndarray | None, size: int,
+                      plan: tuple, held: tuple[np.ndarray, ...],
+                      out: np.ndarray) -> np.ndarray:
+    """P = Re Z over one transform from the conjugate rotated amplitudes
+    head * step = conj(e^{-i theta} a_p): spread into the held half grid,
+    one real-output FFT of n points into out, deconvolved in place there.
+    A view into out; thread-safe as _nufft_block is."""
+    deconv = plan[2]
+    span = deconv.size
+    n, h = out.size, size // 2
+    half = _spread(head, step, plan, held).view(complex)
+    np.fft.irfft(half, n, norm="forward", out=out)
+    p = out[n // 2 - h:n // 2 - h + size]
+    p *= deconv[span // 2 - h:span // 2 - h + size]
     return p
+
+
+def _nufft_amplitudes(omegas: np.ndarray, w: np.ndarray, grid: TGrid, span: int,
+                      theta: float | None) -> Iterator[tuple[int, int, np.ndarray,
+                                                             np.ndarray | None]]:
+    """(j0, size, head, step) per transform of the pass, in j order: its
+    amplitudes are head * step (head alone for step None),
+    a_p = w_p e^{-i t_c omega_p} for theta None, else conj(e^{-i theta} a_p),
+    which spread into the half grid.
+
+    A full transform i = g G + r (span points, G = NUFFT_GROUP) is
+    centred at c = j0 + span/2, so t_c is the centre of transform g G
+    plus r span delta.  head is e^{-i theta} w e^{-i t omega} (or its
+    conjugate) at that first centre, one exact phase per group, and for
+    r > 0 step is e^{-i r span delta omega} (or its conjugate), its G - 1
+    rows reduced once per pass.  A short last transform is centred on its
+    own points, with its own exact phase as head.
+    """
+    sign = -1j if theta is None else 1j
+    tw = w if theta is None else w * complex(math.cos(theta), math.sin(theta))
+
+    def turned(phase):                  # tw e^{sign phase}, one fresh array
+        e = np.multiply(phase, sign)
+        return np.multiply(np.exp(e, out=e), tw, out=e)
+
+    group = max(1, min(NUFFT_GROUP, grid.count // span))
+    if group > 1:
+        lag = np.arange(1, group, dtype=float)[:, None] * (span * grid.delta)
+        steps = np.multiply(phase_mod_two_pi(lag, omegas[None, :]), sign)
+        np.exp(steps, out=steps)
+    for i, j0 in enumerate(range(0, grid.count, span)):
+        size = min(span, grid.count - j0)
+        if size < span:
+            t_c = grid.t(j0 + size // 2)
+            yield j0, size, turned(phase_mod_two_pi(t_c, omegas)), None
+        elif i % group == 0:
+            head = turned(phase_mod_two_pi(grid.t(j0 + span // 2), omegas))
+            yield j0, size, head, None
+        else:
+            yield j0, size, head, steps[i % group - 1]
 
 
 def _nufft_blocks(omegas: np.ndarray, w: np.ndarray, grid: TGrid,
                   theta: float | None = None) -> Iterator[tuple[int, np.ndarray]]:
-    """The NUFFT path of iter_poly_blocks: one type-1 NUFFT per block.
+    """The NUFFT path of iter_poly_blocks: one type-1 NUFFT per transform
+    of span = 2 NUFFT_BLOCK points, yielded as two blocks.
 
-    A block of L <= NUFFT_BLOCK points starting at j0 is centred at grid
+    A transform of L <= span points starting at j0 is centred at grid
     point c = j0 + L//2, so t_c is exact and
     Z_{c+k} = sum_p a_p e^{-i k x_p} for k in [-L//2, L - L//2).
-    theta None gives Z (_nufft_block).  Otherwise the amplitudes are
-    b_p = e^{-i theta} a_p, with e^{-i theta} from math as on the GEMM
-    path, and each block is Re Z from the half grid (_nufft_real_block).
+    theta None gives Z (_nufft_block), each transform a fresh array.
+    Otherwise each transform is Re e^{-i theta} Z from the half grid
+    (_nufft_real_block), written into one of workers + 1 output grids: a
+    transform takes a free one when it starts, and the consumer hands it
+    back once it has drawn past both of its blocks.  While the consumer
+    keeps up, the workers never wait for one.
 
-    The amplitudes of each block are formed here, on the caller's thread
-    (every phase_mod_two_pi call stays on it), and the block runs on a
-    pool of _pool_workers() threads with workers + 1 blocks in flight;
-    blocks come back in j order, each bit-identical to a serial loop's.
-    Closing the generator cancels the blocks not yet started and joins
-    the pool.
+    The amplitudes' phases are reduced here, on the caller's thread
+    (_nufft_amplitudes); the transforms run on a pool of _pool_workers()
+    threads, each with its own buffers (_nufft_buffers) held for the
+    pass, with workers + 1 of them in flight.  Transforms come back in j
+    order, each bit-identical to a serial loop's.  Closing the generator
+    cancels the transforms not yet started and joins the pool.
     """
-    from concurrent.futures import ThreadPoolExecutor   # ~4 ms kept out of import
+    import queue                                        # with the pool, kept out
+    from concurrent.futures import ThreadPoolExecutor   # of import (~4 ms)
 
     block = NUFFT_BLOCK
+    span = 2 * block
+    n = 3 * span // 2
     real = theta is not None
-    slots, kern, deconv = _nufft_plan(grid.delta, omegas, block, real=real)
-    run = _nufft_real_block if real else _nufft_block
-    turn = complex(math.cos(theta), -math.sin(theta)) if real else 1.0
-    starts = range(0, grid.count, block)
+    plan = _nufft_plan(grid.delta, omegas, span, real=real)
     workers = _pool_workers()
+    # rotated output: a grid per worker and one for the transform being read
+    outs = np.empty((workers + 1, n)) if real else None
+    free = queue.SimpleQueue()
+    for slot in range(len(outs) if real else 0):
+        free.put(slot)
+    held = threading.local()
+
+    def transform(size, head, step):
+        if not hasattr(held, "bufs"):       # the worker's first transform
+            held.bufs = _nufft_buffers(omegas.size, n, real)
+        if not real:
+            return None, _nufft_block(head, step, size, plan, held.bufs)
+        slot = free.get()
+        try:
+            return slot, _nufft_real_block(head, step, size, plan, held.bufs,
+                                           outs[slot])
+        except BaseException:
+            free.put(slot)
+            raise
+
+    def release(slot):
+        if slot is not None:
+            free.put(slot)
+
     pool = ThreadPoolExecutor(workers, thread_name_prefix="zel-nufft")
-
-    def submit(j0):
-        size = min(block, grid.count - j0)
-        a = w * np.exp(-1j * phase_mod_two_pi(grid.t(j0 + size // 2), omegas))
-        if real:
-            a *= turn
-        return pool.submit(run, a, size, slots, kern, deconv)
-
+    reading = None                          # the output grid the consumer reads
+    ahead = deque()
     try:
-        ahead = deque(map(submit, starts[:workers + 1]))
-        for j0 in starts:
-            z = ahead.popleft().result()
-            nxt = j0 + (workers + 1) * block
-            if nxt < grid.count:
-                ahead.append(submit(nxt))
-            yield j0, z
+        jobs = ((j0, pool.submit(transform, size, head, step))
+                for j0, size, head, step in _nufft_amplitudes(
+                    omegas, w, grid, span, theta))
+        ahead.extend(itertools.islice(jobs, workers + 1))
+        while ahead:
+            j0, job = ahead.popleft()
+            release(reading)                # the consumer drew past it
+            reading = None
+            reading, z = job.result()
+            ahead.extend(itertools.islice(jobs, 1))
+            yield j0, z[:block]
+            if z.size > block:
+                yield j0 + block, z[block:]
     finally:
+        # a worker may wait for an output grid: hand back the consumer's
+        # and those of finished transforms nobody will read, then join
+        release(reading)
+        for _, job in ahead:
+            if job.done() and not job.cancelled() and job.exception() is None:
+                release(job.result()[0])
         pool.shutdown(wait=True, cancel_futures=True)
 
 

@@ -885,6 +885,26 @@ class TestDeterminismAndErrors:
         assert seen[1]["theta"] == 0.0 and seen[1]["k"] == (1, 2, 3, 4)
         assert seen[1]["methods"] == cli.METHOD_ORDER
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="RLIMIT_AS caps the address space on Linux")
+    def test_out_of_memory_exits_2(self):
+        # a 768 MB address-space cap on the child alone: zeta at t = 2e7
+        # sieves to ~1.1e7 and cannot allocate its composite table
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        capped = ("import resource, runpy, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (768 << 20, 768 << 20))\n"
+                  "sys.argv = ['zel', 'eta', '--sigma', '0.75', '--m', '1',"
+                  " '--t', '2e7']\n"
+                  "runpy.run_module('zel.cli', run_name='__main__')\n")
+        out = subprocess.run([sys.executable, "-c", capped], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 2, out.stderr[-2000:]
+        assert out.stdout == ""
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: zel eta ran out of memory")
+
     def test_import_leaves_scipy_out(self):
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}

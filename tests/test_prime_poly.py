@@ -6,10 +6,15 @@ reduction against a Fraction-arithmetic reference.
 """
 
 import math
+import os
+import platform
+import subprocess
 import sys
 import threading
+import time
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -526,23 +531,27 @@ class TestRotatedBlocks:
 
     # delta 2^-20 puts every kernel across fine-grid index 0.  delta ~
     # pi/log 23, past the spacing rule, puts p = 23's kernel across n/2,
-    # at x_p = pi, and p = 29, 31 wholly past it, into mirrored slots
+    # at x_p = pi, and p = 29, 31 wholly past it, into mirrored slots;
+    # delta ~ 2 pi/log 31 puts p = 31's across n, wrapping to index 0
     @pytest.mark.parametrize("delta,wrap", [
         (2.0 ** -20, 0),
-        (round(math.pi / math.log(23.0) * 2 ** 20) / 2 ** 20, NUFFT_BLOCK)])
+        (round(math.pi / math.log(23.0) * 2 ** 20) / 2 ** 20, 3 * NUFFT_BLOCK // 4),
+        (round(2 * math.pi / math.log(31.0) * 2 ** 20) / 2 ** 20, 0)])
     def test_nufft_wrapped_spread_matches_gemm(self, monkeypatch, delta, wrap):
         spec = PolySpec(m=0, sigma=0.5, theta=0.7, X=31.0)
         grid = TGrid(t0=1e4, count=NUFFT_BLOCK + 777, delta=delta)
         omegas, _ = prime_poly._spec_arrays(spec, self.table)
         fine = np.unique(prime_poly._nufft_plan(delta, omegas, NUFFT_BLOCK)[0] // 2)
-        n = 2 * NUFFT_BLOCK
+        n = 3 * NUFFT_BLOCK // 2
         assert {(wrap - 1) % n, wrap, wrap + 1} <= set(fine.tolist())
-        streams = []
-        for threshold in (1, 10 ** 9):
-            monkeypatch.setattr(prime_poly, "NUFFT_MIN_PRIMES", threshold)
-            streams.append(self._stream(spec, self.table, grid, rotated=True))
         bound = 1e-12 * float(np.sum(self.table.weights(0, 0.5, 31.0)))
-        assert np.max(np.abs(streams[0] - streams[1])) <= bound
+        for rotated in (True, False):       # the half grid and the full one
+            streams = []
+            for threshold in (1, 10 ** 9):
+                monkeypatch.setattr(prime_poly, "NUFFT_MIN_PRIMES", threshold)
+                streams.append(self._stream(spec, self.table, grid,
+                                            rotated=rotated))
+            assert np.max(np.abs(streams[0] - streams[1])) <= bound
 
     def test_rotated_block_is_overwritten_by_the_next(self):
         spec = PolySpec(m=1, sigma=0.5, theta=0.7, X=31.0)
@@ -619,7 +628,7 @@ class TestGemmFactors:
         assert np.max(np.abs(got - want)) <= 1e-10
 
 
-# (sigma, X): 430 primes at X = 3000, below the NUFFT crossover; 1229 and
+# (sigma, X): 430 primes at X = 3000, near the NUFFT crossover; 1229 and
 # 9592 primes above it.  sum w_p reaches 70 at (0.5, 1e5).
 NUFFT_CASES = [(0.5, 3000.0), (0.5, 1e5), (0.8, 3000.0), (0.8, 1e4)]
 
@@ -668,7 +677,7 @@ class TestNufft:
         # psi_hat(k/n) = W int_0^1 phi(z) cos(pi k W z / n) dz at 30 digits;
         # the plan's 32-node Gauss-Legendre sum sits ~2e-15 from it
         block = NUFFT_BLOCK
-        n, width, beta = 2 * block, prime_poly.ES_WIDTH, prime_poly.ES_BETA
+        n, width, beta = 3 * block // 2, prime_poly.ES_WIDTH, prime_poly.ES_BETA
         deconv = prime_poly._nufft_plan(0.125, np.log([2.0, 3.0]), block)[2]
         assert deconv.shape == (block,)
         for k in (0, 1, block // 4, block // 2 - 1, -block // 2):
@@ -678,6 +687,44 @@ class TestNufft:
                     * mpmath.cos(mpmath.pi * k * width * z / n), [0, 1])
             got = 1.0 / deconv[k + block // 2]
             assert abs(got / float(psi) - 1.0) <= 1e-14, k
+
+    @pytest.mark.parametrize("k", [8, 15, 16, 17])
+    def test_fine_position_exact_at_three_times_power_of_two(self, k):
+        # u = delta omega n / (2 pi) at n = 3 2^k: u_hi + u_lo within
+        # 2^-100 u of the exact rational; one rounded product by 3 would
+        # leave up to 2^-54 u, which the placement carries into every phase
+        n = 3 * 2 ** k
+        omegas = np.concatenate((self.table.logs[::97], [math.pi, 1e-3, 11.5]))
+        for delta in (TGrid.for_span(1e6, 1e5).delta, 2.0 ** -20,
+                      round(math.pi / math.log(23.0) * 2 ** 20) / 2 ** 20):
+            u_hi, u_lo = prime_poly._fine_position(delta, omegas, n)
+            for om, hi, lo in zip(omegas, u_hi, u_lo):
+                exact = Fraction(delta) * Fraction(float(om)) * n / _TWO_PI_EXACT
+                assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact * 2 ** -100
+        with pytest.raises(ValueError, match="not 3"):
+            prime_poly._fine_position(0.125, omegas, 2 ** 17)
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_matches_pointwise_at_x1e6(self, rotated):
+        # 78,498 primes at sigma = 1/2, sum w_p = 176: two full transforms
+        # and a short one, checked at block ends and transform centres
+        X = 1e6
+        table = PrimeTable.build(int(X))
+        spec = PolySpec(m=0, sigma=0.5, theta=0.7, X=X)
+        assert table.upto(X) == 78_498
+        span = TGrid.for_span(1e6, X)
+        grid = TGrid(t0=span.t0, count=4 * NUFFT_BLOCK + 777, delta=span.delta)
+        bound = 1e-12 * float(np.sum(table.weights(0, 0.5, X)))
+        z = np.concatenate([b.copy() for _, b in iter_poly_blocks(
+            spec, table, grid, rotated=rotated)])
+        edges = [0, 1, NUFFT_BLOCK - 1, NUFFT_BLOCK, 2 * NUFFT_BLOCK - 1,
+                 2 * NUFFT_BLOCK, 3 * NUFFT_BLOCK, 4 * NUFFT_BLOCK - 1,
+                 4 * NUFFT_BLOCK, 4 * NUFFT_BLOCK + 388, grid.count - 1]
+        idx = np.unique(np.concatenate(
+            [edges, np.random.default_rng(9).integers(0, grid.count, 20)]))
+        oracle = poly_eval if rotated else poly_eval_complex
+        want = np.array([oracle(spec, table, grid.t(int(j))) for j in idx])
+        assert np.max(np.abs(z[idx] - want)) <= bound
 
     @pytest.mark.parametrize("X,path", [(31.0, "gemm"), (1e5, "nufft")])
     def test_dispatch_by_prime_count(self, monkeypatch, X, path):
@@ -706,47 +753,97 @@ class TestNufftPool:
         return TGrid(t0=span.t0, count=3 * NUFFT_BLOCK + 777, delta=span.delta)
 
     def _serial(self, spec, grid, rotated):
-        """The blocks of one plain loop over _nufft_block, or over
-        _nufft_real_block from amplitudes turned by e^{-i theta}."""
+        """Each transform of one plain loop over _nufft_block, or over
+        _nufft_real_block from the conjugate turned amplitudes, whole:
+        (j0, values)."""
         omegas, w = prime_poly._spec_arrays(spec, self.table)
-        slots, kern, deconv = prime_poly._nufft_plan(grid.delta, omegas,
-                                                     NUFFT_BLOCK, real=rotated)
-        turn = complex(math.cos(spec.theta), -math.sin(spec.theta))
-        run = prime_poly._nufft_real_block if rotated else prime_poly._nufft_block
+        span = 2 * NUFFT_BLOCK
+        n = 3 * span // 2
+        plan = prime_poly._nufft_plan(grid.delta, omegas, span, real=rotated)
+        held = prime_poly._nufft_buffers(omegas.size, n, rotated)
         out = []
-        for j0 in range(0, grid.count, NUFFT_BLOCK):
-            size = min(NUFFT_BLOCK, grid.count - j0)
-            a = w * np.exp(-1j * phase_mod_two_pi(grid.t(j0 + size // 2),
-                                                  omegas))
+        for j0, size, head, step in prime_poly._nufft_amplitudes(
+                omegas, w, grid, span, spec.theta if rotated else None):
             if rotated:
-                a *= turn
-            out.append((j0, run(a, size, slots, kern, deconv)))
+                z = prime_poly._nufft_real_block(head, step, size, plan, held,
+                                                 np.empty(n))
+            else:
+                z = prime_poly._nufft_block(head, step, size, plan, held)
+            out.append((j0, z.copy()))
         return out
 
     @pytest.mark.parametrize("X", [1e4, 1e5])
     def test_bit_identical_at_every_worker_count(self, monkeypatch, X):
-        # 5 workers on a short switch interval: more threads than cores,
-        # trading the interpreter lock as often as it can; complex blocks
-        # and real (rotated) ones alike
+        # 1, 2 and 4 workers, and 5 on a short switch interval: more
+        # threads than cores, trading the interpreter lock as often as it
+        # can; complex blocks and real (rotated) ones alike.  The grid
+        # spans two groups of heads and ends in a short transform; each
+        # transform comes as two blocks, which together are its serial
+        # values bit for bit
         spec = PolySpec(m=0, sigma=0.8, theta=0.7, X=X)
-        grid = self._grid(X)
+        span = TGrid.for_span(1e6, X)
+        count = 2 * NUFFT_BLOCK * (prime_poly.NUFFT_GROUP + 1) + 777
+        grid = TGrid(t0=span.t0, count=count, delta=span.delta)
         interval = sys.getswitchinterval()
         try:
             for rotated in (False, True):
                 want = self._serial(spec, grid, rotated)
-                assert len(want) == 4
-                for workers, switch in ((1, interval), (2, interval), (5, 1e-6)):
+                assert len(want) == prime_poly.NUFFT_GROUP + 2
+                halves = [(j0 + k, z[k:k + NUFFT_BLOCK]) for j0, z in want
+                          for k in range(0, z.size, NUFFT_BLOCK)]
+                assert len(halves) == 2 * len(want) - 1
+                for workers, switch in ((1, interval), (2, interval),
+                                        (4, interval), (5, 1e-6)):
                     monkeypatch.setattr(prime_poly, "_pool_workers",
                                         lambda: workers)
                     sys.setswitchinterval(switch)
                     got = [(j0, z.copy()) for j0, z in iter_poly_blocks(
                         spec, self.table, grid, rotated=rotated)]
-                    assert [j0 for j0, _ in got] == [j0 for j0, _ in want]
-                    for (_, z), (_, ref) in zip(got, want):
+                    assert [j0 for j0, _ in got] == [j0 for j0, _ in halves]
+                    for (_, z), (_, ref) in zip(got, halves):
                         assert z.dtype == ref.dtype
                         assert np.array_equal(z.view(float), ref.view(float))
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_rotated_output_grids_held_while_read(self, monkeypatch, workers):
+        # a rotated block keeps its values while the consumer holds it, the
+        # workers running ahead meanwhile; closing the stream at any block,
+        # or a failed transform, hands every output grid back and joins
+        monkeypatch.setattr(prime_poly, "_pool_workers", lambda: workers)
+        spec = PolySpec(m=0, sigma=0.8, theta=0.7, X=1e4)
+        span = TGrid.for_span(1e6, 1e4)
+        grid = TGrid(t0=span.t0, count=11 * NUFFT_BLOCK + 777, delta=span.delta)
+        halves = [(j0 + k, z[k:k + NUFFT_BLOCK])
+                  for j0, z in self._serial(spec, grid, rotated=True)
+                  for k in range(0, z.size, NUFFT_BLOCK)]
+        before = threading.active_count()
+        got = []
+        for j0, p in iter_poly_blocks(spec, self.table, grid, rotated=True):
+            time.sleep(0.005)
+            got.append((j0, p.copy()))
+        assert [j0 for j0, _ in got] == [j0 for j0, _ in halves]
+        for (_, p), (_, ref) in zip(got, halves):
+            assert np.array_equal(p, ref)
+        for stop in range(len(halves)):
+            blocks = iter_poly_blocks(spec, self.table, grid, rotated=True)
+            for _ in range(stop + 1):
+                next(blocks)
+            blocks.close()
+            assert threading.active_count() == before
+        irfft, calls = np.fft.irfft, []
+
+        def flaky(*args, **kwargs):
+            calls.append(threading.get_ident())
+            if len(calls) == 3:
+                raise FloatingPointError("irfft failed")
+            return irfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", flaky)
+        with pytest.raises(FloatingPointError, match="irfft failed"):
+            list(iter_poly_blocks(spec, self.table, grid, rotated=True))
+        assert threading.active_count() == before
 
     def test_workers_capped(self, monkeypatch):
         # one thread per CPU, but never more than MAX_POOL_WORKERS; no pool
@@ -785,6 +882,26 @@ class TestNufftPool:
         assert calls and threading.get_ident() not in calls
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_phase_error_in_a_later_head_joins_pool(self, monkeypatch, rotated):
+        # a grid whose second group of transforms passes the 2^28-turn
+        # phase limit (TGrid itself does not check it): the ValueError
+        # from that head reaches the consumer after the first blocks, and
+        # no worker is left waiting for an output grid
+        monkeypatch.setattr(prime_poly, "_pool_workers", lambda: 2)
+        spec = PolySpec(m=0, sigma=0.8, theta=0.7, X=1e4)
+        delta = TGrid.for_span(1e6, 1e4).delta
+        limit = (prime_poly.PHASE_TURNS - 1) * 2 * math.pi / math.log(9973.0)
+        t0 = math.floor(limit - 2 * NUFFT_BLOCK * delta)
+        grid = TGrid(t0=float(t0), count=2 * NUFFT_BLOCK * 12, delta=delta)
+        before = threading.active_count()
+        seen = []
+        with pytest.raises(ValueError, match="too large for exact reduction"):
+            for j0, _ in iter_poly_blocks(spec, self.table, grid, rotated=rotated):
+                seen.append(j0)
+        assert seen and len(seen) < 24
+        assert threading.active_count() == before
+
     def test_phases_on_consumer_thread(self, monkeypatch):
         threads = []
         reduce = prime_poly.phase_mod_two_pi
@@ -796,9 +913,79 @@ class TestNufftPool:
         monkeypatch.setattr(prime_poly, "_pool_workers", lambda: 2)
         monkeypatch.setattr(prime_poly, "phase_mod_two_pi", spy)
         spec = PolySpec(m=0, sigma=0.8, theta=0.0, X=1e5)
-        blocks = list(iter_poly_blocks(spec, self.table, self._grid(1e5)))
-        assert len(threads) == len(blocks) == 4
+        span = TGrid.for_span(1e6, 1e5)
+        count = 2 * NUFFT_BLOCK * (prime_poly.NUFFT_GROUP + 1) + 777
+        grid = TGrid(t0=span.t0, count=count, delta=span.delta)
+        blocks = list(iter_poly_blocks(spec, self.table, grid))
+        assert len(blocks) == 2 * prime_poly.NUFFT_GROUP + 3
+        # the step table, a head for each of the two groups of transforms
+        # and the short last transform's own phase: 4 calls, not one per
+        # block or per transform
+        assert len(threads) == 4
         assert set(threads) == {threading.get_ident()}
+
+
+# A warm rotated NUFFT pass, in a child whose glibc mmap threshold is
+# pinned at its 128 KB default (setting it turns off the dynamic
+# threshold), so every array over 128 KB is mapped afresh and faulted in.
+# Prints the minor faults per block outside numpy's FFT calls (whose own
+# scratch, 2n doubles per call, is counted on the calling thread and
+# left out), as the slope between a 16- and a 48-block pass, which
+# cancels what each pass allocates once.
+FAULT_SCRIPT = """
+import resource
+import numpy as np
+from zel.prime_poly import NUFFT_BLOCK, PolySpec, PrimeTable, TGrid, iter_poly_blocks
+
+def faults(who):
+    return resource.getrusage(who).ru_minflt
+
+in_fft = [0]
+def counted(fft):
+    def run(*args, **kwargs):
+        before = faults(resource.RUSAGE_THREAD)
+        try:
+            return fft(*args, **kwargs)
+        finally:
+            in_fft[0] += faults(resource.RUSAGE_THREAD) - before
+    return run
+np.fft.irfft = counted(np.fft.irfft)
+
+table = PrimeTable.build(10_000)
+spec = PolySpec(m=0, sigma=0.8, theta=0.7, X=1e4)
+span = TGrid.for_span(1e6, 1e4)
+
+def outside_fft(blocks):
+    grid = TGrid(t0=span.t0, count=blocks * NUFFT_BLOCK, delta=span.delta)
+    in_fft[0] = 0
+    before = faults(resource.RUSAGE_SELF)
+    assert sum(1 for _ in iter_poly_blocks(spec, table, grid, rotated=True)) == blocks
+    return faults(resource.RUSAGE_SELF) - before - in_fft[0]
+
+outside_fft(16)
+short = outside_fft(16)
+print((outside_fft(48) - short) / 32)
+"""
+
+
+@pytest.mark.skipif(platform.system() != "Linux"
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="page-fault counts of glibc's allocator")
+def test_rotated_nufft_pass_is_fault_stable():
+    """A warm rotated NUFFT pass allocates nothing per block: under 20
+    minor page faults per block outside numpy's FFT, whatever glibc's mmap
+    threshold.  Each worker holds its half grid, spread chunk and
+    amplitude chunk for the pass, and the output goes to held grids.
+    With a fresh spread-values array, bincount grid and output per block
+    it took about 300 per block at X = 1e4.
+    """
+    src = str(Path(prime_poly.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "MALLOC_MMAP_THRESHOLD_": "131072"}
+    out = subprocess.run([sys.executable, "-c", FAULT_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=300).stdout
+    per_block = float(out)
+    assert per_block < 20, f"{per_block:.0f} minor faults per block"
 
 
 class TestLambdaSum:
