@@ -116,6 +116,7 @@ _CW_3 = float.fromhex("0x1.8469898cc5170p-46")
 # 1/(2 pi) as a double-double
 _INV_TWO_PI_HI = float.fromhex("0x1.45f306dc9c883p-3")
 _INV_TWO_PI_LO = float.fromhex("-0x1.6b01ec5417056p-57")
+_PI_LO = 1.2246467991473532e-16  # pi - float(pi)
 _SPLITTER = 134217729.0         # 2^27 + 1, Veltkamp
 # k * _CW_1 is exact only while k fits in 28 bits (_CW_1 carries 25)
 PHASE_TURNS = 2 ** 28
@@ -473,9 +474,7 @@ def _fine_position(delta: float, omegas: np.ndarray,
     2^k is exact, so u_hi + u_lo carries u to ~2^-100 relative.  Rounding
     u to one double shifts output k's phase by up to 2 pi k ulp(u)/n.
     """
-    scale, rem = divmod(n, 3)
-    if rem or scale & (scale - 1):
-        raise ValueError(f"fine grid size {n} is not 3 * 2^k")
+    scale = n // 3
     x_hi, x_lo = _two_product(delta, omegas)
     p, e = _two_product(x_hi, _INV_TWO_PI_HI)
     lo = e + x_hi * _INV_TWO_PI_LO + x_lo * _INV_TWO_PI_HI
@@ -495,11 +494,9 @@ def _nufft_plan(delta: float, omegas: np.ndarray, span: int, *,
     is at index slot of the grid viewed as interleaved (re, im) doubles.
     real=True gives those of the Hermitian half grid (_half_grid_spread),
     whose few mirrored entries, (prime, slot, weight) arrays, add
-    conj(c_p) * weight instead; mirrored is empty for the full grid.  The
-    factors divide output k in [-span/2, span/2), stored at k + span/2;
-    they are 1/psi_hat from ES_NODES/2 Gauss-Legendre nodes, within
-    ~2e-15 of the exact transform, ~1e-14 as |k| nears span/2, where
-    psi_hat falls to 0.7% of psi_hat(0).
+    conj(c_p) * weight instead; those arrays are empty for the full grid.
+    The factors divide output k in [-span/2, span/2), stored at
+    k + span/2; they are 1/psi_hat (_es_transform).
     """
     n = 3 * span // 2
     u_hi, u_lo = _fine_position(delta, omegas, n)
@@ -517,29 +514,52 @@ def _nufft_plan(delta: float, omegas: np.ndarray, span: int, *,
     if real:
         slots, kern, mirrored = _half_grid_spread(idx, kern, n, near)
     else:
-        slots, mirrored = idx, ()
+        slots, mirrored = idx, (np.empty(0, np.intp), np.empty(0, np.intp),
+                                np.empty(0))
     slots = np.multiply(slots, 2, dtype=np.int32)
 
-    # psi_hat(k/n) = W int_0^1 phi(z) cos(k theta_z) dz, theta_z = pi W z / n,
-    # even in k and z, so only the nonnegative half of the nodes.  By angle
-    # addition, cos((qR + r) theta) = cos(qR theta) cos(r theta)
-    # - sin(qR theta) sin(r theta): 2 (Q + R) cosines per node, not span/2,
-    # contracted by einsum, not a matrix product (a threaded BLAS would
-    # wake a helper thread that spins on the core the pool's workers need)
-    z, wts = (a[ES_NODES // 2:] for a in np.polynomial.legendre.leggauss(ES_NODES))
-    theta = z * (math.pi * ES_WIDTH / n)
-    count = span // 2 + 1
-    rows = math.isqrt(count - 1) + 1
-    qs = np.arange(-(-count // rows))[:, None] * (rows * theta)
-    rs = np.arange(rows)[:, None] * theta
-    g = ES_WIDTH * wts * _es_kernel(z)
-    outer = np.concatenate((np.cos(qs) * g, -np.sin(qs) * g), axis=1)
-    inner = np.concatenate((np.cos(rs), np.sin(rs)), axis=1)
-    psi_hat = np.einsum("qz,rz->qr", outer, inner).reshape(-1)[:count]
+    psi_hat = _es_transform(span)
     deconv = np.empty(span)
     np.divide(1.0, psi_hat[:0:-1], out=deconv[:span // 2])
     np.divide(1.0, psi_hat[:-1], out=deconv[span // 2:])
     return slots, kern, deconv, mirrored
+
+
+def _es_transform(span: int) -> np.ndarray:
+    """psi_hat(k/n) for k = 0 .. span/2 on the fine grid of n = 3 span / 2
+    points, from ES_NODES/2 Gauss-Legendre nodes: within ~4e-15 of the
+    exact transform at every k.
+
+    psi_hat(k/n) = W int_0^1 phi(z) cos(k theta_z) dz, theta_z = pi W z / n,
+    even in k and z, so only the nonnegative half of the nodes.  By angle
+    addition, cos((qR + r) theta) = cos(qR theta) cos(r theta)
+    - sin(qR theta) sin(r theta): 2 (Q + R) cosines per node, not span/2,
+    contracted by einsum, not a matrix product (a threaded BLAS would
+    wake a helper thread that spins on the core the pool's workers need).
+    The terms are as large as psi_hat(0), so double rounding leaves
+    ~eps |g|_2 absolute in each sum: under 2e-15 of psi_hat in the first
+    3/4 of the q rows, but up to 2e-14 in the last quarter, where
+    psi_hat falls from 7% to 0.7% of psi_hat(0).  Those rows run in long
+    double (80 bits on x86; a platform whose long double is a double
+    keeps the 2e-14 there).
+    """
+    n = 3 * span // 2
+    nodes, wts = (a[ES_NODES // 2:] for a in np.polynomial.legendre.leggauss(ES_NODES))
+    count = span // 2 + 1
+    rows = math.isqrt(count - 1) + 1
+    q_rows = -(-count // rows)
+    psi_hat = np.empty((q_rows, rows))
+    for dtype, qs in ((np.float64, slice(0, 3 * q_rows // 4)),
+                      (np.longdouble, slice(3 * q_rows // 4, q_rows))):
+        z = nodes.astype(dtype)
+        theta = z * ((dtype(math.pi) + dtype(_PI_LO)) * ES_WIDTH / n)
+        q = np.arange(q_rows)[qs, None] * (rows * theta)
+        r = np.arange(rows)[:, None] * theta
+        g = ES_WIDTH * wts.astype(dtype) * _es_kernel(z)
+        outer = np.concatenate((np.cos(q) * g, -np.sin(q) * g), axis=1)
+        inner = np.concatenate((np.cos(r), np.sin(r)), axis=1)
+        psi_hat[qs] = np.einsum("qz,rz->qr", outer, inner)
+    return psi_hat.reshape(-1)[:count]
 
 
 def _half_grid_spread(idx: np.ndarray, kern: np.ndarray, n: int,
@@ -614,11 +634,10 @@ def _spread(head: np.ndarray, step: np.ndarray | None, plan: tuple,
         np.multiply(c.imag[:, None], wts, out=vals[1, :m])
         np.add.at(fine, s, vals[0, :m].reshape(-1))
         np.add.at(fine[1:], s, vals[1, :m].reshape(-1))
-    if len(mirrored):                       # conj(c_p) weight
-        rows, s, wts = mirrored
-        c = head[rows] if step is None else head[rows] * step[rows]
-        np.add.at(fine, s, c.real * wts)
-        np.add.at(fine[1:], s, -c.imag * wts)
+    rows, s, wts = mirrored                 # conj(c_p) weight
+    c = head[rows] if step is None else head[rows] * step[rows]
+    np.add.at(fine, s, c.real * wts)
+    np.add.at(fine[1:], s, -c.imag * wts)
     return fine
 
 

@@ -17,8 +17,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "zel" / "prime_poly.py"
-NUFFT_FUNCTIONS = ("_fine_position", "_nufft_plan", "_half_grid_spread",
-                   "_nufft_buffers", "_spread", "_nufft_block",
+NUFFT_FUNCTIONS = ("_fine_position", "_nufft_plan", "_es_transform",
+                   "_half_grid_spread", "_nufft_buffers", "_spread", "_nufft_block",
                    "_nufft_real_block", "_nufft_amplitudes", "_nufft_blocks")
 PRODUCTS = {"dot", "matmul", "inner", "vdot", "tensordot"}
 

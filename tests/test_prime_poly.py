@@ -674,18 +674,20 @@ class TestNufft:
             assert np.sum(z_nufft.real > v) == np.sum(z_gemm.real > v)
 
     def test_deconvolution_factors_match_quadrature(self):
-        # psi_hat(k/n) = W int_0^1 phi(z) cos(pi k W z / n) dz at 30 digits;
-        # the plan's 32-node Gauss-Legendre sum sits ~2e-15 from it
-        block = NUFFT_BLOCK
-        n, width, beta = 3 * block // 2, prime_poly.ES_WIDTH, prime_poly.ES_BETA
-        deconv = prime_poly._nufft_plan(0.125, np.log([2.0, 3.0]), block)[2]
-        assert deconv.shape == (block,)
-        for k in (0, 1, block // 4, block // 2 - 1, -block // 2):
+        # psi_hat(k/n) = W int_0^1 phi(z) cos(pi k W z / n) dz at 30 digits,
+        # on the pass's span, where psi_hat(span/2) is 0.7% of psi_hat(0);
+        # the plan's 32-node Gauss-Legendre sums sit within ~4e-15 of it
+        span = 2 * NUFFT_BLOCK
+        n, width, beta = 3 * span // 2, prime_poly.ES_WIDTH, prime_poly.ES_BETA
+        deconv = prime_poly._nufft_plan(0.125, np.log([2.0, 3.0]), span)[2]
+        assert deconv.shape == (span,)
+        for k in (0, 1, span // 4, 3 * span // 8, span // 2 - 1000,
+                  span // 2 - 1, -span // 2):
             with mpmath.workdps(30):
                 psi = width * mpmath.quad(
                     lambda z: mpmath.exp(beta * (mpmath.sqrt(1 - z * z) - 1))
                     * mpmath.cos(mpmath.pi * k * width * z / n), [0, 1])
-            got = 1.0 / deconv[k + block // 2]
+            got = 1.0 / deconv[k + span // 2]
             assert abs(got / float(psi) - 1.0) <= 1e-14, k
 
     @pytest.mark.parametrize("k", [8, 15, 16, 17])
@@ -701,8 +703,6 @@ class TestNufft:
             for om, hi, lo in zip(omegas, u_hi, u_lo):
                 exact = Fraction(delta) * Fraction(float(om)) * n / _TWO_PI_EXACT
                 assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact * 2 ** -100
-        with pytest.raises(ValueError, match="not 3"):
-            prime_poly._fine_position(0.125, omegas, 2 ** 17)
 
     @pytest.mark.parametrize("rotated", [False, True])
     def test_matches_pointwise_at_x1e6(self, rotated):
