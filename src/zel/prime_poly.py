@@ -74,11 +74,11 @@ process may use, at most MAX_POOL_WORKERS, workers + 1 of them in
 flight: the caller's thread reduces the heads, a worker spreads, FFTs
 (numpy's FFT releases the GIL) and deconvolves, and the blocks come back
 strictly in j order.  Each worker holds its fine grid and a chunk of
-spread values for the pass, and P goes into one of workers + 1 output
-grids, taken as a transform starts and handed back once both its blocks
-are read, so a rotated pass allocates nothing per block (numpy's FFT
-allocates its own scratch, 2n doubles per call); each worker adds ~6 MB
-of peak memory.  Each transform is the same sequence of numpy
+spread values for the pass, and P goes into a ring of workers + 2
+output grids, transform i into grid i mod (workers + 2), so a rotated
+pass allocates nothing per block (numpy's FFT allocates its own scratch,
+2n doubles per call); each worker adds ~6 MB of peak memory, and the
+ring one more 1.5 MB grid.  Each transform is the same sequence of numpy
 operations on the same inputs as a serial loop's, so the stream is
 bit-identical at every worker count.
 """
@@ -254,7 +254,7 @@ class PolySpec:
         if not 3 <= self.X < math.inf:
             raise ValueError(f"X must be finite and >= 3, got {self.X}")
         if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
+            raise ValueError(f"--theta must be finite, got {self.theta}")
 
 
 def max_spacing(X: float) -> float:
@@ -332,7 +332,7 @@ class TGrid:
         a grid TGrid rejects names refine too when refine > 1.
         """
         if not refine >= 1:
-            raise ValueError(f"refine must be >= 1, got {refine}")
+            raise ValueError(f"--refine must be >= 1, got {refine}")
         if not T > 0:
             raise ValueError("T must be positive")
         delta = dyadic_floor(max_spacing(X) / refine)
@@ -616,32 +616,31 @@ def _nufft_buffers(primes: int, n: int, real: bool) -> tuple[np.ndarray, ...]:
             np.empty(chunk, dtype=complex))
 
 
-def _spread(head: np.ndarray, step: np.ndarray | None, plan: tuple,
+def _spread(head: np.ndarray, step: np.ndarray, plan: tuple,
             held: tuple[np.ndarray, ...]) -> np.ndarray:
     """The held fine grid, zeroed, with the amplitudes c_p = head * step
-    (head alone for step None) spread in, SPREAD_CHUNK primes at a time:
-    np.add.at writes into the grid, so nothing is allocated per chunk."""
+    spread in, SPREAD_CHUNK primes at a time: np.add.at writes into the
+    grid, so nothing is allocated per chunk."""
     slots, weights, _, mirrored = plan
     fine, vals, amp = held
     fine.fill(0.0)
     chunk = len(amp)
     for i in range(0, len(head), chunk):
         m = min(chunk, len(head) - i)
-        c = head[i:i + m] if step is None else np.multiply(
-            head[i:i + m], step[i:i + m], out=amp[:m])
+        c = np.multiply(head[i:i + m], step[i:i + m], out=amp[:m])
         wts, s = weights[i:i + m], slots[i:i + m].reshape(-1)
         np.multiply(c.real[:, None], wts, out=vals[0, :m])
         np.multiply(c.imag[:, None], wts, out=vals[1, :m])
         np.add.at(fine, s, vals[0, :m].reshape(-1))
         np.add.at(fine[1:], s, vals[1, :m].reshape(-1))
     rows, s, wts = mirrored                 # conj(c_p) weight
-    c = head[rows] if step is None else head[rows] * step[rows]
+    c = head[rows] * step[rows]
     np.add.at(fine, s, c.real * wts)
     np.add.at(fine[1:], s, -c.imag * wts)
     return fine
 
 
-def _nufft_block(head: np.ndarray, step: np.ndarray | None, size: int,
+def _nufft_block(head: np.ndarray, step: np.ndarray, size: int,
                  plan: tuple, held: tuple[np.ndarray, ...]) -> np.ndarray:
     """Z over one transform of size <= span points from its amplitudes
     head * step: spread into the held fine grid, FFT in place and
@@ -657,7 +656,7 @@ def _nufft_block(head: np.ndarray, step: np.ndarray | None, size: int,
     return z
 
 
-def _nufft_real_block(head: np.ndarray, step: np.ndarray | None, size: int,
+def _nufft_real_block(head: np.ndarray, step: np.ndarray, size: int,
                       plan: tuple, held: tuple[np.ndarray, ...],
                       out: np.ndarray) -> np.ndarray:
     """P = Re Z over one transform from the conjugate rotated amplitudes
@@ -676,19 +675,19 @@ def _nufft_real_block(head: np.ndarray, step: np.ndarray | None, size: int,
 
 def _nufft_amplitudes(omegas: np.ndarray, w: np.ndarray, grid: TGrid, span: int,
                       theta: float | None) -> Iterator[tuple[int, int, np.ndarray,
-                                                             np.ndarray | None]]:
+                                                             np.ndarray]]:
     """(j0, size, head, step) per transform of the pass, in j order: its
-    amplitudes are head * step (head alone for step None),
-    a_p = w_p e^{-i t_c omega_p} for theta None, else conj(e^{-i theta} a_p),
-    which spread into the half grid.
+    amplitudes are head * step, a_p = w_p e^{-i t_c omega_p} for theta
+    None, else conj(e^{-i theta} a_p), which spread into the half grid.
 
     A full transform i = g G + r (span points, G = NUFFT_GROUP) is
     centred at c = j0 + span/2, so t_c is the centre of transform g G
     plus r span delta.  head is e^{-i theta} w e^{-i t omega} (or its
-    conjugate) at that first centre, one exact phase per group, and for
-    r > 0 step is e^{-i r span delta omega} (or its conjugate), its G - 1
-    rows reduced once per pass.  A short last transform is centred on its
-    own points, with its own exact phase as head.
+    conjugate) at that first centre, one exact phase per group, and step
+    is row r of the table e^{-i r span delta omega} (or its conjugate),
+    its G rows reduced once per pass; row 0 is exactly 1.  A short last
+    transform is centred on its own points, with its own exact phase as
+    head and row 0 as step.
     """
     sign = -1j if theta is None else 1j
     tw = w if theta is None else w * complex(math.cos(theta), math.sin(theta))
@@ -698,20 +697,18 @@ def _nufft_amplitudes(omegas: np.ndarray, w: np.ndarray, grid: TGrid, span: int,
         return np.multiply(np.exp(e, out=e), tw, out=e)
 
     group = max(1, min(NUFFT_GROUP, grid.count // span))
-    if group > 1:
-        lag = np.arange(1, group, dtype=float)[:, None] * (span * grid.delta)
-        steps = np.multiply(phase_mod_two_pi(lag, omegas[None, :]), sign)
-        np.exp(steps, out=steps)
+    lag = np.arange(group, dtype=float)[:, None] * (span * grid.delta)
+    steps = np.multiply(phase_mod_two_pi(lag, omegas[None, :]), sign)
+    np.exp(steps, out=steps)
     for i, j0 in enumerate(range(0, grid.count, span)):
         size = min(span, grid.count - j0)
         if size < span:
             t_c = grid.t(j0 + size // 2)
-            yield j0, size, turned(phase_mod_two_pi(t_c, omegas)), None
-        elif i % group == 0:
+            yield j0, size, turned(phase_mod_two_pi(t_c, omegas)), steps[0]
+            continue
+        if i % group == 0:
             head = turned(phase_mod_two_pi(grid.t(j0 + span // 2), omegas))
-            yield j0, size, head, None
-        else:
-            yield j0, size, head, steps[i % group - 1]
+        yield j0, size, head, steps[i % group]
 
 
 def _nufft_blocks(omegas: np.ndarray, w: np.ndarray, grid: TGrid,
@@ -724,20 +721,21 @@ def _nufft_blocks(omegas: np.ndarray, w: np.ndarray, grid: TGrid,
     Z_{c+k} = sum_p a_p e^{-i k x_p} for k in [-L//2, L - L//2).
     theta None gives Z (_nufft_block), each transform a fresh array.
     Otherwise each transform is Re e^{-i theta} Z from the half grid
-    (_nufft_real_block), written into one of workers + 1 output grids: a
-    transform takes a free one when it starts, and the consumer hands it
-    back once it has drawn past both of its blocks.  While the consumer
-    keeps up, the workers never wait for one.
+    (_nufft_real_block), written into a ring of workers + 2 output grids,
+    transform i into grid i mod (workers + 2).
 
     The amplitudes' phases are reduced here, on the caller's thread
     (_nufft_amplitudes); the transforms run on a pool of _pool_workers()
-    threads, each with its own buffers (_nufft_buffers) held for the
-    pass, with workers + 1 of them in flight.  Transforms come back in j
-    order, each bit-identical to a serial loop's.  Closing the generator
-    cancels the transforms not yet started and joins the pool.
+    threads, each with its own buffers (_nufft_buffers, ~6 MB) held for
+    the pass.  At most workers + 1 transforms are in flight while the
+    consumer reads one, so no two live transforms share an output grid,
+    no worker waits for one, and a grid is written again only once the
+    consumer has drawn past both blocks of its last transform.
+    Transforms come back in j order, each bit-identical to a serial
+    loop's.  Closing the generator cancels the transforms not yet
+    started and joins the pool.
     """
-    import queue                                        # with the pool, kept out
-    from concurrent.futures import ThreadPoolExecutor   # of import (~4 ms)
+    from concurrent.futures import ThreadPoolExecutor   # kept out of import (~4 ms)
 
     block = NUFFT_BLOCK
     span = 2 * block
@@ -745,54 +743,32 @@ def _nufft_blocks(omegas: np.ndarray, w: np.ndarray, grid: TGrid,
     real = theta is not None
     plan = _nufft_plan(grid.delta, omegas, span, real=real)
     workers = _pool_workers()
-    # rotated output: a grid per worker and one for the transform being read
-    outs = np.empty((workers + 1, n)) if real else None
-    free = queue.SimpleQueue()
-    for slot in range(len(outs) if real else 0):
-        free.put(slot)
+    # rotated output: one grid per transform in flight and one being read
+    outs = np.empty((workers + 2, n)) if real else None
     held = threading.local()
 
-    def transform(size, head, step):
+    def transform(i, size, head, step):
         if not hasattr(held, "bufs"):       # the worker's first transform
             held.bufs = _nufft_buffers(omegas.size, n, real)
-        if not real:
-            return None, _nufft_block(head, step, size, plan, held.bufs)
-        slot = free.get()
-        try:
-            return slot, _nufft_real_block(head, step, size, plan, held.bufs,
-                                           outs[slot])
-        except BaseException:
-            free.put(slot)
-            raise
-
-    def release(slot):
-        if slot is not None:
-            free.put(slot)
+        if real:
+            return _nufft_real_block(head, step, size, plan, held.bufs,
+                                     outs[i % len(outs)])
+        return _nufft_block(head, step, size, plan, held.bufs)
 
     pool = ThreadPoolExecutor(workers, thread_name_prefix="zel-nufft")
-    reading = None                          # the output grid the consumer reads
-    ahead = deque()
     try:
-        jobs = ((j0, pool.submit(transform, size, head, step))
-                for j0, size, head, step in _nufft_amplitudes(
-                    omegas, w, grid, span, theta))
-        ahead.extend(itertools.islice(jobs, workers + 1))
+        jobs = ((j0, pool.submit(transform, i, size, head, step))
+                for i, (j0, size, head, step) in enumerate(_nufft_amplitudes(
+                    omegas, w, grid, span, theta)))
+        ahead = deque(itertools.islice(jobs, workers + 1))
         while ahead:
             j0, job = ahead.popleft()
-            release(reading)                # the consumer drew past it
-            reading = None
-            reading, z = job.result()
+            z = job.result()
             ahead.extend(itertools.islice(jobs, 1))
             yield j0, z[:block]
             if z.size > block:
                 yield j0 + block, z[block:]
     finally:
-        # a worker may wait for an output grid: hand back the consumer's
-        # and those of finished transforms nobody will read, then join
-        release(reading)
-        for _, job in ahead:
-            if job.done() and not job.cancelled() and job.exception() is None:
-                release(job.result()[0])
         pool.shutdown(wait=True, cancel_futures=True)
 
 

@@ -119,7 +119,7 @@ def _check_v_grid(V_grid) -> np.ndarray:
     if v.ndim == 1 and not np.isfinite(v).all():
         raise ValueError(f"V must be finite, got {v[~np.isfinite(v)][0]}")
     if v.ndim != 1 or v.size == 0 or not np.all(np.diff(v) > 0):
-        raise ValueError("V_grid must be 1-d and strictly ascending")
+        raise ValueError(f"--V must be 1-d and strictly ascending, got {v.tolist()}")
     return v
 
 

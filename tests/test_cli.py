@@ -524,6 +524,24 @@ class TestTail:
         assert capsys.readouterr() == (
             "", f"error: theta must be finite, got {theta}\n")
 
+    @pytest.mark.parametrize("argv,message", [
+        (["tail", "--route", "poly", "--sigma", "0.8", "--m", "0", "--X", "31",
+          "--T", "1e3", "--V", "1", "--refine", "0"],
+         "--refine must be >= 1, got 0"),
+        (["tail", "--route", "eta", "--sigma", "0.75", "--m", "1", "--T",
+          "1e4", "--count", "4", "--V", "2,1"],
+         "--V must be 1-d and strictly ascending, got [2.0, 1.0]"),
+        (["moments", "--sigma", "0.5", "--m", "1", "--X", "31", "--k", "2",
+          "--theta", "nan", "--methods", "exact"],
+         "--theta must be finite, got nan"),
+        (["tail", "--route", "poly", "--sigma", "0.8", "--m", "0", "--X", "31",
+          "--T", "1e3", "--V", "1", "--theta", "nan"],
+         "--theta must be finite, got nan"),
+    ])
+    def test_bad_value_names_its_flag(self, capsys, argv, message):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize("argv", [
         ["tail", "--route", "poly", "--sigma", "0.8", "--m", "0", "--X", "31",
          "--V", "1"],
@@ -637,9 +655,9 @@ class TestTail:
         (["--route", "eta", "--sigma", "0.75", "--m", "1", "--T", "1e4",
           "--count", "-3"], "--count"),
         (["--sigma", "0.8", "--m", "0", "--X", "31", "--T", "1e3",
-          "--refine", "0"], "refine"),
+          "--refine", "0"], "--refine"),
         (["--sigma", "0.8", "--m", "0", "--X", "31", "--T", "1e3",
-          "--refine", "-1"], "refine"),
+          "--refine", "-1"], "--refine"),
     ])
     def test_grid_size_below_one_rejected(self, capsys, argv, flag):
         assert cli.main(["tail", *argv, "--V", "0.5"]) == 2

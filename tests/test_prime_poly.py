@@ -806,32 +806,41 @@ class TestNufftPool:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 4, 5])
     def test_rotated_output_grids_held_while_read(self, monkeypatch, workers):
         # a rotated block keeps its values while the consumer holds it, the
         # workers running ahead meanwhile; closing the stream at any block,
-        # or a failed transform, hands every output grid back and joins
+        # or a failed transform, joins the pool.  8 transforms wrap the
+        # ring of workers + 2 output grids at every worker count; 5 workers
+        # run on a short switch interval, more threads than cores trading
+        # the interpreter lock as often as they can
         monkeypatch.setattr(prime_poly, "_pool_workers", lambda: workers)
         spec = PolySpec(m=0, sigma=0.8, theta=0.7, X=1e4)
         span = TGrid.for_span(1e6, 1e4)
-        grid = TGrid(t0=span.t0, count=11 * NUFFT_BLOCK + 777, delta=span.delta)
+        grid = TGrid(t0=span.t0, count=15 * NUFFT_BLOCK + 777, delta=span.delta)
         halves = [(j0 + k, z[k:k + NUFFT_BLOCK])
                   for j0, z in self._serial(spec, grid, rotated=True)
                   for k in range(0, z.size, NUFFT_BLOCK)]
+        assert len(halves) == 16
         before = threading.active_count()
-        got = []
-        for j0, p in iter_poly_blocks(spec, self.table, grid, rotated=True):
-            time.sleep(0.005)
-            got.append((j0, p.copy()))
-        assert [j0 for j0, _ in got] == [j0 for j0, _ in halves]
-        for (_, p), (_, ref) in zip(got, halves):
-            assert np.array_equal(p, ref)
-        for stop in range(len(halves)):
-            blocks = iter_poly_blocks(spec, self.table, grid, rotated=True)
-            for _ in range(stop + 1):
-                next(blocks)
-            blocks.close()
-            assert threading.active_count() == before
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6 if workers == 5 else interval)
+        try:
+            got = []
+            for j0, p in iter_poly_blocks(spec, self.table, grid, rotated=True):
+                time.sleep(0.005)
+                got.append((j0, p.copy()))
+            assert [j0 for j0, _ in got] == [j0 for j0, _ in halves]
+            for (_, p), (_, ref) in zip(got, halves):
+                assert np.array_equal(p, ref)
+            for stop in range(len(halves)):
+                blocks = iter_poly_blocks(spec, self.table, grid, rotated=True)
+                for _ in range(stop + 1):
+                    next(blocks)
+                blocks.close()
+                assert threading.active_count() == before
+        finally:
+            sys.setswitchinterval(interval)
         irfft, calls = np.fft.irfft, []
 
         def flaky(*args, **kwargs):
@@ -859,12 +868,13 @@ class TestNufftPool:
     def test_close_after_first_block_joins_pool(self, monkeypatch, workers):
         monkeypatch.setattr(prime_poly, "_pool_workers", lambda: workers)
         before = threading.active_count()
-        blocks = iter_poly_blocks(PolySpec(m=0, sigma=0.8, theta=0.0, X=1e5),
-                                  self.table, self._grid(1e5))
-        j0, _ = next(blocks)
-        assert j0 == 0 and threading.active_count() > before
-        blocks.close()
-        assert threading.active_count() == before
+        for rotated in (False, True):
+            blocks = iter_poly_blocks(PolySpec(m=0, sigma=0.8, theta=0.0, X=1e5),
+                                      self.table, self._grid(1e5), rotated=rotated)
+            j0, _ = next(blocks)
+            assert j0 == 0 and threading.active_count() > before
+            blocks.close()
+            assert threading.active_count() == before
 
     def test_block_error_reaches_consumer(self, monkeypatch):
         calls = []
@@ -887,7 +897,8 @@ class TestNufftPool:
         # a grid whose second group of transforms passes the 2^28-turn
         # phase limit (TGrid itself does not check it): the ValueError
         # from that head reaches the consumer after the first blocks, and
-        # no worker is left waiting for an output grid
+        # the pool is joined (no worker ever waits for an output grid, so
+        # shutting it down is all the clean-up there is)
         monkeypatch.setattr(prime_poly, "_pool_workers", lambda: 2)
         spec = PolySpec(m=0, sigma=0.8, theta=0.7, X=1e4)
         delta = TGrid.for_span(1e6, 1e4).delta
