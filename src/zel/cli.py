@@ -176,6 +176,12 @@ def cmd_tail(args: argparse.Namespace) -> int:
         raise ValueError(f"--T must be finite and > 0, got {args.T}")
     if args.X is not None and not math.isfinite(args.X):
         raise ValueError(f"--X must be finite, got {args.X}")
+    # both routes take both flags (and the JSON config records them)
+    if not 1 <= args.count <= MAX_ETA_GRID:
+        raise ValueError(f"--count must be >= 1 and <= {MAX_ETA_GRID}, "
+                         f"the eta grid cap, got {args.count}")
+    if not args.refine >= 1:
+        raise ValueError(f"--refine must be >= 1, got {args.refine}")
     params = {"m": args.m, "sigma": args.sigma, "X": args.X, "T": args.T}
     if args.route == "poly":
         if args.X is None:
@@ -187,9 +193,6 @@ def cmd_tail(args: argparse.Namespace) -> int:
         curve = measure_exceedance_poly_multi([spec], table, grid,
                                               list(args.V))[0]
     else:
-        if not 1 <= args.count <= MAX_ETA_GRID:
-            raise ValueError(f"--count must be >= 1 and <= {MAX_ETA_GRID}, "
-                             f"the eta grid cap, got {args.count}")
         if not args.T / args.count > 0.0:
             raise ValueError(f"--T / --count = {args.T:g} / {args.count} "
                              f"underflows to 0")

@@ -233,7 +233,8 @@ def contour_moment(spec: PolySpec, k: int, table: PrimeTable) -> MomentResult:
 def _half_spacing_blocks(spec: PolySpec, table: PrimeTable, grid: TGrid, *,
                          rotated: bool = False) -> Iterator[tuple[int, np.ndarray]]:
     """Stream (first, Z) blocks of the half-spacing refinement of grid
-    (rotated: P = Re e^{-i theta} Z, valid until the next block).
+    (rotated: P = Re e^{-i theta} Z), each a view valid until the next
+    block is drawn, as iter_poly_blocks yields them.
 
     Refined point i is t0 + i delta/2, so base point j is refined point
     2j and Z[first::2] are a block's base points; first follows the
@@ -287,9 +288,8 @@ def empirical_moment(spec: PolySpec, table: PrimeTable, grid: TGrid,
     One kernel pass over the half-spacing refinement, whose GEMM path
     yields P itself, feeds every power sum of both grids; each sum is one
     dot product of two powers from a chain (a square, then products) in
-    two buffers held for the pass (fresh arrays per block, for the powers
-    or the GEMM's output, cost ~100-260 minor page faults a block).  Which
-    sums each power feeds is planned once per pass (_power_plan).
+    two buffers held for the pass, so no block allocates.  Which sums
+    each power feeds is planned once per pass (_power_plan).
     err_estimate = |half-spacing refinement delta| + X^{2k}/T.  The second
     term is the standard main-term error shape with constant 1; it is a
     reporting convention, not a certified bound.
@@ -387,9 +387,10 @@ def exp_moment_trimmed(spec: PolySpec, table: PrimeTable, grid: TGrid,
     mirroring the (1/T) integral over the trimmed set: at x = 0 this is
     exactly the log measure fraction of the trimmed set, and the un-logged
     quantity is monotone nondecreasing in W by set inclusion.  Per-block
-    log-sum-exp, so large x W never overflows.  Each block is reduced in
-    buffers held for the pass (fresh |Z|, P, mask and exponential arrays
-    per block cost ~240 minor page faults a block).
+    log-sum-exp, so large x W never overflows.  Each complex block is
+    valid until the next is drawn, so it is reduced at once, in buffers
+    held for the pass (fresh |Z|, P, mask and exponential arrays per
+    block cost ~240 minor page faults a block).
     """
     if not x >= 0.0:
         raise ValueError(f"x must be >= 0, got {x}")

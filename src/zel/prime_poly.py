@@ -15,7 +15,9 @@ t and log p with a three-part Cody-Waite 2 pi (residual ~1e-15 rad).
 
 The batch kernel has two paths, chosen by prime count alone; both yield
 the same (j_start, Z) stream, or the (j_start, P) stream of one rotation,
-in blocks of NUFFT_BLOCK points.
+in blocks of NUFFT_BLOCK points.  Every block, complex or rotated, on
+either path, is a view into a buffer held for the pass and is valid until
+the next block is drawn; a consumer copies what must outlive that.
 
 GEMM path (fewer than NUFFT_MIN_PRIMES primes).  It factors
 e^{-i t_j omega} = e^{-i t_c omega} * e^{-i k*B*delta*omega} * e^{-i row*delta*omega}
@@ -30,10 +32,10 @@ once per pass.  A column factor is one product of a head and a step
 row, so no error accumulates along the grid.  For Z the GEMM is complex.
 For the rotated real values P = Re e^{-i theta} Z the rotation rides in
 the heads, U' = e^{-i theta} U, and Re(U'V) = [Re U', Im U'] @
-[Re V; -Im V] is one real GEMM of half the flops, written into one
-buffer per pass (fresh ~512 KB arrays per block cost ~260 minor page
-faults each, as glibc trims the heap top and faults it back in).  Cost
-O(primes * points).
+[Re V; -Im V] is one real GEMM of half the flops.  Either GEMM writes
+into one buffer per pass (a fresh 0.5-1 MB array per block costs
+~260-300 minor page faults, as glibc trims the heap top and faults it
+back in).  Cost O(primes * points).
 
 NUFFT path (the Odlyzko-Schonhage idea as a type-1 nonuniform FFT).  A
 transform of up to span = 2 * NUFFT_BLOCK points centred at grid point c
@@ -43,6 +45,7 @@ spread onto a 3/2 upsampled periodic grid of n = 3 span / 2 points with
 the exponential-of-semicircle kernel of width ES_WIDTH = 18 and shape
 ES_BETA (Barnett-Magland-af Klinteberg, SISC 41, 2019), one numpy FFT
 follows, and each output is divided by the kernel's Fourier transform.
+Weights carry (-1)^m, m the fine index, so output k sits at n/2 + k.
 (beta, chosen by a scan against the GEMM path at 9,592 primes, sits
 within ~1e-14 sum w_p of it; per output point the FFT takes ~30% less
 time than at 2x upsampling with 2^16-point transforms.)  The kernel
@@ -63,24 +66,25 @@ b_p = e^{-i theta} a_p, as it rides in U' on the GEMM path, and P is the
 Hermitian case of the transform: conj(b_p) spreads straight into the
 n/2 + 1 slots of a half grid, a fine index past n/2 mirrored to n - m
 with b_p in place of its conjugate (the plan builds those slots and
-weights once), and one real-output FFT of n points (np.fft.irfft)
-replaces the complex FFT, at half its work.  Those blocks sit within
-~4e-15 sum w_p of Re e^{-i theta} of the complex ones.  No step of the
-pass is a matrix product: one large enough for a threaded BLAS wakes a
-helper thread that spins on a core the pool's workers need.  Cost
-O(points log span + primes * ES_WIDTH per transform), the FFT term
-halved for P.  The transforms run on a pool of one thread per CPU the
-process may use, at most MAX_POOL_WORKERS, workers + 1 of them in
-flight: the caller's thread reduces the heads, a worker spreads, FFTs
-(numpy's FFT releases the GIL) and deconvolves, and the blocks come back
-strictly in j order.  Each worker holds its fine grid and a chunk of
-spread values for the pass, and P goes into a ring of workers + 2
-output grids, transform i into grid i mod (workers + 2), so a rotated
-pass allocates nothing per block (numpy's FFT allocates its own scratch,
-2n doubles per call); each worker adds ~6 MB of peak memory, and the
-ring one more 1.5 MB grid.  Each transform is the same sequence of numpy
-operations on the same inputs as a serial loop's, so the stream is
-bit-identical at every worker count.
+weights once), and one real-output FFT of n points (np.fft.irfft),
+its output k also at n/2 + k, replaces the complex FFT at half its
+work.  Those blocks sit within ~4e-15 sum w_p of Re e^{-i theta} of the
+complex ones.  No step of the pass is a matrix product: one large
+enough for a threaded BLAS wakes a helper thread that spins on a core
+the pool's workers need.  Cost O(points log span + primes * ES_WIDTH
+per transform), the FFT term halved for P.  The transforms run on a
+pool of one thread per CPU the process may use, at most
+MAX_POOL_WORKERS, workers + 1 of them in flight: the caller's thread
+reduces the heads, a worker spreads, FFTs (numpy's FFT releases the
+GIL) and deconvolves, and the blocks come back strictly in j order.
+Each worker holds its fine grid and a chunk of spread values for the
+pass, and transform i writes into slot i mod (workers + 2) of a ring
+(n doubles a slot for P, span complex values for Z), so a pass
+allocates nothing per block (numpy's FFT allocates its own scratch, 2n
+doubles per call); each worker adds ~6 MB of peak memory, and the ring
+one more slot.  Each transform is the same sequence of numpy operations
+on the same inputs as a serial loop's, so the stream is bit-identical
+at every worker count.
 """
 
 from __future__ import annotations
@@ -393,9 +397,9 @@ def iter_poly_blocks(spec: PolySpec, table: PrimeTable, grid: TGrid, *,
     rotated=True yields float64 blocks of P = Re e^{-i theta} Z at
     theta = spec.theta instead, with e^{-i theta} folded in before any
     sum: one real GEMM on the GEMM path, one real-output FFT from a
-    Hermitian half grid per two blocks on the NUFFT path.  A rotated block is
-    only valid until the next one is drawn, which may overwrite it in
-    place; copy what must outlive it.  Complex blocks are fresh arrays.
+    Hermitian half grid per two blocks on the NUFFT path.  Every block,
+    complex or rotated, is a view into a buffer held for the pass, valid
+    only until the next one is drawn; copy what must outlive it.
     """
     omegas, w = _spec_arrays(spec, table)
     path = _gemm_blocks if omegas.size < NUFFT_MIN_PRIMES else _nufft_blocks
@@ -411,11 +415,11 @@ def _gemm_blocks(omegas: np.ndarray, w: np.ndarray, grid: TGrid,
     per chunk (primes values) times row k of the step table (CHUNK_COLS x
     primes), both from exact phases, the table reduced once per pass and
     the heads of CHUNK_COLS chunks at a time in one call.  theta None
-    gives Z from a complex GEMM, a fresh array per chunk.  Otherwise
-    e^{-i theta} rides in the heads, U' = e^{-i theta} U, and each chunk
-    is Re e^{-i theta} Z from one real GEMM, [Re U', Im U'] @
-    [Re V; -Im V], as U's interleaved doubles against V's rows
-    interleaved to match, written into the one buffer of the pass.
+    gives Z from a complex GEMM.  Otherwise e^{-i theta} rides in the
+    heads, U' = e^{-i theta} U, and each chunk is Re e^{-i theta} Z from
+    one real GEMM, [Re U', Im U'] @ [Re V; -Im V], as U's interleaved
+    doubles against V's rows interleaved to match.  Either GEMM writes
+    into the one output buffer of the pass.
     """
     rows = min(BLOCK_ROWS, grid.count)
     n_cols = -(-grid.count // rows)
@@ -427,12 +431,13 @@ def _gemm_blocks(omegas: np.ndarray, w: np.ndarray, grid: TGrid,
     # step table: (width, P); column offsets k*rows*delta, on the lattice
     step_t = np.arange(width, dtype=float) * (rows * grid.delta)
     steps = np.exp(-1j * phase_mod_two_pi(step_t[:, None], omegas[None, :]))
-    ucols = np.empty_like(steps)
+    ucols = lhs = np.empty_like(steps)
     turn = 1.0
     if theta is not None:
         vmat = np.stack((vmat.real, -vmat.imag), axis=1).reshape(-1, rows)
         turn = complex(math.cos(theta), -math.sin(theta))
-        out = np.empty((width, rows))
+        lhs = ucols.view(float)
+    out = np.empty((width, rows), dtype=vmat.dtype)
 
     span = CHUNK_COLS * CHUNK_COLS       # columns per group of heads
     for col in range(0, n_cols, CHUNK_COLS):
@@ -443,12 +448,9 @@ def _gemm_blocks(omegas: np.ndarray, w: np.ndarray, grid: TGrid,
             heads = np.exp(-1j * phase_mod_two_pi(t_cs[:, None], omegas[None, :]))
             heads *= turn
         size = min(CHUNK_COLS, n_cols - col)
-        u = np.multiply(steps[:size], heads[col % span // CHUNK_COLS],
-                        out=ucols[:size])
-        if theta is None:
-            chunk = u @ vmat
-        else:
-            chunk = np.matmul(u.view(float), vmat, out=out[:size])
+        np.multiply(steps[:size], heads[col % span // CHUNK_COLS],
+                    out=ucols[:size])
+        chunk = np.matmul(lhs[:size], vmat, out=out[:size])
         j0 = col * rows
         yield j0, chunk.reshape(-1)[:grid.count - j0]
 
@@ -492,11 +494,13 @@ def _nufft_plan(delta: float, omegas: np.ndarray, span: int, *,
     span a power of two.  slots (int32) and weights are (primes, ES_WIDTH):
     amplitude c_p adds c_p * weight to the fine-grid point whose real part
     is at index slot of the grid viewed as interleaved (re, im) doubles.
-    real=True gives those of the Hermitian half grid (_half_grid_spread),
-    whose few mirrored entries, (prime, slot, weight) arrays, add
-    conj(c_p) * weight instead; those arrays are empty for the full grid.
+    Each weight carries (-1)^m, m its fine index, so output k of either
+    grid's FFT sits at index n/2 + k.  real=True gives those of the
+    Hermitian half grid (_half_grid_spread), whose few mirrored entries,
+    (prime, slot, weight) arrays, add conj(c_p) * weight instead; those
+    arrays are empty for the full grid.
     The factors divide output k in [-span/2, span/2), stored at
-    k + span/2; they are 1/psi_hat (_es_transform).
+    k + span/2 as the output's dtype; they are 1/psi_hat (_es_transform).
     """
     n = 3 * span // 2
     u_hi, u_lo = _fine_position(delta, omegas, n)
@@ -506,6 +510,7 @@ def _nufft_plan(delta: float, omegas: np.ndarray, span: int, *,
     kern = _es_kernel((offsets - frac[:, None]) * (2.0 / ES_WIDTH))
     base = base.astype(np.int64) % n
     idx = base[:, None] + offsets
+    kern[idx % 2 == 1] *= -1.0          # (-1)^m: output k at index n/2 + k
     # the rows whose kernel wraps past 0 or n, or on the half grid reaches
     # n/2 (past it, fine indices are mirrored)
     near = np.flatnonzero((base < ES_WIDTH)
@@ -519,7 +524,8 @@ def _nufft_plan(delta: float, omegas: np.ndarray, span: int, *,
     slots = np.multiply(slots, 2, dtype=np.int32)
 
     psi_hat = _es_transform(span)
-    deconv = np.empty(span)
+    # the output's dtype: a cast to complex takes a 128 KB buffer per call
+    deconv = np.empty(span, float if real else complex)
     np.divide(1.0, psi_hat[:0:-1], out=deconv[:span // 2])
     np.divide(1.0, psi_hat[:-1], out=deconv[span // 2:])
     return slots, kern, deconv, mirrored
@@ -575,18 +581,15 @@ def _half_grid_spread(idx: np.ndarray, kern: np.ndarray, n: int,
     conj(g), halved in neither end slot (0 and n/2, whose imaginary parts
     an inverse real FFT discards).  So a fine index m <= n/2 adds
     c_p kern / 2 to slot m, and one past n/2 adds conj(c_p) kern / 2 to
-    slot n - m, no fold pass needed.  Every weight also carries (-1)^m,
-    which moves output k to index n/2 + k, so a block is one contiguous
-    slice.  Halving and signs are exact, so each slot sum is that of the
-    complex fine grid up to rounding order.
+    slot n - m, no fold pass needed.  kern arrives with the plan's (-1)^m
+    signs.  Halving is exact, so each slot sum is that of the complex
+    fine grid up to rounding order.
 
     The mirrored entries (kernels across n/2, or wrapped past 0: none on
     a grid within the spacing rule) come back as (prime, slot, weight)
     arrays, with weight 0 in their place in the main table.
     """
-    # (-1)^m / 2: m = idx alternates in parity along each row
-    weights = np.multiply(kern, np.where(idx[:, :1] % 2, -0.5, 0.5), out=kern)
-    weights[:, 1::2] *= -1.0
+    weights = np.multiply(kern, 0.5, out=kern)
     rows = idx[near]
     slot = np.minimum(rows, n - rows)
     part = weights[near]
@@ -640,37 +643,29 @@ def _spread(head: np.ndarray, step: np.ndarray, plan: tuple,
     return fine
 
 
-def _nufft_block(head: np.ndarray, step: np.ndarray, size: int,
-                 plan: tuple, held: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Z over one transform of size <= span points from its amplitudes
-    head * step: spread into the held fine grid, FFT in place and
-    deconvolve into a fresh array.  Pure numpy on arrays no other thread
-    writes, so any thread may run it; numpy's FFT releases the GIL."""
+def _nufft_transform(head: np.ndarray, step: np.ndarray, size: int, plan: tuple,
+                     held: tuple[np.ndarray, ...], out: np.ndarray) -> np.ndarray:
+    """One transform of size <= span points from its amplitudes head *
+    step, as a view into the ring slot out: Z for a complex slot of span
+    points, P = Re Z for a real one of n doubles.  They spread into the
+    held fine grid, np.fft.fft runs in place (or np.fft.irfft of the half
+    grid into out), and outputs k at n/2 + k times deconv go into out.
+    Pure numpy on arrays no other thread writes, so any thread may run
+    it; numpy's FFT releases the GIL.
+    """
     deconv = plan[2]
     span = deconv.size
     n, h = 3 * span // 2, size // 2
-    grid = _spread(head, step, plan, held).view(complex)
-    np.fft.fft(grid, out=grid)
-    z = np.concatenate((grid[n - h:], grid[:size - h]))
-    z *= deconv[span // 2 - h:span // 2 - h + size]
-    return z
-
-
-def _nufft_real_block(head: np.ndarray, step: np.ndarray, size: int,
-                      plan: tuple, held: tuple[np.ndarray, ...],
-                      out: np.ndarray) -> np.ndarray:
-    """P = Re Z over one transform from the conjugate rotated amplitudes
-    head * step = conj(e^{-i theta} a_p): spread into the held half grid,
-    one real-output FFT of n points into out, deconvolved in place there.
-    A view into out; thread-safe as _nufft_block is."""
-    deconv = plan[2]
-    span = deconv.size
-    n, h = out.size, size // 2
-    half = _spread(head, step, plan, held).view(complex)
-    np.fft.irfft(half, n, norm="forward", out=out)
-    p = out[n // 2 - h:n // 2 - h + size]
-    p *= deconv[span // 2 - h:span // 2 - h + size]
-    return p
+    outputs = slice(n // 2 - h, n // 2 - h + size)
+    fine = _spread(head, step, plan, held).view(complex)
+    if out.dtype == complex:
+        out = out[:size]
+        np.fft.fft(fine, out=fine)
+    else:
+        fine = np.fft.irfft(fine, n, norm="forward", out=out)
+        out = out[outputs]
+    return np.multiply(fine[outputs], deconv[span // 2 - h:span // 2 - h + size],
+                       out=out)
 
 
 def _nufft_amplitudes(omegas: np.ndarray, w: np.ndarray, grid: TGrid, span: int,
@@ -719,17 +714,16 @@ def _nufft_blocks(omegas: np.ndarray, w: np.ndarray, grid: TGrid,
     A transform of L <= span points starting at j0 is centred at grid
     point c = j0 + L//2, so t_c is exact and
     Z_{c+k} = sum_p a_p e^{-i k x_p} for k in [-L//2, L - L//2).
-    theta None gives Z (_nufft_block), each transform a fresh array.
-    Otherwise each transform is Re e^{-i theta} Z from the half grid
-    (_nufft_real_block), written into a ring of workers + 2 output grids,
-    transform i into grid i mod (workers + 2).
+    theta None gives Z, otherwise Re e^{-i theta} Z from the half grid;
+    either way transform i (_nufft_transform) writes into slot
+    i mod (workers + 2) of one ring of output slots.
 
     The amplitudes' phases are reduced here, on the caller's thread
     (_nufft_amplitudes); the transforms run on a pool of _pool_workers()
     threads, each with its own buffers (_nufft_buffers, ~6 MB) held for
     the pass.  At most workers + 1 transforms are in flight while the
-    consumer reads one, so no two live transforms share an output grid,
-    no worker waits for one, and a grid is written again only once the
+    consumer reads one, so no two live transforms share a slot, no
+    worker waits for one, and a slot is written again only once the
     consumer has drawn past both blocks of its last transform.
     Transforms come back in j order, each bit-identical to a serial
     loop's.  Closing the generator cancels the transforms not yet
@@ -743,17 +737,15 @@ def _nufft_blocks(omegas: np.ndarray, w: np.ndarray, grid: TGrid,
     real = theta is not None
     plan = _nufft_plan(grid.delta, omegas, span, real=real)
     workers = _pool_workers()
-    # rotated output: one grid per transform in flight and one being read
-    outs = np.empty((workers + 2, n)) if real else None
+    # one slot per transform in flight and one being read
+    ring = np.empty((workers + 2, n if real else span), float if real else complex)
     held = threading.local()
 
     def transform(i, size, head, step):
         if not hasattr(held, "bufs"):       # the worker's first transform
             held.bufs = _nufft_buffers(omegas.size, n, real)
-        if real:
-            return _nufft_real_block(head, step, size, plan, held.bufs,
-                                     outs[i % len(outs)])
-        return _nufft_block(head, step, size, plan, held.bufs)
+        return _nufft_transform(head, step, size, plan, held.bufs,
+                                ring[i % len(ring)])
 
     pool = ThreadPoolExecutor(workers, thread_name_prefix="zel-nufft")
     try:

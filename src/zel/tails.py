@@ -147,7 +147,8 @@ def measure_exceedance_poly_multi(specs, table: PrimeTable, grid: TGrid,
     Specs differ only in theta.  One spec draws the rotated stream, P
     itself at about half the kernel's work; a theta sweep draws the
     complex blocks, whose Re and Im serve every rotation, so it too costs
-    one kernel pass.
+    one kernel pass.  Each block is valid until the next is drawn, so its
+    counts are taken at once.
     """
     specs = list(specs)
     if not specs:

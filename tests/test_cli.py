@@ -658,6 +658,12 @@ class TestTail:
           "--refine", "0"], "--refine"),
         (["--sigma", "0.8", "--m", "0", "--X", "31", "--T", "1e3",
           "--refine", "-1"], "--refine"),
+        # each route checks the other route's flag too, as both land in
+        # the JSON config
+        (["--route", "poly", "--sigma", "0.8", "--m", "0", "--X", "31",
+          "--T", "1e3", "--count", "-5"], "--count"),
+        (["--route", "eta", "--sigma", "0.75", "--m", "1", "--T", "1e4",
+          "--count", "4", "--refine", "0"], "--refine"),
     ])
     def test_grid_size_below_one_rejected(self, capsys, argv, flag):
         assert cli.main(["tail", *argv, "--V", "0.5"]) == 2

@@ -412,7 +412,7 @@ class TestOnePassAgainstTwoPasses:
     @staticmethod
     def _values(spec, table, grid):
         ct, st = math.cos(spec.theta), math.sin(spec.theta)
-        z = np.concatenate([z for _, z in iter_poly_blocks(spec, table, grid)])
+        z = np.concatenate([z.copy() for _, z in iter_poly_blocks(spec, table, grid)])
         return ct * z.real + st * z.imag, np.abs(z)
 
     @pytest.fixture

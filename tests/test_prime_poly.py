@@ -5,6 +5,8 @@ batch kernel against direct per-point evaluation, and the exact-phase
 reduction against a Fraction-arithmetic reference.
 """
 
+import functools
+import json
 import math
 import os
 import platform
@@ -375,7 +377,7 @@ class TestBatch:
         spec = PolySpec(m=0, sigma=0.5, theta=0.0, X=31)
         span = TGrid.for_span(1e7, 31)
         g = TGrid(t0=span.t0, count=64 * BLOCK_ROWS, delta=span.delta)
-        z = np.concatenate([b for _, b in iter_poly_blocks(spec, self.table, g)])
+        z = np.concatenate([b.copy() for _, b in iter_poly_blocks(spec, self.table, g)])
         bound = 1e-15 * max(1.0, float(np.sum(self.table.weights(0, 0.5, 31))))
         for col in (31, 63):
             for j in range(col * BLOCK_ROWS, (col + 1) * BLOCK_ROWS):
@@ -443,6 +445,27 @@ class TestBlockContract:
                 for got in (p, rotated_real(z, theta)):
                     assert np.all(np.abs(got - direct) <= 4.5e-16 * np.abs(z))
         assert seen == grid.count
+
+    @pytest.mark.parametrize("rotated", [False, True], ids=["complex", "rotated"])
+    @pytest.mark.parametrize("X", [31.0, 1e4], ids=["gemm", "nufft"])
+    def test_block_is_overwritten_by_the_next(self, monkeypatch, X, rotated):
+        # every block is a view into a buffer held for the pass, valid only
+        # until the next draw: the GEMM path rewrites its one buffer at the
+        # next block, the NUFFT path a ring slot (two blocks each) once the
+        # ring of workers + 2 slots comes round, 8 blocks on at 2 workers
+        monkeypatch.setattr(prime_poly, "_pool_workers", lambda: 2)
+        spec = PolySpec(m=1, sigma=0.5, theta=0.7, X=X)
+        span = TGrid.for_span(1e5, X)
+        grid = TGrid(t0=span.t0, count=10 * NUFFT_BLOCK, delta=span.delta)
+        blocks = iter_poly_blocks(spec, self.table, grid, rotated=rotated)
+        _, kept = next(blocks)
+        before = kept.copy()
+        for drawn, (_, nxt) in enumerate(blocks, 1):
+            if np.shares_memory(kept, nxt):
+                break
+        blocks.close()
+        assert drawn == (1 if X < 100 else 8)
+        assert np.array_equal(kept, nxt) and not np.array_equal(kept, before)
 
 
 class TestRotatedBlocks:
@@ -553,26 +576,6 @@ class TestRotatedBlocks:
                                             rotated=rotated))
             assert np.max(np.abs(streams[0] - streams[1])) <= bound
 
-    def test_rotated_block_is_overwritten_by_the_next(self):
-        spec = PolySpec(m=1, sigma=0.5, theta=0.7, X=31.0)
-        span = TGrid.for_span(1e5, 31.0)
-        grid = TGrid(t0=span.t0, count=3 * NUFFT_BLOCK, delta=span.delta)
-        blocks = iter_poly_blocks(spec, self.table, grid, rotated=True)
-        _, kept = next(blocks)
-        before = kept.copy()
-        _, nxt = next(blocks)
-        assert np.shares_memory(kept, nxt)
-        assert np.array_equal(kept, nxt) and not np.array_equal(kept, before)
-        blocks.close()
-        # complex blocks stay fresh arrays
-        blocks = iter_poly_blocks(spec, self.table, grid)
-        _, kept = next(blocks)
-        before = kept.copy()
-        _, nxt = next(blocks)
-        assert not np.shares_memory(kept, nxt)
-        assert np.array_equal(kept, before)
-        blocks.close()
-
 
 class TestGemmFactors:
     """GEMM column factors: column i of a chunk is the chunk's head
@@ -643,7 +646,8 @@ class TestNufft:
         return self._values(spec, grid)
 
     def _values(self, spec, grid):
-        starts, parts = zip(*iter_poly_blocks(spec, self.table, grid))
+        starts, parts = zip(*((j0, z.copy()) for j0, z in iter_poly_blocks(
+            spec, self.table, grid)))
         assert list(starts) == np.cumsum([0, *map(len, parts[:-1])]).tolist()
         return np.concatenate(parts)
 
@@ -753,22 +757,18 @@ class TestNufftPool:
         return TGrid(t0=span.t0, count=3 * NUFFT_BLOCK + 777, delta=span.delta)
 
     def _serial(self, spec, grid, rotated):
-        """Each transform of one plain loop over _nufft_block, or over
-        _nufft_real_block from the conjugate turned amplitudes, whole:
-        (j0, values)."""
+        """Each transform of one plain loop over _nufft_transform, into
+        one output slot of the pass's dtype, whole: (j0, values)."""
         omegas, w = prime_poly._spec_arrays(spec, self.table)
         span = 2 * NUFFT_BLOCK
         n = 3 * span // 2
         plan = prime_poly._nufft_plan(grid.delta, omegas, span, real=rotated)
         held = prime_poly._nufft_buffers(omegas.size, n, rotated)
+        slot = np.empty(n) if rotated else np.empty(span, complex)
         out = []
         for j0, size, head, step in prime_poly._nufft_amplitudes(
                 omegas, w, grid, span, spec.theta if rotated else None):
-            if rotated:
-                z = prime_poly._nufft_real_block(head, step, size, plan, held,
-                                                 np.empty(n))
-            else:
-                z = prime_poly._nufft_block(head, step, size, plan, held)
+            z = prime_poly._nufft_transform(head, step, size, plan, held, slot)
             out.append((j0, z.copy()))
         return out
 
@@ -806,20 +806,19 @@ class TestNufftPool:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("workers", [1, 2, 4, 5])
-    def test_rotated_output_grids_held_while_read(self, monkeypatch, workers):
-        # a rotated block keeps its values while the consumer holds it, the
-        # workers running ahead meanwhile; closing the stream at any block,
-        # or a failed transform, joins the pool.  8 transforms wrap the
-        # ring of workers + 2 output grids at every worker count; 5 workers
-        # run on a short switch interval, more threads than cores trading
-        # the interpreter lock as often as they can
+    def _held_while_read(self, monkeypatch, workers, rotated):
+        # a block keeps its values while the consumer holds it, the workers
+        # running ahead meanwhile; closing the stream at any block, or a
+        # failed transform, joins the pool.  8 transforms wrap the ring of
+        # workers + 2 output slots at every worker count; 5 workers run on
+        # a short switch interval, more threads than cores trading the
+        # interpreter lock as often as they can
         monkeypatch.setattr(prime_poly, "_pool_workers", lambda: workers)
         spec = PolySpec(m=0, sigma=0.8, theta=0.7, X=1e4)
         span = TGrid.for_span(1e6, 1e4)
         grid = TGrid(t0=span.t0, count=15 * NUFFT_BLOCK + 777, delta=span.delta)
         halves = [(j0 + k, z[k:k + NUFFT_BLOCK])
-                  for j0, z in self._serial(spec, grid, rotated=True)
+                  for j0, z in self._serial(spec, grid, rotated)
                   for k in range(0, z.size, NUFFT_BLOCK)]
         assert len(halves) == 16
         before = threading.active_count()
@@ -827,32 +826,41 @@ class TestNufftPool:
         sys.setswitchinterval(1e-6 if workers == 5 else interval)
         try:
             got = []
-            for j0, p in iter_poly_blocks(spec, self.table, grid, rotated=True):
+            for j0, p in iter_poly_blocks(spec, self.table, grid, rotated=rotated):
                 time.sleep(0.005)
                 got.append((j0, p.copy()))
             assert [j0 for j0, _ in got] == [j0 for j0, _ in halves]
             for (_, p), (_, ref) in zip(got, halves):
                 assert np.array_equal(p, ref)
             for stop in range(len(halves)):
-                blocks = iter_poly_blocks(spec, self.table, grid, rotated=True)
+                blocks = iter_poly_blocks(spec, self.table, grid, rotated=rotated)
                 for _ in range(stop + 1):
                     next(blocks)
                 blocks.close()
                 assert threading.active_count() == before
         finally:
             sys.setswitchinterval(interval)
-        irfft, calls = np.fft.irfft, []
+        name = "irfft" if rotated else "fft"
+        fft, calls = getattr(np.fft, name), []
 
         def flaky(*args, **kwargs):
             calls.append(threading.get_ident())
             if len(calls) == 3:
-                raise FloatingPointError("irfft failed")
-            return irfft(*args, **kwargs)
+                raise FloatingPointError(f"{name} failed")
+            return fft(*args, **kwargs)
 
-        monkeypatch.setattr(np.fft, "irfft", flaky)
-        with pytest.raises(FloatingPointError, match="irfft failed"):
-            list(iter_poly_blocks(spec, self.table, grid, rotated=True))
+        monkeypatch.setattr(np.fft, name, flaky)
+        with pytest.raises(FloatingPointError, match=f"{name} failed"):
+            list(iter_poly_blocks(spec, self.table, grid, rotated=rotated))
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2, 4, 5])
+    def test_rotated_output_grids_held_while_read(self, monkeypatch, workers):
+        self._held_while_read(monkeypatch, workers, rotated=True)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4, 5])
+    def test_complex_output_slots_held_while_read(self, monkeypatch, workers):
+        self._held_while_read(monkeypatch, workers, rotated=False)
 
     def test_workers_capped(self, monkeypatch):
         # one thread per CPU, but never more than MAX_POOL_WORKERS; no pool
@@ -936,52 +944,90 @@ class TestNufftPool:
         assert set(threads) == {threading.get_ident()}
 
 
-# A warm rotated NUFFT pass, in a child whose glibc mmap threshold is
-# pinned at its 128 KB default (setting it turns off the dynamic
-# threshold), so every array over 128 KB is mapped afresh and faulted in.
-# Prints the minor faults per block outside numpy's FFT calls (whose own
+# Warm kernel passes, in a child whose glibc mmap threshold is pinned at
+# its 128 KB default (setting it turns off the dynamic threshold), so
+# every array over 128 KB is mapped afresh and faulted in.  Prints, per
+# pass, the minor faults per block outside numpy's FFT calls (whose own
 # scratch, 2n doubles per call, is counted on the calling thread and
 # left out), as the slope between a 16- and a 48-block pass, which
-# cancels what each pass allocates once.
+# cancels what each pass allocates once.  The passes: the rotated and
+# the complex NUFFT stream at X = 1e4, and criterion 6's complex GEMM
+# pass (exp_moment_trimmed at X = 31).
 FAULT_SCRIPT = """
+import json
 import resource
+import threading
 import numpy as np
+from zel.moments import exp_moment_trimmed
 from zel.prime_poly import NUFFT_BLOCK, PolySpec, PrimeTable, TGrid, iter_poly_blocks
 
 def faults(who):
     return resource.getrusage(who).ru_minflt
 
-in_fft = [0]
+in_fft, lock = [0], threading.Lock()     # workers add to in_fft at once
 def counted(fft):
     def run(*args, **kwargs):
         before = faults(resource.RUSAGE_THREAD)
         try:
             return fft(*args, **kwargs)
         finally:
-            in_fft[0] += faults(resource.RUSAGE_THREAD) - before
+            with lock:
+                in_fft[0] += faults(resource.RUSAGE_THREAD) - before
     return run
+np.fft.fft = counted(np.fft.fft)
 np.fft.irfft = counted(np.fft.irfft)
 
 table = PrimeTable.build(10_000)
-spec = PolySpec(m=0, sigma=0.8, theta=0.7, X=1e4)
-span = TGrid.for_span(1e6, 1e4)
 
-def outside_fft(blocks):
-    grid = TGrid(t0=span.t0, count=blocks * NUFFT_BLOCK, delta=span.delta)
-    in_fft[0] = 0
-    before = faults(resource.RUSAGE_SELF)
-    assert sum(1 for _ in iter_poly_blocks(spec, table, grid, rotated=True)) == blocks
-    return faults(resource.RUSAGE_SELF) - before - in_fft[0]
+def nufft(rotated):
+    spec = PolySpec(m=0, sigma=0.8, theta=0.7, X=1e4)
+    span = TGrid.for_span(1e6, 1e4)
+    def run(blocks):
+        grid = TGrid(t0=span.t0, count=blocks * NUFFT_BLOCK, delta=span.delta)
+        drawn = sum(1 for _ in iter_poly_blocks(spec, table, grid, rotated=rotated))
+        assert drawn == blocks
+    return run
 
-outside_fft(16)
-short = outside_fft(16)
-print((outside_fft(48) - short) / 32)
+def trimmed(blocks):
+    # its half-spacing refinement holds blocks * NUFFT_BLOCK points
+    spec = PolySpec(m=1, sigma=0.5, theta=0.0, X=31.0)
+    span = TGrid.for_span(1e6, 31.0)
+    grid = TGrid(t0=span.t0, count=blocks * NUFFT_BLOCK // 2, delta=span.delta)
+    exp_moment_trimmed(spec, table, grid, 2.0, 20.0)
+
+def per_block(run):
+    def outside_fft(blocks):
+        in_fft[0] = 0
+        before = faults(resource.RUSAGE_SELF)
+        run(blocks)
+        return faults(resource.RUSAGE_SELF) - before - in_fft[0]
+    outside_fft(16)
+    short = outside_fft(16)
+    return (outside_fft(48) - short) / 32
+
+print(json.dumps({"rotated_nufft": per_block(nufft(True)),
+                  "complex_nufft": per_block(nufft(False)),
+                  "complex_gemm": per_block(trimmed)}))
 """
 
 
-@pytest.mark.skipif(platform.system() != "Linux"
-                    or platform.libc_ver()[0] != "glibc",
-                    reason="page-fault counts of glibc's allocator")
+@functools.cache
+def faults_per_block():
+    """FAULT_SCRIPT's per-block fault counts, from one child run."""
+    src = str(Path(prime_poly.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "MALLOC_MMAP_THRESHOLD_": "131072"}
+    out = subprocess.run([sys.executable, "-c", FAULT_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=300).stdout
+    return json.loads(out)
+
+
+GLIBC_ONLY = pytest.mark.skipif(platform.system() != "Linux"
+                                or platform.libc_ver()[0] != "glibc",
+                                reason="page-fault counts of glibc's allocator")
+
+
+@GLIBC_ONLY
 def test_rotated_nufft_pass_is_fault_stable():
     """A warm rotated NUFFT pass allocates nothing per block: under 20
     minor page faults per block outside numpy's FFT, whatever glibc's mmap
@@ -990,13 +1036,21 @@ def test_rotated_nufft_pass_is_fault_stable():
     With a fresh spread-values array, bincount grid and output per block
     it took about 300 per block at X = 1e4.
     """
-    src = str(Path(prime_poly.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "MALLOC_MMAP_THRESHOLD_": "131072"}
-    out = subprocess.run([sys.executable, "-c", FAULT_SCRIPT], env=env,
-                         capture_output=True, text=True, check=True,
-                         timeout=300).stdout
-    per_block = float(out)
+    per_block = faults_per_block()["rotated_nufft"]
     assert per_block < 20, f"{per_block:.0f} minor faults per block"
+
+
+@GLIBC_ONLY
+@pytest.mark.parametrize("stream", ["complex_nufft", "complex_gemm"])
+def test_complex_pass_is_fault_stable(stream):
+    """Complex blocks, like rotated ones, are views into buffers held for
+    the pass: a warm complex NUFFT pass (X = 1e4) and criterion 6's
+    complex GEMM pass (X = 31) each take under 20 minor page faults per
+    block outside numpy's FFT.  With a fresh array per block on both
+    paths they took about 300.
+    """
+    per_block = faults_per_block()[stream]
+    assert per_block < 20, f"{stream}: {per_block:.0f} minor faults per block"
 
 
 class TestLambdaSum:

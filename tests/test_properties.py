@@ -113,7 +113,7 @@ def _chunked(spec, grid, v, chunk_cols):
     """(Z over the grid, exceedance counts at v) at CHUNK_COLS = chunk_cols."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(prime_poly, "CHUNK_COLS", chunk_cols)
-        z = np.concatenate([b for _, b in iter_poly_blocks(spec, TABLE, grid)])
+        z = np.concatenate([b.copy() for _, b in iter_poly_blocks(spec, TABLE, grid)])
         counts = measure_exceedance_poly_multi([spec], TABLE, grid,
                                                v)[0].exceed_counts
     return z, counts
@@ -143,7 +143,7 @@ def _with_block_lengths(spec, grid, v, rows, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(prime_poly, "BLOCK_ROWS", rows)
         mp.setattr(prime_poly, "NUFFT_BLOCK", block)
-        z = np.concatenate([b for _, b in iter_poly_blocks(spec, TABLE, grid)])
+        z = np.concatenate([b.copy() for _, b in iter_poly_blocks(spec, TABLE, grid)])
         counts = measure_exceedance_poly_multi([spec], TABLE, grid,
                                                v)[0].exceed_counts
     return z, counts
