@@ -252,11 +252,11 @@ class PolySpec:
 
     def __post_init__(self):
         if self.m < 0:
-            raise ValueError(f"m must be >= 0, got {self.m}")
+            raise ValueError(f"--m must be >= 0, got {self.m}")
         if not 0.5 <= self.sigma < 1.0:
-            raise ValueError(f"sigma must be in [1/2, 1), got {self.sigma}")
+            raise ValueError(f"--sigma must be in [1/2, 1), got {self.sigma}")
         if not 3 <= self.X < math.inf:
-            raise ValueError(f"X must be finite and >= 3, got {self.X}")
+            raise ValueError(f"--X must be finite and >= 3, got {self.X}")
         if not math.isfinite(self.theta):
             raise ValueError(f"--theta must be finite, got {self.theta}")
 
@@ -492,10 +492,9 @@ def _nufft_plan(delta: float, omegas: np.ndarray, span: int, *,
 
     A transform has span outputs on a fine grid of n = 3 span / 2 points,
     span a power of two.  slots (int32) and weights are (primes, ES_WIDTH):
-    amplitude c_p adds c_p * weight to the fine-grid point whose real part
-    is at index slot of the grid viewed as interleaved (re, im) doubles.
-    Each weight carries (-1)^m, m its fine index, so output k of either
-    grid's FFT sits at index n/2 + k.  real=True gives those of the
+    amplitude c_p adds c_p * weight to the complex fine-grid point at index
+    slot.  Each weight carries (-1)^m, m its fine index, so output k of
+    either grid's FFT sits at index n/2 + k.  real=True gives those of the
     Hermitian half grid (_half_grid_spread), whose few mirrored entries,
     (prime, slot, weight) arrays, add conj(c_p) * weight instead; those
     arrays are empty for the full grid.
@@ -516,12 +515,10 @@ def _nufft_plan(delta: float, omegas: np.ndarray, span: int, *,
     near = np.flatnonzero((base < ES_WIDTH)
                           | (base >= (n // 2 if real else n) - ES_WIDTH))
     idx[near] %= n
+    mirrored = (np.empty(0, int), np.empty(0, int), np.empty(0))
     if real:
-        slots, kern, mirrored = _half_grid_spread(idx, kern, n, near)
-    else:
-        slots, mirrored = idx, (np.empty(0, np.intp), np.empty(0, np.intp),
-                                np.empty(0))
-    slots = np.multiply(slots, 2, dtype=np.int32)
+        mirrored = _half_grid_spread(idx, kern, n, near)
+    slots = idx.astype(np.int32)
 
     psi_hat = _es_transform(span)
     # the output's dtype: a cast to complex takes a 128 KB buffer per call
@@ -569,12 +566,12 @@ def _es_transform(span: int) -> np.ndarray:
 
 
 def _half_grid_spread(idx: np.ndarray, kern: np.ndarray, n: int,
-                      near: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                                 tuple[np.ndarray, ...]]:
-    """Slots, weights and mirrored entries that spread conjugate rotated
-    amplitudes c_p = conj(b_p) straight into the n/2 + 1 slots of a
-    Hermitian half grid; only the rows in near have a fine index at 0,
-    n/2 or past n/2.
+                      near: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Turn the fine indices idx and weights kern, in place, into the
+    slots and weights that spread conjugate rotated amplitudes
+    c_p = conj(b_p) straight into the n/2 + 1 slots of a Hermitian half
+    grid, and return the mirrored entries; only the rows in near have a
+    fine index at 0, n/2 or past n/2.
 
     Re sum_m g_m e^{-2 pi i k m/n}, g the fine grid of the b_p, is the
     real inverse transform of H_m = (c_m + conj(c_{n-m}))/2 with c =
@@ -585,9 +582,10 @@ def _half_grid_spread(idx: np.ndarray, kern: np.ndarray, n: int,
     signs.  Halving is exact, so each slot sum is that of the complex
     fine grid up to rounding order.
 
-    The mirrored entries (kernels across n/2, or wrapped past 0: none on
-    a grid within the spacing rule) come back as (prime, slot, weight)
-    arrays, with weight 0 in their place in the main table.
+    The mirrored entries, kernels across n/2 (x_p near pi, past the
+    spacing rule) or wrapped past 0 (x_p within ES_WIDTH/2 fine points of
+    it: 5 at TGrid.for_span(1e6, 1e4, refine=1024)), come back as (prime,
+    slot, weight) arrays, with weight 0 in their place in the main table.
     """
     weights = np.multiply(kern, 0.5, out=kern)
     rows = idx[near]
@@ -595,11 +593,11 @@ def _half_grid_spread(idx: np.ndarray, kern: np.ndarray, n: int,
     part = weights[near]
     part[(slot == 0) | (slot == n // 2)] *= 2.0
     r, c = np.nonzero(rows > n // 2)
-    mirrored = (near[r], 2 * slot[r, c], part[r, c])
+    mirrored = (near[r], slot[r, c], part[r, c])
     part[r, c] = 0.0
     weights[near] = part
     idx[near] = slot
-    return idx, weights, mirrored
+    return mirrored
 
 
 def _pool_workers() -> int:
@@ -611,19 +609,20 @@ def _pool_workers() -> int:
 
 
 def _nufft_buffers(primes: int, n: int, real: bool) -> tuple[np.ndarray, ...]:
-    """One worker's buffers for a pass: its fine grid (n/2 + 1 complex for
-    the half grid, n for the full one, as doubles), the (re, im) spread
-    values and the amplitudes of one chunk of SPREAD_CHUNK primes."""
+    """One worker's buffers for a pass: its complex fine grid (n/2 + 1
+    points for the half grid, n for the full one), the spread values and
+    the amplitudes of one chunk of SPREAD_CHUNK primes."""
     chunk = min(SPREAD_CHUNK, primes)
-    return (np.empty(n + 2 if real else 2 * n), np.empty((2, chunk, ES_WIDTH)),
-            np.empty(chunk, dtype=complex))
+    return (np.empty(n // 2 + 1 if real else n, dtype=complex),
+            np.empty((chunk, ES_WIDTH), dtype=complex), np.empty(chunk, dtype=complex))
 
 
 def _spread(head: np.ndarray, step: np.ndarray, plan: tuple,
             held: tuple[np.ndarray, ...]) -> np.ndarray:
     """The held fine grid, zeroed, with the amplitudes c_p = head * step
-    spread in, SPREAD_CHUNK primes at a time: np.add.at writes into the
-    grid, so nothing is allocated per chunk."""
+    spread in by one np.add.at per chunk of SPREAD_CHUNK primes, the values
+    written through the held buffer's .real and .imag views (complex times
+    real weights would take numpy's 128 KB cast buffer per call)."""
     slots, weights, _, mirrored = plan
     fine, vals, amp = held
     fine.fill(0.0)
@@ -631,15 +630,12 @@ def _spread(head: np.ndarray, step: np.ndarray, plan: tuple,
     for i in range(0, len(head), chunk):
         m = min(chunk, len(head) - i)
         c = np.multiply(head[i:i + m], step[i:i + m], out=amp[:m])
-        wts, s = weights[i:i + m], slots[i:i + m].reshape(-1)
-        np.multiply(c.real[:, None], wts, out=vals[0, :m])
-        np.multiply(c.imag[:, None], wts, out=vals[1, :m])
-        np.add.at(fine, s, vals[0, :m].reshape(-1))
-        np.add.at(fine[1:], s, vals[1, :m].reshape(-1))
-    rows, s, wts = mirrored                 # conj(c_p) weight
-    c = head[rows] * step[rows]
-    np.add.at(fine, s, c.real * wts)
-    np.add.at(fine[1:], s, -c.imag * wts)
+        wts, v = weights[i:i + m], vals[:m]
+        np.multiply(c.real[:, None], wts, out=v.real)
+        np.multiply(c.imag[:, None], wts, out=v.imag)
+        np.add.at(fine, slots[i:i + m].reshape(-1), v.reshape(-1))
+    rows, s, wts = mirrored
+    np.add.at(fine, s, np.conj(head[rows] * step[rows]) * wts)
     return fine
 
 
@@ -657,7 +653,7 @@ def _nufft_transform(head: np.ndarray, step: np.ndarray, size: int, plan: tuple,
     span = deconv.size
     n, h = 3 * span // 2, size // 2
     outputs = slice(n // 2 - h, n // 2 - h + size)
-    fine = _spread(head, step, plan, held).view(complex)
+    fine = _spread(head, step, plan, held)
     if out.dtype == complex:
         out = out[:size]
         np.fft.fft(fine, out=fine)

@@ -45,7 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .emit import NonFiniteOutput
-from .prime_poly import PrimeTable, TGrid, iter_poly_blocks, max_spacing, rotated_real
+from .prime_poly import (NUFFT_BLOCK, PrimeTable, TGrid, iter_poly_blocks,
+                         max_spacing, rotated_real)
 from .special_fn import a_constant, g_constant
 from .zeta_core import ETA_SIGMA_MIN, NearZeroOnPath, eta_tilde, log_zeta_branched
 
@@ -117,7 +118,7 @@ class ExceedanceCurve:
 def _check_v_grid(V_grid) -> np.ndarray:
     v = np.asarray(V_grid, dtype=float)
     if v.ndim == 1 and not np.isfinite(v).all():
-        raise ValueError(f"V must be finite, got {v[~np.isfinite(v)][0]}")
+        raise ValueError(f"--V must be finite, got {v[~np.isfinite(v)][0]}")
     if v.ndim != 1 or v.size == 0 or not np.all(np.diff(v) > 0):
         raise ValueError(f"--V must be 1-d and strictly ascending, got {v.tolist()}")
     return v
@@ -146,9 +147,9 @@ def measure_exceedance_poly_multi(specs, table: PrimeTable, grid: TGrid,
 
     Specs differ only in theta.  One spec draws the rotated stream, P
     itself at about half the kernel's work; a theta sweep draws the
-    complex blocks, whose Re and Im serve every rotation, so it too costs
-    one kernel pass.  Each block is valid until the next is drawn, so its
-    counts are taken at once.
+    complex blocks, whose Re and Im serve every rotation (rotated into one
+    buffer held for the pass), so it too costs one kernel pass.  Each block
+    is valid until the next is drawn, so its counts are taken at once.
     """
     specs = list(specs)
     if not specs:
@@ -167,8 +168,10 @@ def measure_exceedance_poly_multi(specs, table: PrimeTable, grid: TGrid,
             counts[0] += _exceed_counts(p, v)
     else:
         thetas = [s.theta for s in specs]
+        rows = np.empty(len(specs) * NUFFT_BLOCK)
         for _, z in iter_poly_blocks(base, table, grid):
-            for i, p in enumerate(rotated_real(z, thetas)):
+            out = rows[:len(specs) * z.size]
+            for i, p in enumerate(rotated_real(z, thetas, out=out)):
                 counts[i] += _exceed_counts(p, v)
     return [ExceedanceCurve(V_grid=v.copy(),
                             measure_fraction=counts[i] / grid.count,
@@ -220,10 +223,10 @@ def measure_exceedance_eta(m: int, sigma: float, theta: float, grid: TGrid,
     the whole curve.  Fractions keep the full grid count as denominator
     so exclusions can only lower the curve.
     """
-    if not sigma >= 0.5:
-        raise ValueError(f"sigma must be >= 1/2, got {sigma}")
+    if not 0.5 <= sigma < math.inf:
+        raise ValueError(f"--sigma must be finite and >= 1/2, got {sigma}")
     if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
+        raise ValueError(f"--theta must be finite, got {theta}")
     v = _check_v_grid(V_grid)
     ct, st = math.cos(theta), math.sin(theta)
     values = eta_values(m, sigma, map(grid.t, range(grid.count)))

@@ -135,7 +135,7 @@ class TestEmit:
 
 
 # the message for a bad --X, by the flag's text
-_BAD_X = {X: f"X must be finite and >= 3, got {X}" for X in ("inf", "nan")}
+_BAD_X = {X: f"--X must be finite and >= 3, got {X}" for X in ("inf", "nan")}
 _BAD_X["2e8"] = "--X must be <= 100000000, the sieve cap, got 200000000.0"
 
 
@@ -508,7 +508,7 @@ class TestTail:
                        "--V", V])
         assert rc == 2
         assert capsys.readouterr() == (
-            "", f"error: V must be finite, got {shown}\n")
+            "", f"error: --V must be finite, got {shown}\n")
 
     @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
     def test_eta_route_nonfinite_theta_rejected(self, monkeypatch, capsys,
@@ -522,7 +522,7 @@ class TestTail:
                        f"--theta={theta}"])
         assert rc == 2
         assert capsys.readouterr() == (
-            "", f"error: theta must be finite, got {theta}\n")
+            "", f"error: --theta must be finite, got {theta}\n")
 
     @pytest.mark.parametrize("argv,message", [
         (["tail", "--route", "poly", "--sigma", "0.8", "--m", "0", "--X", "31",

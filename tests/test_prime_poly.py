@@ -564,7 +564,7 @@ class TestRotatedBlocks:
         spec = PolySpec(m=0, sigma=0.5, theta=0.7, X=31.0)
         grid = TGrid(t0=1e4, count=NUFFT_BLOCK + 777, delta=delta)
         omegas, _ = prime_poly._spec_arrays(spec, self.table)
-        fine = np.unique(prime_poly._nufft_plan(delta, omegas, NUFFT_BLOCK)[0] // 2)
+        fine = np.unique(prime_poly._nufft_plan(delta, omegas, NUFFT_BLOCK)[0])
         n = 3 * NUFFT_BLOCK // 2
         assert {(wrap - 1) % n, wrap, wrap + 1} <= set(fine.tolist())
         bound = 1e-12 * float(np.sum(self.table.weights(0, 0.5, 31.0)))
@@ -951,8 +951,9 @@ class TestNufftPool:
 # scratch, 2n doubles per call, is counted on the calling thread and
 # left out), as the slope between a 16- and a 48-block pass, which
 # cancels what each pass allocates once.  The passes: the rotated and
-# the complex NUFFT stream at X = 1e4, and criterion 6's complex GEMM
-# pass (exp_moment_trimmed at X = 31).
+# the complex NUFFT stream at X = 1e4, a 3-angle theta sweep over that
+# complex stream (measure_exceedance_poly_multi), and criterion 6's
+# complex GEMM pass (exp_moment_trimmed at X = 31).
 FAULT_SCRIPT = """
 import json
 import resource
@@ -960,6 +961,7 @@ import threading
 import numpy as np
 from zel.moments import exp_moment_trimmed
 from zel.prime_poly import NUFFT_BLOCK, PolySpec, PrimeTable, TGrid, iter_poly_blocks
+from zel.tails import measure_exceedance_poly_multi
 
 def faults(who):
     return resource.getrusage(who).ru_minflt
@@ -979,14 +981,20 @@ np.fft.irfft = counted(np.fft.irfft)
 
 table = PrimeTable.build(10_000)
 
+span = TGrid.for_span(1e6, 1e4)
+
 def nufft(rotated):
     spec = PolySpec(m=0, sigma=0.8, theta=0.7, X=1e4)
-    span = TGrid.for_span(1e6, 1e4)
     def run(blocks):
         grid = TGrid(t0=span.t0, count=blocks * NUFFT_BLOCK, delta=span.delta)
         drawn = sum(1 for _ in iter_poly_blocks(spec, table, grid, rotated=rotated))
         assert drawn == blocks
     return run
+
+def sweep(blocks):
+    specs = [PolySpec(m=0, sigma=0.8, theta=a, X=1e4) for a in (0.0, 0.7, 2.0)]
+    grid = TGrid(t0=span.t0, count=blocks * NUFFT_BLOCK, delta=span.delta)
+    measure_exceedance_poly_multi(specs, table, grid, [0.5, 1.0])
 
 def trimmed(blocks):
     # its half-spacing refinement holds blocks * NUFFT_BLOCK points
@@ -1007,6 +1015,7 @@ def per_block(run):
 
 print(json.dumps({"rotated_nufft": per_block(nufft(True)),
                   "complex_nufft": per_block(nufft(False)),
+                  "theta_sweep": per_block(sweep),
                   "complex_gemm": per_block(trimmed)}))
 """
 
@@ -1041,13 +1050,14 @@ def test_rotated_nufft_pass_is_fault_stable():
 
 
 @GLIBC_ONLY
-@pytest.mark.parametrize("stream", ["complex_nufft", "complex_gemm"])
+@pytest.mark.parametrize("stream", ["complex_nufft", "theta_sweep", "complex_gemm"])
 def test_complex_pass_is_fault_stable(stream):
     """Complex blocks, like rotated ones, are views into buffers held for
-    the pass: a warm complex NUFFT pass (X = 1e4) and criterion 6's
-    complex GEMM pass (X = 31) each take under 20 minor page faults per
-    block outside numpy's FFT.  With a fresh array per block on both
-    paths they took about 300.
+    the pass: a warm complex NUFFT pass (X = 1e4), a 3-angle theta sweep
+    over it and criterion 6's complex GEMM pass (X = 31) each take under
+    20 minor page faults per block outside numpy's FFT.  With a fresh
+    array per block on both paths they took about 300, and the sweep,
+    with fresh (3 x block) rotated rows per block, about 385.
     """
     per_block = faults_per_block()[stream]
     assert per_block < 20, f"{stream}: {per_block:.0f} minor faults per block"

@@ -1,12 +1,16 @@
 """Property tests: phase reduction, exceedance monotonicity and counts,
 moment power sums,
-chunking, block lengths, grid exactness and the grids the CLI builds.
+chunking, block lengths, grid exactness, the grids the CLI builds and
+the CLI's exit codes on edge values.
 
 Hypothesis runs derandomized with a bounded example count, so every run
 draws the same cases and the suite stays deterministic.
 """
 
+import contextlib
+import io
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -285,3 +289,56 @@ def test_wide_exact_grids_accepted(num_bits, k, count, data):
     t0 = data.draw(st.integers(-room, room)) / 2.0 ** k
     grid = TGrid(t0=t0, count=count, delta=num / 2.0 ** k)
     _assert_exact(grid, data.draw(st.lists(st.floats(0.0, 1.0), max_size=4)))
+
+
+# CLI command lines on cheap base parameters (X = 31, T = 1e4, 4 eta
+# points) with one or two numeric flags set to an edge value, so a value
+# that passes the checks reaches the evaluation behind them.
+_EDGES = st.sampled_from([0.0, 5e-324, -5e-324, 1e-300, 1e300,
+                          math.inf, -math.inf, math.nan]).map(repr)
+_BASES = {
+    ("tail", "--route=poly"): {"sigma": "0.8", "m": "0", "theta": "0",
+                               "X": "31", "T": "1e4", "V": "1", "refine": "1"},
+    ("tail", "--route=eta"): {"sigma": "0.75", "m": "1", "theta": "0",
+                              "T": "1e4", "V": "1", "count": "4"},
+    ("eta",): {"sigma": "0.75", "m": "1", "theta": "0", "t": "1e4"},
+    ("moments",): {"sigma": "0.5", "m": "1", "theta": "0", "X": "31",
+                   "T": "1e4", "k": "2"},
+}
+# integer flags take integer edges: argparse refuses a float there
+_INT_EDGES = {"m": ["-1", "0"], "refine": ["0", "2"],
+              "count": ["-1", "0", "1"], "k": ["0", "171"]}
+
+
+@st.composite
+def _command_lines(draw):
+    command = draw(st.sampled_from(sorted(_BASES)))
+    values = dict(_BASES[command])
+    for flag in sorted(draw(st.sets(st.sampled_from(sorted(values)),
+                                    min_size=1, max_size=2))):
+        values[flag] = draw(st.sampled_from(_INT_EDGES[flag])
+                            if flag in _INT_EDGES else _EDGES)
+    return [*command, *(f"--{f}={v}" for f, v in values.items())]
+
+
+@settings(PROPERTY, max_examples=150)
+@given(argv=_command_lines())
+@example(argv=["tail", "--route=eta", "--sigma=0.75", "--m=1", "--theta=0",
+               "--T=1e4", "--V=nan", "--count=4"])
+@example(argv=["moments", "--sigma=nan", "--m=1", "--theta=0", "--X=31",
+               "--T=1e4", "--k=2"])
+def test_cli_exit_codes_on_edge_values(argv):
+    """Any edge value in any numeric flag gives a documented exit code, no
+    traceback, and on failure exactly one stderr line, "error: ..."."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = cli.main(argv)
+    assert rc in (0, 2, 3, 4)
+    message = err.getvalue()
+    if rc == 0:
+        assert message == ""
+    else:
+        assert message.startswith("error: ") and message.count("\n") == 1
+        assert message.endswith("\n") and "Traceback" not in message

@@ -144,7 +144,7 @@ class TestMeasurePoly:
 
     @pytest.mark.parametrize("V", [[math.nan], [1.0, math.inf]])
     def test_nonfinite_v_rejected(self, table31, grid1e4, V):
-        with pytest.raises(ValueError, match="^V must be finite, got "):
+        with pytest.raises(ValueError, match="^--V must be finite, got "):
             measure_exceedance_poly_multi([SPEC08], table31, grid1e4, V)
 
     def test_strict_exceedance_at_tie(self, table31):
@@ -212,7 +212,7 @@ class TestMeasureEta:
         monkeypatch.setattr(tails, "eta_tilde", boom)
         grid = TGrid(t0=10.0, count=2, delta=0.25)
         name = "theta" if not math.isfinite(theta) else "V"
-        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+        with pytest.raises(ValueError, match=f"^--{name} must be finite, got "):
             measure_exceedance_eta(1, 0.75, theta, grid, V)
 
     def test_exclusions_counted_and_flagged(self, monkeypatch):
