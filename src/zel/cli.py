@@ -327,6 +327,8 @@ def _parse_lists(args: argparse.Namespace) -> None:
     if hasattr(args, "k"):
         args.k = _listed("--k",
                          (int(p) for p in args.k.split(",") if p.strip()))
+        if min(args.k) < 1:
+            raise ValueError(f"--k must list orders >= 1, got {min(args.k)}")
     if hasattr(args, "methods"):
         methods = (METHOD_ORDER if args.methods == "all" else _listed(
             "--methods", (p.strip() for p in args.methods.split(",") if p.strip())))

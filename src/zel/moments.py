@@ -26,6 +26,7 @@ moment that ties the product to a time average over {|Z(t)| <= W}.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,6 +51,14 @@ __all__ = [
 # limits of the exact and contour routes alike
 MAX_CONTOUR_PRIMES = 100_000
 MAX_CONTOUR_K = 170                 # 171! > 1.8e308 overflows a double
+
+# working sets: complex entries per contour node chunk (4 MB), primes per
+# log I0 batch of bessel_product, terms per dot product of a power sum
+# (OpenBLAS splits a ddot past 10,000 terms over its threads, and the
+# split moves its last bits with the thread count)
+_CONTOUR_CELLS = 1 << 18
+_HEAD_PRIMES = 8192
+_DOT_TERMS = 8192
 
 METHOD_EMPIRICAL = "empirical"
 METHOD_EXACT = "exact_multiplicative"
@@ -169,9 +178,15 @@ def _saddle_radius(c: np.ndarray, k: int) -> float:
 
 
 def _contour_sum(c: np.ndarray, k: int, radius: float, n_nodes: int) -> complex:
-    """Trapezoid value of (k!/2 pi i) oint w^{-k-1} prod I0(w c_p) dw."""
+    """Trapezoid value of (k!/2 pi i) oint w^{-k-1} prod I0(w c_p) dw.
+
+    The nodes go in chunks of at most _CONTOUR_CELLS node-prime entries
+    (one node at least), so a chunk's series temporaries stay near 4 MB
+    each at any X.  At X = 31 a chunk holds 23,831 nodes, and no k up to
+    MAX_CONTOUR_K doubles past 2,720, so those sums are one chunk.
+    """
     phis = 2.0 * math.pi * np.arange(n_nodes) / n_nodes
-    node_chunk = max(1, (1 << 22) // max(1, c.size))
+    node_chunk = max(1, _CONTOUR_CELLS // max(1, c.size))
     total = 0j
     for j0 in range(0, n_nodes, node_chunk):
         phi = phis[j0:j0 + node_chunk]
@@ -254,16 +269,28 @@ def _power_plan(sums: dict) -> tuple:
                  for j in range(1, (max(sums) + 1) // 2 + 1))
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b, the exact sum (fsum) of dot products of at most _DOT_TERMS
+    terms each (one np.vecdot over the full rows, one np.dot over the
+    rest), so that no BLAS thread count moves a bit of it."""
+    full = a.size - a.size % _DOT_TERMS
+    parts = np.vecdot(a[:full].reshape(-1, _DOT_TERMS),
+                      b[:full].reshape(-1, _DOT_TERMS)).tolist()
+    parts.append(float(np.dot(a[full:], b[full:])))
+    return math.fsum(parts)
+
+
 def _add_power_sums(plan: tuple, first: int, p: np.ndarray,
                     scratch: tuple[np.ndarray, np.ndarray]) -> None:
     """Append sum p^k over p[first::2] and over p to each k's lists in
     plan (_power_plan).
 
     sum p^k is the dot product p^ceil(k/2) . p^floor(k/2) (np.sum(p) at
-    k = 1).  The chain p^2 = np.square(p), then p^j = p^(j-1) p, keeps
-    its two latest powers in the two scratch buffers, of at least p.size
-    doubles each, which the caller reuses for every block of a pass:
-    ceil(kmax/2) - 1 products per block and no new arrays at any k.
+    k = 1), taken in rows (_dot).  The chain p^2 = np.square(p), then
+    p^j = p^(j-1) p, keeps its two latest powers in the two scratch
+    buffers, of at least p.size doubles each, which the caller reuses for
+    every block of a pass: ceil(kmax/2) - 1 products per block and no new
+    block-sized arrays at any k.
     """
     lo, hi = None, p                    # p^(j-1), p^j
     for j, feeds in enumerate(plan, 1):
@@ -277,8 +304,8 @@ def _add_power_sums(plan: tuple, first: int, p: np.ndarray,
                 base.append(float(np.sum(hi[first::2])))
                 refined.append(float(np.sum(hi)))
             else:
-                base.append(float(np.dot(hi[first::2], b[first::2])))
-                refined.append(float(np.dot(hi, b)))
+                base.append(_dot(hi[first::2], b[first::2]))
+                refined.append(_dot(hi, b))
 
 
 def empirical_moment(spec: PolySpec, table: PrimeTable, grid: TGrid,
@@ -286,10 +313,11 @@ def empirical_moment(spec: PolySpec, table: PrimeTable, grid: TGrid,
     """Grid averages of P(t)^k over the TGrid span, one result per k in ks.
 
     One kernel pass over the half-spacing refinement, whose GEMM path
-    yields P itself, feeds every power sum of both grids; each sum is one
-    dot product of two powers from a chain (a square, then products) in
-    two buffers held for the pass, so no block allocates.  Which sums
-    each power feeds is planned once per pass (_power_plan).
+    yields P itself, feeds every power sum of both grids; each sum is the
+    dot product, in rows of _DOT_TERMS, of two powers from a chain (a
+    square, then products) in two buffers held for the pass, so no block
+    allocates a block-sized array and no BLAS thread count moves a bit.
+    Which sums each power feeds is planned once per pass (_power_plan).
     err_estimate = |half-spacing refinement delta| + X^{2k}/T.  The second
     term is the standard main-term error shape with constant 1; it is a
     reporting convention, not a certified bound.
@@ -350,6 +378,11 @@ def bessel_product(spec: PolySpec, table: PrimeTable, x: float) -> float:
 
     Exact (fsum of log I0 terms) over the sieved primes; for X past
     table.limit the remaining prime mass is integrated against dt/log t.
+    The log I0 terms come in batches of _HEAD_PRIMES primes, all fed to
+    one fsum, so the temporaries stay near 64 KB each at any X.  As log I0
+    is elementwise (its series stops early only where the terms left round
+    away) and fsum exact, the head has the bits of one batch over every
+    prime.
     """
     if not x >= 0.0:
         raise ValueError(f"x must be >= 0, got {x}")
@@ -359,7 +392,9 @@ def bessel_product(spec: PolySpec, table: PrimeTable, x: float) -> float:
     w = table.weights(spec.m, spec.sigma, head_x)
     if w.size == 0:
         raise ValueError("no primes <= X in the table")
-    head = math.fsum(log_bessel_i0(x * w).tolist())
+    head = math.fsum(itertools.chain.from_iterable(
+        log_bessel_i0(x * w[i:i + _HEAD_PRIMES]).tolist()
+        for i in range(0, w.size, _HEAD_PRIMES)))
     if spec.X > table.limit:
         head += _density_tail_log_i0(spec.m, spec.sigma, x,
                                      float(table.limit), spec.X)

@@ -194,16 +194,16 @@ def eta_values(m: int, sigma: float, ts) -> list[complex | None]:
             f"more than {MAX_ETA_GRID} t values; the eta grid caps at "
             f"{MAX_ETA_GRID}")
     if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+        raise ValueError(f"--m must be >= 0, got {m}")
     if not math.isfinite(sigma):
-        raise ValueError(f"sigma must be finite, got {sigma}")
+        raise ValueError(f"--sigma must be finite, got {sigma}")
     if not sigma > ETA_SIGMA_MIN:
         raise ValueError(
             f"--sigma must be > {ETA_SIGMA_MIN:g} for eta values, got {sigma:g}: "
             f"further left zeta's Euler-Maclaurin sum cancels away its digits")
     for t in ts:
         if not math.isfinite(t):
-            raise ValueError(f"t must be finite, got {t}")
+            raise ValueError(f"--t must be finite, got {t}")
     out = []
     for t in ts:
         try:
@@ -365,15 +365,15 @@ def predict_tail(family: str, V: float, params: dict) -> TailPrediction:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if not math.isfinite(V):
-        raise ValueError(f"V must be finite, got {V}")
+        raise ValueError(f"--V must be finite, got {V}")
     if not V >= 3.0:
-        raise ValueError(f"V must be >= 3, got {V}")
+        raise ValueError(f"--V must be >= 3, got {V}")
     m = int(_require(params, family, "m")[0])
     T = params.get("T")
     if params.get("X") is not None and not 1.0 < params["X"] < math.inf:
-        raise ValueError(f"X must be finite and > 1, got {params['X']}")
+        raise ValueError(f"--X must be finite and > 1, got {params['X']}")
     if T is not None and not math.e < T < math.inf:
-        raise ValueError(f"T must be finite and > e, got {T}")
+        raise ValueError(f"--T must be finite and > e, got {T}")
     try:
         lv, llv = math.log(V), _loglog(V)
         flags: list[str] = []
@@ -409,7 +409,7 @@ def predict_tail(family: str, V: float, params: dict) -> TailPrediction:
                     flags.append("v_above_a1")
         else:
             if m < 0:
-                raise ValueError(f"m must be >= 0, got {m}")
+                raise ValueError(f"--m must be >= 0, got {m}")
             sigma = float(_require(params, family, "sigma")[0])
             if not 0.5 < sigma < 1.0:
                 raise ValueError(f"strip families need sigma in (1/2, 1), got {sigma}")

@@ -118,6 +118,7 @@ _ZETA_FLOOR = 1e-12                 # |zeta| below this on a walk => flagged
 _STEP_ARG = 0.5 * math.pi           # a walk step moves arg zeta by under this
 _TURN_DRIFT = 1e-8                  # summed increments vs whole turns, at most
 _MEMO_CAP = 1 << 20
+_HEAD_ROWS = 1 << 16                # n per piece of the main sum's product
 # zeta, and so eta values (they need zeta(a + it) for every a >= sigma),
 # stop here.  Left of the strip the main sum's terms n^-a outgrow zeta
 # and cancel in double precision: against mpmath at t = 10, 2.8e-12 lost
@@ -231,12 +232,12 @@ class _FactorTable:
 
     The composites c are one (3, count) int array of (c, c // spf(c),
     spf(c)), ascending in c, with spf(c) the least prime factor.  The
-    sieve limit doubles on growth (under 0.1 us per n), but a prime is
-    logged only once it falls below a requested n, one `_table_logs` batch
-    per growth (about 0.6 ms and 1 us per prime), and t often spans a
-    narrow range.  The float logs of n (numpy's log, for the amplitudes
-    n^-alpha) fill up to the sieve limit on the first request past them,
-    only the new n logged.
+    sieve limit at least doubles on growth (under 0.1 us per n), and each
+    growth logs the primes it adds, one `_table_logs` batch (about 0.6 ms
+    and 1 us per prime), so rising t make one batch per doubling, and a
+    request for n logs at most the primes below 2n.  The float logs of n
+    (numpy's log, for the amplitudes n^-alpha) fill up to the sieve limit
+    on the first request past them, only the new n logged.
     """
 
     def __init__(self):
@@ -253,6 +254,8 @@ class _FactorTable:
             spf[d * d:: d] = d
         n = np.arange(limit, dtype=np.int64)
         self._primes = np.flatnonzero(spf == n)[2:]     # past 0 and 1
+        logs = _table_logs(self._primes[self._logs.shape[1]:])[:2]
+        self._logs = np.concatenate((self._logs, logs), axis=1)
         c = np.flatnonzero(spf < n)
         self._composites = np.stack((c, c // spf[c], spf[c]))
         self._limit = limit
@@ -263,10 +266,6 @@ class _FactorTable:
             if self._limit < n:
                 self._sieve_to(max(n, 2 * self._limit))
             count = int(np.searchsorted(self._primes, n))
-            done = self._logs.shape[1]
-            if count > done:
-                logs = _table_logs(self._primes[done:count])[:2]
-                self._logs = np.concatenate((self._logs, logs), axis=1)
             comp = self._composites
             return (self._primes[:count], self._logs[:, :count],
                     comp[:, :np.searchsorted(comp[0], n)])
@@ -339,12 +338,18 @@ def _em_terms(t_abs: float) -> int:
 def _em_head(s, alphas, u, N: int):
     """(sum_{n<N} n^{-s} + N^{1-s}/(s-1) + N^{-s}/2, N^{-s}) from u[n] =
     n^{-it}, n <= N, for a scalar s or an (A, T) grid (alphas an (A, 1)
-    column): the amplitudes times u's (re, im) doubles, one real product.
-    The amplitudes n^-alpha are exp(-alpha log n), one product and one exp
+    column): the amplitudes times u's (re, im) doubles, one real product,
+    summed over pieces of _HEAD_ROWS n past that many (OpenBLAS splits a
+    longer product over its threads, which moves its last bits).  The
+    amplitudes n^-alpha are exp(-alpha log n), one product and one exp
     in a single fresh buffer, from the factor table's held logs of n."""
     amps = np.multiply(_factor_table.log_n(N), -alphas)
     np.exp(amps, out=amps)
-    main = (amps @ u[1:N].view(np.float64).reshape(N - 1, -1)).view(complex)
+    v = u[1:N].view(np.float64).reshape(N - 1, -1)
+    main = amps[..., :_HEAD_ROWS] @ v[:_HEAD_ROWS]
+    for j in range(_HEAD_ROWS, N - 1, _HEAD_ROWS):
+        main += amps[..., j:j + _HEAD_ROWS] @ v[j:j + _HEAD_ROWS]
+    main = main.view(complex)
     npow = N ** -alphas * u[N]
     if isinstance(s, complex):      # numpy scalars are slower, and warn
         main, npow = complex(main[0]), complex(npow)
@@ -703,7 +708,7 @@ def _s0(t: float) -> float:
 # the per-t walk's own first steps from alpha = 10, then finer below 4.5
 _S0_LADDER = (10.0, 9.5, 8.5, 6.5, 4.5, 3.5, 3.0, 2.5, 2.0, 1.75, 1.5,
               1.25, 1.0, 0.875, 0.75, 0.625, 0.5)
-_BLOCK_CELLS = 1 << 18              # n^{-it} entries per block, 4 MB
+_BLOCK_CELLS = 1 << 15              # n^{-it} entries per block, 512 KB
 
 
 def _s0_block(ts) -> np.ndarray:

@@ -177,7 +177,7 @@ class TestPredict:
         rc = cli.main(["predict", "--family", "strip_eta", "--sigma", "0.75",
                        "--m", "0", "--V", V])
         assert rc == 2
-        assert capsys.readouterr() == ("", f"error: V must be finite, got {shown}\n")
+        assert capsys.readouterr() == ("", f"error: --V must be finite, got {shown}\n")
 
     @pytest.mark.parametrize("argv,message", [
         (["--X", "1"], "X must be finite and > 1, got 1.0"),
@@ -193,7 +193,8 @@ class TestPredict:
         rc = cli.main(["predict", "--family", "critical_poly", "--m", "1",
                        "--V", "5", *argv])
         assert rc == 2
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        # each message names its flag: --X or --T
+        assert capsys.readouterr() == ("", f"error: --{message}\n")
 
     @pytest.mark.parametrize("family,argv", [
         ("critical_poly", ["--X", "1e5"]),
@@ -265,6 +266,14 @@ class TestMoments:
                        "--k", "2", "--methods", "exact"])
         assert rc == 2
         assert capsys.readouterr() == ("", "error: " + _BAD_X[X] + "\n")
+
+    @pytest.mark.parametrize("methods", ["empirical", "exact", "contour"])
+    def test_order_below_one_rejected_by_name(self, capsys, methods):
+        rc = cli.main(["moments", "--sigma", "0.5", "--m", "1", "--X", "31",
+                       "--T", "1e3", "--k", "2,0", "--methods", methods])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", "error: --k must list orders >= 1, got 0\n")
 
     @pytest.mark.parametrize("methods", ["exact", "contour"])
     def test_bad_t_rejected_without_empirical(self, capsys, tmp_path, methods):
@@ -743,13 +752,13 @@ class TestEtaCommand:
 
     @pytest.mark.parametrize("argv,message", [
         (["--m", "1", "--sigma", "nan", "--t", "20"],
-         "sigma must be finite, got nan"),
+         "--sigma must be finite, got nan"),
         (["--m", "1", "--sigma", "0.5", "--t", "nan"],
-         "t must be finite, got nan"),
+         "--t must be finite, got nan"),
         (["--m", "1", "--sigma", "0.5", "--t", "20,inf"],
-         "t must be finite, got inf"),
+         "--t must be finite, got inf"),
         (["--m", "-1", "--sigma", "0.5", "--t", "20"],
-         "m must be >= 0, got -1"),
+         "--m must be >= 0, got -1"),
         (["--m", "1", "--sigma", "0.5", "--t", "20", "--theta", "nan"],
          "--theta must be finite, got nan"),
         (["--m", "1", "--sigma", "0.5", "--t", "20", "--theta=-inf"],
@@ -794,12 +803,15 @@ class TestEtaCommand:
         # N = 855,025 terms, 67,975 prime logs; the value was taken with
         # every prime log from 40-digit Decimal.  Re is Int_0.75^inf
         # log|zeta(a + 1.5e6 i)| da, which Gauss-Legendre panels on mpmath's
-        # zeta (30 digits) put at -0.3189460838928200836: 7.5e-15 away
+        # zeta (30 digits) put at -0.3189460838928200836: 3.2e-15 away.
+        # The main sum's product goes in pieces of 65,536 n, so these bytes
+        # hold at every BLAS thread count
         lines = run_lines(["eta", "--sigma", "0.75", "--m", "1",
                            "--t", "1.5e6"], tmp_path)
         assert lines == ["t,re,im,rotated,flags",
-                         "1500000,-0.31894608389281254,0.57497519418694776,"
-                         "-0.31894608389281254,"]
+                         "1500000,-0.31894608389281687,0.57497519418694776,"
+                         "-0.31894608389281687,"]
+        assert abs(float(lines[1].split(",")[1]) + 0.3189460838928200836) < 4e-15
 
 
 class TestDeterminismAndErrors:
@@ -908,6 +920,23 @@ class TestDeterminismAndErrors:
         assert seen == want
         assert seen[1]["theta"] == 0.0 and seen[1]["k"] == (1, 2, 3, 4)
         assert seen[1]["methods"] == cli.METHOD_ORDER
+
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--sigma", "0.5", "--m", "1", "--X", "31", "--T", "1e5",
+         "--k", "1,2,3,4,6"],
+        ["moments", "--sigma", "0.5", "--m", "1", "--theta", "0.7", "--X",
+         "31", "--T", "4e6", "--k", "2,4,6"],
+    ], ids=["k1-6", "moments_x31"])
+    def test_bytes_free_of_blas_thread_count(self, argv):
+        # OpenBLAS splits a dot product past 10,000 terms over its threads,
+        # which moves its last bits; the power sums stay under that
+        src = str(Path(cli.__file__).resolve().parents[1])
+        outs = [subprocess.run(
+            [sys.executable, "-m", "zel.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": n},
+            capture_output=True, check=True, timeout=120).stdout
+            for n in ("1", "2")]
+        assert outs[0] == outs[1]
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="RLIMIT_AS caps the address space on Linux")

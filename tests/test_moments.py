@@ -20,7 +20,7 @@ from zel.moments import (
     _saddle_radius,
 )
 from zel.prime_poly import PolySpec, PrimeTable, TGrid, iter_poly_blocks, sieve
-from zel.special_fn import g_constant
+from zel.special_fn import g_constant, log_bessel_i0
 
 SPEC31 = PolySpec(m=1, sigma=0.5, theta=0.0, X=31.0)
 PRIMES31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -231,6 +231,16 @@ class TestContourMoment:
         assert (contour_moment(rot, 4, table31).value
                 == contour_moment(SPEC31, 4, table31).value)
 
+    def test_node_chunks_agree(self, monkeypatch):
+        # 1,229 primes: 213 nodes a chunk, against one node a chunk
+        table = PrimeTable.build(10_000)
+        c = table.weights(1, 0.5)
+        radius = _saddle_radius(c, 4)
+        want = moments._contour_sum(c, 4, radius, 512)
+        monkeypatch.setattr(moments, "_CONTOUR_CELLS", 1 << 10)
+        got = moments._contour_sum(c, 4, radius, 512)
+        assert abs(got - want) <= 1e-15 * abs(want)
+
     def test_saddle_residual(self, table31):
         from scipy import special as sc
         # X = 31 weights, plus weights whose saddle lies far outside any
@@ -354,6 +364,43 @@ class TestBesselProduct:
             dev = abs(bessel_product(spec, table, x)
                       / (G * x ** (4.0 / 3.0) / math.log(x)) - 1.0)
             assert dev <= 10.0 / math.log(x)
+
+    def test_batched_head_is_bit_identical(self):
+        # 25,997 primes: three full batches of log I0 terms and a short one,
+        # on both I0 branches (x w_p from under 1e-4 to past I0_SWITCH)
+        table = PrimeTable.build(300_000)
+        assert table.primes.size > 3 * moments._HEAD_PRIMES
+        for m, sigma in itertools.product((0, 1), (0.5, 0.75)):
+            spec = PolySpec(m=m, sigma=sigma, theta=0.0, X=3e5)
+            w = table.weights(m, sigma)
+            for x in (0.3, 2.0, 1e3, 1e4):
+                want = math.fsum(log_bessel_i0(x * w).tolist())
+                assert bessel_product(spec, table, x).hex() == want.hex(), (
+                    m, sigma, x)
+
+    def test_peak_memory_bounded(self):
+        # one log I0 over all 78,498 primes peaked at 5.1-5.8 MB; batches
+        # leave the weights (0.6 MB) and about 1 MB of batch temporaries
+        import tracemalloc
+
+        table = PrimeTable.build(1_000_000)
+        spec = PolySpec(m=1, sigma=0.5, theta=0.0, X=1e6)
+        bessel_product(spec, table, 1e4)
+        tracemalloc.start()
+        try:
+            bessel_product(spec, table, 1e4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6, f"peak {peak / 1e6:.2f} MB"
+
+    def test_density_tail_at_small_x(self):
+        # log(1 + sum) made the tail integrand noisy at small arguments,
+        # and this product stalled at 4,000 quadrature panels
+        spec = PolySpec(m=0, sigma=0.75, theta=0.0, X=1e12)
+        got = bessel_product(spec, PrimeTable.build(1_000_000), 1e3)
+        coarse = bessel_product(spec, PrimeTable.build(100_000), 1e3)
+        assert got == pytest.approx(coarse, rel=1e-3)
 
     def test_validation(self, table31):
         with pytest.raises(ValueError):

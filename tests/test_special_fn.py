@@ -29,6 +29,18 @@ def test_i0_truncated_series_oracle():
         assert log_bessel_i0(x) == pytest.approx(math.log(acc), abs=1e-14)
 
 
+def test_log_i0_small_x_against_mpmath():
+    # log(1 + sum) was off by 6.7e-9 relative at x = 1e-4 and read 0 at 1e-8
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    xs = np.concatenate((np.logspace(-8, 0, 33), np.linspace(1.5, 19.9, 24)))
+    got = log_bessel_i0(xs)
+    for x, g in zip(xs.tolist(), got.tolist()):
+        want = mp.log(mp.besseli(0, mp.mpf(x)))
+        assert abs(mp.mpf(g) / want - 1) < 5e-16, x
+        assert log_bessel_i0(x) == g
+
+
 def test_i0_frozen_values():
     for x, want in ov.I0_VALUES.items():
         assert log_bessel_i0(x) == pytest.approx(math.log(want), abs=5e-13)

@@ -238,8 +238,8 @@ class TestUnitPowers:
                                       want_logs.view(np.int64))
 
     def test_prime_logs_grow_only(self, monkeypatch):
-        """Each prime is logged once, only once it falls below a requested
-        n, and a smaller n logs none."""
+        """Each prime is logged once, in the batch of the sieve growth that
+        adds it, and a request the sieve already covers logs none."""
         logged = []
         batch = zeta_core._table_logs
 
@@ -252,8 +252,8 @@ class TestUnitPowers:
                             zeta_core._FactorTable())
         _unit_powers.cache_clear()
         # the sieve limit goes 500 -> 1000 -> 1000 -> 2000
-        for n, t, logged_below in ((500, 800.0, 500), (600, 1000.0, 600),
-                                   (300, 480.0, 600), (1500, 2600.0, 1500)):
+        for n, t, logged_below in ((500, 800.0, 500), (600, 1000.0, 1000),
+                                   (300, 480.0, 1000), (1500, 2600.0, 2000)):
             _unit_powers(n, t)
             want = _scalar_primes_and_logs(logged_below)[1].tolist()
             assert logged == want, n
@@ -460,6 +460,15 @@ class TestS0Block:
     def test_t_zero_raises(self):
         with pytest.raises(NearZeroOnPath):
             zeta_core._s0_block([5.0, 0.0])
+
+    def test_s1_free_of_block_size(self, monkeypatch):
+        """The zero scan to t = 50 is one block of its 2,501 lattice t at
+        2^18 cells and 34 blocks at 2^12; s_1 keeps its bits."""
+        got = []
+        for cells in (1 << 12, 1 << 18):
+            monkeypatch.setattr(zeta_core, "_BLOCK_CELLS", cells)
+            got.append([v.hex() for v in s_m(1, [20.0, 30.0, 50.0]).tolist()])
+        assert got[0] == got[1]
 
 
 class TestBranchedLog:
