@@ -246,18 +246,24 @@ def contour_moment(spec: PolySpec, k: int, table: PrimeTable) -> MomentResult:
 
 
 def _half_spacing_blocks(spec: PolySpec, table: PrimeTable, grid: TGrid, *,
-                         rotated: bool = False) -> Iterator[tuple[int, np.ndarray]]:
-    """Stream (first, Z) blocks of the half-spacing refinement of grid
+                         rotated: bool = False) -> Iterator[tuple[bool, np.ndarray]]:
+    """Stream (base, Z) blocks of the half-spacing refinement of grid
     (rotated: P = Re e^{-i theta} Z), each a view valid until the next
     block is drawn, as iter_poly_blocks yields them.
 
-    Refined point i is t0 + i delta/2, so base point j is refined point
-    2j and Z[first::2] are a block's base points; first follows the
-    global index, since blocks may start at odd indices.
+    The refinement's points t0 + i delta/2 are the grid's own points t_j
+    and their midpoints t_j + delta/2, so they come as two passes of the
+    one kernel over grid: shift 0 (base True), then shift delta/2 (base
+    False).  Every block is contiguous in one of the two grids.  (A
+    TGrid at t0 + delta/2 would sit off delta's lattice.)
     """
-    half = TGrid(t0=grid.t0, count=2 * grid.count, delta=grid.delta / 2)
-    for j0, z in iter_poly_blocks(spec, table, half, rotated=rotated):
-        yield j0 % 2, z
+    for shift in (0.0, grid.delta / 2):
+        for _, z in iter_poly_blocks(spec, table, grid, rotated=rotated,
+                                     shift=shift):
+            yield not shift, z
+        # the last block holds the pass's output buffer; let it go before
+        # the next pass allocates its own
+        z = None
 
 
 def _power_plan(sums: dict) -> tuple:
@@ -280,10 +286,10 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return math.fsum(parts)
 
 
-def _add_power_sums(plan: tuple, first: int, p: np.ndarray,
+def _add_power_sums(plan: tuple, base: bool, p: np.ndarray,
                     scratch: tuple[np.ndarray, np.ndarray]) -> None:
-    """Append sum p^k over p[first::2] and over p to each k's lists in
-    plan (_power_plan).
+    """Append sum p^k to each k's refined list in plan (_power_plan), and
+    to its base list too when base.
 
     sum p^k is the dot product p^ceil(k/2) . p^floor(k/2) (np.sum(p) at
     k = 1), taken in rows (_dot).  The chain p^2 = np.square(p), then
@@ -298,26 +304,27 @@ def _add_power_sums(plan: tuple, first: int, p: np.ndarray,
             lo, hi = p, np.square(p, out=scratch[0][:p.size])
         elif j > 2:
             lo, hi = hi, np.multiply(hi, p, out=scratch[j % 2][:p.size])
-        for odd, base, refined in feeds:
-            b = lo if odd else hi
-            if b is None:               # k = 1
-                base.append(float(np.sum(hi[first::2])))
-                refined.append(float(np.sum(hi)))
-            else:
-                base.append(_dot(hi[first::2], b[first::2]))
-                refined.append(_dot(hi, b))
+        for odd, base_sums, refined in feeds:
+            b = lo if odd else hi       # None at k = 1
+            total = float(np.sum(hi)) if b is None else _dot(hi, b)
+            refined.append(total)
+            if base:
+                base_sums.append(total)
 
 
 def empirical_moment(spec: PolySpec, table: PrimeTable, grid: TGrid,
                      ks) -> list[MomentResult]:
     """Grid averages of P(t)^k over the TGrid span, one result per k in ks.
 
-    One kernel pass over the half-spacing refinement, whose GEMM path
-    yields P itself, feeds every power sum of both grids; each sum is the
-    dot product, in rows of _DOT_TERMS, of two powers from a chain (a
-    square, then products) in two buffers held for the pass, so no block
-    allocates a block-sized array and no BLAS thread count moves a bit.
-    Which sums each power feeds is planned once per pass (_power_plan).
+    Two rotated kernel passes over the grid, at its points and at their
+    midpoints (_half_spacing_blocks), feed every power sum: a block of
+    the first pass counts toward both the grid's average and the
+    half-spacing refinement's, a block of the second toward the
+    refinement's alone.  Each sum is the dot product, in rows of
+    _DOT_TERMS, of two powers from a chain (a square, then products) over
+    a whole contiguous block, in two buffers held for the call, so no
+    block allocates a block-sized array and no BLAS thread count moves a
+    bit.  Which sums each power feeds is planned once (_power_plan).
     err_estimate = |half-spacing refinement delta| + X^{2k}/T.  The second
     term is the standard main-term error shape with constant 1; it is a
     reporting convention, not a certified bound.
@@ -329,13 +336,14 @@ def empirical_moment(spec: PolySpec, table: PrimeTable, grid: TGrid,
     log_shapes = {k: 2 * k * math.log(spec.X) - math.log(span) for k in ks}
     if log_shapes[max(ks)] > 700.0:
         raise OverflowError(
-            f"error shape X^(2k)/T overflows for k={max(ks)}, X={spec.X}")
+            f"error shape X^(2k)/T overflows for --k {max(ks)}, --X {spec.X:g}")
     # per k: block sums over the base grid and over the refinement
     sums = {k: ([], []) for k in ks}
     plan = _power_plan(sums)
     scratch = (np.empty(NUFFT_BLOCK), np.empty(NUFFT_BLOCK))
-    for first, p in _half_spacing_blocks(spec, table, grid, rotated=True):
-        _add_power_sums(plan, first, p, scratch)
+    for base, p in _half_spacing_blocks(spec, table, grid, rotated=True):
+        _add_power_sums(plan, base, p, scratch)
+        del p       # a pass's last block would hold its buffer into the next
     out = []
     for k in ks:
         value = math.fsum(sums[k][0]) / grid.count
@@ -401,31 +409,35 @@ def bessel_product(spec: PolySpec, table: PrimeTable, x: float) -> float:
     return head
 
 
-def _add_log_sum_exp(parts: tuple, first: int, scaled: np.ndarray,
+def _add_log_sum_exp(parts: tuple, base: bool, scaled: np.ndarray,
                      tmp: np.ndarray) -> None:
-    """Append (max, sum exp(scaled - max)) over scaled[first::2] to parts[0]
-    and over scaled to parts[1], skipping all-trimmed (-inf) blocks; the
-    exponentials go to tmp, of at least scaled.size doubles."""
-    for acc, vals in zip(parts, (scaled[first::2], scaled)):
-        top = float(vals.max())
-        if top > -math.inf:
-            e = np.subtract(vals, top, out=tmp[:vals.size])
-            acc.append((top, float(np.sum(np.exp(e, out=e)))))
+    """Append (max, sum exp(scaled - max)) to parts[1], and to parts[0] too
+    when base, skipping an all-trimmed (-inf) block; the exponentials go
+    to tmp, of at least scaled.size doubles."""
+    top = float(scaled.max())
+    if top > -math.inf:
+        e = np.subtract(scaled, top, out=tmp[:scaled.size])
+        acc = (top, float(np.sum(np.exp(e, out=e))))
+        parts[1].append(acc)
+        if base:
+            parts[0].append(acc)
 
 
 def exp_moment_trimmed(spec: PolySpec, table: PrimeTable, grid: TGrid,
                        x: float, W: float) -> tuple[float, float]:
     """log of (1/count) sum over {|Z(t_j)| <= W} of exp(x P(t_j)).
 
-    Returns (grid value, half-spacing refinement value) from one kernel
-    pass over the refinement.  Each normalizer is its grid's FULL count,
-    mirroring the (1/T) integral over the trimmed set: at x = 0 this is
-    exactly the log measure fraction of the trimmed set, and the un-logged
-    quantity is monotone nondecreasing in W by set inclusion.  Per-block
-    log-sum-exp, so large x W never overflows.  Each complex block is
-    valid until the next is drawn, so it is reduced at once, in buffers
-    held for the pass (fresh |Z|, P, mask and exponential arrays per
-    block cost ~240 minor page faults a block).
+    Returns (grid value, half-spacing refinement value) from two complex
+    kernel passes, at the grid's points and at their midpoints
+    (_half_spacing_blocks): each block feeds the refinement, and a block
+    of the first pass the grid too.  Each normalizer is its grid's FULL
+    count, mirroring the (1/T) integral over the trimmed set: at x = 0
+    this is exactly the log measure fraction of the trimmed set, and the
+    un-logged quantity is monotone nondecreasing in W by set inclusion.
+    Per-block log-sum-exp, so large x W never overflows.  Each complex
+    block is valid until the next is drawn, so it is reduced at once, in
+    buffers held for the call (fresh |Z|, P, mask and exponential arrays
+    per block cost ~240 minor page faults a block).
     """
     if not x >= 0.0:
         raise ValueError(f"x must be >= 0, got {x}")
@@ -435,14 +447,15 @@ def exp_moment_trimmed(spec: PolySpec, table: PrimeTable, grid: TGrid,
     parts = ([], [])
     mod, scaled, tmp = np.empty((3, NUFFT_BLOCK))
     mask = np.empty(NUFFT_BLOCK, dtype=bool)
-    for first, z in _half_spacing_blocks(spec, table, grid):
+    for base, z in _half_spacing_blocks(spec, table, grid):
         n = z.size
         # x P on |Z| <= W, -inf elsewhere (and where |Z| is NaN)
         p = rotated_real(z, spec.theta, out=scaled[:n])
         p *= x
         kept = np.less_equal(np.abs(z, out=mod[:n]), W, out=mask[:n])
         np.copyto(p, -math.inf, where=np.logical_not(kept, out=kept))
-        _add_log_sum_exp(parts, first, p, tmp)
+        _add_log_sum_exp(parts, base, p, tmp)
+        del z       # a pass's last block would hold its buffer into the next
     out = []
     for acc, count in zip(parts, (grid.count, 2 * grid.count)):
         if not acc:

@@ -340,7 +340,7 @@ class TGrid:
         if not T > 0:
             raise ValueError("T must be positive")
         delta = dyadic_floor(max_spacing(X) / refine)
-        check_phase_range(2.0 * T + delta, math.log(X), f"T={T:g}, X={X:g}")
+        check_phase_range(2.0 * T + delta, math.log(X), f"--T {T:g}, --X {X:g}")
         try:
             return cls(t0=float(T), count=math.ceil(T / delta), delta=delta)
         except ValueError as exc:
@@ -382,8 +382,9 @@ def rotated_real(z: np.ndarray, theta, out: np.ndarray | None = None) -> np.ndar
 
 
 def iter_poly_blocks(spec: PolySpec, table: PrimeTable, grid: TGrid, *,
-                     rotated: bool = False) -> Iterator[tuple[int, np.ndarray]]:
-    """Stream (j_start, Z) with Z[i] = sum_p w_p e^{-i t_{j_start+i} log p}.
+                     rotated: bool = False,
+                     shift: float = 0.0) -> Iterator[tuple[int, np.ndarray]]:
+    """Stream (j_start, Z) with Z[i] = sum_p w_p e^{-i (t_{j_start+i} + shift) log p}.
 
     Blocks arrive in j order, partition the grid and hold at most
     NUFFT_BLOCK points (1 MB, so reducers re-read them from L2).  P(t) is
@@ -400,8 +401,17 @@ def iter_poly_blocks(spec: PolySpec, table: PrimeTable, grid: TGrid, *,
     Hermitian half grid per two blocks on the NUFFT path.  Every block,
     complex or rotated, is a view into a buffer held for the pass, valid
     only until the next one is drawn; copy what must outlive it.
+
+    shift streams the points t_j + shift, which need not sit on delta's
+    lattice (delta/2 gives the midpoints).  e^{-i shift omega_p}, from one
+    exact phase_mod_two_pi reduction per pass, rides in the weights, so
+    each term is two exactly reduced factors, one rounding more than an
+    exact phase of t_j + shift (~1e-15 sum w_p).  shift = 0 leaves the
+    weights real and the stream bit-identical to an unshifted pass.
     """
     omegas, w = _spec_arrays(spec, table)
+    if shift:
+        w = w * np.exp(-1j * phase_mod_two_pi(shift, omegas))
     path = _gemm_blocks if omegas.size < NUFFT_MIN_PRIMES else _nufft_blocks
     yield from path(omegas, w, grid, spec.theta if rotated else None)
 
@@ -681,7 +691,9 @@ def _nufft_amplitudes(omegas: np.ndarray, w: np.ndarray, grid: TGrid, span: int,
     head and row 0 as step.
     """
     sign = -1j if theta is None else 1j
-    tw = w if theta is None else w * complex(math.cos(theta), math.sin(theta))
+    # conj(e^{-i theta} w) = conj(w) e^{i theta}: w is complex for a shifted pass
+    tw = w if theta is None else np.conj(w) * complex(math.cos(theta),
+                                                      math.sin(theta))
 
     def turned(phase):                  # tw e^{sign phase}, one fresh array
         e = np.multiply(phase, sign)

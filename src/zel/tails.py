@@ -48,7 +48,8 @@ from .emit import NonFiniteOutput
 from .prime_poly import (NUFFT_BLOCK, PrimeTable, TGrid, iter_poly_blocks,
                          max_spacing, rotated_real)
 from .special_fn import a_constant, g_constant
-from .zeta_core import ETA_SIGMA_MIN, NearZeroOnPath, eta_tilde, log_zeta_branched
+from .zeta_core import (ETA_SIGMA_MIN, NearZeroOnPath, check_eta_phase_range,
+                        eta_tilde, log_zeta_branched)
 
 __all__ = [
     "TailPrediction",
@@ -221,13 +222,17 @@ def measure_exceedance_eta(m: int, sigma: float, theta: float, grid: TGrid,
     Values come from eta_values.  Points whose continuation path runs too
     close to a zero are excluded and counted; more than 1% of them flags
     the whole curve.  Fractions keep the full grid count as denominator
-    so exclusions can only lower the curve.
+    so exclusions can only lower the curve.  A grid past the exact phase
+    range raises ValueError naming --T before any value is evaluated.
     """
     if not 0.5 <= sigma < math.inf:
         raise ValueError(f"--sigma must be finite and >= 1/2, got {sigma}")
     if not math.isfinite(theta):
         raise ValueError(f"--theta must be finite, got {theta}")
     v = _check_v_grid(V_grid)
+    # zeta_core's own checks would name --t, the eta command's flag
+    check_eta_phase_range(max(abs(grid.t0), abs(grid.t(grid.count - 1))),
+                          f"--T {grid.t0:g}")
     ct, st = math.cos(theta), math.sin(theta)
     values = eta_values(m, sigma, map(grid.t, range(grid.count)))
     vals = [ct * e.real + st * e.imag for e in values if e is not None]
@@ -344,7 +349,7 @@ def _require(params: dict, family: str, *names: str) -> list:
     got = []
     for name in names:
         if name not in params or params[name] is None:
-            raise ValueError(f"family {family} requires parameter {name!r}")
+            raise ValueError(f"family {family} requires --{name}")
         got.append(params[name])
     return got
 
@@ -379,16 +384,16 @@ def predict_tail(family: str, V: float, params: dict) -> TailPrediction:
         flags: list[str] = []
         if family in ("critical_poly", "critical_eta"):
             if m < 1:
-                raise ValueError(f"family {family} requires m >= 1, got {m}")
+                raise ValueError(f"family {family} requires --m >= 1, got {m}")
             if params.get("sigma") not in (None, 0.5):
-                raise ValueError(f"family {family} is pinned to sigma = 1/2")
+                raise ValueError(f"family {family} is pinned to --sigma 0.5")
             base = 2.0 * m * 4.0 ** m * V * V * lv ** (2 * m)
             if family == "critical_poly":
                 X = float(_require(params, family, "X")[0])
                 ratio = math.log(V ** 2) / math.log(X)
                 denom = 1.0 - ratio ** m
                 if denom <= 0.0:
-                    raise ValueError(f"X = {X:g} too small: denominator {denom:g}")
+                    raise ValueError(f"--X {X:g} too small: denominator {denom:g}")
                 exponent = base / denom
                 window = math.sqrt(llv / lv)
                 if X < V ** 4:
@@ -412,7 +417,8 @@ def predict_tail(family: str, V: float, params: dict) -> TailPrediction:
                 raise ValueError(f"--m must be >= 0, got {m}")
             sigma = float(_require(params, family, "sigma")[0])
             if not 0.5 < sigma < 1.0:
-                raise ValueError(f"strip families need sigma in (1/2, 1), got {sigma}")
+                raise ValueError(
+                    f"strip families need --sigma in (1/2, 1), got {sigma}")
             exponent = (a_constant(m, sigma) * V ** (1.0 / (1.0 - sigma))
                         * lv ** ((m + sigma) / (1.0 - sigma)))
             window = math.sqrt((1.0 + m * llv) / lv)
@@ -435,7 +441,7 @@ def predict_tail(family: str, V: float, params: dict) -> TailPrediction:
     except OverflowError:
         exponent = window = math.inf
     if not (exponent < math.inf and window < math.inf):
-        raise ValueError(f"V = {V:g}, m = {m}: the {family} exponent "
+        raise ValueError(f"--V {V:g}, --m {m}: the {family} exponent "
                          f"passes the double range")
     return TailPrediction(exponent=exponent, family=family,
                           error_window=window, validity=tuple(flags))

@@ -300,12 +300,14 @@ def _unit_power_columns(N: int, ts) -> np.ndarray:
     like a scalar complex multiply (numpy's vectorised one may not).
     """
     ts = np.asarray(ts, dtype=float)
+    if N > 2:                       # before an N-row array: N ~ 0.57 t
+        t_max = float(np.max(np.abs(ts)))
+        check_phase_range(t_max, math.log(N - 1),
+                          f"--t {t_max:g}, n<={N - 1:.10g}")
     u = np.empty((N,) + ts.shape, dtype=complex)
     u[0] = 0.0
     u[1] = 1.0
     if N > 2:
-        t_max = float(np.max(np.abs(ts)))
-        check_phase_range(t_max, math.log(N - 1), f"t={t_max:g}, n<={N - 1}")
         primes, (lhi, llo), comp = _factor_table.below(N)
         col = (-1,) + (1,) * ts.ndim
         u[primes] = np.exp(-1j * phase_mod_two_pi(
@@ -580,6 +582,15 @@ def _tail_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return vm[ns], np.log(ns.astype(float)), np.array((hi, lo + k * llo[i]))
 
 
+def check_eta_phase_range(t_max: float, what: str) -> None:
+    """check_phase_range, naming what, for every phase that zeta,
+    log_zeta_branched and eta_tilde reduce at |t| <= t_max: n^{-it} for
+    n <= _em_terms(t_max) and the tail series' n <= _NEAR_TERMS.  Those
+    calls check the same ranges themselves, naming --t."""
+    check_phase_range(t_max, math.log(max(_em_terms(abs(t_max)), _NEAR_TERMS)),
+                      what)
+
+
 def _lambda_tail(m: int, sigma: float, t: float, split: float) -> complex:
     """Int_split^inf (a-sigma)^{m-1}/(m-1)! * log zeta(a+it) da, termwise.
 
@@ -588,7 +599,7 @@ def _lambda_tail(m: int, sigma: float, t: float, split: float) -> complex:
     at n = _TAIL_TERMS, at a cost under 1.2e-12 for m <= 3.  t is
     checked against the exact phase range before anything is reduced.
     """
-    check_phase_range(t, math.log(_NEAR_TERMS), f"t={t:g}, n<={_NEAR_TERMS}")
+    check_phase_range(t, math.log(_NEAR_TERMS), f"--t {t:g}, n<={_NEAR_TERMS}")
     lam, lg, near_logs = _tail_table()
     d = split - sigma
     # sum_j d^{m-1-j} / ((m-1-j)! L^{j+2}),  j = 0..m-1
@@ -708,7 +719,11 @@ def _s0(t: float) -> float:
 # the per-t walk's own first steps from alpha = 10, then finer below 4.5
 _S0_LADDER = (10.0, 9.5, 8.5, 6.5, 4.5, 3.5, 3.0, 2.5, 2.0, 1.75, 1.5,
               1.25, 1.0, 0.875, 0.75, 0.625, 0.5)
-_BLOCK_CELLS = 1 << 15              # n^{-it} entries per block, 512 KB
+# n^{-it} entries per block (512 KB), but at least _BLOCK_MIN_COLS t: a
+# t's N + 1 = 0.57 t + 26 rows leave 2 columns at t = 2e4, where the
+# per-block work dominates; 32 columns of 11,425 rows there are 5.9 MB
+_BLOCK_CELLS = 1 << 15
+_BLOCK_MIN_COLS = 32
 
 
 def _s0_block(ts) -> np.ndarray:
@@ -727,7 +742,8 @@ def _s0_block(ts) -> np.ndarray:
     idx = np.flatnonzero(done)
     if idx.size:
         # columns per block from the most rows (N + 1) any block can take
-        width = max(1, _BLOCK_CELLS // (_em_terms(np.max(np.abs(ts))) + 1))
+        width = max(_BLOCK_MIN_COLS,
+                    _BLOCK_CELLS // (_em_terms(np.max(np.abs(ts))) + 1))
         for j in range(0, idx.size, width):
             part = idx[j:j + width]
             z, ok = _zeta_block(_S0_LADDER, ts[part])

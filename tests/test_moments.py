@@ -303,26 +303,62 @@ class TestEmpiricalMoment:
                     or platform.libc_ver()[0] != "glibc",
                     reason="page-fault counts of glibc's allocator")
 def test_empirical_pass_is_fault_stable(table31):
-    """An empirical_moment pass reuses its buffers: under 20 minor page
-    faults per block once warm.
+    """An empirical_moment call reuses its buffers: under 20 minor page
+    faults per block of its two passes once warm.
 
     With a fresh 512 KB array per block for the GEMM output and for each
     power, glibc trims the heap top after every block and faults it back
     in: 263 minor faults per block measured that way (about 13.7k for
-    this 51-block pass, and a slower run despite the cheaper arithmetic),
-    against about 8 per block with the pass's own buffers.
+    51 blocks, and a slower run despite the cheaper arithmetic), against
+    about 8 per block with buffers held for the pass.
     """
     import resource                 # POSIX only, like the skip condition
 
     spec = PolySpec(m=1, sigma=0.5, theta=0.7, X=31.0)
     grid = TGrid.for_span(1e6, 31.0)
-    blocks = -(-2 * grid.count // prime_poly.NUFFT_BLOCK)
+    blocks = 2 * -(-grid.count // prime_poly.NUFFT_BLOCK)   # two passes
     assert blocks >= 50
     empirical_moment(spec, table31, grid, (2, 4, 6))        # warm-up
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     empirical_moment(spec, table31, grid, (2, 4, 6))
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 20 * blocks, f"{faults} minor faults over {blocks} blocks"
+
+
+@pytest.mark.parametrize("rotated", [True, False])
+def test_passes_never_overlap(table31, rotated):
+    """The two passes of empirical_moment (rotated) and exp_moment_trimmed
+    (complex) never hold two output buffers at once: the traced peak is
+    that of one plain pass plus the buffers held for the call, within
+    64 KB.  A pass's last block kept alive into the next pass adds one
+    more output buffer, 512 KB rotated or 1 MB complex."""
+    import tracemalloc
+
+    spec = PolySpec(m=1, sigma=0.5, theta=0.7, X=31.0)
+    grid = TGrid.for_span(1e6, 31.0)
+    block = prime_poly.NUFFT_BLOCK
+    # two power buffers, or three value buffers and a mask
+    held = 2 * block * 8 if rotated else 3 * block * 8 + block
+
+    def run(plain=False):
+        if plain:
+            for _ in iter_poly_blocks(spec, table31, grid, rotated=rotated):
+                pass
+        elif rotated:
+            empirical_moment(spec, table31, grid, (2, 4, 6))
+        else:
+            exp_moment_trimmed(spec, table31, grid, 2.0, 20.0)
+
+    def peak(plain=False):
+        tracemalloc.start()
+        try:
+            run(plain)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run()                                           # warm-up
+    assert peak() - peak(plain=True) <= held + (64 << 10)
 
 
 class TestBesselProduct:
@@ -447,11 +483,12 @@ class TestExpMomentTrimmed:
 
 
 class TestOnePassAgainstTwoPasses:
-    """The one-pass reducers against plain passes over both grids.
+    """The streaming reducers against plain passes over both grids.
 
-    BLOCK_ROWS = 7 with 3-column chunks makes 21-point blocks, so half of
-    them start at an odd index of the half-spacing grid; the base points
-    must still be picked by their global index.
+    The reducers draw the half-spacing refinement as two shifted passes
+    over the grid itself; BLOCK_ROWS = 7 with 3-column chunks makes
+    21-point blocks, so each pass ends on a short block and both feed
+    many block sums.
     """
 
     KS = (1, 2, 3, 4, 6)
@@ -463,22 +500,36 @@ class TestOnePassAgainstTwoPasses:
         return ct * z.real + st * z.imag, np.abs(z)
 
     @pytest.fixture
-    def odd_blocks(self, monkeypatch):
-        """(j_start, rotated) of every block the reducers draw."""
-        starts = []
+    def drawn(self, monkeypatch):
+        """(shift, rotated, j_start, size) of every block the reducers draw."""
+        blocks_drawn = []
 
         def blocks(spec, table, grid, **kw):
             for j0, z in iter_poly_blocks(spec, table, grid, **kw):
-                starts.append((j0, kw.get("rotated", False)))
+                blocks_drawn.append((kw.get("shift", 0.0),
+                                     kw.get("rotated", False), j0, z.size))
                 yield j0, z
 
         monkeypatch.setattr(prime_poly, "BLOCK_ROWS", 7)
         monkeypatch.setattr(prime_poly, "CHUNK_COLS", 3)
         monkeypatch.setattr(moments, "iter_poly_blocks", blocks)
-        return starts
+        return blocks_drawn
+
+    @staticmethod
+    def _assert_two_passes(drawn, grid, rotated):
+        """The grid's points, then their midpoints: two passes, each
+        partitioning the grid in j order."""
+        shifts = [s for s, _, _, _ in drawn]
+        assert shifts == sorted(shifts) and set(shifts) == {0.0, grid.delta / 2}
+        assert all(r == rotated for _, r, _, _ in drawn)
+        for shift in set(shifts):
+            sizes = [n for s, _, _, n in drawn if s == shift]
+            starts = [j0 for s, _, j0, _ in drawn if s == shift]
+            assert len(sizes) > 2 and sum(sizes) == grid.count
+            assert starts == list(itertools.accumulate(sizes[:-1], initial=0))
 
     @pytest.mark.parametrize("theta", [0.0, 0.7])
-    def test_empirical_moment(self, table31, odd_blocks, theta):
+    def test_empirical_moment(self, table31, drawn, theta):
         spec = PolySpec(m=1, sigma=0.5, theta=theta, X=31.0)
         grid = TGrid.for_span(1e3, 31.0)
         half = TGrid(t0=grid.t0, count=2 * grid.count, delta=grid.delta / 2)
@@ -486,9 +537,8 @@ class TestOnePassAgainstTwoPasses:
         p_half, _ = self._values(spec, table31, half)
 
         got = empirical_moment(spec, table31, grid, self.KS)
-        # the odd starts are those of the rotated (real GEMM) stream
-        assert all(rotated for _, rotated in odd_blocks)
-        assert any(j0 % 2 for j0, _ in odd_blocks)
+        # both passes are rotated (real GEMM) streams
+        self._assert_two_passes(drawn, grid, rotated=True)
         for res, k in zip(got, self.KS):
             value = math.fsum(p_base ** k) / grid.count
             refined = math.fsum(p_half ** k) / half.count
@@ -499,7 +549,7 @@ class TestOnePassAgainstTwoPasses:
             assert res.err_estimate == pytest.approx(err, rel=1e-12)
 
     @pytest.mark.parametrize("W", [2.0, 20.0])
-    def test_exp_moment_trimmed(self, table31, odd_blocks, W):
+    def test_exp_moment_trimmed(self, table31, drawn, W):
         grid = TGrid.for_span(1e3, 31.0)
         half = TGrid(t0=grid.t0, count=2 * grid.count, delta=grid.delta / 2)
         want = []
@@ -509,5 +559,5 @@ class TestOnePassAgainstTwoPasses:
                                  / g.count))
 
         got = exp_moment_trimmed(SPEC31, table31, grid, 2.0, W)
-        assert any(j0 % 2 for j0, _ in odd_blocks)
+        self._assert_two_passes(drawn, grid, rotated=False)
         assert got == pytest.approx(tuple(want), rel=1e-12)

@@ -220,7 +220,7 @@ class TestTGrid:
         assert arr[-1] == g.t(g.count - 1)
 
     def test_phase_cap(self):
-        with pytest.raises(ValueError, match=r"T=2e\+08, X=100000.*2\^28"):
+        with pytest.raises(ValueError, match=r"--T 2e\+08, --X 100000.*2\^28"):
             TGrid.for_span(2e8, 1e5)
         # just inside the limit, the grid's last phase still reduces
         edge = (2 ** 28 - 1) * math.pi / math.log(1e5)
@@ -575,6 +575,58 @@ class TestRotatedBlocks:
                 streams.append(self._stream(spec, self.table, grid,
                                             rotated=rotated))
             assert np.max(np.abs(streams[0] - streams[1])) <= bound
+
+
+class TestShiftedStream:
+    """iter_poly_blocks(..., shift=s) streams the points t_j + s: at
+    s = delta/2 the midpoints of the grid, on both paths and both streams.
+
+    Moment-level checks cannot see a wrong shift there: the midpoints
+    feed only the half-spacing refinement of an empirical moment.  A
+    rotated NUFFT head built from w e^{i theta} in place of
+    conj(w) e^{i theta} evaluates P at t_j - delta/2, 0.17 off
+    P(t_j + delta/2) at X = 3000, yet moved empirical_moment by 3e-15.
+    """
+
+    table = PrimeTable.build(3000)
+    # GEMM path at X = 31 (11 primes), NUFFT path at X = 3000 (430 primes)
+    PATHS = pytest.mark.parametrize("X", [31.0, 3000.0])
+
+    @staticmethod
+    def _grid(X):
+        """(spec, grid): two full blocks and a short one."""
+        span = TGrid.for_span(2e4, X)
+        return (PolySpec(m=1, sigma=0.5, theta=0.7, X=X),
+                TGrid(t0=span.t0, count=2 * NUFFT_BLOCK + 777, delta=span.delta))
+
+    def _stream(self, spec, grid, **kw):
+        """The values over the grid, each block copied as it comes."""
+        return np.concatenate([z.copy() for _, z in iter_poly_blocks(
+            spec, self.table, grid, **kw)])
+
+    @PATHS
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_midpoints_match_pointwise(self, X, rotated):
+        nufft = self.table.upto(X) >= prime_poly.NUFFT_MIN_PRIMES
+        assert nufft == (X > 31.0)
+        spec, grid = self._grid(X)
+        got = self._stream(spec, grid, rotated=rotated, shift=grid.delta / 2)
+        edges = [0, 1, NUFFT_BLOCK - 1, NUFFT_BLOCK, 2 * NUFFT_BLOCK - 1,
+                 2 * NUFFT_BLOCK, grid.count - 2, grid.count - 1]
+        idx = np.unique(np.concatenate(
+            [edges, np.random.default_rng(11).integers(0, grid.count, 20)]))
+        point = poly_eval if rotated else poly_eval_complex
+        for j in idx.tolist():
+            t = grid.t(j) + grid.delta / 2      # on the delta/2 lattice: exact
+            assert abs(got[j] - point(spec, self.table, t)) <= 1e-10, j
+
+    @PATHS
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_zero_shift_is_the_unshifted_stream(self, X, rotated):
+        spec, grid = self._grid(X)
+        plain = self._stream(spec, grid, rotated=rotated)
+        zero = self._stream(spec, grid, rotated=rotated, shift=0.0)
+        assert zero.dtype == plain.dtype and zero.tobytes() == plain.tobytes()
 
 
 class TestGemmFactors:

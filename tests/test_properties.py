@@ -10,6 +10,7 @@ draws the same cases and the suite stays deterministic.
 import contextlib
 import io
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -92,25 +93,27 @@ def test_exceed_counts_match_per_level_oracle(v, picks, nan_at):
 
 @PROPERTY
 @given(ks=st.sets(st.integers(1, 9), min_size=1).map(sorted),
-       first=st.sampled_from([0, 1]),
+       base=st.booleans(),
        p=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=301))
-@example(ks=[6], first=1, p=[0.5, -1.25, 2.0, -0.75])        # a gap below k
-@example(ks=[1, 6], first=0, p=[-2.0, 1.5, 0.25])            # odd length
-@example(ks=[1, 2, 3], first=1, p=[1.5])                     # length 1
-@example(ks=[9], first=0, p=[-3.0, 3.0, -2.5, 2.5, 1.0, -1.0])
-@example(ks=[1, 3, 5, 7, 8], first=1,                        # square, then
+@example(ks=[6], base=False, p=[0.5, -1.25, 2.0, -0.75])     # a gap below k
+@example(ks=[1, 6], base=True, p=[-2.0, 1.5, 0.25])          # odd length
+@example(ks=[1, 2, 3], base=False, p=[1.5])                  # length 1
+@example(ks=[9], base=True, p=[-3.0, 3.0, -2.5, 2.5, 1.0, -1.0])
+@example(ks=[1, 3, 5, 7, 8], base=False,                     # square, then
          p=[0.5, -1.25, 2.0, -0.75, 1.5, -3.0, 0.25])        # two products
-def test_power_sums_match_fsum_oracle(ks, first, p):
+def test_power_sums_match_fsum_oracle(ks, base, p):
     p = np.array(p)
     # scratch longer than the block and full of NaN: only [:p.size] is used
     scratch = (np.full(p.size + 7, math.nan), np.full(p.size + 7, math.nan))
     sums = {k: ([], []) for k in ks}
-    moments._add_power_sums(moments._power_plan(sums), first, p, scratch)
+    moments._add_power_sums(moments._power_plan(sums), base, p, scratch)
     for k in ks:
-        for (got,), vals in zip(sums[k], (p[first::2], p)):
-            want = math.fsum((vals ** k).tolist())
-            scale = math.fsum((np.abs(vals) ** k).tolist())
-            assert abs(got - want) <= 1e-13 * scale, (k, got, want)
+        base_sums, (got,) = sums[k]
+        # a base block feeds the base sums the same value
+        assert base_sums == ([got] if base else [])
+        want = math.fsum((p ** k).tolist())
+        scale = math.fsum((np.abs(p) ** k).tolist())
+        assert abs(got - want) <= 1e-13 * scale, (k, got, want)
 
 
 def _chunked(spec, grid, v, chunk_cols):
@@ -304,6 +307,13 @@ _BASES = {
     ("eta",): {"sigma": "0.75", "m": "1", "theta": "0", "t": "1e4"},
     ("moments",): {"sigma": "0.5", "m": "1", "theta": "0", "X": "31",
                    "T": "1e4", "k": "2"},
+    ("predict", "--family=critical_poly"): {"m": "1", "X": "1e4", "T": "1e6",
+                                            "V": "3"},
+    ("predict", "--family=critical_eta"): {"m": "1", "T": "1e6", "V": "3"},
+    ("predict", "--family=strip_poly"): {"sigma": "0.75", "m": "1", "X": "1e4",
+                                         "T": "1e6", "V": "3"},
+    ("predict", "--family=strip_eta"): {"sigma": "0.75", "m": "1", "T": "1e6",
+                                        "V": "3"},
 }
 # integer flags take integer edges: argparse refuses a float there
 _INT_EDGES = {"m": ["-1", "0"], "refine": ["0", "2"],
@@ -321,15 +331,25 @@ def _command_lines(draw):
     return [*command, *(f"--{f}={v}" for f, v in values.items())]
 
 
-@settings(PROPERTY, max_examples=150)
+@settings(PROPERTY, max_examples=250)
 @given(argv=_command_lines())
 @example(argv=["tail", "--route=eta", "--sigma=0.75", "--m=1", "--theta=0",
                "--T=1e4", "--V=nan", "--count=4"])
 @example(argv=["moments", "--sigma=nan", "--m=1", "--theta=0", "--X=31",
                "--T=1e4", "--k=2"])
+# phases past the exact-reduction limit, and an n^{-it} table of 5.7e299 rows
+@example(argv=["moments", "--sigma=0.5", "--m=1", "--theta=0", "--X=31",
+               "--T=1e300", "--k=2"])
+@example(argv=["moments", "--sigma=0.5", "--m=1", "--theta=0", "--X=31",
+               "--T=1e4", "--k=171"])
+@example(argv=["eta", "--sigma=0.75", "--m=1", "--theta=0", "--t=1e300"])
+@example(argv=["eta", "--sigma=0.75", "--m=0", "--theta=0", "--t=1e300"])
+@example(argv=["predict", "--family=strip_poly", "--sigma=0.0", "--m=1",
+               "--X=1e4", "--T=1e6", "--V=3"])
 def test_cli_exit_codes_on_edge_values(argv):
     """Any edge value in any numeric flag gives a documented exit code, no
-    traceback, and on failure exactly one stderr line, "error: ..."."""
+    traceback, and on failure exactly one stderr line, "error: ...", which
+    for exit 2 (invalid parameters) names a flag of the command line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
@@ -342,3 +362,6 @@ def test_cli_exit_codes_on_edge_values(argv):
     else:
         assert message.startswith("error: ") and message.count("\n") == 1
         assert message.endswith("\n") and "Traceback" not in message
+    if rc == 2:
+        given_flags = {a.partition("=")[0] for a in argv if a.startswith("--")}
+        assert given_flags & set(re.findall(r"--[A-Za-z]+", message)), message

@@ -415,11 +415,11 @@ class TestPredictTail:
         assert a.exponent == b.exponent
 
     def test_parameter_errors(self):
-        with pytest.raises(ValueError, match="'X'"):
+        with pytest.raises(ValueError, match="requires --X$"):
             predict_tail("critical_poly", 10.0, {"m": 1})
-        with pytest.raises(ValueError, match="'T'"):
+        with pytest.raises(ValueError, match="requires --T$"):
             predict_tail("critical_eta", 10.0, {"m": 1})
-        with pytest.raises(ValueError, match="'sigma'"):
+        with pytest.raises(ValueError, match="requires --sigma$"):
             predict_tail("strip_eta", 10.0, {"m": 0})
         with pytest.raises(ValueError, match="unknown family"):
             predict_tail("elsewhere", 10.0, {"m": 1})

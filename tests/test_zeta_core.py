@@ -461,6 +461,28 @@ class TestS0Block:
         with pytest.raises(NearZeroOnPath):
             zeta_core._s0_block([5.0, 0.0])
 
+    def test_high_t_block_keeps_column_floor(self, monkeypatch, scalar_calls):
+        """At t ~ 1.5e4 (N + 1 = 8,600 rows) cells alone would leave 3
+        columns a block; the floor keeps each block at _BLOCK_MIN_COLS t,
+        and the block values match the per-t walk."""
+        widths = []
+        real = zeta_core._zeta_block
+
+        def spy(alphas, ts):
+            widths.append(len(ts))
+            return real(alphas, ts)
+
+        monkeypatch.setattr(zeta_core, "_zeta_block", spy)
+        # every t passes the ladder's checks (15000.75 and 15004.75 would
+        # go to the walk), so each value compared is a block value
+        ts = 15000.125 + 0.5 * np.arange(zeta_core._BLOCK_MIN_COLS + 5)
+        assert zeta_core._BLOCK_CELLS // (zeta_core._em_terms(ts[-1]) + 1) < 4
+        got = zeta_core._s0_block(ts)
+        assert widths == [zeta_core._BLOCK_MIN_COLS, 5]
+        assert scalar_calls == []
+        want = [zeta_core._s0(t) for t in ts.tolist()]
+        assert np.max(np.abs(got - want)) <= 1e-10
+
     def test_s1_free_of_block_size(self, monkeypatch):
         """The zero scan to t = 50 is one block of its 2,501 lattice t at
         2^18 cells and 34 blocks at 2^12; s_1 keeps its bits."""
