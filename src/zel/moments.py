@@ -253,14 +253,18 @@ def _half_spacing_blocks(spec: PolySpec, table: PrimeTable, grid: TGrid, *,
 
     The refinement's points t0 + i delta/2 are the grid's own points t_j
     and their midpoints t_j + delta/2, so they come as two passes of the
-    one kernel over grid: shift 0 (base True), then shift delta/2 (base
-    False).  Every block is contiguous in one of the two grids.  (A
-    TGrid at t0 + delta/2 would sit off delta's lattice.)
+    one kernel: over grid (base True), then over the midpoint grid
+    TGrid(t0 + delta/2, count, delta) (base False).  Every block is
+    contiguous in one of the two grids.  ValueError unless the midpoint
+    grid is exact: TGrid's rule, and t0 + delta/2 not rounded.
     """
-    for shift in (0.0, grid.delta / 2):
-        for _, z in iter_poly_blocks(spec, table, grid, rotated=rotated,
-                                     shift=shift):
-            yield not shift, z
+    half = grid.delta / 2
+    mids = TGrid(grid.t0 + half, grid.count, grid.delta)
+    if Fraction(mids.t0) != Fraction(grid.t0) + Fraction(half):
+        raise ValueError(f"--T {grid.t0!r} + {half!r} rounds: no exact midpoints")
+    for base, g in ((True, grid), (False, mids)):
+        for _, z in iter_poly_blocks(spec, table, g, rotated=rotated):
+            yield base, z
         # the last block holds the pass's output buffer; let it go before
         # the next pass allocates its own
         z = None
@@ -325,6 +329,9 @@ def empirical_moment(spec: PolySpec, table: PrimeTable, grid: TGrid,
     a whole contiguous block, in two buffers held for the call, so no
     block allocates a block-sized array and no BLAS thread count moves a
     bit.  Which sums each power feeds is planned once (_power_plan).
+    The midpoints take one lattice bit more than an integer T, so a grid
+    within 2x of TGrid's 2^53 range raises ValueError (`zel moments` grids
+    at integer T sit over 1,000x inside it up to the phase limit).
     err_estimate = |half-spacing refinement delta| + X^{2k}/T.  The second
     term is the standard main-term error shape with constant 1; it is a
     reporting convention, not a certified bound.
@@ -437,7 +444,8 @@ def exp_moment_trimmed(spec: PolySpec, table: PrimeTable, grid: TGrid,
     Per-block log-sum-exp, so large x W never overflows.  Each complex
     block is valid until the next is drawn, so it is reduced at once, in
     buffers held for the call (fresh |Z|, P, mask and exponential arrays
-    per block cost ~240 minor page faults a block).
+    per block cost ~240 minor page faults a block).  Its midpoints bound
+    the grid as empirical_moment's do: within 2x of 2^53 units, ValueError.
     """
     if not x >= 0.0:
         raise ValueError(f"x must be >= 0, got {x}")

@@ -297,9 +297,10 @@ def check_phase_range(t_max: float, omega_max: float, what: str) -> None:
 class TGrid:
     """Uniform grid t_j = t0 + j * delta, j = 0..count-1.
 
-    t0 must sit on delta's 2^-k lattice, and (|t0| + count*delta) 2^k
-    stay below 2^53: then every t_j is exact in double precision (see
-    module docstring).  This is the one lattice rule for every grid.
+    t0 and delta sit on one 2^-k lattice, k from the finer of the two,
+    and (|t0| + count*delta) 2^k must stay below 2^53: then every t_j is
+    exact in double precision (see module docstring).  This is the one
+    lattice rule for every grid.
     """
 
     t0: float
@@ -311,16 +312,13 @@ class TGrid:
             raise ValueError("count must be >= 1")
         if not self.delta > 0:
             raise ValueError("delta must be positive")
-        # in exact rationals: den passes the double range below 2^-1023
+        # in exact rationals: den passes the double range below 2^-1023;
+        # t0, j*delta and t0 + j*delta (j < count) are whole multiples of
+        # 2^-k, fewer than 2^53 of them in magnitude: exact doubles
         t0, delta = Fraction(self.t0), Fraction(self.delta)
-        k = delta.denominator.bit_length() - 1
-        if (t0 * delta.denominator).denominator != 1:
-            raise ValueError(
-                f"--T {self.t0!r} is off the 2^-{k} lattice of the grid spacing "
-                f"{self.delta!r}: T must be a multiple of 2^-{k}")
-        # then t0, j*delta and t0 + j*delta (j < count) are whole multiples
-        # of 2^-k, fewer than 2^53 of them in magnitude: exact doubles
-        if (abs(t0) + self.count * delta) * delta.denominator >= 2 ** 53:
+        den = max(t0.denominator, delta.denominator)
+        k = den.bit_length() - 1
+        if (abs(t0) + self.count * delta) * den >= 2 ** 53:
             raise ValueError(
                 f"--T {self.t0!r} with {self.count} points at spacing {self.delta!r} "
                 f"exceeds the exact-double dyadic range (2^53 units of 2^-{k})")
@@ -333,7 +331,8 @@ class TGrid:
         delta exactly; count*delta - T < delta.  Every phase t log p on the
         grid stays below (2T + delta) log X; a span past check_phase_range
         is rejected here, before any prime table or kernel block is built;
-        a grid TGrid rejects names refine too when refine > 1.
+        T need not sit on delta's lattice, and a grid TGrid rejects names
+        refine too when refine > 1.
         """
         if not refine >= 1:
             raise ValueError(f"--refine must be >= 1, got {refine}")
@@ -382,9 +381,8 @@ def rotated_real(z: np.ndarray, theta, out: np.ndarray | None = None) -> np.ndar
 
 
 def iter_poly_blocks(spec: PolySpec, table: PrimeTable, grid: TGrid, *,
-                     rotated: bool = False,
-                     shift: float = 0.0) -> Iterator[tuple[int, np.ndarray]]:
-    """Stream (j_start, Z) with Z[i] = sum_p w_p e^{-i (t_{j_start+i} + shift) log p}.
+                     rotated: bool = False) -> Iterator[tuple[int, np.ndarray]]:
+    """Stream (j_start, Z) with Z[i] = sum_p w_p e^{-i t_{j_start+i} log p}.
 
     Blocks arrive in j order, partition the grid and hold at most
     NUFFT_BLOCK points (1 MB, so reducers re-read them from L2).  P(t) is
@@ -401,17 +399,8 @@ def iter_poly_blocks(spec: PolySpec, table: PrimeTable, grid: TGrid, *,
     Hermitian half grid per two blocks on the NUFFT path.  Every block,
     complex or rotated, is a view into a buffer held for the pass, valid
     only until the next one is drawn; copy what must outlive it.
-
-    shift streams the points t_j + shift, which need not sit on delta's
-    lattice (delta/2 gives the midpoints).  e^{-i shift omega_p}, from one
-    exact phase_mod_two_pi reduction per pass, rides in the weights, so
-    each term is two exactly reduced factors, one rounding more than an
-    exact phase of t_j + shift (~1e-15 sum w_p).  shift = 0 leaves the
-    weights real and the stream bit-identical to an unshifted pass.
     """
     omegas, w = _spec_arrays(spec, table)
-    if shift:
-        w = w * np.exp(-1j * phase_mod_two_pi(shift, omegas))
     path = _gemm_blocks if omegas.size < NUFFT_MIN_PRIMES else _nufft_blocks
     yield from path(omegas, w, grid, spec.theta if rotated else None)
 
@@ -691,9 +680,7 @@ def _nufft_amplitudes(omegas: np.ndarray, w: np.ndarray, grid: TGrid, span: int,
     head and row 0 as step.
     """
     sign = -1j if theta is None else 1j
-    # conj(e^{-i theta} w) = conj(w) e^{i theta}: w is complex for a shifted pass
-    tw = w if theta is None else np.conj(w) * complex(math.cos(theta),
-                                                      math.sin(theta))
+    tw = w if theta is None else w * complex(math.cos(theta), math.sin(theta))
 
     def turned(phase):                  # tw e^{sign phase}, one fresh array
         e = np.multiply(phase, sign)

@@ -377,6 +377,8 @@ def _em_zeta(sigma: float, t: float) -> complex:
     s = complex(sigma, t)
     N = _em_terms(abs(t))
     acc, npow = _em_head(s, sigma, _unit_powers(N + 1, t), N)
+    if npow == 0:           # every correction is a multiple of N^-s
+        return acc
     prev = bound = math.inf
     for term, mag, rem in _em_corrections(s, npow, N, sigma):
         if mag > prev:

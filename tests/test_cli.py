@@ -560,33 +560,40 @@ class TestTail:
          "--methods", "empirical"],
     ])
     def test_t_off_lattice_rejected_by_name(self, capsys, argv):
-        # 100.1 is no multiple of the spacing's 2^-k unit on either route
-        assert cli.main([*argv, "--T", "100.1"]) == 2
+        # 100.1 is no multiple of the spacing's 2^-k unit on either route,
+        # but its own 2^-45 unit holds the whole grid: exact, so it runs;
+        # 100 + 2^-46 passes 2^53 of its units and is refused by name
+        assert cli.main([*argv, "--T", "100.1"]) == 0
+        out, err = capsys.readouterr()
+        assert out and err == ""
+        assert cli.main([*argv, "--T", repr(100 + 2.0 ** -46)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: --T 100.1 is off the 2^-")
-        assert ": T must be a multiple of 2^-" in err
+        assert err.startswith("error: --T 100.00000000000001 with ")
+        assert err.endswith(" exceeds the exact-double dyadic range "
+                            "(2^53 units of 2^-46)\n")
 
     def test_eta_fine_spacing(self, capsys, tmp_path):
-        # any spacing works whose lattice holds T; 1e-5 is off 2^-27
+        # any spacing works while T and count spacings stay below 2^53
+        # units of the finer lattice of T and the spacing; 1e-5 needs 2^-69
         rc = cli.main(["tail", "--route", "eta", "--sigma", "0.75", "--m",
                        "1", "--T", "1e-5", "--count", "2", "--V", "1"])
         assert rc == 2
         assert capsys.readouterr() == ("", (
-            "error: --T 1e-05 is off the 2^-27 lattice of the grid spacing "
-            "4.999339580535889e-06: T must be a multiple of 2^-27\n"))
+            "error: --T 1e-05 with 2 points at spacing 4.999339580535889e-06 "
+            "exceeds the exact-double dyadic range (2^53 units of 2^-69)\n"))
         lines = run_lines(["tail", "--route", "eta", "--sigma", "0.75",
                            "--m", "1", "--T", repr(2.0 ** -20), "--count", "4",
                            "--V", "1"], tmp_path)
         assert len(lines) == 2
-        # a spacing below 2^-1023, where 2^k and the lattice unit pass the
-        # double range, still meets the named lattice check
+        # a lattice unit below 2^-1023, where 2^k passes the double range,
+        # still meets the exact check
         rc = cli.main(["tail", "--route", "eta", "--sigma", "0.75", "--m",
                        "1", "--T", "1e-306", "--count", "1", "--V", "1"])
         assert rc == 2
         assert capsys.readouterr() == ("", (
-            "error: --T 1e-306 is off the 2^-1026 lattice of the grid spacing "
-            "9.998925651666736e-307: T must be a multiple of 2^-1026\n"))
+            "error: --T 1e-306 with 1 points at spacing 9.998925651666736e-307 "
+            "exceeds the exact-double dyadic range (2^53 units of 2^-1069)\n"))
 
     @pytest.mark.parametrize("argv", [
         ["tail", "--route", "eta", "--sigma", "0.75", "--m", "1", "--T",
@@ -785,6 +792,15 @@ class TestEtaCommand:
         lines = run_lines(["eta", "--sigma", "0.75", "--m", m,
                            "--t", "1e-320"], tmp_path)
         assert lines[1] == "9.9998886718268301e-321,,,,near_zero_excluded"
+
+    @pytest.mark.parametrize("sigma", ["1e200", "1e300"])
+    def test_huge_sigma_row_is_zero(self, tmp_path, sigma):
+        # log zeta = 0 there: no ZetaAccuracyWarning, no exclusion flag
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lines = run_lines(["eta", "--sigma", sigma, "--m", "0",
+                               "--t", "1e4"], tmp_path)
+        assert lines[1] == "10000,0,0,0,"
 
     def test_pointwise_rows(self, tmp_path):
         lines = run_lines(["eta", "--sigma", "0.75", "--m", "1",

@@ -485,10 +485,12 @@ class TestExpMomentTrimmed:
 class TestOnePassAgainstTwoPasses:
     """The streaming reducers against plain passes over both grids.
 
-    The reducers draw the half-spacing refinement as two shifted passes
-    over the grid itself; BLOCK_ROWS = 7 with 3-column chunks makes
-    21-point blocks, so each pass ends on a short block and both feed
-    many block sums.
+    The reducers draw the half-spacing refinement as two passes, over the
+    grid and over its midpoint grid at t0 + delta/2.  BLOCK_ROWS = 7 with
+    3-column chunks makes 21-point GEMM blocks at X = 31, and
+    NUFFT_BLOCK = 256 makes 256-point NUFFT blocks at X = 3000 (430
+    primes), so each pass ends on a short block and both feed many block
+    sums.
     """
 
     KS = (1, 2, 3, 4, 6)
@@ -501,17 +503,18 @@ class TestOnePassAgainstTwoPasses:
 
     @pytest.fixture
     def drawn(self, monkeypatch):
-        """(shift, rotated, j_start, size) of every block the reducers draw."""
+        """(t0, rotated, j_start, size) of every block the reducers draw."""
         blocks_drawn = []
 
         def blocks(spec, table, grid, **kw):
             for j0, z in iter_poly_blocks(spec, table, grid, **kw):
-                blocks_drawn.append((kw.get("shift", 0.0),
-                                     kw.get("rotated", False), j0, z.size))
+                blocks_drawn.append((grid.t0, kw.get("rotated", False), j0,
+                                     z.size))
                 yield j0, z
 
         monkeypatch.setattr(prime_poly, "BLOCK_ROWS", 7)
         monkeypatch.setattr(prime_poly, "CHUNK_COLS", 3)
+        monkeypatch.setattr(prime_poly, "NUFFT_BLOCK", 256)
         monkeypatch.setattr(moments, "iter_poly_blocks", blocks)
         return blocks_drawn
 
@@ -519,45 +522,65 @@ class TestOnePassAgainstTwoPasses:
     def _assert_two_passes(drawn, grid, rotated):
         """The grid's points, then their midpoints: two passes, each
         partitioning the grid in j order."""
-        shifts = [s for s, _, _, _ in drawn]
-        assert shifts == sorted(shifts) and set(shifts) == {0.0, grid.delta / 2}
+        starts = [t0 for t0, _, _, _ in drawn]
+        assert starts == sorted(starts)
+        assert set(starts) == {grid.t0, grid.t0 + grid.delta / 2}
         assert all(r == rotated for _, r, _, _ in drawn)
-        for shift in set(shifts):
-            sizes = [n for s, _, _, n in drawn if s == shift]
-            starts = [j0 for s, _, j0, _ in drawn if s == shift]
+        for t0 in set(starts):
+            sizes = [n for t, _, _, n in drawn if t == t0]
+            j0s = [j0 for t, _, j0, _ in drawn if t == t0]
             assert len(sizes) > 2 and sum(sizes) == grid.count
-            assert starts == list(itertools.accumulate(sizes[:-1], initial=0))
+            assert j0s == list(itertools.accumulate(sizes[:-1], initial=0))
 
-    @pytest.mark.parametrize("theta", [0.0, 0.7])
-    def test_empirical_moment(self, table31, drawn, theta):
-        spec = PolySpec(m=1, sigma=0.5, theta=theta, X=31.0)
-        grid = TGrid.for_span(1e3, 31.0)
+    @pytest.mark.parametrize("theta, X", [(0.0, 31.0), (0.7, 31.0),
+                                          (0.7, 3000.0)],
+                             ids=["0.0", "0.7", "0.7-3000.0"])
+    def test_empirical_moment(self, drawn, theta, X):
+        table = PrimeTable.build(int(X))
+        spec = PolySpec(m=1, sigma=0.5, theta=theta, X=X)
+        grid = TGrid.for_span(1e3, X)
         half = TGrid(t0=grid.t0, count=2 * grid.count, delta=grid.delta / 2)
-        p_base, _ = self._values(spec, table31, grid)
-        p_half, _ = self._values(spec, table31, half)
+        p_base, _ = self._values(spec, table, grid)
+        p_half, _ = self._values(spec, table, half)
 
-        got = empirical_moment(spec, table31, grid, self.KS)
-        # both passes are rotated (real GEMM) streams
+        got = empirical_moment(spec, table, grid, self.KS)
+        # both passes are rotated streams
         self._assert_two_passes(drawn, grid, rotated=True)
         for res, k in zip(got, self.KS):
             value = math.fsum(p_base ** k) / grid.count
             refined = math.fsum(p_half ** k) / half.count
-            err = abs(refined - value) + 31.0 ** (2 * k) / (grid.count * grid.delta)
+            err = abs(refined - value) + X ** (2 * k) / (grid.count * grid.delta)
             scale = float(np.mean(np.abs(p_base) ** k))
             assert res.k == k
             assert abs(res.value - value) <= 1e-12 * max(abs(value), scale)
             assert res.err_estimate == pytest.approx(err, rel=1e-12)
 
-    @pytest.mark.parametrize("W", [2.0, 20.0])
-    def test_exp_moment_trimmed(self, table31, drawn, W):
-        grid = TGrid.for_span(1e3, 31.0)
+    @pytest.mark.parametrize("W, X", [(2.0, 31.0), (20.0, 31.0),
+                                      (20.0, 3000.0)],
+                             ids=["2.0", "20.0", "20.0-3000.0"])
+    def test_exp_moment_trimmed(self, drawn, W, X):
+        table = PrimeTable.build(int(X))
+        spec = PolySpec(m=1, sigma=0.5, theta=0.0, X=X)    # SPEC31 at X
+        grid = TGrid.for_span(1e3, X)
         half = TGrid(t0=grid.t0, count=2 * grid.count, delta=grid.delta / 2)
         want = []
         for g in (grid, half):
-            p, mod = self._values(SPEC31, table31, g)
+            p, mod = self._values(spec, table, g)
             want.append(math.log(math.fsum(np.exp(2.0 * p[mod <= W]))
                                  / g.count))
 
-        got = exp_moment_trimmed(SPEC31, table31, grid, 2.0, W)
+        got = exp_moment_trimmed(spec, table, grid, 2.0, W)
         self._assert_two_passes(drawn, grid, rotated=False)
         assert got == pytest.approx(tuple(want), rel=1e-12)
+
+    def test_inexact_midpoints_rejected(self, table31):
+        # 2^53 - 1 units of 2^-0 hold the grid but not its midpoints on
+        # 2^-1, and 2^28 + 2^-25 rounds to 2^28; no pass starts either way
+        grids = [TGrid(t0=0.0, count=2 ** 53 - 1, delta=1.0),
+                 TGrid(t0=2.0 ** 28, count=1, delta=2.0 ** -24)]
+        for grid, message in zip(grids, ["2\\^53 units of 2\\^-1\\)$",
+                                         "rounds: no exact midpoints$"]):
+            with pytest.raises(ValueError, match=f"^--T .*{message}"):
+                empirical_moment(SPEC31, table31, grid, [2])
+            with pytest.raises(ValueError, match=f"^--T .*{message}"):
+                exp_moment_trimmed(SPEC31, table31, grid, 1.0, 2.0)

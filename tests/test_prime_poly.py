@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from zel import prime_poly
+from zel.moments import _half_spacing_blocks
 from zel.prime_poly import (
     BLOCK_ROWS,
     NUFFT_BLOCK,
@@ -235,15 +236,21 @@ class TestTGrid:
             TGrid(t0=1e4, count=10, delta=0.1)  # 1e4 is > 2^53 units of 2^-55
         with pytest.raises(ValueError, match="exact-double dyadic range"):
             TGrid(t0=-2.0 ** 54, count=2, delta=1.0)  # 1 - 2^54 rounds
-        with pytest.raises(ValueError, match="off the 2\\^-2 lattice"):
-            TGrid(t0=math.pi, count=10, delta=0.25)  # t0 off the lattice
+        # t0 off delta's lattice: float(pi)'s own 2^-48 unit rules, so
+        # pi + 115/4 stays below 2^53 units and pi + 116/4 does not
+        with pytest.raises(ValueError, match="2\\^53 units of 2\\^-48\\)$"):
+            TGrid(t0=math.pi, count=116, delta=0.25)
+        g = TGrid(t0=math.pi, count=115, delta=0.25)
+        assert Fraction(g.t(114)) == Fraction(math.pi) + Fraction(114, 4)
         with pytest.raises(ValueError):
             TGrid(t0=1e4, count=0, delta=0.25)
         with pytest.raises(ValueError, match="refine must be >= 1"):
             TGrid.for_span(1e4, 31, refine=0)
         # a lattice unit past the double range is checked exactly
-        with pytest.raises(ValueError, match="off the 2\\^-1060 lattice"):
-            TGrid(t0=2.0 ** -1020 + 2.0 ** -1061, count=3, delta=2.0 ** -1060)
+        with pytest.raises(ValueError, match="2\\^53 units of 2\\^-1072\\)$"):
+            TGrid(t0=2.0 ** -1020 + 2.0 ** -1072, count=3, delta=2.0 ** -1020)
+        g = TGrid(t0=2.0 ** -1020 + 2.0 ** -1061, count=3, delta=2.0 ** -1060)
+        assert g.t(2) == 2.0 ** -1020 + 2.0 ** -1061 + 2.0 ** -1059
         g = TGrid(t0=2.0 ** -1020, count=3, delta=2.0 ** -1060)
         assert g.t(2) == 2.0 ** -1020 + 2.0 ** -1059
 
@@ -578,14 +585,13 @@ class TestRotatedBlocks:
 
 
 class TestShiftedStream:
-    """iter_poly_blocks(..., shift=s) streams the points t_j + s: at
-    s = delta/2 the midpoints of the grid, on both paths and both streams.
+    """A grid's midpoints t_j + delta/2 stream as their own TGrid at
+    t0 + delta/2, off delta's lattice, on both paths and both streams.
 
-    Moment-level checks cannot see a wrong shift there: the midpoints
-    feed only the half-spacing refinement of an empirical moment.  A
-    rotated NUFFT head built from w e^{i theta} in place of
-    conj(w) e^{i theta} evaluates P at t_j - delta/2, 0.17 off
-    P(t_j + delta/2) at X = 3000, yet moved empirical_moment by 3e-15.
+    Moment-level checks cannot see wrong midpoints: they feed only the
+    half-spacing refinement of an empirical moment, where a stream at
+    t_j - delta/2, 0.17 off P(t_j + delta/2) at X = 3000, moved
+    empirical_moment by 3e-15.
     """
 
     table = PrimeTable.build(3000)
@@ -593,11 +599,13 @@ class TestShiftedStream:
     PATHS = pytest.mark.parametrize("X", [31.0, 3000.0])
 
     @staticmethod
-    def _grid(X):
-        """(spec, grid): two full blocks and a short one."""
+    def _grids(X):
+        """(spec, grid, midpoint grid): two full blocks and a short one."""
         span = TGrid.for_span(2e4, X)
-        return (PolySpec(m=1, sigma=0.5, theta=0.7, X=X),
-                TGrid(t0=span.t0, count=2 * NUFFT_BLOCK + 777, delta=span.delta))
+        grid = TGrid(t0=span.t0, count=2 * NUFFT_BLOCK + 777, delta=span.delta)
+        mids = TGrid(t0=grid.t0 + grid.delta / 2, count=grid.count,
+                     delta=grid.delta)
+        return PolySpec(m=1, sigma=0.5, theta=0.7, X=X), grid, mids
 
     def _stream(self, spec, grid, **kw):
         """The values over the grid, each block copied as it comes."""
@@ -609,8 +617,8 @@ class TestShiftedStream:
     def test_midpoints_match_pointwise(self, X, rotated):
         nufft = self.table.upto(X) >= prime_poly.NUFFT_MIN_PRIMES
         assert nufft == (X > 31.0)
-        spec, grid = self._grid(X)
-        got = self._stream(spec, grid, rotated=rotated, shift=grid.delta / 2)
+        spec, grid, mids = self._grids(X)
+        got = self._stream(spec, mids, rotated=rotated)
         edges = [0, 1, NUFFT_BLOCK - 1, NUFFT_BLOCK, 2 * NUFFT_BLOCK - 1,
                  2 * NUFFT_BLOCK, grid.count - 2, grid.count - 1]
         idx = np.unique(np.concatenate(
@@ -618,15 +626,23 @@ class TestShiftedStream:
         point = poly_eval if rotated else poly_eval_complex
         for j in idx.tolist():
             t = grid.t(j) + grid.delta / 2      # on the delta/2 lattice: exact
+            assert mids.t(j) == t
             assert abs(got[j] - point(spec, self.table, t)) <= 1e-10, j
 
     @PATHS
     @pytest.mark.parametrize("rotated", [False, True])
     def test_zero_shift_is_the_unshifted_stream(self, X, rotated):
-        spec, grid = self._grid(X)
-        plain = self._stream(spec, grid, rotated=rotated)
-        zero = self._stream(spec, grid, rotated=rotated, shift=0.0)
-        assert zero.dtype == plain.dtype and zero.tobytes() == plain.tobytes()
+        # the refinement's first pass is the grid's own stream, its second
+        # the midpoint grid's, bit for bit
+        spec, grid, mids = self._grids(X)
+        drawn = {True: [], False: []}
+        for base, z in _half_spacing_blocks(spec, self.table, grid,
+                                            rotated=rotated):
+            drawn[base].append(z.copy())
+        for base, g in ((True, grid), (False, mids)):
+            plain = self._stream(spec, g, rotated=rotated)
+            got = np.concatenate(drawn[base])
+            assert got.dtype == plain.dtype and got.tobytes() == plain.tobytes()
 
 
 class TestGemmFactors:

@@ -26,6 +26,7 @@ from zel.prime_poly import (BLOCK_ROWS, CHUNK_COLS, NUFFT_BLOCK, PolySpec,
                             iter_poly_blocks, max_spacing, phase_mod_two_pi,
                             sieve)
 from zel.tails import measure_exceedance_poly_multi
+from zel.zeta_core import ZetaAccuracyWarning
 
 from grid_helpers import poly_eval_batch, t_array
 
@@ -189,6 +190,32 @@ def test_grid_times_exact_on_dyadic_lattice(T, X, refine, fracs):
     part = t_array(grid, j0, min(j0 + 64, grid.count))
     assert [Fraction(t) for t in part] == [T + (j0 + i) * delta
                                            for i in range(part.size)]
+    # t0 off delta's lattice: the midpoint grid, pi at delta = 1/4 (float
+    # pi's 2^-48 unit takes 115 points, not 116), and the grid stretched
+    # to the last count its 2^53 units hold, whose midpoints they do not
+    half = grid.delta / 2
+    _assert_rule(T + half, grid.count, grid.delta, fracs)
+    for count in (1, 115, 116, 10 ** 6):
+        _assert_rule(math.pi, count, 0.25, fracs)
+    edge = int((2 ** 53 - 1 - T * delta.denominator) // delta.numerator)
+    for count in (edge, edge + 1):
+        _assert_rule(float(T), count, grid.delta, fracs)
+        _assert_rule(T + half, count, grid.delta, fracs)
+
+
+def _assert_rule(t0, count, delta, fracs):
+    """TGrid(t0, count, delta) is rejected, naming --T, exactly when
+    (|t0| + count delta) reaches 2^53 units of the finer of t0's and
+    delta's lattices, and is otherwise exact at every sampled j."""
+    t0_q, delta_q = Fraction(t0), Fraction(delta)
+    den = max(t0_q.denominator, delta_q.denominator)
+    if (abs(t0_q) + count * delta_q) * den >= 2 ** 53:
+        with pytest.raises(ValueError, match=r"^--T .* exceeds the "
+                           r"exact-double dyadic range \(2\^53 units of "
+                           f"2\\^-{den.bit_length() - 1}\\)$"):
+            TGrid(t0=t0, count=count, delta=delta)
+    else:
+        _assert_exact(TGrid(t0=t0, count=count, delta=delta), fracs)
 
 
 # Reference copies of the earlier, narrower grid rules: a spacing
@@ -346,19 +373,25 @@ def _command_lines(draw):
 @example(argv=["eta", "--sigma=0.75", "--m=0", "--theta=0", "--t=1e300"])
 @example(argv=["predict", "--family=strip_poly", "--sigma=0.0", "--m=1",
                "--X=1e4", "--T=1e6", "--V=3"])
+# N^-s underflows to 0 while the correction ratio overflows
+@example(argv=["eta", "--sigma=1e300", "--m=0", "--theta=0", "--t=1e4"])
 def test_cli_exit_codes_on_edge_values(argv):
     """Any edge value in any numeric flag gives a documented exit code, no
     traceback, and on failure exactly one stderr line, "error: ...", which
-    for exit 2 (invalid parameters) names a flag of the command line."""
+    for exit 2 (invalid parameters) names a flag of the command line.  A
+    run that exits 0 raises no ZetaAccuracyWarning."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         warnings.simplefilter("error", RuntimeWarning)
         rc = cli.main(argv)
     assert rc in (0, 2, 3, 4)
     message = err.getvalue()
     if rc == 0:
         assert message == ""
+        assert not [str(w.message) for w in caught
+                    if issubclass(w.category, ZetaAccuracyWarning)]
     else:
         assert message.startswith("error: ") and message.count("\n") == 1
         assert message.endswith("\n") and "Traceback" not in message

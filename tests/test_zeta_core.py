@@ -111,6 +111,13 @@ class TestZeta:
         want = complex(mpmath.zeta(mpmath.mpc(-2.9, 10.0)))
         assert abs(zeta(-2.9 + 10j) - want) <= 3e-9 * abs(want)
 
+    @pytest.mark.parametrize("sigma", [1e200, 1e300])
+    def test_huge_sigma_is_one(self, sigma):
+        # N^-s underflows to 0 and (s+1)(s+2)/N^2 overflows: no 0 * inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert zeta(complex(sigma, 1e4)) == 1.0
+
     def test_near_first_zero(self):
         z = zeta(complex(0.5, 14.134725141734693))
         assert abs(z) < 1e-6
