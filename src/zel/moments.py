@@ -30,7 +30,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
@@ -245,38 +244,27 @@ def contour_moment(spec: PolySpec, k: int, table: PrimeTable) -> MomentResult:
 # empirical grid averages
 
 
-def _half_spacing_blocks(spec: PolySpec, table: PrimeTable, grid: TGrid, *,
-                         rotated: bool = False) -> Iterator[tuple[bool, np.ndarray]]:
-    """Stream (base, Z) blocks of the half-spacing refinement of grid
-    (rotated: P = Re e^{-i theta} Z), each a view valid until the next
-    block is drawn, as iter_poly_blocks yields them.
+def _pass_rows(spec: PolySpec, table: PrimeTable, grid: TGrid, reduce, *,
+               rotated: bool = False) -> list[list]:
+    """[reduce(Z) per block] for each pass of grid's half-spacing
+    refinement (rotated: P = Re e^{-i theta} Z), first over grid, then
+    over its midpoint grid.
 
     The refinement's points t0 + i delta/2 are the grid's own points t_j
     and their midpoints t_j + delta/2, so they come as two passes of the
-    one kernel: over grid (base True), then over the midpoint grid
-    TGrid(t0 + delta/2, count, delta) (base False).  Every block is
-    contiguous in one of the two grids.  ValueError unless the midpoint
-    grid is exact: TGrid's rule, and t0 + delta/2 not rounded.
+    one kernel: over grid, then over TGrid(t0 + delta/2, count, delta).
+    Each block is a view valid until the next is drawn (iter_poly_blocks),
+    so reduce must not keep it; a pass's stream, and with it its output
+    buffer, ends with its own list, before the next pass allocates one.
+    ValueError unless the midpoint grid is exact: TGrid's rule, and
+    t0 + delta/2 not rounded.
     """
     half = grid.delta / 2
     mids = TGrid(grid.t0 + half, grid.count, grid.delta)
     if Fraction(mids.t0) != Fraction(grid.t0) + Fraction(half):
         raise ValueError(f"--T {grid.t0!r} + {half!r} rounds: no exact midpoints")
-    for base, g in ((True, grid), (False, mids)):
-        for _, z in iter_poly_blocks(spec, table, g, rotated=rotated):
-            yield base, z
-        # the last block holds the pass's output buffer; let it go before
-        # the next pass allocates its own
-        z = None
-
-
-def _power_plan(sums: dict) -> tuple:
-    """Per power j = 1..ceil(kmax/2) of a pass, the sums that p^j feeds:
-    (odd, base, refined) for each order k in (2j - 1, 2j) that sums
-    holds, odd telling k = 2j - 1, base and refined sums[k]'s lists."""
-    return tuple(tuple((k % 2 == 1, *sums[k]) for k in (2 * j - 1, 2 * j)
-                       if k in sums)
-                 for j in range(1, (max(sums) + 1) // 2 + 1))
+    return [[reduce(z) for _, z in iter_poly_blocks(spec, table, g, rotated=rotated)]
+            for g in (grid, mids)]
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -290,48 +278,46 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return math.fsum(parts)
 
 
-def _add_power_sums(plan: tuple, base: bool, p: np.ndarray,
-                    scratch: tuple[np.ndarray, np.ndarray]) -> None:
-    """Append sum p^k to each k's refined list in plan (_power_plan), and
-    to its base list too when base.
+def _power_sums(p: np.ndarray, ks: tuple,
+                scratch: tuple[np.ndarray, np.ndarray]) -> list[float]:
+    """[sum p^k for k in ks].
 
     sum p^k is the dot product p^ceil(k/2) . p^floor(k/2) (np.sum(p) at
     k = 1), taken in rows (_dot).  The chain p^2 = np.square(p), then
     p^j = p^(j-1) p, keeps its two latest powers in the two scratch
     buffers, of at least p.size doubles each, which the caller reuses for
-    every block of a pass: ceil(kmax/2) - 1 products per block and no new
+    every block: ceil(max(ks)/2) - 1 products per block and no new
     block-sized arrays at any k.
     """
+    sums = {}
     lo, hi = None, p                    # p^(j-1), p^j
-    for j, feeds in enumerate(plan, 1):
+    for j in range(1, (max(ks) + 1) // 2 + 1):
         if j == 2:
             lo, hi = p, np.square(p, out=scratch[0][:p.size])
         elif j > 2:
             lo, hi = hi, np.multiply(hi, p, out=scratch[j % 2][:p.size])
-        for odd, base_sums, refined in feeds:
-            b = lo if odd else hi       # None at k = 1
-            total = float(np.sum(hi)) if b is None else _dot(hi, b)
-            refined.append(total)
-            if base:
-                base_sums.append(total)
+        for k in (2 * j - 1, 2 * j):
+            if k in ks:
+                b = lo if k % 2 else hi     # None at k = 1
+                sums[k] = float(np.sum(hi)) if b is None else _dot(hi, b)
+    return [sums[k] for k in ks]
 
 
 def empirical_moment(spec: PolySpec, table: PrimeTable, grid: TGrid,
                      ks) -> list[MomentResult]:
     """Grid averages of P(t)^k over the TGrid span, one result per k in ks.
 
-    Two rotated kernel passes over the grid, at its points and at their
-    midpoints (_half_spacing_blocks), feed every power sum: a block of
-    the first pass counts toward both the grid's average and the
-    half-spacing refinement's, a block of the second toward the
-    refinement's alone.  Each sum is the dot product, in rows of
-    _DOT_TERMS, of two powers from a chain (a square, then products) over
-    a whole contiguous block, in two buffers held for the call, so no
-    block allocates a block-sized array and no BLAS thread count moves a
-    bit.  Which sums each power feeds is planned once (_power_plan).
-    The midpoints take one lattice bit more than an integer T, so a grid
-    within 2x of TGrid's 2^53 range raises ValueError (`zel moments` grids
-    at integer T sit over 1,000x inside it up to the phase limit).
+    Two rotated kernel passes, over the grid's points and over their
+    midpoints (_pass_rows), reduce each block to its power sums
+    (_power_sums): the grid's average sums the first pass's rows, the
+    half-spacing refinement's sums both passes' rows, each by fsum.  Each
+    sum is the dot product, in rows of _DOT_TERMS, of two powers from a
+    chain (a square, then products) over a whole contiguous block, in two
+    buffers held for the call, so no block allocates a block-sized array
+    and no BLAS thread count moves a bit.  The midpoints take one lattice
+    bit more than an integer T, so a grid within 2x of TGrid's 2^53 range
+    raises ValueError (`zel moments` grids at integer T sit over 1,000x
+    inside it up to the phase limit).
     err_estimate = |half-spacing refinement delta| + X^{2k}/T.  The second
     term is the standard main-term error shape with constant 1; it is a
     reporting convention, not a certified bound.
@@ -344,17 +330,14 @@ def empirical_moment(spec: PolySpec, table: PrimeTable, grid: TGrid,
     if log_shapes[max(ks)] > 700.0:
         raise OverflowError(
             f"error shape X^(2k)/T overflows for --k {max(ks)}, --X {spec.X:g}")
-    # per k: block sums over the base grid and over the refinement
-    sums = {k: ([], []) for k in ks}
-    plan = _power_plan(sums)
     scratch = (np.empty(NUFFT_BLOCK), np.empty(NUFFT_BLOCK))
-    for base, p in _half_spacing_blocks(spec, table, grid, rotated=True):
-        _add_power_sums(plan, base, p, scratch)
-        del p       # a pass's last block would hold its buffer into the next
+    rows, mid_rows = _pass_rows(spec, table, grid,
+                                lambda p: _power_sums(p, ks, scratch), rotated=True)
     out = []
-    for k in ks:
-        value = math.fsum(sums[k][0]) / grid.count
-        refined = math.fsum(sums[k][1]) / (2 * grid.count)
+    # per k: its block sums over the grid and over the midpoints
+    for k, here, mids in zip(ks, zip(*rows), zip(*mid_rows)):
+        value = math.fsum(here) / grid.count
+        refined = math.fsum(here + mids) / (2 * grid.count)
         err = abs(refined - value) + math.exp(log_shapes[k])
         out.append(MomentResult(k=k, value=value, method=METHOD_EMPIRICAL,
                                 err_estimate=err))
@@ -416,56 +399,49 @@ def bessel_product(spec: PolySpec, table: PrimeTable, x: float) -> float:
     return head
 
 
-def _add_log_sum_exp(parts: tuple, base: bool, scaled: np.ndarray,
-                     tmp: np.ndarray) -> None:
-    """Append (max, sum exp(scaled - max)) to parts[1], and to parts[0] too
-    when base, skipping an all-trimmed (-inf) block; the exponentials go
-    to tmp, of at least scaled.size doubles."""
-    top = float(scaled.max())
-    if top > -math.inf:
-        e = np.subtract(scaled, top, out=tmp[:scaled.size])
-        acc = (top, float(np.sum(np.exp(e, out=e))))
-        parts[1].append(acc)
-        if base:
-            parts[0].append(acc)
-
-
 def exp_moment_trimmed(spec: PolySpec, table: PrimeTable, grid: TGrid,
                        x: float, W: float) -> tuple[float, float]:
     """log of (1/count) sum over {|Z(t_j)| <= W} of exp(x P(t_j)).
 
     Returns (grid value, half-spacing refinement value) from two complex
     kernel passes, at the grid's points and at their midpoints
-    (_half_spacing_blocks): each block feeds the refinement, and a block
-    of the first pass the grid too.  Each normalizer is its grid's FULL
+    (_pass_rows), each block reduced to (max, sum exp(x P - max)) over its
+    kept points: the grid's value combines the first pass's rows, the
+    refinement's both passes' rows.  Each normalizer is its grid's FULL
     count, mirroring the (1/T) integral over the trimmed set: at x = 0
     this is exactly the log measure fraction of the trimmed set, and the
     un-logged quantity is monotone nondecreasing in W by set inclusion.
     Per-block log-sum-exp, so large x W never overflows.  Each complex
-    block is valid until the next is drawn, so it is reduced at once, in
-    buffers held for the call (fresh |Z|, P, mask and exponential arrays
-    per block cost ~240 minor page faults a block).  Its midpoints bound
-    the grid as empirical_moment's do: within 2x of 2^53 units, ValueError.
+    block is reduced in buffers held for the call (fresh |Z|, P, mask and
+    exponential arrays per block cost ~240 minor page faults a block).
+    Its midpoints bound the grid as empirical_moment's do: within 2x of
+    2^53 units, ValueError.
     """
     if not x >= 0.0:
         raise ValueError(f"x must be >= 0, got {x}")
     if not W > 0.0:
         raise ValueError(f"W must be positive, got {W}")
-    # per grid: (block max, block sum of exp(scaled - block max))
-    parts = ([], [])
     mod, scaled, tmp = np.empty((3, NUFFT_BLOCK))
     mask = np.empty(NUFFT_BLOCK, dtype=bool)
-    for base, z in _half_spacing_blocks(spec, table, grid):
+
+    def log_sum_exp(z: np.ndarray) -> tuple[float, float] | None:
+        """(max, sum exp(x P - max)) over |Z| <= W, None if no point is kept."""
         n = z.size
         # x P on |Z| <= W, -inf elsewhere (and where |Z| is NaN)
         p = rotated_real(z, spec.theta, out=scaled[:n])
         p *= x
         kept = np.less_equal(np.abs(z, out=mod[:n]), W, out=mask[:n])
         np.copyto(p, -math.inf, where=np.logical_not(kept, out=kept))
-        _add_log_sum_exp(parts, base, p, tmp)
-        del z       # a pass's last block would hold its buffer into the next
+        top = float(p.max())
+        if not top > -math.inf:
+            return None
+        e = np.subtract(p, top, out=tmp[:n])
+        return top, float(np.sum(np.exp(e, out=e)))
+
+    rows, mid_rows = _pass_rows(spec, table, grid, log_sum_exp)
     out = []
-    for acc, count in zip(parts, (grid.count, 2 * grid.count)):
+    for blocks, count in ((rows, grid.count), (rows + mid_rows, 2 * grid.count)):
+        acc = [r for r in blocks if r is not None]
         if not acc:
             raise ValueError(f"trimmed set is empty at W={W}")
         top = max(m for m, _ in acc)

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from zel import prime_poly
-from zel.moments import _half_spacing_blocks
+from zel.moments import _pass_rows
 from zel.prime_poly import (
     BLOCK_ROWS,
     NUFFT_BLOCK,
@@ -632,16 +632,15 @@ class TestShiftedStream:
     @PATHS
     @pytest.mark.parametrize("rotated", [False, True])
     def test_zero_shift_is_the_unshifted_stream(self, X, rotated):
-        # the refinement's first pass is the grid's own stream, its second
-        # the midpoint grid's, bit for bit
+        # drawn through _pass_rows with a copying reduce, the refinement's
+        # first pass is the grid's own stream, its second the midpoint
+        # grid's, bit for bit
         spec, grid, mids = self._grids(X)
-        drawn = {True: [], False: []}
-        for base, z in _half_spacing_blocks(spec, self.table, grid,
-                                            rotated=rotated):
-            drawn[base].append(z.copy())
-        for base, g in ((True, grid), (False, mids)):
+        passes = _pass_rows(spec, self.table, grid, np.copy, rotated=rotated)
+        assert len(passes) == 2
+        for rows, g in zip(passes, (grid, mids)):
             plain = self._stream(spec, g, rotated=rotated)
-            got = np.concatenate(drawn[base])
+            got = np.concatenate(rows)
             assert got.dtype == plain.dtype and got.tobytes() == plain.tobytes()
 
 

@@ -1,5 +1,5 @@
 """Property tests: phase reduction, exceedance monotonicity and counts,
-moment power sums,
+moment power sums, the exact and contour moments against each other,
 chunking, block lengths, grid exactness, the grids the CLI builds and
 the CLI's exit codes on edge values.
 
@@ -94,27 +94,41 @@ def test_exceed_counts_match_per_level_oracle(v, picks, nan_at):
 
 @PROPERTY
 @given(ks=st.sets(st.integers(1, 9), min_size=1).map(sorted),
-       base=st.booleans(),
        p=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=301))
-@example(ks=[6], base=False, p=[0.5, -1.25, 2.0, -0.75])     # a gap below k
-@example(ks=[1, 6], base=True, p=[-2.0, 1.5, 0.25])          # odd length
-@example(ks=[1, 2, 3], base=False, p=[1.5])                  # length 1
-@example(ks=[9], base=True, p=[-3.0, 3.0, -2.5, 2.5, 1.0, -1.0])
-@example(ks=[1, 3, 5, 7, 8], base=False,                     # square, then
+@example(ks=[6], p=[0.5, -1.25, 2.0, -0.75])                 # a gap below k
+@example(ks=[1, 6], p=[-2.0, 1.5, 0.25])                     # odd length
+@example(ks=[1, 2, 3], p=[1.5])                              # length 1
+@example(ks=[9], p=[-3.0, 3.0, -2.5, 2.5, 1.0, -1.0])
+@example(ks=[1, 3, 5, 7, 8],                                 # square, then
          p=[0.5, -1.25, 2.0, -0.75, 1.5, -3.0, 0.25])        # two products
-def test_power_sums_match_fsum_oracle(ks, base, p):
+def test_power_sums_match_fsum_oracle(ks, p):
     p = np.array(p)
     # scratch longer than the block and full of NaN: only [:p.size] is used
     scratch = (np.full(p.size + 7, math.nan), np.full(p.size + 7, math.nan))
-    sums = {k: ([], []) for k in ks}
-    moments._add_power_sums(moments._power_plan(sums), base, p, scratch)
-    for k in ks:
-        base_sums, (got,) = sums[k]
-        # a base block feeds the base sums the same value
-        assert base_sums == ([got] if base else [])
+    sums = moments._power_sums(p, tuple(ks), scratch)
+    assert len(sums) == len(ks)
+    for k, got in zip(ks, sums):
         want = math.fsum((p ** k).tolist())
         scale = math.fsum((np.abs(p) ** k).tolist())
         assert abs(got - want) <= 1e-13 * scale, (k, got, want)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(X=st.sampled_from([3.0, 7.0, 31.0, 100.0, 541.0, 1000.0]),
+       sigma=st.floats(0.5, 1.0, exclude_max=True),
+       m=st.integers(0, 3),
+       half_k=st.integers(1, 30))
+def test_exact_and_contour_moments_agree(X, sigma, m, half_k):
+    # two routes that share only the weights: the I0 series product and
+    # the trapezoid circle integral; a case either route refuses is skipped
+    spec = PolySpec(m=m, sigma=sigma, theta=0.0, X=X)
+    k = 2 * half_k
+    try:
+        exact = moments.exact_moment(spec, k).value
+        contour = moments.contour_moment(spec, k, TABLE).value
+    except (ValueError, RuntimeError, OverflowError):
+        return
+    assert abs(contour - exact) <= 1e-12 * abs(exact), (exact, contour)
 
 
 def _chunked(spec, grid, v, chunk_cols):

@@ -499,6 +499,18 @@ class TestS0Block:
             got.append([v.hex() for v in s_m(1, [20.0, 30.0, 50.0]).tolist()])
         assert got[0] == got[1]
 
+    def test_s0_near_1e4_free_of_batch(self):
+        """At t ~ 1e4 a block takes its N from the batch's largest t and
+        sums by GEMM, so the last bits of s_0 may move with the batch; the
+        values hold to 1e-12 against one-t calls and against the batch
+        with t = 2e4 added (5.6e-15 and 3.3e-16 measured)."""
+        ts = 1e4 + 0.123 + np.linspace(0.0, 1e3, 16)
+        got = s_m(0, ts)
+        single = np.array([s_m(0, [t])[0] for t in ts.tolist()])
+        mixed = s_m(0, np.append(ts, 2e4))[:ts.size]
+        assert np.max(np.abs(got - single)) <= 1e-12
+        assert np.max(np.abs(got - mixed)) <= 1e-12
+
 
 class TestBranchedLog:
     def test_real_axis_sigma_three(self):
