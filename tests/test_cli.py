@@ -945,10 +945,14 @@ class TestDeterminismAndErrors:
          "--k", "1,2,3,4,6"],
         ["moments", "--sigma", "0.5", "--m", "1", "--theta", "0.7", "--X",
          "31", "--T", "4e6", "--k", "2,4,6"],
-    ], ids=["k1-6", "moments_x31"])
+        ["eta", "--m", "0", "--sigma", "0.65", "--t", "5:400:7.5"],
+        ["tail", "--route", "eta", "--sigma", "0.75", "--m", "1", "--T",
+         "1e4", "--count", "16", "--V", "0.5"],
+    ], ids=["k1-6", "moments_x31", "eta_walk", "eta_tail_t1e4"])
     def test_bytes_free_of_blas_thread_count(self, argv):
         # OpenBLAS splits a dot product past 10,000 terms over its threads,
-        # which moves its last bits; the power sums stay under that
+        # which moves its last bits; the power sums stay under that, and
+        # the eta routes take the per-t branch walk, not the s_0 block
         src = str(Path(cli.__file__).resolve().parents[1])
         outs = [subprocess.run(
             [sys.executable, "-m", "zel.cli", *argv],

@@ -577,6 +577,28 @@ class TestBranchedLog:
         assert turns == {0, 1}
         assert np.max(np.abs(np.diff(args))) < 0.1
 
+    @pytest.mark.parametrize("sigma", [0.55, 0.65, 0.8, 1.3, 2.9, -0.7])
+    @pytest.mark.parametrize("t", [5.0, 15.1, 100.7, 333.3])
+    def test_walk_ends_on_sigma(self, monkeypatch, sigma, t):
+        """The last step lands on sigma itself, not an ulp off it (at
+        sigma = 0.65 the step from alpha = 2.5 by 1.85 rounds to
+        0.6499999999999999), so the branch at sigma is read off the walk
+        with no further zeta call."""
+        tracker = BranchTracker(t)
+        tracker.extend(sigma)
+        assert tracker._walk[-1][0] == sigma
+        calls = []
+
+        def spy(s):
+            calls.append(s)
+            return zeta(s)
+
+        monkeypatch.setattr(zeta_core, "zeta", spy)
+        val = tracker.log_at(sigma)
+        assert calls == []
+        z = zeta(complex(sigma, t))
+        assert abs(cmath.exp(val) - z) <= 1e-10 * abs(z)
+
     def test_near_zero_flagged_at_ordinate(self):
         with pytest.raises(NearZeroOnPath):
             log_zeta_branched(0.5, ZERO_ORDINATES_BELOW_55[0])
